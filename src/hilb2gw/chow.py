@@ -33,7 +33,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
-from .rationals import RAT_ONE, RAT_ZERO, Rat, rat
+from .rationals import RAT_ONE, RAT_ZERO, Rat, qnorm, rat
 
 # --------------------------------------------------------------------------
 # Exact polynomial arithmetic in Q[T1,T2] / (T1^3, T2^3 - 3 T1 T2^2 + 6 T1^2 T2)
@@ -195,16 +195,20 @@ class TargetDatum:
         self.nondivisors = tuple(
             e for e in range(self.basis_size) if self.codims[e] >= 2
         )
-        self._divisor_pos = {e: i for i, e in enumerate(self.divisors)}
-        # sparse form of each table entry, for the engine's hot loop
+        # T_e . cls = cls[divisor_pos[e]] for each divisor index e
+        self.divisor_pos = tuple(
+            self.divisors.index(e) if e in self.divisors else None
+            for e in range(self.basis_size)
+        )
+        # sparse form of each table entry in normal form, for the engine's
+        # hot loop
         self.cup_terms = tuple(
             tuple(
-                tuple((m, c) for m, c in enumerate(row) if c != 0)
+                tuple((m, qnorm(c)) for m, c in enumerate(row) if c != 0)
                 for row in rows
             )
             for rows in self.cup_table
         )
-        self._splits_cache: dict = {}
         self._validate()
 
     # -- ring operations ---------------------------------------------------
@@ -249,8 +253,9 @@ class TargetDatum:
     # -- curve classes -----------------------------------------------------
 
     def effective(self, cls: CurveClass) -> bool:
+        """A lattice point of the cone: rank-many nonnegative ints (no bools)."""
         return len(cls) == self.rank and all(
-            isinstance(x, int) and x >= 0 for x in cls
+            type(x) is int and x >= 0 for x in cls
         )
 
     def is_zero_class(self, cls: CurveClass) -> bool:
@@ -258,7 +263,7 @@ class TargetDatum:
 
     def inter(self, e: int, cls: CurveClass) -> int:
         """Intersection number of the divisor T_e with a curve class."""
-        return cls[self._divisor_pos[e]]
+        return cls[self.divisor_pos[e]]
 
     def minus_k_dot(self, cls: CurveClass) -> int:
         return sum(k * x for k, x in zip(self.anticanonical, cls))
@@ -274,19 +279,14 @@ class TargetDatum:
 
     def splits(self, cls: CurveClass) -> tuple:
         """All ordered pairs (c1, c2) of nonzero effective classes summing to cls."""
-        cached = self._splits_cache.get(cls)
-        if cached is not None:
-            return cached
         parts = [()]
         for x in cls:
             parts = [p + (y,) for p in parts for y in range(x + 1)]
-        out = tuple(
+        return tuple(
             (c1, tuple(x - y for x, y in zip(cls, c1)))
             for c1 in parts
             if not self.is_zero_class(c1) and c1 != cls
         )
-        self._splits_cache[cls] = out
-        return out
 
     # -- construction-time validation ---------------------------------------
 
@@ -365,19 +365,17 @@ def _hilb_base_case(cls: CurveClass, ins: tuple):
     a, b = cls
     if b == 0:
         if ins == (3,):
-            return rat(3, a * a)
+            return qnorm(rat(3, a * a))
         if ins == (4,):
-            return RAT_ZERO
+            return 0
         if ins == (5,):
-            return rat(-3, a * a)
+            return qnorm(rat(-3, a * a))
         return None
     if b == 1:
         if a > 2:
-            return RAT_ZERO
+            return 0
         if len(ins) == 2:
-            val = _A1_TABLE[a].get(ins)
-            if val is not None:
-                return rat(val)
+            return _A1_TABLE[a].get(ins)
         return None
     return None
 
@@ -385,7 +383,7 @@ def _hilb_base_case(cls: CurveClass, ins: tuple):
 def _p2_base_case(cls: CurveClass, ins: tuple):
     (d,) = cls
     if d == 1 and ins == (2, 2):
-        return RAT_ONE
+        return 1
     return None
 
 

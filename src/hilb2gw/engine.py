@@ -44,14 +44,13 @@ equation results are always consumed in submission order.
 from __future__ import annotations
 
 import json
-import sys
 import threading
 from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .chow import TargetDatum, hilb_datum
-from .rationals import RAT_ONE, RAT_ZERO, binom, rat_from_parts
+from .rationals import RAT_ONE, RAT_ZERO, binom, qdiv, qnorm, rat_from_parts
 
 
 class EngineError(Exception):
@@ -99,10 +98,11 @@ class LinearForm:
 class MemoStore:
     """Exact values by canonical key, with per-entry provenance.
 
-    Provenance is one of ``base-case``, ``solved``, ``loaded``. An entry is
-    never overwritten with a different value; a conflicting write raises
-    InconsistentSystem. Reads are safe from any thread; writes happen only
-    on the solving thread.
+    Provenance is one of ``base-case``, ``solved``, ``loaded``. Values are
+    stored in normal form (``int`` when integral, ``Rat`` otherwise). An
+    entry is never overwritten with a different value; a conflicting write
+    raises InconsistentSystem. Reads are safe from any thread; writes happen
+    only on the solving thread.
     """
 
     def __init__(self):
@@ -113,6 +113,7 @@ class MemoStore:
         return self._values.get(key)
 
     def set(self, key, value, tag: str) -> None:
+        value = qnorm(value)
         old = self._values.get(key)
         if old is not None:
             if old != value:
@@ -168,7 +169,7 @@ class ExactLinearSolver:
                 c += coef * rconst
                 stack.extend((k2, coef * c2) for k2, c2 in rterms.items())
                 continue
-            acc[k] = acc.get(k, RAT_ZERO) + coef
+            acc[k] = acc.get(k, 0) + coef
         acc = {k: v for k, v in acc.items() if v != 0}
         if not acc:
             if c != 0:
@@ -176,8 +177,8 @@ class ExactLinearSolver:
             return
         pivot = max(acc)
         pc = acc.pop(pivot)
-        rterms = {k: -(v / pc) for k, v in acc.items()}
-        rconst = -(c / pc)
+        rterms = {k: -qdiv(v, pc) for k, v in acc.items()}
+        rconst = -qdiv(c, pc)
         for p in tuple(self._uses.get(pivot, ())):
             self._substitute(p, pivot, rterms, rconst)
         self.rows[pivot] = (rterms, rconst)
@@ -192,7 +193,7 @@ class ExactLinearSolver:
         self._uses[key].discard(p)
         pconst = pconst + coef * kconst
         for k2, c2 in kterms.items():
-            nv = pterms.get(k2, RAT_ZERO) + coef * c2
+            nv = pterms.get(k2, 0) + coef * c2
             if nv == 0:
                 if k2 in pterms:
                     del pterms[k2]
@@ -259,6 +260,7 @@ class Engine:
         self.threads = max(1, int(threads))
         self.stage_tiers: dict = {}
         self._budgets: dict = {}
+        self._split_cache: dict = {}
         self._partition_cache: dict = {}
         self._stage_state: dict = {}
         self._tl = threading.local()
@@ -297,8 +299,6 @@ class Engine:
                     break
             else:  # pragma: no cover - decomposition sums exactly to t
                 raise EngineError(f"no self-supporting row for index {t}")
-        if sys.getrecursionlimit() < 30000:
-            sys.setrecursionlimit(30000)
 
     # ------------------------------------------------------------------
     # canonicalization
@@ -343,16 +343,29 @@ class Engine:
     def normalize(self, cls, insertions) -> LinearForm:
         """Expand insertions multilinearly into canonical keys.
 
-        ``insertions`` may mix basis indices (ints) and cohomology vectors.
-        The class must be effective and nonzero; degree-0 invariants exist
-        only inside equation building, never as keys.
+        ``insertions`` may mix basis indices (ints in 0..basis_size-1) and
+        cohomology vectors of length basis_size; anything else raises
+        ValueError. The class must be effective and nonzero; degree-0
+        invariants exist only inside equation building, never as keys.
         """
         self._check_class(cls)
+        size = self.datum.basis_size
         combos = [((), RAT_ONE)]
         for ins in insertions:
+            if isinstance(ins, (bool, float)):
+                raise ValueError(f"insertion {ins!r} is not a basis index")
             if isinstance(ins, int):
+                if not 0 <= ins < size:
+                    raise ValueError(
+                        f"basis index {ins} out of range 0..{size - 1}"
+                    )
                 pairs = ((ins, RAT_ONE),)
             else:
+                if not isinstance(ins, (tuple, list)) or len(ins) != size:
+                    raise ValueError(
+                        f"insertion {ins!r} is neither a basis index nor a "
+                        f"cohomology vector of length {size}"
+                    )
                 pairs = tuple((e, c) for e, c in enumerate(ins) if c != 0)
             combos = [
                 (idx + (e,), c * ce) for idx, c in combos for e, ce in pairs
@@ -406,13 +419,6 @@ class Engine:
             total += coeff * self.value_of(key)
         return total
 
-    def solve_stage(self, cls, n: int) -> None:
-        """Resolve every admissible key of stage (cls, n) into the memo."""
-        cls = tuple(cls)
-        self._check_class(cls)
-        for key in self._stage_keys(cls, n):
-            self.value_of(key)
-
     # ------------------------------------------------------------------
     # equation building
     # ------------------------------------------------------------------
@@ -455,18 +461,19 @@ class Engine:
         """Assemble S(i,j,k,l) - S(i,l,j,k) over the memo and stage unknowns."""
         i, j, k, l = frame
         if j == l:
-            return {}, RAT_ZERO
-        datum = self.datum
+            return {}, 0
         codims = self._codims
         weights = self._weights
-        dual = self._dual
         cup_terms = self._cup_terms
         memo_get = self.memo.get
         groups = self._partition_groups(extras)
         terms: dict = {}
-        const = RAT_ZERO
+        const = 0
+        # true fractions (the few non-integral memo values) are summed apart,
+        # so one of them does not turn every later addition into Rat work
+        frac = 0
 
-        for (p, q, r, s), sign in (((i, j, k, l), RAT_ONE), ((i, l, j, k), -RAT_ONE)):
+        for (p, q, r, s), sign in (((i, j, k, l), 1), ((i, l, j, k), -1)):
             # collapsed degree-0 terms: I(x, y, (u cup v), extras)
             for x, y, u, v in ((p, q, r, s), (r, s, p, q)):
                 for m, cm in cup_terms[u][v]:
@@ -479,7 +486,7 @@ class Engine:
                     if stage_n is not None and len(ins_t) == stage_n:
                         v_known = memo_get(key)
                         if v_known is None:
-                            terms[key] = terms.get(key, RAT_ZERO) + coeff
+                            terms[key] = terms.get(key, 0) + coeff
                             continue
                         const += coeff * v_known
                     else:
@@ -498,23 +505,25 @@ class Engine:
             w2 = sum(weights[x] for x in kept2)
             memo_vals = self.memo._values
             value_of = self.value_of
-            inter = datum.inter
-            for b1, b2 in datum.splits(cls):
+            # Python-level calls stay out of this loop (value_of runs only on
+            # a memo miss, Rat methods only on true fractions): it runs at the
+            # deepest point of the stage recursion, where a call can make the
+            # interpreter map and unmap a fresh frame-stack chunk every time
+            pos = self.datum.divisor_pos
+            for b1, b2, bud1, bud2 in self._splits(cls):
                 m1 = 1
                 for x in div1:
-                    m1 *= inter(x, b1)
+                    m1 *= b1[pos[x]]
                 if m1 == 0:
                     continue
                 m2 = 1
                 for x in div2:
-                    m2 *= inter(x, b2)
+                    m2 *= b2[pos[x]]
                 if m2 == 0:
                     continue
-                bud1 = self._budget(b1)
-                bud2 = self._budget(b2)
                 for e, eh, ce, ceh in self._epairs:
                     if ce == 1:
-                        t = inter(e, b1)
+                        t = b1[pos[e]]
                         if t == 0:
                             continue
                         me1, add1 = m1 * t, kept1
@@ -523,7 +532,7 @@ class Engine:
                         me1, add1 = m1, kept1 + (e,)
                         w_a = bud1 - w1 - weights[e]
                     if ceh == 1:
-                        t = inter(eh, b2)
+                        t = b2[pos[eh]]
                         if t == 0:
                             continue
                         me2, add2 = m2 * t, kept2
@@ -550,9 +559,26 @@ class Engine:
                             v2 = value_of(key2)
                         if v2 == 0:
                             continue
-                        const += scale * mult * v1 * v2
+                        term = scale * mult * v1 * v2
+                        if type(term) is int:
+                            const += term
+                        else:
+                            frac += term
 
+        if frac:
+            const = qnorm(const + frac)
         return {k: v for k, v in terms.items() if v != 0}, const
+
+    def _splits(self, cls):
+        """The datum's splits b1 + b2 = cls with both weight budgets, cached."""
+        cached = self._split_cache.get(cls)
+        if cached is None:
+            cached = tuple(
+                (b1, b2, self._budget(b1), self._budget(b2))
+                for b1, b2 in self.datum.splits(cls)
+            )
+            self._split_cache[cls] = cached
+        return cached
 
     def _partition_groups(self, extras):
         """Partitions A|B of an insertion multiset, grouped by weight of A.
@@ -637,8 +663,9 @@ class Engine:
                     st.seen.add(spec)
                     st.pending.append(spec)
             done = self._drain(cls, n, st, need)
-        for key, val in sorted(solver.solved.items()):
-            memo.set(key, val, "solved")
+        for key, val in solver.solved.items():
+            if key not in memo:
+                memo.set(key, val, "solved")
         if st.tier > self.stage_tiers.get((cls, n), 0):
             self.stage_tiers[(cls, n)] = st.tier
         if not done:
@@ -940,7 +967,9 @@ class Engine:
                 payload = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise CacheFormatError(f"not valid JSON: {exc}") from exc
-        if not isinstance(payload, dict) or payload.get("target") != self.datum.name:
+        if not isinstance(payload, dict):
+            raise CacheFormatError("a cache file must hold one JSON object")
+        if payload.get("target") != self.datum.name:
             raise CacheFormatError(
                 f"cache target {payload.get('target')!r} does not match "
                 f"{self.datum.name!r}"

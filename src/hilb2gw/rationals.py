@@ -4,6 +4,12 @@ All arithmetic in this package is arbitrary-precision rational; no floating
 point is used anywhere. ``gmpy2.mpq`` is preferred for speed, with
 ``fractions.Fraction`` as a drop-in fallback so the package stays importable
 without the C extension.
+
+Normal form: inside the engine (memo values, solver rows, base cases, the
+sparse cup coefficients) an exact scalar is a plain ``int`` when it is
+integral and a ``Rat`` only when it is a true fraction. ``qnorm`` and
+``qdiv`` produce that form; ``int`` carries ``numerator`` and ``denominator``
+too, so code that inspects either works on both kinds.
 """
 
 from __future__ import annotations
@@ -22,6 +28,23 @@ RAT_ONE = Rat(1)
 def rat(num: int, den: int = 1):
     """Exact rational num/den."""
     return Rat(num, den)
+
+
+def qnorm(x):
+    """The normal form of an exact scalar: ``int`` if integral, else ``Rat``."""
+    if type(x) is int:
+        return x
+    if x.denominator == 1:
+        return int(x.numerator)
+    return x
+
+
+def qdiv(a, b):
+    """Exact quotient a/b in normal form; integer division stays ``int``."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Rat(a, b) if r else q
+    return qnorm(a / b)
 
 
 def binom(n: int, k: int) -> int:
@@ -44,8 +67,10 @@ def rat_str(x) -> str:
 
 
 def rat_from_parts(num: str, den: str):
-    """Rebuild an exact rational from decimal integer strings (cache files)."""
+    """Rebuild an exact scalar in normal form from decimal integer strings."""
     d = int(den)
     if d == 0:
         raise ValueError("zero denominator")
-    return Rat(int(num), d)
+    if d == 1:
+        return int(num)
+    return qnorm(Rat(int(num), d))

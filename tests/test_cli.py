@@ -54,6 +54,8 @@ def test_invariant_usage_errors(capsys):
     assert code == 2 and "class" in err
     code, _, err = run(capsys, "invariant", "--class", "1,1", "--insertions", "9")
     assert code == 2 and "range" in err
+    code, _, err = run(capsys, "invariant", "--class", "1,1", "--insertions", "3,-1")
+    assert code == 2 and "range" in err
     code, _, err = run(capsys, "invariant", "--class", "1,1", "--insertions", "x3")
     assert code == 2
     code, _, err = run(capsys, "invariant", "--class", "1", "--insertions", "3")
@@ -218,6 +220,27 @@ def test_cache_import_schema_violation(capsys, tmp_path):
     path.write_text('{"target": "hilb2p2"}')
     code, _, err = run(capsys, "cache", "import", str(path))
     assert code == 2 and "cache" in err
+
+
+@pytest.mark.parametrize("text", ["[1,2]", "42", "null"])
+def test_cache_import_rejects_non_object(capsys, tmp_path, text):
+    path = tmp_path / "list.json"
+    path.write_text(text)
+    code, _, err = run(capsys, "cache", "import", str(path))
+    assert code == 2 and "cache format error" in err
+
+
+def test_unreadable_cache_path_is_usage_error(capsys, tmp_path):
+    missing = str(tmp_path / "absent.json")
+    code, _, err = run(capsys, "cache", "import", missing)
+    assert code == 2 and err.startswith("error:") and "absent.json" in err
+    code, _, err = run(
+        capsys, "invariant", "--class", "1,1", "--insertions", "3,8",
+        "--cache", missing,
+    )
+    assert code == 2 and err.startswith("error:")
+    code, _, err = run(capsys, "cache", "import", str(tmp_path))  # a directory
+    assert code == 2 and err.startswith("error:")
 
 
 def test_cache_import_value_contradiction(capsys, tmp_path):

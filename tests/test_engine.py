@@ -11,11 +11,12 @@ from hilb2gw import (
     Engine,
     InconsistentSystem,
     hilb_datum,
+    invert_counts,
     p2_datum,
 )
 from hilb2gw.chow import _A1_TABLE
 from hilb2gw.engine import LinearForm, MemoStore
-from hilb2gw.rationals import rat
+from hilb2gw.rationals import Rat, rat
 
 from properties_util import (
     check_dimension_vanishing,
@@ -81,6 +82,19 @@ def test_invariant_rejects_bad_classes(engine):
         engine.invariant((-1, 2), [3])
     with pytest.raises(ValueError):
         engine.invariant((1,), [3])
+    with pytest.raises(ValueError):
+        engine.invariant((True, 1), [3, 8])
+    with pytest.raises(ValueError):
+        engine.invariant((1.0, 1), [3, 8])
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [[9], [-1], [4, 100], [True], [False, 8], [4.0], ["4"], [(0,) * 8], [None]],
+)
+def test_invariant_rejects_bad_insertions(engine, bad):
+    with pytest.raises(ValueError):
+        engine.invariant((1, 1), [3] + bad)
 
 
 # ----------------------------------------------------------------------
@@ -165,6 +179,27 @@ def test_pure_top_pair_keys_solve_via_forward_frame(engine):
     assert engine.wdvv_residual((1, 5), (2, 7, 7, 7), (7,) * 5) == 0
 
 
+def test_memo_values_are_in_normal_form(engine):
+    """Every memo value is an int, or a Rat that is a true fraction."""
+    for d in range(2, 6):
+        for l in (0, 1, 2):
+            invert_counts(engine, d, l)
+    values = [v for _, v in engine.memo.items()]
+    assert values
+    bad = [
+        v for v in values
+        if not (type(v) is int or (type(v) is Rat and v.denominator != 1))
+    ]
+    assert not bad, bad[:5]
+    assert any(type(v) is Rat for v in values)
+
+
+def test_memo_set_normalises_integral_rationals():
+    store = MemoStore()
+    store.set(((1, 1), (3, 8)), rat(4, 2), "solved")
+    assert type(store.get(((1, 1), (3, 8)))) is int
+
+
 def test_memo_rejects_contradiction():
     store = MemoStore()
     key = ((1, 1), (3, 8))
@@ -236,6 +271,7 @@ def test_p2_engine_two_point_seed():
 def _warm_engine():
     eng = Engine()
     eng.invariant((1, 2), [4] * 7)
+    eng.invariant((2, 0), [3])  # a true fraction, 3/4
     return eng
 
 
@@ -249,6 +285,9 @@ def test_cache_roundtrip(tmp_path):
     loaded = fresh.load_cache(path)
     assert loaded == written
     assert dict(fresh.memo.items()) == dict(eng.memo.items())
+    assert {k: type(v) for k, v in fresh.memo.items()} == {
+        k: type(v) for k, v in eng.memo.items()
+    }
 
     # deterministic bytes: saving the loaded store reproduces the file
     path2 = tmp_path / "cache2.json"
@@ -263,6 +302,11 @@ def test_cache_rejects_malformed_payloads(tmp_path):
     path.write_text("not json at all")
     with pytest.raises(CacheFormatError):
         eng.load_cache(path)
+
+    for not_an_object in ("[1,2]", "3", '"hilb2p2"', "null"):
+        path.write_text(not_an_object)
+        with pytest.raises(CacheFormatError):
+            eng.load_cache(path)
 
     path.write_text(json.dumps({"target": "elsewhere", "entries": []}))
     with pytest.raises(CacheFormatError):

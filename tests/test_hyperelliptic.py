@@ -90,16 +90,19 @@ def test_severi_degrees(engine):
 
 def test_non_integral_counts_raise():
     """A poisoned memo value must surface as a sanity error, not a wrong table."""
-    eng = Engine()
-    key = ((1, 2), (4, 4, 4, 4, 4, 4, 4))
-    eng.memo.set(key, rat(1, 3), "loaded")
-    with pytest.raises((NonIntegralCount, NegativeCount)):
-        invert_counts(eng, 2, 0)
+    for poison in (rat(1, 3), rat(-7, 2)):
+        eng = Engine()
+        key = ((1, 2), (4, 4, 4, 4, 4, 4, 4))
+        eng.memo.set(key, poison, "loaded")
+        with pytest.raises((NonIntegralCount, NegativeCount)):
+            invert_counts(eng, 2, 0)
 
 
 def test_negative_counts_raise():
-    eng = Engine()
-    key = ((1, 2), (4, 4, 4, 4, 4, 4, 4))
-    eng.memo.set(key, rat(-5), "loaded")
-    with pytest.raises(NegativeCount):
-        invert_counts(eng, 2, 0)
+    # the memo keeps integral values as int, whichever type they arrive as
+    for poison in (rat(-5), -5, rat(-10, 2)):
+        eng = Engine()
+        key = ((1, 2), (4, 4, 4, 4, 4, 4, 4))
+        eng.memo.set(key, poison, "loaded")
+        with pytest.raises(NegativeCount):
+            invert_counts(eng, 2, 0)
