@@ -263,6 +263,7 @@ class Engine:
         self._split_cache: dict = {}
         self._partition_cache: dict = {}
         self._stage_state: dict = {}
+        self._rows: dict = {}
         self._tl = threading.local()
         d = self.datum
         self._codims = d.codims
@@ -419,6 +420,38 @@ class Engine:
             total += coeff * self.value_of(key)
         return total
 
+    def three_point_row(self, cls, x, y):
+        """The three-point basis row of (T_x, T_y) at ``cls``, cached.
+
+        Returns ``((top - i, I_cls(T_x, T_y, T_i)), ...)`` over the i whose
+        invariant is nonzero, the empty tuple when there is none; ``cls`` is
+        a nonzero effective class tuple and x, y are basis indices in either
+        order.  A row is derived from memo values, which are never
+        overwritten, so a cached row cannot go stale.
+        """
+        if x > y:
+            x, y = y, x
+        key = (cls, x, y)
+        row = self._rows.get(key)
+        if row is None:
+            self._check_class(cls)
+            d = self.datum
+            if not 0 <= x <= y < d.basis_size:
+                raise ValueError(f"basis indices {x}, {y} out of range")
+            need = self._budget(cls) - self._weights[x] - self._weights[y]
+            entries = []
+            for i in range(d.basis_size):
+                if self._weights[i] != need:
+                    continue
+                canon = self._canon(cls, (x, y, i))
+                if canon is not None:
+                    ins, mult = canon
+                    val = qnorm(mult * self.value_of((cls, ins)))
+                    if val:
+                        entries.append((d.top - i, val))
+            row = self._rows[key] = tuple(entries)
+        return row
+
     # ------------------------------------------------------------------
     # equation building
     # ------------------------------------------------------------------
@@ -434,9 +467,7 @@ class Engine:
         cls = tuple(cls)
         self._check_class(cls)
         frame = self._check_frame(frame)
-        extras = tuple(sorted(extras))
-        if any(self._codims[e] < 2 for e in extras):
-            raise ValueError("extras must be non-divisor basis indices")
+        extras = self._check_extras(extras)
         terms, const = self._build(cls, frame, extras, len(extras) + 3)
         return LinearForm(terms, const)
 
@@ -445,7 +476,7 @@ class Engine:
         cls = tuple(cls)
         self._check_class(cls)
         frame = self._check_frame(frame)
-        _, const = self._build(cls, frame, tuple(sorted(extras)), None)
+        _, const = self._build(cls, frame, self._check_extras(extras), None)
         return const
 
     def _check_frame(self, frame):
@@ -453,9 +484,21 @@ class Engine:
         if len(frame) != 4:
             raise ValueError("a frame has exactly four basis indices")
         for e in frame:
-            if not 0 <= e < self.datum.basis_size or self._codims[e] == 0:
+            if (
+                type(e) is not int
+                or not 0 <= e < self.datum.basis_size
+                or self._codims[e] == 0
+            ):
                 raise ValueError(f"frame entry {e} is not a positive-codimension index")
         return frame
+
+    def _check_extras(self, extras):
+        extras = tuple(extras)
+        size = self.datum.basis_size
+        for e in extras:
+            if type(e) is not int or not 0 <= e < size or self._codims[e] < 2:
+                raise ValueError(f"extra {e!r} is not a non-divisor basis index")
+        return tuple(sorted(extras))
 
     def _build(self, cls, frame, extras, stage_n):
         """Assemble S(i,j,k,l) - S(i,l,j,k) over the memo and stage unknowns."""
@@ -958,7 +1001,9 @@ class Engine:
     def load_cache(self, path) -> int:
         """Load and validate a cache file into the memo; returns entry count.
 
-        Every entry must be canonical and dimension-admissible; entries the
+        Every entry must be canonical and dimension-admissible, with ``a``,
+        ``b`` and the ``ins`` list made of JSON integers (anything else,
+        such as a string of digits, raises CacheFormatError); entries the
         base cases can derive must match them exactly. A value conflicting
         with one already in the memo raises InconsistentSystem.
         """
@@ -977,19 +1022,26 @@ class Engine:
         entries = payload.get("entries")
         if not isinstance(entries, list):
             raise CacheFormatError("cache entries must be a list")
+        size = self.datum.basis_size
+        codims = self._codims
         count = 0
         for entry in entries:
             try:
-                cls = (int(entry["a"]), int(entry["b"]))
-                ins = tuple(int(x) for x in entry["ins"])
+                cls = (entry["a"], entry["b"])
+                ins = entry["ins"]
                 val = rat_from_parts(entry["num"], entry["den"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise CacheFormatError(f"malformed entry {entry!r}") from exc
+            if type(ins) is not list:
+                raise CacheFormatError(f"entry insertions {ins!r} are not a list")
+            ins = tuple(ins)
             if not self.datum.effective(cls) or self.datum.is_zero_class(cls):
                 raise CacheFormatError(f"entry class {cls} is not admissible")
-            if tuple(sorted(ins)) != ins or any(
-                self._codims[e] < 2 for e in ins if 0 <= e < self.datum.basis_size
-            ) or any(not 0 <= e < self.datum.basis_size for e in ins):
+            # one pass: JSON ints only (no bools), in range, non-divisor
+            if any(
+                type(e) is not int or not 0 <= e < size or codims[e] < 2
+                for e in ins
+            ) or tuple(sorted(ins)) != ins:
                 raise CacheFormatError(f"entry insertions {ins} not canonical")
             if sum(self._weights[e] for e in ins) != self._budget(cls):
                 raise CacheFormatError(

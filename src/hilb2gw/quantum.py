@@ -7,14 +7,25 @@ constant term is the classical cup product.  This module provides the
 series arithmetic, the product of arbitrary classes, and verifiers that
 recompute the closed-form product table and the two cubic relations of the
 divisor subring from engine invariants.
+
+Products are bilinear: the coefficient of q1^a q2^b in g1 * g2 is
+``sum_{x,y} g1[x] g2[y] R_(a,b)(x, y)`` with the three-point basis row
+``R_(a,b)(x, y) = sum_i I_(a,b)(T_x, T_y, T_i) T_{8-i}``.  Each row is
+resolved once per engine (``Engine.three_point_row``) and then contracted
+with the sparse supports of the operands.
+
+Every coefficient of a ``ScalarSeries`` or ``QSeries`` is in the package's
+normal form (``rationals.qnorm``): a plain ``int`` when integral and a
+``Rat`` only for a true fraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Rational
 
 from .chow import CohVector, TargetDatum
-from .rationals import RAT_ONE, RAT_ZERO, Rat, rat
+from .rationals import Rat, qnorm, rat
 
 __all__ = [
     "ScalarSeries",
@@ -49,7 +60,7 @@ class ScalarSeries:
         if terms:
             for (a, b), c in terms.items():
                 if 0 <= a <= n1 and 0 <= b <= n2 and c != 0:
-                    self.terms[(a, b)] = c
+                    self.terms[(a, b)] = qnorm(c)
 
     @classmethod
     def constant(cls, n1: int, n2: int, value) -> "ScalarSeries":
@@ -59,8 +70,8 @@ class ScalarSeries:
     def monomial(cls, n1: int, n2: int, a: int, b: int, value=1) -> "ScalarSeries":
         return cls(n1, n2, {(a, b): rat(value)})
 
-    def coefficient(self, a: int, b: int) -> Rat:
-        return self.terms.get((a, b), RAT_ZERO)
+    def coefficient(self, a: int, b: int):
+        return self.terms.get((a, b), 0)
 
     def _check_bounds(self, other: "ScalarSeries") -> None:
         if (self.n1, self.n2) != (other.n1, other.n2):
@@ -70,7 +81,7 @@ class ScalarSeries:
         self._check_bounds(other)
         terms = dict(self.terms)
         for k, c in other.terms.items():
-            terms[k] = terms.get(k, RAT_ZERO) + c
+            terms[k] = terms.get(k, 0) + c
         return ScalarSeries(self.n1, self.n2, terms)
 
     def __sub__(self, other: "ScalarSeries") -> "ScalarSeries":
@@ -88,9 +99,9 @@ class ScalarSeries:
                     a, b = a1 + a2, b1 + b2
                     if a <= self.n1 and b <= self.n2:
                         k = (a, b)
-                        terms[k] = terms.get(k, RAT_ZERO) + c1 * c2
+                        terms[k] = terms.get(k, 0) + c1 * c2
             return ScalarSeries(self.n1, self.n2, terms)
-        c = rat(other)
+        c = qnorm(rat(other))
         return ScalarSeries(
             self.n1, self.n2, {k: v * c for k, v in self.terms.items()}
         )
@@ -126,7 +137,7 @@ class ScalarSeries:
 
 def f_series(n1: int, n2: int = 0) -> ScalarSeries:
     """The series q1/(1 - q1) = q1 + q1^2 + ... truncated at degree n1."""
-    return ScalarSeries(n1, n2, {(a, 0): RAT_ONE for a in range(1, n1 + 1)})
+    return ScalarSeries(n1, n2, {(a, 0): 1 for a in range(1, n1 + 1)})
 
 
 # ----------------------------------------------------------------------
@@ -135,16 +146,27 @@ def f_series(n1: int, n2: int = 0) -> ScalarSeries:
 
 
 def _as_vector(datum: TargetDatum, g) -> CohVector:
+    """A basis index or a cohomology vector as a vector in normal form.
+
+    Anything else (an out-of-range index, a bool or float, a vector of the
+    wrong length or with an entry that is not an exact rational) raises
+    ValueError.
+    """
+    size = datum.basis_size
+    if isinstance(g, (bool, float)):
+        raise ValueError(f"{g!r} is not a basis index")
     if isinstance(g, int):
-        return datum.basis_vector(g)
-    v = tuple(rat(x) for x in g)
-    if len(v) != datum.basis_size:
-        raise ValueError("cohomology vector has wrong length")
-    return v
-
-
-def _vec_zero(datum: TargetDatum) -> CohVector:
-    return (RAT_ZERO,) * datum.basis_size
+        if not 0 <= g < size:
+            raise ValueError(f"basis index {g} out of range 0..{size - 1}")
+        return tuple(int(k == g) for k in range(size))
+    if not isinstance(g, (tuple, list)) or len(g) != size:
+        raise ValueError(
+            f"{g!r} is neither a basis index nor a cohomology vector of "
+            f"length {size}"
+        )
+    if any(isinstance(c, bool) or not isinstance(c, Rational) for c in g):
+        raise ValueError(f"cohomology vector {g!r} has a non-rational entry")
+    return tuple(qnorm(rat(c)) for c in g)
 
 
 def _vec_add(u: CohVector, v: CohVector) -> CohVector:
@@ -169,8 +191,10 @@ class QSeries:
         self.coeffs: dict = {}
         if coeffs:
             for (a, b), v in coeffs.items():
-                if 0 <= a <= n1 and 0 <= b <= n2 and any(x != 0 for x in v):
-                    self.coeffs[(a, b)] = tuple(v)
+                if 0 <= a <= n1 and 0 <= b <= n2:
+                    v = tuple(map(qnorm, v))
+                    if any(v):
+                        self.coeffs[(a, b)] = v
 
     @classmethod
     def from_vector(cls, datum: TargetDatum, n1: int, n2: int, g) -> "QSeries":
@@ -179,7 +203,7 @@ class QSeries:
     @classmethod
     def from_scalar(cls, datum: TargetDatum, s: ScalarSeries) -> "QSeries":
         """Embed a scalar series as a multiple of the fundamental class."""
-        unit = datum.basis_vector(0)
+        unit = _as_vector(datum, 0)
         return cls(
             datum,
             s.n1,
@@ -188,7 +212,7 @@ class QSeries:
         )
 
     def coefficient(self, a: int, b: int) -> CohVector:
-        return self.coeffs.get((a, b), _vec_zero(self.datum))
+        return self.coeffs.get((a, b), (0,) * self.datum.basis_size)
 
     def _check_bounds(self, other: "QSeries") -> None:
         if (self.n1, self.n2) != (other.n1, other.n2):
@@ -218,7 +242,7 @@ class QSeries:
                         sv = _vec_scale(v, c)
                         coeffs[k] = _vec_add(coeffs[k], sv) if k in coeffs else sv
             return QSeries(self.datum, self.n1, self.n2, coeffs)
-        c = rat(s)
+        c = qnorm(rat(s))
         return QSeries(
             self.datum,
             self.n1,
@@ -268,30 +292,60 @@ class QSeries:
 # ----------------------------------------------------------------------
 
 
+def _add_product(engine, out: dict, u, v, a0: int, b0: int, n1: int, n2: int) -> None:
+    """Add q1^a0 q2^b0 (u * v), truncated at (n1, n2), into ``out``.
+
+    ``u`` and ``v`` are vectors in normal form and ``out`` maps (a, b) to a
+    mutable coefficient list.  The product is contracted bilinearly: the
+    operands' supports pair up (x <= y, the row being symmetric) and each
+    pair weight multiplies the cup-table entry at q^0 and the cached
+    three-point row of every class above it.
+    """
+    weights: dict = {}
+    for x, cx in enumerate(u):
+        if cx:
+            for y, cy in enumerate(v):
+                if cy:
+                    k = (x, y) if x <= y else (y, x)
+                    weights[k] = weights.get(k, 0) + cx * cy
+    pairs = [(x, y, qnorm(c)) for (x, y), c in weights.items() if c]
+    if not pairs:
+        return
+    datum = engine.datum
+    size = datum.basis_size
+    row = engine.three_point_row
+    cup_terms = datum.cup_terms
+    for a in range(n1 - a0 + 1):
+        for b in range(n2 - b0 + 1):
+            k = (a0 + a, b0 + b)
+            vec = out.get(k)
+            if vec is None:
+                vec = out[k] = [0] * size
+            if a or b:
+                cls = (a, b)
+                for x, y, c in pairs:
+                    for j, val in row(cls, x, y):
+                        vec[j] += c * val
+            else:
+                for x, y, c in pairs:
+                    for m, cm in cup_terms[x][y]:
+                        vec[m] += c * cm
+
+
 def small_product(engine, g1, g2, n1: int = 4, n2: int = 2) -> QSeries:
     """Quantum product of two cohomology classes, truncated at (n1, n2).
 
     The constant term is the cup product; the coefficient of q1^a q2^b is
     ``sum_i I_{(a,b)}(g1, g2, T_i) . T_{8-i}`` with i running over the whole
-    basis (fundamental-class insertions vanish on their own).
+    basis (fundamental-class insertions vanish on their own).  ``g1`` and
+    ``g2`` are basis indices or cohomology vectors; anything else raises
+    ValueError.
     """
     datum = engine.datum
     v1 = _as_vector(datum, g1)
     v2 = _as_vector(datum, g2)
-    coeffs = {(0, 0): datum.cup(v1, v2)}
-    size = datum.basis_size
-    top = datum.top
-    for a in range(n1 + 1):
-        for b in range(n2 + 1):
-            if (a, b) == (0, 0):
-                continue
-            vec = [RAT_ZERO] * size
-            for i in range(size):
-                val = engine.invariant((a, b), [v1, v2, i])
-                if val != 0:
-                    j = top - i
-                    vec[j] = vec[j] + val
-            coeffs[(a, b)] = tuple(vec)
+    coeffs: dict = {}
+    _add_product(engine, coeffs, v1, v2, 0, 0, n1, n2)
     return QSeries(datum, n1, n2, coeffs)
 
 
@@ -308,20 +362,12 @@ def star(engine, left, right, n1: int = 4, n2: int = 2) -> QSeries:
         right = QSeries.from_vector(datum, n1, n2, right)
     if (left.n1, left.n2) != (n1, n2) or (right.n1, right.n2) != (n1, n2):
         raise ValueError("mismatched truncation bounds")
-    out = QSeries(datum, n1, n2)
+    coeffs: dict = {}
     for (a1, b1), u in left.coeffs.items():
         for (a2, b2), v in right.coeffs.items():
-            rem1 = n1 - a1 - a2
-            rem2 = n2 - b1 - b2
-            if rem1 < 0 or rem2 < 0:
-                continue
-            piece = small_product(engine, u, v, rem1, rem2)
-            shifted = {
-                (a1 + a2 + a, b1 + b2 + b): vec
-                for (a, b), vec in piece.coeffs.items()
-            }
-            out = out + QSeries(datum, n1, n2, shifted)
-    return out
+            if a1 + a2 <= n1 and b1 + b2 <= n2:
+                _add_product(engine, coeffs, u, v, a1 + a2, b1 + b2, n1, n2)
+    return QSeries(datum, n1, n2, coeffs)
 
 
 # ----------------------------------------------------------------------

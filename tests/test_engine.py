@@ -126,6 +126,26 @@ def test_build_equation_validates_inputs(engine):
         engine.build_equation((0, 0), (1, 3, 4, 5), ())
 
 
+@pytest.mark.parametrize(
+    "extras", [(9,), (-1,), (4, 100), (1,), (0,), (True,), (4.0,), ("4",), (None,)]
+)
+def test_equation_wrappers_reject_bad_extras(engine, extras):
+    with pytest.raises(ValueError):
+        engine.build_equation((1, 1), (1, 3, 4, 5), extras)
+    with pytest.raises(ValueError):
+        engine.wdvv_residual((1, 1), (1, 3, 4, 5), extras)
+
+
+@pytest.mark.parametrize(
+    "frame", [(True, 3, 4, 5), (1, 3, 4.0, 5), (1, 3, 4, "5"), (1, 3, 4, 9), (0, 3, 4, 5)]
+)
+def test_equation_wrappers_reject_bad_frames(engine, frame):
+    with pytest.raises(ValueError):
+        engine.build_equation((1, 1), frame, ())
+    with pytest.raises(ValueError):
+        engine.wdvv_residual((1, 1), frame, ())
+
+
 def test_resolved_equation_residual_is_zero(engine):
     assert engine.wdvv_residual((1, 1), (1, 3, 4, 5), ()) == 0
     assert engine.wdvv_residual((1, 3), (1, 4, 4, 5), (4, 4)) == 0
@@ -353,6 +373,31 @@ def test_cache_rejects_malformed_payloads(tmp_path):
     )
     with pytest.raises(CacheFormatError):
         eng.load_cache(path)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"ins": "38"},
+        {"ins": ["3", "8"]},
+        {"ins": [3.0, 8]},
+        {"ins": [True, 8]},
+        {"ins": {"3": 8}},
+        {"ins": None},
+        {"a": "1"},
+        {"b": 1.0},
+        {"a": True},
+    ],
+)
+def test_cache_rejects_entries_that_are_not_json_ints(tmp_path, fields):
+    entry = {"a": 1, "b": 1, "ins": [3, 8], "num": "1", "den": "1"}
+    entry.update(fields)
+    path = tmp_path / "loose.json"
+    path.write_text(json.dumps({"target": "hilb2p2", "entries": [entry]}))
+    eng = Engine()
+    with pytest.raises(CacheFormatError):
+        eng.load_cache(path)
+    assert len(eng.memo) == 0
 
 
 def test_cache_value_contradiction_is_inconsistency(tmp_path):

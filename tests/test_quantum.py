@@ -1,9 +1,13 @@
 """Quantum-product tests: series arithmetic, the closed-form product table,
-the cubic relations, and the ring axioms at small truncation."""
+the cubic relations, the ring axioms at small truncation, and the bilinear
+evaluation against the definition."""
+
+import random
 
 import pytest
 
 from hilb2gw import (
+    Engine,
     QSeries,
     ScalarSeries,
     f_series,
@@ -13,7 +17,7 @@ from hilb2gw import (
     verify_product_table,
     verify_relations,
 )
-from hilb2gw.rationals import rat
+from hilb2gw.rationals import Rat, rat
 
 
 # ----------------------------------------------------------------------
@@ -178,3 +182,158 @@ def test_unit_acts_trivially(engine):
     for e in range(9):
         prod = small_product(engine, 0, e, 3, 2)
         assert prod == QSeries.from_vector(engine.datum, 3, 2, e), e
+
+
+# ----------------------------------------------------------------------
+# input boundary
+# ----------------------------------------------------------------------
+
+
+_BAD_OPERANDS = [
+    9,
+    -1,
+    True,
+    False,
+    1.0,
+    "1",
+    None,
+    (0,) * 8,
+    (0,) * 10,
+    (1.0,) + (0,) * 8,
+    ("1",) + (0,) * 8,
+    (True,) + (0,) * 8,
+]
+
+
+@pytest.mark.parametrize("bad", _BAD_OPERANDS)
+def test_small_product_rejects_bad_operands(engine, bad):
+    with pytest.raises(ValueError):
+        small_product(engine, bad, 1, 1, 1)
+    with pytest.raises(ValueError):
+        small_product(engine, 1, bad, 1, 1)
+
+
+@pytest.mark.parametrize("bad", _BAD_OPERANDS)
+def test_star_rejects_bad_operands(engine, bad):
+    with pytest.raises(ValueError):
+        star(engine, bad, 2, 1, 1)
+
+
+def test_three_point_row_validates_on_a_miss():
+    eng = Engine()
+    with pytest.raises(ValueError):
+        eng.three_point_row((0, 0), 1, 3)
+    with pytest.raises(ValueError):
+        eng.three_point_row((1, 1), 3, 9)
+    assert eng.three_point_row((1, 1), 8, 1) == eng.three_point_row((1, 1), 1, 8)
+
+
+# ----------------------------------------------------------------------
+# the bilinear evaluation against the definition
+# ----------------------------------------------------------------------
+
+
+def _is_normal(c) -> bool:
+    return type(c) is int or (isinstance(c, Rat) and c.denominator != 1)
+
+
+def _assert_normal_form(series):
+    for vec in series.coeffs.values():
+        assert all(_is_normal(c) for c in vec), vec
+
+
+def _defined_product(engine, u, v, n1, n2, shift=(0, 0), out=None):
+    """q^shift (u * v) truncated at (n1, n2), straight from the definition."""
+    datum = engine.datum
+    out = {} if out is None else out
+    for a in range(n1 - shift[0] + 1):
+        for b in range(n2 - shift[1] + 1):
+            if (a, b) == (0, 0):
+                vec = list(datum.cup(u, v))
+            else:
+                vec = [rat(0)] * datum.basis_size
+                for i in range(datum.basis_size):
+                    vec[datum.top - i] += engine.invariant((a, b), [u, v, i])
+            k = (a + shift[0], b + shift[1])
+            old = out.get(k, [rat(0)] * datum.basis_size)
+            out[k] = [x + y for x, y in zip(old, vec)]
+    return out
+
+
+def _random_vector(rng, size):
+    """A sparse rational vector with at least one true fraction."""
+    vec = [rat(0)] * size
+    for e in rng.sample(range(size), 3):
+        vec[e] = rat(rng.randint(-4, 4) or 1, rng.choice((1, 1, 2, 3)))
+    vec[rng.randrange(size)] = rat(rng.choice((1, -1)), rng.choice((2, 3, 5)))
+    return tuple(vec)
+
+
+def test_small_product_matches_definition():
+    eng = Engine()
+    datum = eng.datum
+    rng = random.Random(20261018)
+    n1, n2 = 3, 2
+    for _ in range(4):
+        u = _random_vector(rng, datum.basis_size)
+        v = _random_vector(rng, datum.basis_size)
+        assert any(c.denominator != 1 for c in u + v)
+        want = QSeries(datum, n1, n2, _defined_product(eng, u, v, n1, n2))
+        got = small_product(eng, u, v, n1, n2)
+        assert got == want
+        assert got == small_product(eng, list(u), list(v), n1, n2)
+        assert star(eng, u, v, n1, n2) == want
+        _assert_normal_form(got)
+
+
+def test_star_of_series_matches_definition():
+    eng = Engine()
+    datum = eng.datum
+    rng = random.Random(7)
+    n1, n2 = 3, 2
+
+    def series():
+        keys = rng.sample([(a, b) for a in range(n1 + 1) for b in range(n2 + 1)], 3)
+        return QSeries(
+            datum, n1, n2, {k: _random_vector(rng, datum.basis_size) for k in keys}
+        )
+
+    for _ in range(3):
+        left, right = series(), series()
+        want: dict = {}
+        for k1, u in left.coeffs.items():
+            for k2, v in right.coeffs.items():
+                shift = (k1[0] + k2[0], k1[1] + k2[1])
+                if shift[0] <= n1 and shift[1] <= n2:
+                    _defined_product(eng, u, v, n1, n2, shift, want)
+        got = star(eng, left, right, n1, n2)
+        assert got == QSeries(datum, n1, n2, want)
+        _assert_normal_form(got)
+
+
+def test_series_coefficients_are_in_normal_form(engine):
+    report = verify_product_table(engine, 4, 2)
+    for entry in report.entries:
+        _assert_normal_form(entry.computed)
+        _assert_normal_form(entry.expected)
+    half = QSeries.from_vector(engine.datum, 1, 1, (rat(1, 2),) * 9)
+    _assert_normal_form(half.scaled(2))
+    _assert_normal_form(half.scaled(f_series(1, 1)))
+    assert all(type(c) is int for c in f_series(3, 1).terms.values())
+
+
+def test_product_table_makes_no_invariant_calls(monkeypatch):
+    """The products contract cached rows: nothing is re-expanded per term."""
+    calls = {"invariant": 0, "normalize": 0}
+    for name in calls:
+        original = getattr(Engine, name)
+
+        def counted(self, *args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(Engine, name, counted)
+    eng = Engine()
+    assert verify_product_table(eng, 4, 2).passed
+    assert verify_relations(eng, 4, 2).passed
+    assert calls == {"invariant": 0, "normalize": 0}
