@@ -108,7 +108,7 @@ def _cmd_invariant(args) -> int:
     cls = _parse_class(args.cls)
     datum = hilb_datum()
     ins = _parse_insertions(args.insertions, datum.top)
-    engine = Engine(datum, threads=args.threads)
+    engine = Engine(datum)
     if args.cache:
         engine.load_cache(args.cache)
     t0 = time.perf_counter()
@@ -139,7 +139,7 @@ def _cmd_hyperelliptic(args) -> int:
         raise ValueError("--degree must be at least 2")
     if not 0 <= args.pairs <= args.degree:
         raise ValueError("--pairs must lie in 0..degree")
-    engine = Engine(threads=args.threads)
+    engine = Engine()
     if args.cache:
         engine.load_cache(args.cache)
     t0 = time.perf_counter()
@@ -173,7 +173,7 @@ def _cmd_tables(args) -> int:
     dmax = args.max_degree
     if not 2 <= dmax <= 7:
         raise ValueError("--max-degree must lie in 2..7")
-    engine = Engine(threads=args.threads)
+    engine = Engine()
     if args.cache:
         engine.load_cache(args.cache)
     t0 = time.perf_counter()
@@ -248,7 +248,7 @@ def _cmd_tables(args) -> int:
 def _cmd_qcoh(args) -> int:
     if args.n1 < 0 or args.n2 < 0:
         raise ValueError("truncation bounds must be non-negative")
-    engine = Engine(threads=args.threads)
+    engine = Engine()
     if args.cache:
         engine.load_cache(args.cache)
     t0 = time.perf_counter()
@@ -320,12 +320,11 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_cache(args) -> int:
     if args.action == "export":
-        engine = Engine(threads=args.threads)
+        engine = Engine()
         for d in range(2, args.degree + 1):
             for l in (0, 1, 2):
                 invert_counts(engine, d, l)
-        engine.save_cache(args.path)
-        count = sum(1 for _ in engine.memo.items())
+        count = engine.save_cache(args.path)
         if args.json:
             _emit_json(
                 {
@@ -338,7 +337,7 @@ def _cmd_cache(args) -> int:
             print(f"wrote {count} entries to {args.path}")
         return 0
     # import
-    engine = Engine(threads=args.threads)
+    engine = Engine()
     loaded = engine.load_cache(args.path)
     if args.out:
         engine.save_cache(args.out)
@@ -364,7 +363,10 @@ def _cmd_cache(args) -> int:
 
 
 def _add_common(sub, cache_flag: bool = True) -> None:
-    sub.add_argument("--threads", type=int, default=1, help="worker thread cap")
+    sub.add_argument(
+        "--threads", type=int, default=1,
+        help="accepted for compatibility; ignored (the engine is single-threaded)",
+    )
     sub.add_argument("--json", action="store_true", help="emit one JSON object")
     if cache_flag:
         sub.add_argument("--cache", help="preload a memo cache file")
@@ -414,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="also recompute via the generic engine and compare",
     )
     p.add_argument("--json", action="store_true", help="emit one JSON object")
-    p.set_defaults(func=_cmd_oracle, threads=1)
+    p.set_defaults(func=_cmd_oracle)
 
     p = subs.add_parser("cache", help="export or import the memo store")
     p.add_argument("action", choices=("export", "import"))

@@ -35,22 +35,24 @@ tier 3 raises: reconstruction guarantees solvability, so that is a fatal
 invariant violation, as is any inconsistent equation. The tier actually used
 is recorded per stage for diagnostics.
 
-All arithmetic is exact; results are bit-identical for any thread count
-because worker threads never solve stages (they abort on a memo miss; the
-missing prerequisites are then resolved serially and the batch retried), and
-equation results are always consumed in submission order.
+The memo stores each canonical insertion multiset as a packed integer code,
+one 8-bit digit per non-divisor basis index (see MemoStore), so the split sum
+forms the key of a merged multiset by adding two codes instead of sorting a
+tuple. All arithmetic is exact and everything runs on the calling thread.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 from collections import Counter, deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .chow import TargetDatum, hilb_datum
 from .rationals import RAT_ONE, RAT_ZERO, binom, qdiv, qnorm, rat_from_parts
+
+
+CACHE_SCHEMA = "hilb2gw-cache/1"
 
 
 class EngineError(Exception):
@@ -77,13 +79,6 @@ class CacheFormatError(EngineError):
     """A cache file failed schema or consistency validation."""
 
 
-class _MissingKey(Exception):
-    """Internal: strict-mode value lookup hit an unsolved prerequisite."""
-
-    def __init__(self, key):
-        self.key = key
-
-
 @dataclass
 class LinearForm:
     """An affine form sum(coeff * unknown) + constant over invariant keys."""
@@ -96,45 +91,99 @@ class LinearForm:
 
 
 class MemoStore:
-    """Exact values by canonical key, with per-entry provenance.
+    """Exact values by canonical key ``(cls, ins)``, one dict per class.
 
-    Provenance is one of ``base-case``, ``solved``, ``loaded``. Values are
-    stored in normal form (``int`` when integral, ``Rat`` otherwise). An
-    entry is never overwritten with a different value; a conflicting write
-    raises InconsistentSystem. Reads are safe from any thread; writes happen
-    only on the solving thread.
+    The insertions of a key are a multiset of non-divisor basis indices; the
+    store packs them into an int ``code = sum(pack[e] for e in ins)`` with
+    ``pack[e] = 1 << (8 * rank of e in nondivisors)``, so adding two codes
+    gives the code of the merged multiset, and reading the 8-bit digits back
+    in nondivisor order gives the sorted tuple. A key with more than 255
+    insertions, which could overflow a digit, or with an insertion that is
+    not a non-divisor index raises ValueError.
+    The layout is ``{cls: {code: value}}``; a class dict, once created, is
+    never replaced, so callers may hold on to it (``class_values``).
+
+    Values are stored in normal form (``int`` when integral, ``Rat``
+    otherwise). An entry is never overwritten with a different value; a
+    conflicting write raises InconsistentSystem.
     """
 
-    def __init__(self):
-        self._values: dict = {}
-        self._tags: dict = {}
+    MAX_INSERTIONS = 255
+
+    def __init__(self, nondivisors):
+        self.nondivisors = tuple(nondivisors)
+        self.pack = {e: 1 << (8 * r) for r, e in enumerate(self.nondivisors)}
+        self._classes: dict = {}
+        self._count = 0
+
+    def code(self, ins) -> int:
+        """The packed code of an insertion multiset."""
+        if len(ins) > self.MAX_INSERTIONS:
+            raise ValueError(
+                f"a memo key holds at most {self.MAX_INSERTIONS} insertions, "
+                f"got {len(ins)}"
+            )
+        pack = self.pack
+        code = 0
+        try:
+            for e in ins:
+                code += pack[e]
+        except (KeyError, TypeError):
+            raise ValueError(
+                f"insertions {ins!r} are not non-divisor basis indices"
+            ) from None
+        return code
+
+    def decode(self, code: int) -> tuple:
+        """The sorted insertion tuple of a packed code."""
+        ins = []
+        for e in self.nondivisors:
+            ins += (e,) * (code & 255)
+            code >>= 8
+        return tuple(ins)
+
+    def class_values(self, cls) -> dict:
+        """The live ``{code: value}`` dict of one class, created if absent."""
+        vals = self._classes.get(cls)
+        if vals is None:
+            vals = self._classes[cls] = {}
+        return vals
 
     def get(self, key):
-        return self._values.get(key)
+        cls, ins = key
+        vals = self._classes.get(cls)
+        return None if vals is None else vals.get(self.code(ins))
 
-    def set(self, key, value, tag: str) -> None:
+    def set(self, key, value) -> None:
+        cls, ins = key
+        code = self.code(ins)
+        vals = self.class_values(cls)
         value = qnorm(value)
-        old = self._values.get(key)
+        old = vals.get(code)
         if old is not None:
             if old != value:
                 raise InconsistentSystem(
                     f"memo conflict at {key}: {old} vs {value}"
                 )
             return
-        self._values[key] = value
-        self._tags[key] = tag
-
-    def provenance(self, key):
-        return self._tags.get(key)
+        vals[code] = value
+        self._count += 1
 
     def items(self):
-        return self._values.items()
+        """Every ``((cls, ins), value)`` in sorted key order, decoded lazily
+        one class at a time, so only one class's tuples are alive at once."""
+        decode = self.decode
+        for cls in sorted(self._classes):
+            for ins, value in sorted(
+                (decode(code), value) for code, value in self._classes[cls].items()
+            ):
+                yield (cls, ins), value
 
     def __len__(self) -> int:
-        return len(self._values)
+        return self._count
 
     def __contains__(self, key) -> bool:
-        return key in self._values
+        return self.get(key) is not None
 
 
 class ExactLinearSolver:
@@ -234,7 +283,7 @@ class _StageState:
     """
 
     __slots__ = ("solver", "seen", "lead_expanded", "full_expanded",
-                 "pending", "tier", "tier2_done", "tier3_done")
+                 "pending", "committed", "tier", "tier2_done", "tier3_done")
 
     def __init__(self):
         self.solver = ExactLinearSolver()
@@ -242,6 +291,7 @@ class _StageState:
         self.lead_expanded = set()  # keys given their leading specs
         self.full_expanded = set()  # keys given every primary spec
         self.pending = deque()
+        self.committed = 0          # solver.solved entries offered to the memo
         self.tier = 1
         self.tier2_done = False
         self.tier3_done = False
@@ -250,32 +300,32 @@ class _StageState:
 class Engine:
     """Reconstruction engine over one TargetDatum, with a persistent memo.
 
-    ``threads`` caps the workers used to harvest equations inside a stage;
-    results are bit-identical for every value, including one.
+    ``threads`` is accepted for compatibility and ignored: the engine always
+    runs on the calling thread.
     """
 
     def __init__(self, datum: TargetDatum | None = None, threads: int = 1):
         self.datum = datum if datum is not None else hilb_datum()
-        self.memo = MemoStore()
-        self.threads = max(1, int(threads))
+        self.memo = MemoStore(self.datum.nondivisors)
         self.stage_tiers: dict = {}
         self._budgets: dict = {}
         self._split_cache: dict = {}
         self._partition_cache: dict = {}
         self._stage_state: dict = {}
         self._rows: dict = {}
-        self._tl = threading.local()
         d = self.datum
         self._codims = d.codims
         self._weights = d.weights
         self._dual = d.dual
         self._cup_terms = d.cup_terms
         self._decomp = d.decompositions
-        # split-sum diagonal: (e, dual, both codims), degenerate ends dropped
+        # split-sum diagonal: (e, dual, both codims, both packed codes, the
+        # code 0 standing for a divisor end), degenerate ends dropped
+        pack = self.memo.pack
         self._epairs = tuple(
-            (e, d.dual[e], d.codims[e], d.codims[d.dual[e]])
-            for e in range(d.basis_size)
-            if d.codims[e] != 0 and d.codims[d.dual[e]] != 0
+            (e, eh, d.codims[e], d.codims[eh], pack.get(e, 0), pack.get(eh, 0))
+            for e, eh in enumerate(d.dual)
+            if d.codims[e] != 0 and d.codims[eh] != 0
         )
         # For each non-divisor t, the decomposition row whose divisor product
         # contains t itself: the frame built on that row isolates keys holding
@@ -312,15 +362,17 @@ class Engine:
             self._budgets[cls] = b
         return b
 
-    def _canon(self, cls, idxs):
-        """Canonicalize a basis-index monomial: returns (ins, mult) or None.
+    def _strip(self, cls, idxs):
+        """Strip divisors off a basis-index monomial: (bare, weight, mult).
 
-        Divisors are stripped into the integer multiplier, a fundamental
-        class or a dimension mismatch kills the monomial, the rest is
-        sorted. ``None`` means the monomial contributes zero.
+        Each divisor multiplies ``mult`` by its intersection with ``cls``;
+        ``bare`` lists the other indices unsorted, of total ``weight``.
+        ``None`` means a fundamental class or a zero intersection kills the
+        monomial.
         """
         codims = self._codims
         weights = self._weights
+        pos = self.datum.divisor_pos
         mult = 1
         bare = []
         w = 0
@@ -329,13 +381,26 @@ class Engine:
             if c == 0:
                 return None
             if c == 1:
-                t = self.datum.inter(e, cls)
+                t = cls[pos[e]]
                 if t == 0:
                     return None
                 mult *= t
             else:
                 bare.append(e)
                 w += weights[e]
+        return bare, w, mult
+
+    def _canon(self, cls, idxs):
+        """Canonicalize a basis-index monomial: returns (ins, mult) or None.
+
+        Divisors are stripped into the integer multiplier, a fundamental
+        class or a dimension mismatch kills the monomial, the rest is
+        sorted. ``None`` means the monomial contributes zero.
+        """
+        stripped = self._strip(cls, idxs)
+        if stripped is None:
+            return None
+        bare, w, mult = stripped
         if w != self._budget(cls):
             return None
         bare.sort()
@@ -351,7 +416,8 @@ class Engine:
         """
         self._check_class(cls)
         size = self.datum.basis_size
-        combos = [((), RAT_ONE)]
+        indices = []
+        vectors = []
         for ins in insertions:
             if isinstance(ins, (bool, float)):
                 raise ValueError(f"insertion {ins!r} is not a basis index")
@@ -360,25 +426,33 @@ class Engine:
                     raise ValueError(
                         f"basis index {ins} out of range 0..{size - 1}"
                     )
-                pairs = ((ins, RAT_ONE),)
+                indices.append(ins)
             else:
                 if not isinstance(ins, (tuple, list)) or len(ins) != size:
                     raise ValueError(
                         f"insertion {ins!r} is neither a basis index nor a "
                         f"cohomology vector of length {size}"
                     )
-                pairs = tuple((e, c) for e, c in enumerate(ins) if c != 0)
+                vectors.append(tuple((e, c) for e, c in enumerate(ins) if c != 0))
+        # basis indices are stripped once; only the vectors expand
+        fixed = self._strip(cls, indices)
+        if fixed is None:
+            return LinearForm({}, RAT_ZERO)
+        bare0, w0, mult0 = fixed
+        need = self._budget(cls) - w0
+        combos = [((), RAT_ONE)]
+        for pairs in vectors:
             combos = [
                 (idx + (e,), c * ce) for idx, c in combos for e, ce in pairs
             ]
         terms: dict = {}
         for idxs, c in combos:
-            canon = self._canon(cls, idxs)
-            if canon is None:
+            stripped = self._strip(cls, idxs)
+            if stripped is None or stripped[1] != need:
                 continue
-            ins_t, mult = canon
-            key = (cls, ins_t)
-            terms[key] = terms.get(key, RAT_ZERO) + c * mult
+            bare, _w, mult = stripped
+            key = (cls, tuple(sorted(bare0 + bare)))
+            terms[key] = terms.get(key, RAT_ZERO) + c * mult0 * mult
         return LinearForm({k: v for k, v in terms.items() if v != 0}, RAT_ZERO)
 
     def _check_class(self, cls) -> None:
@@ -403,10 +477,8 @@ class Engine:
             return v
         b = self.base_case(key)
         if b is not None:
-            self.memo.set(key, b, "base-case")
+            self.memo.set(key, b)
             return b
-        if getattr(self._tl, "strict", False):
-            raise _MissingKey(key)
         cls, ins = key
         self._solve_for(cls, len(ins), (key,))
         return self.memo.get(key)
@@ -509,7 +581,11 @@ class Engine:
         weights = self._weights
         cup_terms = self._cup_terms
         memo_get = self.memo.get
-        groups = self._partition_groups(extras)
+        code = self.memo.code
+        decode = self.memo.decode
+        value_of = self.value_of
+        pos = self.datum.divisor_pos
+        code_x, w_x, groups = self._partition_groups(extras)
         terms: dict = {}
         const = 0
         # true fractions (the few non-integral memo values) are summed apart,
@@ -537,7 +613,7 @@ class Engine:
                             raise AssertionError(
                                 f"key {key} outside stage (cls={cls}, n={stage_n})"
                             )
-                        const += coeff * self.value_of(key)
+                        const += coeff * value_of(key)
 
             # split terms over beta1 + beta2 = cls, both nonzero effective
             kept1 = tuple(x for x in (p, q) if codims[x] >= 2)
@@ -546,14 +622,16 @@ class Engine:
             div2 = tuple(x for x in (r, s) if codims[x] == 1)
             w1 = sum(weights[x] for x in kept1)
             w2 = sum(weights[x] for x in kept2)
-            memo_vals = self.memo._values
-            value_of = self.value_of
-            # Python-level calls stay out of this loop (value_of runs only on
-            # a memo miss, Rat methods only on true fractions): it runs at the
-            # deepest point of the stage recursion, where a call can make the
-            # interpreter map and unmap a fresh frame-stack chunk every time
-            pos = self.datum.divisor_pos
-            for b1, b2, bud1, bud2 in self._splits(cls):
+            code1 = code(kept1)
+            code2 = code(kept2)
+            # Python-level calls stay out of this loop (value_of and decode
+            # run only on a memo miss, Rat methods only on true fractions):
+            # it runs at the deepest point of the stage recursion, where a
+            # call can make the interpreter map and unmap a fresh frame-stack
+            # chunk every time.  A factor's key is its class plus the packed
+            # code of its insertions, the sum of the partition side's and the
+            # frame's codes, looked up in the class's live value dict.
+            for b1, b2, bud1, bud2, vals1, vals2 in self._splits(cls):
                 m1 = 1
                 for x in div1:
                     m1 *= b1[pos[x]]
@@ -564,42 +642,44 @@ class Engine:
                     m2 *= b2[pos[x]]
                 if m2 == 0:
                     continue
-                for e, eh, ce, ceh in self._epairs:
+                for e, eh, ce, ceh, pe, peh in self._epairs:
                     if ce == 1:
                         t = b1[pos[e]]
                         if t == 0:
                             continue
-                        me1, add1 = m1 * t, kept1
+                        me1 = m1 * t
                         w_a = bud1 - w1
                     else:
-                        me1, add1 = m1, kept1 + (e,)
+                        me1 = m1
                         w_a = bud1 - w1 - weights[e]
                     if ceh == 1:
                         t = b2[pos[eh]]
                         if t == 0:
                             continue
-                        me2, add2 = m2 * t, kept2
+                        me2 = m2 * t
                         w_b_need = bud2 - w2
                     else:
-                        me2, add2 = m2, kept2 + (eh,)
+                        me2 = m2
                         w_b_need = bud2 - w2 - weights[eh]
+                    # w(A) + w(B) = w(extras), so B's budget fixes A's group
+                    if w_a + w_b_need != w_x:
+                        continue
                     grp = groups.get(w_a)
                     if grp is None:
                         continue
+                    add1 = code1 + pe
+                    add2 = code2 + peh + code_x
                     scale = sign * me1 * me2
-                    for a_part, b_part, w_b, mult in grp:
-                        if w_b != w_b_need:
-                            continue
-                        key1 = (b1, tuple(sorted(a_part + add1)))
-                        v1 = memo_vals.get(key1)
+                    for code_a, mult in grp:
+                        v1 = vals1.get(code_a + add1)
                         if v1 is None:
-                            v1 = value_of(key1)
+                            v1 = value_of((b1, decode(code_a + add1)))
                         if v1 == 0:
                             continue
-                        key2 = (b2, tuple(sorted(b_part + add2)))
-                        v2 = memo_vals.get(key2)
+                        # code(B) + add2 - code(extras) = add2 - code(A)
+                        v2 = vals2.get(add2 - code_a)
                         if v2 is None:
-                            v2 = value_of(key2)
+                            v2 = value_of((b2, decode(add2 - code_a)))
                         if v2 == 0:
                             continue
                         term = scale * mult * v1 * v2
@@ -613,11 +693,14 @@ class Engine:
         return {k: v for k, v in terms.items() if v != 0}, const
 
     def _splits(self, cls):
-        """The datum's splits b1 + b2 = cls with both weight budgets, cached."""
+        """The datum's splits b1 + b2 = cls, cached with both weight budgets
+        and both classes' live memo value dicts."""
         cached = self._split_cache.get(cls)
         if cached is None:
+            values = self.memo.class_values
             cached = tuple(
-                (b1, b2, self._budget(b1), self._budget(b2))
+                (b1, b2, self._budget(b1), self._budget(b2),
+                 values(b1), values(b2))
                 for b1, b2 in self.datum.splits(cls)
             )
             self._split_cache[cls] = cached
@@ -626,34 +709,35 @@ class Engine:
     def _partition_groups(self, extras):
         """Partitions A|B of an insertion multiset, grouped by weight of A.
 
-        Returns {w(A): [(A, B, w(B), multiplicity), ...]} where multiplicity
-        counts the ways to pick A among the labeled copies of equal classes.
+        Returns (code(extras), w(extras), {w(A): ((code(A), mult), ...)})
+        with the memo's packed codes, where mult counts the ways to pick A
+        among the labeled copies of equal classes. B is the complement:
+        code(B) = code(extras) - code(A) and w(B) = w(extras) - w(A).
         """
         cached = self._partition_cache.get(extras)
         if cached is not None:
             return cached
+        code_x = self.memo.code(extras)
         weights = self._weights
-        items = sorted(Counter(extras).items())
-        combos = [((), (), 0, 0, 1)]
-        for e, m in items:
-            nxt = []
-            for a_p, b_p, wa, wb, mu in combos:
-                for take in range(m + 1):
-                    nxt.append(
-                        (
-                            a_p + (e,) * take,
-                            b_p + (e,) * (m - take),
-                            wa + weights[e] * take,
-                            wb + weights[e] * (m - take),
-                            mu * binom(m, take),
-                        )
-                    )
-            combos = nxt
+        pack = self.memo.pack
+        combos = [(0, 0, 1)]
+        for e, m in sorted(Counter(extras).items()):
+            pe, we = pack[e], weights[e]
+            combos = [
+                (ca + pe * take, wa + we * take, mu * binom(m, take))
+                for ca, wa, mu in combos
+                for take in range(m + 1)
+            ]
         groups: dict = {}
-        for a_p, b_p, wa, wb, mu in combos:
-            groups.setdefault(wa, []).append((a_p, b_p, wb, mu))
-        self._partition_cache[extras] = groups
-        return groups
+        for ca, wa, mu in combos:
+            groups.setdefault(wa, []).append((ca, mu))
+        cached = (
+            code_x,
+            sum(weights[e] for e in extras),
+            {wa: tuple(grp) for wa, grp in groups.items()},
+        )
+        self._partition_cache[extras] = cached
+        return cached
 
     # ------------------------------------------------------------------
     # stage solving
@@ -706,9 +790,12 @@ class Engine:
                     st.seen.add(spec)
                     st.pending.append(spec)
             done = self._drain(cls, n, st, need)
-        for key, val in solver.solved.items():
+        # solver.solved only grows, in insertion order: offer the new tail
+        solved = solver.solved
+        for key, val in islice(solved.items(), st.committed, None):
             if key not in memo:
-                memo.set(key, val, "solved")
+                memo.set(key, val)
+        st.committed = len(solved)
         if st.tier > self.stage_tiers.get((cls, n), 0):
             self.stage_tiers[(cls, n)] = st.tier
         if not done:
@@ -721,9 +808,7 @@ class Engine:
     def _drain(self, cls, n, st, need) -> bool:
         """Consume pending equations until the needed keys are solved.
 
-        Unconsumed equations stay queued for later visits. The threaded
-        path builds in parallel but consumes strictly in submission order,
-        so solver contents match the serial path equation for equation.
+        Unconsumed equations stay queued for later visits.
         """
         solver = st.solver
         memo = self.memo
@@ -735,53 +820,14 @@ class Engine:
         if satisfied():
             return True
         pend = st.pending
-        if self.threads == 1:
-            while pend:
-                frame, extras = pend.popleft()
-                terms, const = self._build(cls, frame, extras, n)
-                if terms or const != 0:
-                    solver.add(terms, const)
-                    if satisfied():
-                        return True
-            return satisfied()
         while pend:
-            batch = list(pend)
-            pend.clear()
-            with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                futures = [
-                    pool.submit(self._build_strict, cls, frame, extras, n)
-                    for frame, extras in batch
-                ]
-                results = [f.result() for f in futures]
-            gap = None
-            for idx, res in enumerate(results):
-                if isinstance(res, _MissingKey):
-                    gap = idx
-                    break
-                terms, const = res
-                if terms or const != 0:
-                    solver.add(terms, const)
-                    if satisfied():
-                        pend.extendleft(reversed(batch[idx + 1:]))
-                        return True
-            if gap is None:
-                continue
-            # Resolve only the first gap's key: the serial path would meet
-            # exactly this key next, so the memo stays bit-identical across
-            # thread counts. Later speculative results are discarded and
-            # their specs requeued.
-            pend.extendleft(reversed(batch[gap:]))
-            self.value_of(results[gap].key)
+            frame, extras = pend.popleft()
+            terms, const = self._build(cls, frame, extras, n)
+            if terms or const != 0:
+                solver.add(terms, const)
+                if satisfied():
+                    return True
         return satisfied()
-
-    def _build_strict(self, cls, frame, extras, n):
-        self._tl.strict = True
-        try:
-            return self._build(cls, frame, extras, n)
-        except _MissingKey as exc:
-            return exc
-        finally:
-            self._tl.strict = False
 
     # -- harvesting ------------------------------------------------------
 
@@ -982,7 +1028,7 @@ class Engine:
                 "cache schema is defined for the two-parameter target only"
             )
         entries = []
-        for (cls, ins), val in sorted(self.memo.items()):
+        for (cls, ins), val in self.memo.items():
             entries.append(
                 {
                     "a": cls[0],
@@ -992,16 +1038,26 @@ class Engine:
                     "den": str(val.denominator),
                 }
             )
-        payload = {"target": self.datum.name, "entries": entries}
+        payload = {
+            "schema": CACHE_SCHEMA,
+            "target": self.datum.name,
+            "entries": entries,
+        }
+        # json.dumps takes the C encoder; json.dump streams through the
+        # pure-Python one, several times slower for the same bytes
+        text = json.dumps(payload, separators=(",", ":"), sort_keys=True)
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, separators=(",", ":"), sort_keys=True)
+            fh.write(text)
             fh.write("\n")
         return len(entries)
 
     def load_cache(self, path) -> int:
         """Load and validate a cache file into the memo; returns entry count.
 
-        Every entry must be canonical and dimension-admissible, with ``a``,
+        A file tagged with a ``schema`` other than CACHE_SCHEMA raises
+        CacheFormatError; an untagged file, as written before the tag
+        existed, loads. Every entry must be canonical and
+        dimension-admissible, with ``a``,
         ``b`` and the ``ins`` list made of JSON integers (anything else,
         such as a string of digits, raises CacheFormatError); entries the
         base cases can derive must match them exactly. A value conflicting
@@ -1014,6 +1070,10 @@ class Engine:
                 raise CacheFormatError(f"not valid JSON: {exc}") from exc
         if not isinstance(payload, dict):
             raise CacheFormatError("a cache file must hold one JSON object")
+        if "schema" in payload and payload["schema"] != CACHE_SCHEMA:
+            raise CacheFormatError(
+                f"cache schema {payload['schema']!r} is not {CACHE_SCHEMA!r}"
+            )
         if payload.get("target") != self.datum.name:
             raise CacheFormatError(
                 f"cache target {payload.get('target')!r} does not match "
@@ -1038,7 +1098,7 @@ class Engine:
             if not self.datum.effective(cls) or self.datum.is_zero_class(cls):
                 raise CacheFormatError(f"entry class {cls} is not admissible")
             # one pass: JSON ints only (no bools), in range, non-divisor
-            if any(
+            if len(ins) > MemoStore.MAX_INSERTIONS or any(
                 type(e) is not int or not 0 <= e < size or codims[e] < 2
                 for e in ins
             ) or tuple(sorted(ins)) != ins:
@@ -1053,7 +1113,7 @@ class Engine:
                     f"cache entry ({cls}, {ins}) = {val} contradicts base "
                     f"case {derivable}"
                 )
-            self.memo.set((cls, ins), val, "loaded")
+            self.memo.set((cls, ins), val)
             count += 1
         return count
 

@@ -5,7 +5,6 @@ human-readable descriptions (empty = pass).  Randomness is always driven by
 a caller-supplied ``random.Random`` so every run is reproducible.
 """
 
-from hilb2gw import Engine, invert_counts
 from hilb2gw.rationals import binom
 
 
@@ -140,25 +139,3 @@ def check_binomial_roundtrip(tables, max_degree=7):
                 if total != table.invariants[g]:
                     failures.append(f"d={d} l={l} g={g}")
     return failures, cells
-
-
-def check_thread_determinism(workers=4, max_degree=3):
-    """Identical memo stores from a serial and a threaded engine."""
-    serial = Engine(threads=1)
-    threaded = Engine(threads=workers)
-    for eng in (serial, threaded):
-        for d in range(2, max_degree + 1):
-            for l in (0, 1, 2):
-                invert_counts(eng, d, l)
-    a = dict(serial.memo.items())
-    b = dict(threaded.memo.items())
-    failures = []
-    if set(a) != set(b):
-        failures.append(
-            f"key sets differ: {len(a)} serial vs {len(b)} threaded"
-        )
-    else:
-        diff = [k for k in a if a[k] != b[k]]
-        if diff:
-            failures.append(f"{len(diff)} values differ, first {diff[0]}")
-    return failures, len(a)

@@ -222,6 +222,22 @@ def test_cache_import_schema_violation(capsys, tmp_path):
     assert code == 2 and "cache" in err
 
 
+def test_cache_import_rejects_unknown_schema_tag(capsys, tmp_path):
+    path = tmp_path / "future.json"
+    path.write_text('{"schema": "hilb2gw-cache/2", "target": "hilb2p2", "entries": []}')
+    code, _, err = run(capsys, "cache", "import", str(path))
+    assert code == 2 and "cache format error" in err and "schema" in err
+
+
+def test_threads_option_is_an_accepted_no_op(capsys):
+    for threads in ("1", "4"):
+        code, out, _ = run(
+            capsys, "invariant", "--class", "1,1", "--insertions", "6,7",
+            "--threads", threads,
+        )
+        assert code == 0 and out.strip() == "2"
+
+
 @pytest.mark.parametrize("text", ["[1,2]", "42", "null"])
 def test_cache_import_rejects_non_object(capsys, tmp_path, text):
     path = tmp_path / "list.json"

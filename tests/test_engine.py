@@ -1,8 +1,13 @@
 """Engine tests: base cases, normalization, equation building, stage
-solving, the randomized property suites, caching, and thread determinism."""
+solving, the packed memo keys, the randomized property suites, and
+caching."""
 
+import itertools
 import json
+import math
 import random
+import time
+from collections import Counter
 
 import pytest
 
@@ -10,12 +15,13 @@ from hilb2gw import (
     CacheFormatError,
     Engine,
     InconsistentSystem,
+    engine_nd,
     hilb_datum,
     invert_counts,
     p2_datum,
 )
 from hilb2gw.chow import _A1_TABLE
-from hilb2gw.engine import LinearForm, MemoStore
+from hilb2gw.engine import CACHE_SCHEMA, LinearForm, MemoStore
 from hilb2gw.rationals import Rat, rat
 
 from properties_util import (
@@ -23,7 +29,6 @@ from properties_util import (
     check_divisor_axiom,
     check_effectivity_rejection,
     check_permutation_invariance,
-    check_thread_determinism,
     check_wdvv_residuals,
 )
 
@@ -57,6 +62,16 @@ def test_single_insertion_line(engine):
         assert engine.invariant((a, 0), [3]) == rat(3, a * a)
         assert engine.invariant((a, 0), [4]) == 0
         assert engine.invariant((a, 0), [5]) == rat(-3, a * a)
+
+
+def test_normalize_is_linear_in_index_insertions(engine):
+    """What ``hilb2gw invariant --class 1,1 --insertions 4x64000`` asks:
+    index insertions canonicalise in one pass, so 64 000 of them take
+    milliseconds, and the dimension count then kills the monomial."""
+    t0 = time.perf_counter()
+    assert engine.invariant((1, 1), [4] * 64000) == 0
+    assert time.perf_counter() - t0 < 2.0
+    assert engine.invariant((1, 1), [1] * 64000 + [3, 8]) == 1
 
 
 def test_normalize_is_multilinear(engine):
@@ -159,6 +174,178 @@ def test_reduction_chain_for_single_insertion_values(engine):
 
 
 # ----------------------------------------------------------------------
+# the split-sum kernel against a plain re-implementation
+# ----------------------------------------------------------------------
+
+
+def _plain_strip(datum, cls, idxs):
+    """(non-divisor insertions, their weight, divisor multiplier), or None
+    when a fundamental class or a zero intersection kills the monomial."""
+    mult, bare = 1, []
+    for e in idxs:
+        if datum.codims[e] == 0:
+            return None
+        if datum.codims[e] == 1:
+            mult *= datum.inter(e, cls)
+        else:
+            bare.append(e)
+    if mult == 0:
+        return None
+    return bare, sum(datum.weights[e] for e in bare), mult
+
+
+def _plain_partitions(datum, extras):
+    """Every split A|B of a multiset: (A, B, w(A), w(B), labeled ways)."""
+    counts = sorted(Counter(extras).items())
+    for takes in itertools.product(*(range(m + 1) for _, m in counts)):
+        a, b, ways = [], [], 1
+        for (e, m), t in zip(counts, takes):
+            a += [e] * t
+            b += [e] * (m - t)
+            ways *= math.comb(m, t)
+        yield (a, b, sum(datum.weights[e] for e in a),
+               sum(datum.weights[e] for e in b), ways)
+
+
+def _plain_equation(engine, cls, frame, extras):
+    """S(i,j,k,l) - S(i,l,j,k) summed term by term with sorted-tuple keys.
+
+    Keys of the stage (cls, len(extras) + 3) missing from the memo stay
+    symbolic; every other key is valued with ``engine.value_of``.
+    """
+    datum = engine.datum
+    budget = datum.weight_budget
+    n = len(extras) + 3
+    parts = list(_plain_partitions(datum, extras))
+    terms, const = {}, 0
+    i, j, k, l = frame
+    for (p, q, r, s), sign in (((i, j, k, l), 1), ((i, l, j, k), -1)):
+        # the two degree-0 collapses: I(x, y, u cup v, extras)
+        for x, y, u, v in ((p, q, r, s), (r, s, p, q)):
+            for m, cm in enumerate(datum.cup_basis(u, v)):
+                hit = cm and _plain_strip(datum, cls, [x, y, m, *extras])
+                if not hit or hit[1] != budget(cls):
+                    continue
+                key, coeff = (cls, tuple(sorted(hit[0]))), sign * cm * hit[2]
+                if len(key[1]) == n and engine.memo.get(key) is None:
+                    terms[key] = terms.get(key, 0) + coeff
+                else:
+                    const += coeff * engine.value_of(key)
+        # I_b1(Tp, Tq, Te, A) * I_b2(Te^, Tr, Ts, B) over b1 + b2 = cls
+        for b1, b2 in datum.splits(cls):
+            for e in range(datum.basis_size):
+                side1 = _plain_strip(datum, b1, [p, q, e])
+                side2 = _plain_strip(datum, b2, [datum.dual[e], r, s])
+                if side1 is None or side2 is None:
+                    continue
+                need1, need2 = budget(b1) - side1[1], budget(b2) - side2[1]
+                for a, b, wa, wb, ways in parts:
+                    if wa != need1 or wb != need2:
+                        continue
+                    v1 = engine.value_of((b1, tuple(sorted(side1[0] + a))))
+                    if v1 == 0:
+                        continue
+                    v2 = engine.value_of((b2, tuple(sorted(side2[0] + b))))
+                    const += sign * ways * side1[2] * side2[2] * v1 * v2
+    return {key: c for key, c in terms.items() if c != 0}, const
+
+
+def _hilb_tables_to_d4(eng):
+    for d in range(2, 5):
+        for l in (0, 1, 2):
+            invert_counts(eng, d, l)
+
+
+def _plane_counts_to_d8(eng):
+    for d in range(1, 9):
+        engine_nd(d, eng)
+
+
+@pytest.mark.parametrize(
+    "datum, solve, min_specs",
+    [
+        (hilb_datum(), _hilb_tables_to_d4, 2000),
+        (p2_datum(), _plane_counts_to_d8, 7),
+    ],
+    ids=["hilb2", "p2"],
+)
+def test_build_equation_matches_plain_split_sum(datum, solve, min_specs):
+    """Every lead spec harvested while solving the d <= 4 tables of Hilb^2
+    (the d <= 8 counts of P^2, one spec per stage) builds the same affine
+    form as the plain sum, on a fresh engine where part of each stage is
+    still unknown."""
+    solved = Engine(datum)
+    solve(solved)
+    specs = sorted(
+        (cls, spec)
+        for (cls, _n), st in solved._stage_state.items()
+        for spec in st.seen
+    )
+    assert len(specs) >= min_specs
+    fresh = Engine(datum)
+    symbolic = 0
+    for cls, (frame, extras) in specs:
+        want = _plain_equation(fresh, cls, frame, extras)
+        form = fresh.build_equation(cls, frame, extras)
+        assert (form.terms, form.constant) == want, (cls, frame, extras)
+        symbolic += bool(form.terms)
+    assert symbolic > 0
+
+
+# ----------------------------------------------------------------------
+# packed memo keys
+# ----------------------------------------------------------------------
+
+
+def test_memo_codes_round_trip_every_stage_key_to_d6():
+    eng = Engine()
+    for d in range(2, 7):
+        for l in (0, 1, 2):
+            invert_counts(eng, d, l)
+    memo = eng.memo
+    checked = 0
+    for cls, n in sorted(eng._stage_state):
+        keys = eng._stage_keys(cls, n)
+        codes = {memo.code(ins) for _, ins in keys}
+        assert len(codes) == len(keys), (cls, n)
+        assert all(memo.decode(memo.code(ins)) == ins for _, ins in keys)
+        checked += len(keys)
+    assert checked > 50000
+
+
+def test_memo_rejects_keys_over_255_insertions():
+    datum = hilb_datum()
+    store = MemoStore(datum.nondivisors)
+    full = ((1, 1), (3,) * 255)
+    store.set(full, 7)  # a digit may reach 255 without spilling over
+    assert store.decode(store.code(full[1])) == full[1]
+    assert store.get(full) == 7 and store.get(((1, 1), (4,))) is None
+    for bad in ((3,) * 256, (3,) * 200 + (8,) * 56):
+        with pytest.raises(ValueError):
+            store.code(bad)
+        with pytest.raises(ValueError):
+            store.set(((1, 1), bad), 1)
+        with pytest.raises(ValueError):
+            store.get(((1, 1), bad))
+    assert len(store) == 1
+    # through the engine: an admissible 256-insertion key is a usage error
+    b = 1
+    while datum.weight_budget((0, b)) < 256:
+        b += 1
+    eng = Engine(datum)
+    budget = datum.weight_budget((0, b))
+    with pytest.raises(ValueError):
+        eng.invariant((0, b), [4] * budget)
+
+
+def test_memo_rejects_divisor_insertions():
+    store = MemoStore(hilb_datum().nondivisors)
+    for bad in ((1, 3), (0,), (9,), (True,)):
+        with pytest.raises(ValueError):
+            store.code(bad)
+
+
+# ----------------------------------------------------------------------
 # stage solving
 # ----------------------------------------------------------------------
 
@@ -215,18 +402,18 @@ def test_memo_values_are_in_normal_form(engine):
 
 
 def test_memo_set_normalises_integral_rationals():
-    store = MemoStore()
-    store.set(((1, 1), (3, 8)), rat(4, 2), "solved")
+    store = MemoStore(hilb_datum().nondivisors)
+    store.set(((1, 1), (3, 8)), rat(4, 2))
     assert type(store.get(((1, 1), (3, 8)))) is int
 
 
 def test_memo_rejects_contradiction():
-    store = MemoStore()
+    store = MemoStore(hilb_datum().nondivisors)
     key = ((1, 1), (3, 8))
-    store.set(key, rat(1), "solved")
-    store.set(key, rat(1), "solved")  # idempotent
+    store.set(key, rat(1))
+    store.set(key, rat(1))  # idempotent
     with pytest.raises(InconsistentSystem):
-        store.set(key, rat(2), "solved")
+        store.set(key, rat(2))
 
 
 def test_linear_form_zero_detection():
@@ -313,6 +500,44 @@ def test_cache_roundtrip(tmp_path):
     path2 = tmp_path / "cache2.json"
     fresh.save_cache(path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_cache_file_carries_schema_tag(tmp_path):
+    path = tmp_path / "cache.json"
+    _warm_engine().save_cache(path)
+    assert json.loads(path.read_text())["schema"] == CACHE_SCHEMA == "hilb2gw-cache/1"
+
+
+def test_cache_loads_untagged_legacy_file(tmp_path):
+    """Files written before the schema tag existed still load, and re-export
+    tagged but otherwise byte for byte."""
+    eng = _warm_engine()
+    tagged = tmp_path / "tagged.json"
+    eng.save_cache(tagged)
+    payload = json.loads(tagged.read_text())
+    del payload["schema"]
+    legacy = tmp_path / "legacy.json"
+    legacy.write_text(
+        json.dumps(payload, separators=(",", ":"), sort_keys=True) + "\n"
+    )
+    fresh = Engine()
+    assert fresh.load_cache(legacy) == len(eng.memo)
+    again = tmp_path / "again.json"
+    fresh.save_cache(again)
+    assert again.read_bytes() == tagged.read_bytes()
+
+
+@pytest.mark.parametrize("tag", ["hilb2gw-cache/2", "hilb2gw/1", "", None, 1])
+def test_cache_rejects_unknown_schema_tag(tmp_path, tag):
+    path = tmp_path / "tagged.json"
+    entry = {"a": 1, "b": 1, "ins": [3, 8], "num": "1", "den": "1"}
+    path.write_text(
+        json.dumps({"schema": tag, "target": "hilb2p2", "entries": [entry]})
+    )
+    eng = Engine()
+    with pytest.raises(CacheFormatError):
+        eng.load_cache(path)
+    assert len(eng.memo) == 0
 
 
 def test_cache_rejects_malformed_payloads(tmp_path):
@@ -417,13 +642,3 @@ def test_cache_value_contradiction_is_inconsistency(tmp_path):
     with pytest.raises(InconsistentSystem):
         eng.load_cache(path)
 
-
-# ----------------------------------------------------------------------
-# determinism across thread counts
-# ----------------------------------------------------------------------
-
-
-def test_thread_determinism():
-    failures, keys = check_thread_determinism(workers=4, max_degree=3)
-    assert not failures, failures
-    assert keys > 0

@@ -93,7 +93,7 @@ def test_non_integral_counts_raise():
     for poison in (rat(1, 3), rat(-7, 2)):
         eng = Engine()
         key = ((1, 2), (4, 4, 4, 4, 4, 4, 4))
-        eng.memo.set(key, poison, "loaded")
+        eng.memo.set(key, poison)
         with pytest.raises((NonIntegralCount, NegativeCount)):
             invert_counts(eng, 2, 0)
 
@@ -103,6 +103,6 @@ def test_negative_counts_raise():
     for poison in (rat(-5), -5, rat(-10, 2)):
         eng = Engine()
         key = ((1, 2), (4, 4, 4, 4, 4, 4, 4))
-        eng.memo.set(key, poison, "loaded")
+        eng.memo.set(key, poison)
         with pytest.raises(NegativeCount):
             invert_counts(eng, 2, 0)
