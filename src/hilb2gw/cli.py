@@ -320,6 +320,8 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_cache(args) -> int:
     if args.action == "export":
+        if args.degree < 2:
+            raise ValueError("--degree must be at least 2")
         engine = Engine()
         for d in range(2, args.degree + 1):
             for l in (0, 1, 2):

@@ -25,15 +25,15 @@ smaller classes, and the collapsed terms stay at beta with at most n
 insertions, so solving stages in order of (class, then n) is well-founded and
 every stage reduces to an exact linear system in its own keys.
 
-Stage solving is tiered. Tier 1 solves just the closure of the requested keys
-under the primary equation harvest (for each key, each choice of one
-insertion t, a pair u,v from the rest, and a divisor decomposition of t).
-Tier 2 widens to every admissible key of the stage with the same per-key
-harvest; tier 3 additionally harvests every frame (divisor, j, k, l) over
-every admissible extras multiset. A stage that remains underdetermined after
-tier 3 raises: reconstruction guarantees solvability, so that is a fatal
-invariant violation, as is any inconsistent equation. The tier actually used
-is recorded per stage for diagnostics.
+Each stage has one harvest. Every key contributes its lead equation: a frame
+built on its largest insertion t, the decomposition row of t whose divisor
+product contains t, and two more insertions chosen so that every other
+unknown of the equation carries strictly fewer copies of the top indices.
+The stage is therefore triangular, and the engine solves the closure of the
+requested keys under these equations by substitution. A stage whose requested
+keys stay unsolved raises UnderdeterminedStage: reconstruction guarantees
+solvability, so that is a fatal invariant violation, as is any inconsistent
+equation.
 
 The memo stores each canonical insertion multiset as a packed integer code,
 one 8-bit digit per non-divisor basis index (see MemoStore), so the split sum
@@ -277,24 +277,19 @@ class _StageState:
     """Per-stage solving state kept alive across solve calls.
 
     A stage may be visited many times (each sibling key triggers a visit);
-    the solver, the set of harvested keys, and the queue of generated but
-    not yet consumed equations all persist, so each equation is built at
-    most once per engine.
+    the solver, the keys whose lead spec was harvested, the specs generated,
+    and the queue of generated but not yet consumed equations all persist,
+    so each equation is built at most once per engine.
     """
 
-    __slots__ = ("solver", "seen", "lead_expanded", "full_expanded",
-                 "pending", "committed", "tier", "tier2_done", "tier3_done")
+    __slots__ = ("solver", "seen", "expanded", "pending", "committed")
 
     def __init__(self):
         self.solver = ExactLinearSolver()
-        self.seen = set()           # specs generated
-        self.lead_expanded = set()  # keys given their leading specs
-        self.full_expanded = set()  # keys given every primary spec
+        self.seen = set()       # specs generated
+        self.expanded = set()   # keys given their lead spec
         self.pending = deque()
-        self.committed = 0          # solver.solved entries offered to the memo
-        self.tier = 1
-        self.tier2_done = False
-        self.tier3_done = False
+        self.committed = 0      # solver.solved entries offered to the memo
 
 
 class Engine:
@@ -307,7 +302,6 @@ class Engine:
     def __init__(self, datum: TargetDatum | None = None, threads: int = 1):
         self.datum = datum if datum is not None else hilb_datum()
         self.memo = MemoStore(self.datum.nondivisors)
-        self.stage_tiers: dict = {}
         self._budgets: dict = {}
         self._split_cache: dict = {}
         self._partition_cache: dict = {}
@@ -318,7 +312,6 @@ class Engine:
         self._weights = d.weights
         self._dual = d.dual
         self._cup_terms = d.cup_terms
-        self._decomp = d.decompositions
         # split-sum diagonal: (e, dual, both codims, both packed codes, the
         # code 0 standing for a divisor end), degenerate ends dropped
         pack = self.memo.pack
@@ -768,27 +761,7 @@ class Engine:
         need = [k for k in requested if k not in memo and k not in solver.solved]
         done = not need
         if not done:
-            self._harvest_closure(cls, st, need, lead=True)
-            done = self._drain(cls, n, st, need)
-        if not done:
-            self._harvest_closure(cls, st, need, lead=False)
-            done = self._drain(cls, n, st, need)
-        if not done and not st.tier2_done:
-            st.tier2_done = True
-            st.tier = max(st.tier, 2)
-            rest = [
-                k for k in self._stage_keys(cls, n)
-                if k not in memo and k not in solver.solved
-            ]
-            self._harvest_closure(cls, st, rest, lead=False)
-            done = self._drain(cls, n, st, need)
-        if not done and not st.tier3_done:
-            st.tier3_done = True
-            st.tier = max(st.tier, 3)
-            for spec in self._tier3_specs(cls, n):
-                if spec not in st.seen:
-                    st.seen.add(spec)
-                    st.pending.append(spec)
+            self._harvest_closure(cls, st, need)
             done = self._drain(cls, n, st, need)
         # solver.solved only grows, in insertion order: offer the new tail
         solved = solver.solved
@@ -796,12 +769,10 @@ class Engine:
             if key not in memo:
                 memo.set(key, val)
         st.committed = len(solved)
-        if st.tier > self.stage_tiers.get((cls, n), 0):
-            self.stage_tiers[(cls, n)] = st.tier
         if not done:
             missing = [k for k in requested if memo.get(k) is None]
             raise UnderdeterminedStage(
-                f"stage (cls={cls}, n={n}) underdetermined after tier 3; "
+                f"stage (cls={cls}, n={n}) underdetermined; "
                 f"unsolved: {missing[:5]}{'...' if len(missing) > 5 else ''}"
             )
 
@@ -831,110 +802,76 @@ class Engine:
 
     # -- harvesting ------------------------------------------------------
 
-    def _harvest_closure(self, cls, st, seeds, lead: bool) -> None:
-        """Expand seeds through the key graph, queueing primary equations.
+    def _harvest_closure(self, cls, st, seeds) -> None:
+        """Expand seeds through the key graph, queueing lead equations.
 
-        In lead mode each key contributes only the frames built on its
-        three largest insertions; the full mode enumerates every choice.
-        Keys already valued (memo) or eliminated (stage solver) terminate
-        the walk; keys expanded at the same depth before are skipped.
+        Each key contributes its lead spec, whose other unknowns join the
+        walk. Keys already valued (memo), eliminated (stage solver) or
+        expanded before terminate it. Fresh specs jump ahead of backlog
+        from earlier visits.
         """
         memo = self.memo
         solved = st.solver.solved
-        expanded = st.lead_expanded if lead else st.full_expanded
+        expanded = st.expanded
         seen = st.seen
-        per_key = []
+        fresh = []
         frontier = deque(sorted(set(seeds)))
         while frontier:
             key = frontier.popleft()
             if key in expanded:
                 continue
             expanded.add(key)
-            mine = []
-            for spec in self._key_specs(key, lead):
-                if spec not in seen:
-                    seen.add(spec)
-                    mine.append(spec)
-                for nb in self._spec_unknowns(cls, spec):
-                    if nb not in expanded and nb not in memo and nb not in solved:
-                        frontier.append(nb)
-            if mine:
-                per_key.append(mine)
-        # interleave specs across keys (consecutive specs of one key are
-        # mostly dependent) and jump ahead of backlog from earlier visits
-        fresh = []
-        col = 0
-        while per_key:
-            nxt = []
-            for mine in per_key:
-                fresh.append(mine[col])
-                if col + 1 < len(mine):
-                    nxt.append(mine)
-            per_key = nxt
-            col += 1
+            spec = self._lead_spec(key)
+            if spec is None:
+                continue
+            if spec not in seen:
+                seen.add(spec)
+                fresh.append(spec)
+            for nb in self._spec_unknowns(cls, spec):
+                if nb not in expanded and nb not in memo and nb not in solved:
+                    frontier.append(nb)
         st.pending.extendleft(reversed(fresh))
 
-    def _key_specs(self, key, lead: bool):
-        """Primary equation specs whose unknowns include the key, in order."""
+    def _lead_spec(self, key):
+        """The key's lead equation spec ``(frame, extras)``, or None.
+
+        Triangular frame: take the largest insertion t, the row of its
+        decomposition whose product contains t, and fill the last two slots
+        from the remaining insertions.  A frame is accepted only when its
+        second family of same-stage unknowns is ruled out — either the row's
+        rho is a divisor (the family drops a stage) or the fourth slot
+        erases it (vkill) — so every other key the equation touches carries
+        strictly fewer copies of the top indices and the stage solves by
+        pure substitution.  Keys built solely from insertions with
+        non-divisor rows and no erasing partner fall back to the largest-t
+        frame anyway; the handful of forward references it creates resolve
+        by one extra round of substitution inside the same harvested
+        closure.  None means no frame fits: every other insertion equals
+        rho, so the key is left to its neighbours' equations.
+        """
         _, ins = key
-        decomp = self._decomp
-        specs = []
-        if lead:
-            # Triangular frame: take the largest insertion t, the row of its
-            # decomposition whose product contains t, and fill the last two
-            # slots from the remaining insertions.  A frame is accepted only
-            # when its second family of same-stage unknowns is ruled out —
-            # either the row's rho is a divisor (the family drops a stage) or
-            # the fourth slot erases it (vkill) — so every other key the
-            # equation touches carries strictly fewer copies of the top
-            # indices and the stage solves by pure substitution.  Keys built
-            # solely from insertions with non-divisor rows and no erasing
-            # partner fall back to the largest-t frame anyway; the handful of
-            # forward references it creates resolve by one extra round of
-            # substitution inside the same harvested closure.
-            lead_rows = self._lead_rows
-            fallback = None
-            for t in sorted(set(ins), reverse=True):
-                dv, rho, vkill = lead_rows[t]
-                i = ins.index(t)
-                rest = ins[:i] + ins[i + 1 :]
-                if vkill is None:
-                    j = 0
-                else:
-                    v = next((x for x in rest if x in vkill), None)
-                    if v is None:
-                        if fallback is None:
-                            w = next((x for x in rest if x != rho), None)
-                            if w is not None:
-                                jw = rest.index(w)
-                                remw = rest[:jw] + rest[jw + 1 :]
-                                fallback = ((dv, rho, remw[0], w), remw[1:])
-                        continue
-                    j = rest.index(v)
-                rem = rest[:j] + rest[j + 1 :]
-                specs.append(((dv, rho, rem[0], rest[j]), rem[1:]))
-                return specs
-            if fallback is not None:
-                specs.append(fallback)
-            return specs
-        counts = Counter(ins)
-        for t in sorted(counts):
-            rest = list(ins)
-            rest.remove(t)
-            rest_counts = Counter(rest)
-            for u in sorted(rest_counts):
-                after_u = rest_counts.copy()
-                after_u[u] -= 1
-                for v in sorted(x for x in after_u if after_u[x] > 0):
-                    extras_list = list(rest)
-                    extras_list.remove(u)
-                    extras_list.remove(v)
-                    extras = tuple(extras_list)
-                    for d, rho, _c in decomp[t]:
-                        if rho == v:
-                            continue
-                        specs.append(((d, rho, u, v), extras))
-        return specs
+        lead_rows = self._lead_rows
+        fallback = None
+        for t in sorted(set(ins), reverse=True):
+            dv, rho, vkill = lead_rows[t]
+            i = ins.index(t)
+            rest = ins[:i] + ins[i + 1 :]
+            if vkill is None:
+                j = 0
+            else:
+                v = next((x for x in rest if x in vkill), None)
+                if v is None:
+                    if fallback is None:
+                        w = next((x for x in rest if x != rho), None)
+                        if w is not None:
+                            jw = rest.index(w)
+                            remw = rest[:jw] + rest[jw + 1 :]
+                            fallback = ((dv, rho, remw[0], w), remw[1:])
+                    continue
+                j = rest.index(v)
+            rem = rest[:j] + rest[j + 1 :]
+            return (dv, rho, rem[0], rest[j]), rem[1:]
+        return fallback
 
     def _spec_unknowns(self, cls, spec):
         """Current-stage keys that _build would keep symbolic for this spec."""
@@ -974,48 +911,6 @@ class Engine:
 
         rec(0, n, budget, [])
         return sorted(out)
-
-    def _tier3_specs(self, cls, n):
-        """Exhaustive harvest: every divisor-led frame over every extras multiset."""
-        specs = []
-        nond = self.datum.nondivisors
-        weights = self._weights
-        budget = self._budget(cls)
-        for d in self.datum.divisors:
-            for j in nond:
-                for k in nond:
-                    for l in nond:
-                        if j == l:
-                            continue
-                        w_e = budget - 1 - weights[j] - weights[k] - weights[l]
-                        if w_e < 0:
-                            continue
-                        for extras in self._extras_multisets(n - 3, w_e):
-                            specs.append(((d, j, k, l), extras))
-        return specs
-
-    def _extras_multisets(self, size, weight):
-        nond = self.datum.nondivisors
-        weights = self._weights
-        out = []
-
-        def rec(pos, left, wleft, acc):
-            if left == 0:
-                if wleft == 0:
-                    out.append(tuple(acc))
-                return
-            if pos >= len(nond):
-                return
-            e = nond[pos]
-            w = weights[e]
-            for k in range(left + 1):
-                wk = w * k
-                if wk > wleft:
-                    break
-                rec(pos + 1, left - k, wleft - wk, acc + [e] * k)
-
-        rec(0, size, weight, [])
-        return out
 
     # ------------------------------------------------------------------
     # cache persistence
@@ -1116,14 +1011,6 @@ class Engine:
             self.memo.set((cls, ins), val)
             count += 1
         return count
-
-    # ------------------------------------------------------------------
-    # diagnostics
-    # ------------------------------------------------------------------
-
-    def tier_report(self) -> dict:
-        """Stages solved so far and the highest harvest tier each needed."""
-        return dict(self.stage_tiers)
 
 
 def _merged(sorted_tuple, small):

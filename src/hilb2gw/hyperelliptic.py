@@ -7,8 +7,9 @@ The invariant
 
     I(d, g, l) = I_{(d-g-1, d)}(T8^l, T4^(3(d-l)+1))
 
-counts such curves through l conjugate point pairs and 3d+1-2l single
-points, except that maps of every genus h >= g contribute: a genus-h curve
+counts such curves through l conjugate point pairs and 3d+1-3l single
+points (a pair imposes three conditions, so l = 2 leaves the 3d-1 points of
+N_d), except that maps of every genus h >= g contribute: a genus-h curve
 admits C(2h+2, h-g) degenerate configurations that land in the genus-g
 class. Inverting the resulting triangular system
 

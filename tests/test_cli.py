@@ -215,6 +215,14 @@ def test_cache_export_import_roundtrip(capsys, tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+@pytest.mark.parametrize("degree", ["1", "0", "-4"])
+def test_cache_export_rejects_degree_below_two(capsys, tmp_path, degree):
+    path = tmp_path / "none.json"
+    code, out, err = run(capsys, "cache", "export", str(path), "--degree", degree)
+    assert code == 2 and err.startswith("error:") and "--degree" in err
+    assert out == "" and not path.exists()
+
+
 def test_cache_import_schema_violation(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"target": "hilb2p2"}')

@@ -18,10 +18,12 @@ from hilb2gw import (
     engine_nd,
     hilb_datum,
     invert_counts,
+    kontsevich_nd,
     p2_datum,
 )
 from hilb2gw.chow import _A1_TABLE
 from hilb2gw.engine import CACHE_SCHEMA, LinearForm, MemoStore
+from hilb2gw.fixtures import COUNT_TABLES
 from hilb2gw.rationals import Rat, rat
 
 from properties_util import (
@@ -358,18 +360,55 @@ def test_solved_examples(engine):
     assert engine.invariant((2, 4), [4] * 13) == 162
 
 
-def test_solve_stage_fills_every_admissible_key(engine):
-    cls, n = (1, 2), 5
-    engine.solve_stage(cls, n)
-    for key in engine._stage_keys(cls, n):
-        assert engine.memo.get(key) is not None
+def _assert_every_reached_stage_closes(eng):
+    """solve_stage on every stage the engine has reached leaves no
+    admissible key of those stages out of the memo."""
+    stages = sorted(eng._stage_state)
+    assert stages, eng.datum.name
+    for cls, n in stages:
+        eng.solve_stage(cls, n)
+    for cls, n in stages:
+        missing = [k for k in eng._stage_keys(cls, n) if k not in eng.memo]
+        assert not missing, (eng.datum.name, cls, n, missing[:3])
 
 
-def test_tier_report_tracks_solved_stages(engine):
-    engine.invariant((1, 2), [4] * 7)
-    report = engine.tier_report()
-    assert ((1, 2), 7) in report
-    assert all(tier in (1, 2, 3) for tier in report.values())
+def test_solve_stage_fills_every_admissible_key():
+    """The lead harvest, the engine's only one, closes every admissible key
+    of every stage that the d <= 4 tables of Hilb^2 and the d <= 8 counts
+    of P^2 reach, not just the keys those queries asked for."""
+    for datum, solve in (
+        (hilb_datum(), _hilb_tables_to_d4),
+        (p2_datum(), _plane_counts_to_d8),
+    ):
+        eng = Engine(datum)
+        solve(eng)
+        _assert_every_reached_stage_closes(eng)
+
+
+@pytest.mark.slow
+def test_d8_tables_and_every_d6_stage_close():
+    """Opt-in (``-m slow``): the d <= 8 tables for l = 0, 1, 2, where no
+    fixture exists past d = 7, checked against the N_8 oracle and the
+    boundary vanishing E^l(8, 7) = 0 (integrality and positivity are
+    checked by invert_counts itself); then every admissible key of every
+    stage that the d <= 6 tables reach."""
+    eng = Engine()
+    tables = {}
+    for d in range(2, 9):
+        for l in (0, 1, 2):
+            tables[(d, l)] = invert_counts(eng, d, l)
+    for l in (0, 1, 2):
+        for (d, g), want in COUNT_TABLES[l].items():
+            assert tables[(d, l)].counts[g] == want, (d, g, l)
+        assert tables[(8, l)].counts[7] == 0, l
+    assert tables[(8, 2)].counts[0] == kontsevich_nd(8) == 13525751027392
+    del eng, tables
+
+    eng = Engine()
+    for d in range(2, 7):
+        for l in (0, 1, 2):
+            invert_counts(eng, d, l)
+    _assert_every_reached_stage_closes(eng)
 
 
 def test_pure_top_pair_keys_solve_via_forward_frame(engine):
@@ -377,7 +416,7 @@ def test_pure_top_pair_keys_solve_via_forward_frame(engine):
     family of same-stage unknowns; the forward-referencing frame must still
     let the stage solve, and the solved values must satisfy full relations."""
     key = ((2, 3), (7, 7, 7, 7, 7))
-    ((frame, extras),) = engine._key_specs(key, lead=True)
+    frame, extras = engine._lead_spec(key)
     assert frame == (1, 5, 7, 7) and extras == (7, 7)
     assert engine.value_of(key) == 0
     assert engine.value_of(((1, 5), (7,) * 8)) == 1
