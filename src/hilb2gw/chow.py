@@ -33,7 +33,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
-from .rationals import RAT_ONE, RAT_ZERO, Rat, qnorm, rat
+from .rationals import RAT_ONE, RAT_ZERO, qnorm, rat
 
 # --------------------------------------------------------------------------
 # Exact polynomial arithmetic in Q[T1,T2] / (T1^3, T2^3 - 3 T1 T2^2 + 6 T1^2 T2)
@@ -442,28 +442,3 @@ def p2_datum() -> TargetDatum:
         base_case=_p2_base_case,
         rank=1,
     )
-
-
-# --------------------------------------------------------------------------
-# Convenience functions bound to the Hilbert-scheme datum
-# --------------------------------------------------------------------------
-
-
-def cup(u: CohVector, v: CohVector) -> CohVector:
-    return hilb_datum().cup(u, v)
-
-
-def dual_index(e: int) -> int:
-    return hilb_datum().dual_index(e)
-
-
-def integrate(v: CohVector):
-    return hilb_datum().integrate(v)
-
-
-def decompose(m: int) -> tuple:
-    return hilb_datum().decompose(m)
-
-
-def basis_vector(e: int) -> CohVector:
-    return hilb_datum().basis_vector(e)

@@ -137,8 +137,9 @@ def _table_rows(table: CountTable):
 def _cmd_hyperelliptic(args) -> int:
     if args.degree < 2:
         raise ValueError("--degree must be at least 2")
-    if not 0 <= args.pairs <= args.degree:
-        raise ValueError("--pairs must lie in 0..degree")
+    # no fixture or oracle covers three or more conjugate pairs
+    if not 0 <= args.pairs <= min(2, args.degree):
+        raise ValueError("--pairs must lie in 0..min(2, degree)")
     engine = Engine()
     if args.cache:
         engine.load_cache(args.cache)
@@ -394,7 +395,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("hyperelliptic", help="(I, E) table over genus for one degree")
     p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--pairs", type=int, default=0, help="conjugate point pairs l")
+    p.add_argument(
+        "--pairs", type=int, default=0, help="conjugate point pairs l, 0..min(2, degree)"
+    )
     p.add_argument("--csv", action="store_true", help="emit CSV with a header row")
     _add_common(p)
     p.set_defaults(func=_cmd_hyperelliptic)

@@ -96,6 +96,13 @@ def test_hyperelliptic_range_errors(capsys):
     assert code == 2
 
 
+def test_hyperelliptic_rejects_three_or_more_pairs(capsys):
+    """No fixture or oracle covers l >= 3, so the CLI refuses it up front."""
+    code, out, err = run(capsys, "hyperelliptic", "--degree", "5", "--pairs", "3")
+    assert code == 2 and out == ""
+    assert "--pairs must lie in 0..min(2, degree)" in err
+
+
 def test_hyperelliptic_poisoned_cache_is_sanity_failure(capsys, tmp_path):
     path = tmp_path / "poison.json"
     path.write_text(

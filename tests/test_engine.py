@@ -2,6 +2,7 @@
 solving, the packed memo keys, the randomized property suites, and
 caching."""
 
+import gc
 import itertools
 import json
 import math
@@ -22,7 +23,12 @@ from hilb2gw import (
     p2_datum,
 )
 from hilb2gw.chow import _A1_TABLE
-from hilb2gw.engine import CACHE_SCHEMA, LinearForm, MemoStore
+from hilb2gw.engine import (
+    CACHE_SCHEMA,
+    ExactLinearSolver,
+    LinearForm,
+    MemoStore,
+)
 from hilb2gw.fixtures import COUNT_TABLES
 from hilb2gw.rationals import Rat, rat
 
@@ -252,6 +258,17 @@ def _plain_equation(engine, cls, frame, extras):
     return {key: c for key, c in terms.items() if c != 0}, const
 
 
+def _memo_stage_keys(eng):
+    """The memo's keys outside the two-point base stages (n >= 3): the keys
+    that the engine's stage visits solved, plus the few that base cases
+    answer at n >= 3 (the vanishing classes (a, 1), a >= 3)."""
+    return [key for key, _ in eng.memo.items() if len(key[1]) >= 3]
+
+
+def _reached_stages(eng):
+    return sorted({(cls, len(ins)) for cls, ins in _memo_stage_keys(eng)})
+
+
 def _hilb_tables_to_d4(eng):
     for d in range(2, 5):
         for l in (0, 1, 2):
@@ -272,17 +289,17 @@ def _plane_counts_to_d8(eng):
     ids=["hilb2", "p2"],
 )
 def test_build_equation_matches_plain_split_sum(datum, solve, min_specs):
-    """Every lead spec harvested while solving the d <= 4 tables of Hilb^2
+    """The lead spec of every memo key solved by the d <= 4 tables of Hilb^2
     (the d <= 8 counts of P^2, one spec per stage) builds the same affine
     form as the plain sum, on a fresh engine where part of each stage is
     still unknown."""
     solved = Engine(datum)
     solve(solved)
-    specs = sorted(
-        (cls, spec)
-        for (cls, _n), st in solved._stage_state.items()
-        for spec in st.seen
-    )
+    specs = sorted({
+        (key[0], spec)
+        for key in _memo_stage_keys(solved)
+        if (spec := solved._lead_spec(key)) is not None
+    })
     assert len(specs) >= min_specs
     fresh = Engine(datum)
     symbolic = 0
@@ -306,7 +323,7 @@ def test_memo_codes_round_trip_every_stage_key_to_d6():
             invert_counts(eng, d, l)
     memo = eng.memo
     checked = 0
-    for cls, n in sorted(eng._stage_state):
+    for cls, n in _reached_stages(eng):
         keys = eng._stage_keys(cls, n)
         codes = {memo.code(ins) for _, ins in keys}
         assert len(codes) == len(keys), (cls, n)
@@ -360,10 +377,27 @@ def test_solved_examples(engine):
     assert engine.invariant((2, 4), [4] * 13) == 162
 
 
+def test_invariant_returns_normal_form(engine):
+    """Engine.invariant returns an int when the value is integral and a Rat
+    only for a true fraction, also when multilinear terms carry Rat
+    coefficients."""
+    value = engine.invariant((1, 4), [4] * 13)
+    assert type(value) is int and value == 27
+    assert type(engine.invariant((1, 1), [6, 6])) is int
+    assert type(engine.invariant((2, 2), [1, 2])) is int  # no key survives
+    third = engine.invariant((3, 0), [3])
+    assert type(third) is Rat and third == rat(1, 3)
+    half6 = [rat(1, 2) if e == 6 else 0 for e in range(9)]
+    two7 = [2 if e == 7 else 0 for e in range(9)]
+    mixed = engine.invariant((1, 1), [half6, two7])
+    assert type(mixed) is int and mixed == engine.invariant((1, 1), [6, 7])
+    assert engine.invariant((1, 1), [half6, half6]) == rat(1, 4)
+
+
 def _assert_every_reached_stage_closes(eng):
     """solve_stage on every stage the engine has reached leaves no
     admissible key of those stages out of the memo."""
-    stages = sorted(eng._stage_state)
+    stages = _reached_stages(eng)
     assert stages, eng.datum.name
     for cls, n in stages:
         eng.solve_stage(cls, n)
@@ -383,6 +417,25 @@ def test_solve_stage_fills_every_admissible_key():
         eng = Engine(datum)
         solve(eng)
         _assert_every_reached_stage_closes(eng)
+
+
+def test_tables_retain_no_solver_and_share_partition_pairs():
+    """After the d <= 4 tables the memo is the only stage store: no
+    ExactLinearSolver outlives its stage visit, and equal (code, mult)
+    pairs of the partition groups are one shared object."""
+    eng = Engine()
+    _hilb_tables_to_d4(eng)
+    gc.collect()
+    assert not [o for o in gc.get_objects() if isinstance(o, ExactLinearSolver)]
+    entries = [
+        pair
+        for _code, _w, groups in eng._partition_cache.values()
+        for grp in groups.values()
+        for pair in grp
+    ]
+    ids = {id(pair) for pair in entries}
+    assert len(ids) < len(entries)
+    assert len(ids) == len(set(entries))
 
 
 @pytest.mark.slow
