@@ -41,8 +41,18 @@ The memo stores each canonical insertion multiset as a packed integer code,
 one 8-bit digit per non-divisor basis index (see MemoStore), so the split sum
 forms the key of a merged multiset by adding two codes instead of sorting a
 tuple; the cached partitions of the spectator insertions share one object per
-distinct (code, multiplicity) pair. All arithmetic is exact and everything
-runs on the calling thread.
+distinct (code, multiplicity) pair.
+
+The split sum does no work it can see is zero.  Which (split, e) pairs of a
+frame ordering can contribute (nonzero divisor multipliers, balanced
+weights) depends only on the class, the frame and the weight of the extras,
+so each is computed once into a cached plan.  Along the plan, both factors
+of a term are looked up before either is solved: a stored zero ends the
+term, and a missing factor is solved only while its partner can still be
+nonzero.  The memo therefore never solves a key just to multiply it by a
+known zero; which keys it holds depends slightly on the query order, their
+values do not.  All arithmetic is exact and everything runs on the calling
+thread.
 """
 
 from __future__ import annotations
@@ -284,7 +294,7 @@ class _StageState:
     solved, and harvesting stops at memo membership, so a later visit to the
     same stage starts from the memo alone.  An open row or an unconsumed
     spec dropped with the state is never lost: its keys are not in the
-    memo, so a later visit harvests them again.  None of the 8,268 visits
+    memo, so a later visit harvests them again.  None of the 6,190 visits
     of the d <= 6 count tables ends with either, so there nothing dropped
     is ever rebuilt.
     """
@@ -309,9 +319,11 @@ class Engine:
         self.datum = datum if datum is not None else hilb_datum()
         self.memo = MemoStore(self.datum.nondivisors)
         self._budgets: dict = {}
-        self._split_cache: dict = {}
         self._partition_cache: dict = {}
         self._pairs: dict = {}  # shared (code(A), mult) pairs of the groups
+        self._plans: dict = {}  # split plans by (cls, p, q, r, s, w_x)
+        self._signature_plans: dict = {}  # their shared splits tuples
+        self._plan_parts: dict = {}  # shared plan entries and sub tuples
         self._rows: dict = {}
         d = self.datum
         self._codims = d.codims
@@ -579,14 +591,11 @@ class Engine:
         i, j, k, l = frame
         if j == l:
             return {}, 0
-        codims = self._codims
-        weights = self._weights
         cup_terms = self._cup_terms
         memo_get = self.memo.get
-        code = self.memo.code
         decode = self.memo.decode
         value_of = self.value_of
-        pos = self.datum.divisor_pos
+        plans = self._plans
         code_x, w_x, groups = self._partition_groups(extras)
         terms: dict = {}
         const = 0
@@ -617,96 +626,136 @@ class Engine:
                             )
                         const += coeff * value_of(key)
 
-            # split terms over beta1 + beta2 = cls, both nonzero effective
-            kept1 = tuple(x for x in (p, q) if codims[x] >= 2)
-            div1 = tuple(x for x in (p, q) if codims[x] == 1)
-            kept2 = tuple(x for x in (r, s) if codims[x] >= 2)
-            div2 = tuple(x for x in (r, s) if codims[x] == 1)
-            w1 = sum(weights[x] for x in kept1)
-            w2 = sum(weights[x] for x in kept2)
-            code1 = code(kept1)
-            code2 = code(kept2)
+            # split terms over beta1 + beta2 = cls, both nonzero effective,
+            # walked along the frame's plan (see _plan): only the (split, e)
+            # pairs whose divisor multipliers are nonzero and whose weights
+            # balance, each with its unsigned multiplier, so the sign is
+            # applied once to the ordering's sum.
+            plan = plans.get((cls, p, q, r, s, w_x))
+            if plan is None:
+                plan = self._plan(cls, p, q, r, s, w_x)
+            splits, code1, code2 = plan
+            part = 0
+            part_frac = 0
             # Python-level calls stay out of this loop (value_of and decode
             # run only on a memo miss, Rat methods only on true fractions):
             # it runs at the deepest point of the stage recursion, where a
             # call can make the interpreter map and unmap a fresh frame-stack
             # chunk every time.  A factor's key is its class plus the packed
             # code of its insertions, the sum of the partition side's and the
-            # frame's codes, looked up in the class's live value dict.
-            for b1, b2, bud1, bud2, vals1, vals2 in self._splits(cls):
-                m1 = 1
-                for x in div1:
-                    m1 *= b1[pos[x]]
-                if m1 == 0:
-                    continue
-                m2 = 1
-                for x in div2:
-                    m2 *= b2[pos[x]]
-                if m2 == 0:
-                    continue
-                for e, eh, ce, ceh, pe, peh in self._epairs:
-                    if ce == 1:
-                        t = b1[pos[e]]
-                        if t == 0:
-                            continue
-                        me1 = m1 * t
-                        w_a = bud1 - w1
-                    else:
-                        me1 = m1
-                        w_a = bud1 - w1 - weights[e]
-                    if ceh == 1:
-                        t = b2[pos[eh]]
-                        if t == 0:
-                            continue
-                        me2 = m2 * t
-                        w_b_need = bud2 - w2
-                    else:
-                        me2 = m2
-                        w_b_need = bud2 - w2 - weights[eh]
-                    # w(A) + w(B) = w(extras), so B's budget fixes A's group
-                    if w_a + w_b_need != w_x:
-                        continue
+            # frame's codes, looked up in the class's live value dict.  Both
+            # factors are looked up before either is solved: a term with a
+            # stored zero is skipped, and a missing factor is solved only
+            # while its partner can still be nonzero (v1 first, then v2 if
+            # v1 came out nonzero), so no key is solved just to be
+            # multiplied by a known zero.
+            for vals1, vals2, b1, b2, sub in splits:
+                for pe, peh, scale, w_a in sub:
                     grp = groups.get(w_a)
                     if grp is None:
                         continue
                     add1 = code1 + pe
                     add2 = code2 + peh + code_x
-                    scale = sign * me1 * me2
                     for code_a, mult in grp:
                         v1 = vals1.get(code_a + add1)
-                        if v1 is None:
-                            v1 = value_of((b1, decode(code_a + add1)))
                         if v1 == 0:
                             continue
                         # code(B) + add2 - code(extras) = add2 - code(A)
                         v2 = vals2.get(add2 - code_a)
-                        if v2 is None:
-                            v2 = value_of((b2, decode(add2 - code_a)))
                         if v2 == 0:
                             continue
+                        if v1 is None:
+                            v1 = value_of((b1, decode(code_a + add1)))
+                            if v1 == 0:
+                                continue
+                        if v2 is None:
+                            v2 = value_of((b2, decode(add2 - code_a)))
+                            if v2 == 0:
+                                continue
                         term = scale * mult * v1 * v2
                         if type(term) is int:
-                            const += term
+                            part += term
                         else:
-                            frac += term
+                            part_frac += term
+            const += sign * part
+            if part_frac:
+                frac += sign * part_frac
 
         if frac:
             const = qnorm(const + frac)
         return {k: v for k, v in terms.items() if v != 0}, const
 
-    def _splits(self, cls):
-        """The datum's splits b1 + b2 = cls, cached with both weight budgets
-        and both classes' live memo value dicts."""
-        cached = self._split_cache.get(cls)
-        if cached is None:
-            values = self.memo.class_values
-            cached = tuple(
-                (b1, b2, self._budget(b1), self._budget(b2),
-                 values(b1), values(b2))
-                for b1, b2 in self.datum.splits(cls)
-            )
-            self._split_cache[cls] = cached
-        return cached
+    def _plan(self, cls, p, q, r, s, w_x):
+        """The split plan of one frame ordering, cached under its key.
+
+        Returns ``(splits, code(kept1), code(kept2))``: kept1 and kept2 are
+        the non-divisor entries of (p, q) and (r, s), and ``splits`` holds
+        one ``(vals1, vals2, b1, b2, sub)`` per split b1 + b2 = cls that has
+        a surviving basis pair, with the two classes' live memo value dicts.
+        ``sub`` lists ``(code(e), code(e^), scale, w(A))`` for every e whose
+        divisor multipliers are nonzero and whose weights balance against
+        ``w_x``; ``scale`` is the product of the divisor multipliers, unsigned.
+        Which pairs survive depends on the frame only through the divisors
+        and weight of each side, so frames of one signature share the splits
+        tuple, and equal entries and ``sub`` tuples are shared across plans.
+        """
+        codims = self._codims
+        weights = self._weights
+        code = self.memo.code
+        kept1 = tuple(x for x in (p, q) if codims[x] >= 2)
+        kept2 = tuple(x for x in (r, s) if codims[x] >= 2)
+        div1 = tuple(sorted(x for x in (p, q) if codims[x] == 1))
+        div2 = tuple(sorted(x for x in (r, s) if codims[x] == 1))
+        w1 = sum(weights[x] for x in kept1)
+        w2 = sum(weights[x] for x in kept2)
+        sig = (cls, div1, w1, div2, w2, w_x)
+        splits = self._signature_plans.get(sig)
+        if splits is None:
+            splits = self._signature_plans[sig] = self._split_plan(*sig)
+        plan = self._plans[(cls, p, q, r, s, w_x)] = (
+            splits, code(kept1), code(kept2)
+        )
+        return plan
+
+    def _split_plan(self, cls, div1, w1, div2, w2, w_x):
+        """The surviving (split, e) pairs of one signature; see _plan."""
+        pos = self.datum.divisor_pos
+        weights = self._weights
+        values = self.memo.class_values
+        share = self._plan_parts.setdefault
+        out = []
+        for b1, b2 in self.datum.splits(cls):
+            m1 = 1
+            for x in div1:
+                m1 *= b1[pos[x]]
+            m2 = 1
+            for x in div2:
+                m2 *= b2[pos[x]]
+            if m1 == 0 or m2 == 0:
+                continue
+            bud1 = self._budget(b1) - w1
+            bud2 = self._budget(b2) - w2
+            sub = []
+            for e, eh, ce, ceh, pe, peh in self._epairs:
+                me1, w_a = m1, bud1
+                if ce == 1:
+                    me1 *= b1[pos[e]]
+                else:
+                    w_a -= weights[e]
+                me2, w_b = m2, bud2
+                if ceh == 1:
+                    me2 *= b2[pos[eh]]
+                else:
+                    w_b -= weights[eh]
+                # w(A) + w(B) = w(extras), both parts of the extras
+                if me1 == 0 or me2 == 0 or w_a + w_b != w_x or not 0 <= w_a <= w_x:
+                    continue
+                entry = (pe, peh, me1 * me2, w_a)
+                sub.append(share(entry, entry))
+            if sub:
+                sub = tuple(sub)
+                out.append((values(b1), values(b2), b1, b2, share(sub, sub)))
+        return tuple(out)
 
     def _partition_groups(self, extras):
         """Partitions A|B of an insertion multiset, grouped by weight of A.

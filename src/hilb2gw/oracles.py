@@ -23,21 +23,22 @@ def kontsevich_nd(d: int) -> int:
 
     N_d = sum over d1 + d2 = d (d1, d2 >= 1) of N_d1 N_d2 *
           (d1^2 d2^2 C(3d-4, 3d1-2) - d1^3 d2 C(3d-4, 3d1-1))
+
+    evaluated bottom-up in a loop, so no degree reaches the recursion limit.
     """
     if d < 1:
         raise ValueError("the count is defined for degrees >= 1")
-    if d == 1:
-        return 1
-    total = 0
-    for d1 in range(1, d):
-        d2 = d - d1
-        n1 = kontsevich_nd(d1)
-        n2 = kontsevich_nd(d2)
-        total += n1 * n2 * (
-            d1 * d1 * d2 * d2 * binom(3 * d - 4, 3 * d1 - 2)
-            - d1 ** 3 * d2 * binom(3 * d - 4, 3 * d1 - 1)
-        )
-    return total
+    nd = [0, 1]  # nd[e] = N_e
+    for e in range(2, d + 1):
+        total = 0
+        for d1 in range(1, e):
+            d2 = e - d1
+            total += nd[d1] * nd[d2] * (
+                d1 * d1 * d2 * d2 * binom(3 * e - 4, 3 * d1 - 2)
+                - d1 ** 3 * d2 * binom(3 * e - 4, 3 * d1 - 1)
+            )
+        nd.append(total)
+    return nd[d]
 
 
 def engine_nd(d: int, engine: Engine | None = None) -> int:

@@ -215,6 +215,30 @@ def _plain_partitions(datum, extras):
                sum(datum.weights[e] for e in b), ways)
 
 
+def _plain_split_terms(datum, cls, frame, extras):
+    """The split terms of S(i,j,k,l) - S(i,l,j,k), one per partition:
+    (coefficient, key of I_b1(Tp, Tq, Te, A), key of I_b2(Te^, Tr, Ts, B))
+    over b1 + b2 = cls, with sorted-tuple keys."""
+    budget = datum.weight_budget
+    parts = list(_plain_partitions(datum, extras))
+    i, j, k, l = frame
+    for (p, q, r, s), sign in (((i, j, k, l), 1), ((i, l, j, k), -1)):
+        for b1, b2 in datum.splits(cls):
+            for e in range(datum.basis_size):
+                side1 = _plain_strip(datum, b1, [p, q, e])
+                side2 = _plain_strip(datum, b2, [datum.dual[e], r, s])
+                if side1 is None or side2 is None:
+                    continue
+                need1, need2 = budget(b1) - side1[1], budget(b2) - side2[1]
+                for a, b, wa, wb, ways in parts:
+                    if wa == need1 and wb == need2:
+                        yield (
+                            sign * ways * side1[2] * side2[2],
+                            (b1, tuple(sorted(side1[0] + a))),
+                            (b2, tuple(sorted(side2[0] + b))),
+                        )
+
+
 def _plain_equation(engine, cls, frame, extras):
     """S(i,j,k,l) - S(i,l,j,k) summed term by term with sorted-tuple keys.
 
@@ -224,7 +248,6 @@ def _plain_equation(engine, cls, frame, extras):
     datum = engine.datum
     budget = datum.weight_budget
     n = len(extras) + 3
-    parts = list(_plain_partitions(datum, extras))
     terms, const = {}, 0
     i, j, k, l = frame
     for (p, q, r, s), sign in (((i, j, k, l), 1), ((i, l, j, k), -1)):
@@ -239,22 +262,10 @@ def _plain_equation(engine, cls, frame, extras):
                     terms[key] = terms.get(key, 0) + coeff
                 else:
                     const += coeff * engine.value_of(key)
-        # I_b1(Tp, Tq, Te, A) * I_b2(Te^, Tr, Ts, B) over b1 + b2 = cls
-        for b1, b2 in datum.splits(cls):
-            for e in range(datum.basis_size):
-                side1 = _plain_strip(datum, b1, [p, q, e])
-                side2 = _plain_strip(datum, b2, [datum.dual[e], r, s])
-                if side1 is None or side2 is None:
-                    continue
-                need1, need2 = budget(b1) - side1[1], budget(b2) - side2[1]
-                for a, b, wa, wb, ways in parts:
-                    if wa != need1 or wb != need2:
-                        continue
-                    v1 = engine.value_of((b1, tuple(sorted(side1[0] + a))))
-                    if v1 == 0:
-                        continue
-                    v2 = engine.value_of((b2, tuple(sorted(side2[0] + b))))
-                    const += sign * ways * side1[2] * side2[2] * v1 * v2
+    for coeff, key1, key2 in _plain_split_terms(datum, cls, frame, extras):
+        v1 = engine.value_of(key1)
+        if v1 != 0:
+            const += coeff * v1 * engine.value_of(key2)
     return {key: c for key, c in terms.items() if c != 0}, const
 
 
@@ -275,6 +286,19 @@ def _hilb_tables_to_d4(eng):
             invert_counts(eng, d, l)
 
 
+def _hilb_d3_stages_then_tables_to_d4(eng):
+    """Close every stage the d <= 3 tables reach, then run the d <= 4
+    tables: the split sum solves a factor only when its partner can be
+    nonzero, so the d <= 4 tables alone leave fewer keys to draw specs
+    from."""
+    for d in range(2, 4):
+        for l in (0, 1, 2):
+            invert_counts(eng, d, l)
+    for cls, n in _reached_stages(eng):
+        eng.solve_stage(cls, n)
+    _hilb_tables_to_d4(eng)
+
+
 def _plane_counts_to_d8(eng):
     for d in range(1, 9):
         engine_nd(d, eng)
@@ -283,14 +307,15 @@ def _plane_counts_to_d8(eng):
 @pytest.mark.parametrize(
     "datum, solve, min_specs",
     [
-        (hilb_datum(), _hilb_tables_to_d4, 2000),
+        (hilb_datum(), _hilb_d3_stages_then_tables_to_d4, 2000),
         (p2_datum(), _plane_counts_to_d8, 7),
     ],
     ids=["hilb2", "p2"],
 )
 def test_build_equation_matches_plain_split_sum(datum, solve, min_specs):
-    """The lead spec of every memo key solved by the d <= 4 tables of Hilb^2
-    (the d <= 8 counts of P^2, one spec per stage) builds the same affine
+    """The lead spec of every memo key solved by closing the stages of the
+    d <= 3 tables and then running the d <= 4 tables of Hilb^2 (the d <= 8
+    counts of P^2, one spec per stage) builds the same affine
     form as the plain sum, on a fresh engine where part of each stage is
     still unknown."""
     solved = Engine(datum)
@@ -309,6 +334,84 @@ def test_build_equation_matches_plain_split_sum(datum, solve, min_specs):
         assert (form.terms, form.constant) == want, (cls, frame, extras)
         symbolic += bool(form.terms)
     assert symbolic > 0
+
+
+def test_split_sum_solves_no_factor_whose_partner_is_a_stored_zero():
+    """A split term with a stored zero factor is skipped before its other
+    factor is solved.  For each lead spec of the d <= 3 tables whose split
+    factors are all valued, a fresh engine gets every memo value except the
+    nonzero factors that meet only true zeros in this equation; building
+    the equation must then ask value_of for no key outside the memo."""
+    solved = Engine()
+    for d in range(2, 4):
+        for l in (0, 1, 2):
+            invert_counts(solved, d, l)
+    values = dict(solved.memo.items())
+    specs = sorted({
+        (key[0], spec)
+        for key in _memo_stage_keys(solved)
+        if (spec := solved._lead_spec(key)) is not None
+    })
+    checked = 0
+    for cls, (frame, extras) in specs:
+        pairs = [
+            (key1, key2)
+            for _c, key1, key2 in _plain_split_terms(solved.datum, cls, frame, extras)
+        ]
+        if not all(k1 in values and k2 in values for k1, k2 in pairs):
+            continue
+        needed = {
+            key
+            for k1, k2 in pairs
+            if values[k1] != 0 and values[k2] != 0
+            for key in (k1, k2)
+        }
+        withheld = {
+            key
+            for pair in pairs
+            for key in pair
+            if values[key] != 0 and key not in needed
+        }
+        if not withheld:
+            continue
+        fresh = Engine()
+        for key, val in values.items():
+            if key not in withheld:
+                fresh.memo.set(key, val)
+        misses = []
+        value_of = fresh.value_of
+
+        def counting_value_of(key):
+            if key not in fresh.memo:
+                misses.append(key)
+            return value_of(key)
+
+        fresh.value_of = counting_value_of
+        fresh.build_equation(cls, frame, extras)
+        assert not misses, (cls, frame, extras, misses[:3])
+        checked += 1
+    assert checked >= 20
+
+
+def test_tables_and_memo_values_do_not_depend_on_query_order():
+    """Which keys the split sum solves depends on the query order, since a
+    factor is solved only while its partner is not a stored zero; the
+    tables and the value of every key both orders solve do not."""
+    queries = [(d, l) for d in range(2, 5) for l in (0, 1, 2)]
+    runs = []
+    for order in (queries, queries[::-1]):
+        eng = Engine()
+        tables = {
+            (d, l): (t.invariants, t.counts)
+            for d, l in order
+            for t in [invert_counts(eng, d, l)]
+        }
+        runs.append((tables, dict(eng.memo.items())))
+    (tables_fwd, memo_fwd), (tables_rev, memo_rev) = runs
+    assert tables_fwd == tables_rev
+    common = memo_fwd.keys() & memo_rev.keys()
+    assert len(common) > 1000
+    assert all(memo_fwd[key] == memo_rev[key] for key in common)
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """The closed recursion for rational plane curves, and its agreement with
 the generic engine run on the plane."""
 
+import sys
+
 import pytest
 
 from hilb2gw import Engine, engine_nd, kontsevich_nd, p2_datum
@@ -17,6 +19,26 @@ def test_closed_recursion_rejects_nonpositive():
         kontsevich_nd(0)
     with pytest.raises(ValueError):
         kontsevich_nd(-3)
+
+
+def _depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_closed_recursion_needs_no_deep_stack():
+    """A fresh N_150 computes under a recursion limit only 100 frames above
+    the caller: the recursion runs in a loop, not on the stack."""
+    kontsevich_nd.cache_clear()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_depth() + 100)
+    try:
+        value = kontsevich_nd(150)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert value > 0
 
 
 def test_engine_agrees_with_recursion_small_degrees():
