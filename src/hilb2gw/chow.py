@@ -23,6 +23,12 @@ not reproduce the basis exactly.
 Curve classes are lattice points (a, b) = a*B1 + b*B2 in the effective cone,
 with B_i dual to T_j (T1.(a,b) = a, T2.(a,b) = b) and -K.(a,b) = 3b.
 
+The Hilbert scheme is a P^2-bundle over the dual plane: the projection sends
+a pair of points to the line through them, and T1 is the pullback of the
+line class. A datum built with that base divisor derives from its cup table
+the T1-adic order of every basis class and exposes the vanishing theorem the
+projection implies (``TargetDatum.vanishes``).
+
 Everything the reconstruction engine needs is packaged in a TargetDatum so
 the same engine also runs on the plane itself (see ``p2_datum``), which
 serves as an independent cross-check target.
@@ -177,6 +183,7 @@ class TargetDatum:
         decompositions: dict,
         base_case: Callable[[CurveClass, tuple], Optional[object]],
         rank: int,
+        base: Optional[int] = None,
     ):
         self.name = name
         self.dim = dim
@@ -188,6 +195,7 @@ class TargetDatum:
         self.decompositions = {m: tuple(terms) for m, terms in decompositions.items()}
         self.base_case = base_case
         self.rank = rank
+        self.base = base
 
         self.basis_size = len(self.codims)
         self.top = self.basis_size - 1
@@ -210,6 +218,7 @@ class TargetDatum:
             for rows in self.cup_table
         )
         self._validate()
+        self.base_orders = self._derive_base_orders()
 
     # -- ring operations ---------------------------------------------------
 
@@ -288,6 +297,66 @@ class TargetDatum:
             if not self.is_zero_class(c1) and c1 != cls
         )
 
+    # -- the projection to the base plane -----------------------------------
+
+    def vanishes(self, cls: CurveClass, ins) -> bool:
+        """True when the projection to the base plane forces I_cls(ins) = 0.
+
+        ``ins`` are non-divisor basis indices. Write t(e) for the order of
+        T_e in the base divisor H (the largest m with T_e in H^m . H^*) and
+        a = H . cls. The insertion T_e carries the pullback of the m-th power
+        of the line class along ev_i and the projection, and the product of
+        those pullbacks comes from the moduli of stable maps to the plane
+        (functoriality of stable maps). If a = 0 the composite map is
+        constant, so the product lives on the plane itself and vanishes
+        when sum t > 2; if a >= 1 the evaluation image of M_0,n(P^2, a) has
+        dimension at most 3a - 1 + n, and the product vanishes when sum t
+        exceeds it. Always False without a base divisor.
+        """
+        if self.base is None:
+            return False
+        orders = self.base_orders
+        a = cls[self.divisor_pos[self.base]]
+        return sum(orders[e] for e in ins) > (2 if a == 0 else 3 * a - 1 + len(ins))
+
+    def _derive_base_orders(self) -> tuple:
+        """t(e) for every basis index, from the cup table; zeros without a
+        base divisor. Raises ValueError unless the base divisor cubes to 0,
+        as the pullback of the line class from a plane must."""
+        if self.base is None:
+            return (0,) * self.basis_size
+        if self.codims[self.base] != 1:
+            raise ValueError(f"base class T{self.base} is not a divisor")
+        h = self.basis_vector(self.base)
+        powers = [self.basis_vector(self.codims.index(0))]
+        for _ in range(3):
+            powers.append(self.cup(powers[-1], h))
+        if any(powers[3]):
+            raise ValueError(f"the base divisor T{self.base} does not cube to 0")
+        # H^m . H^* is graded: on the codim-c level it is spanned by the
+        # products H^m . T_f with codim(f) = c - m, and a basis class of that
+        # level lies in it iff it is a row of their reduced echelon form.
+        # The ideals shrink as m grows, so the last m that holds is t(e).
+        size = self.basis_size
+        orders = [0] * size
+        for m in (1, 2):
+            prods = {
+                f: self.cup(powers[m], self.basis_vector(f))
+                for f in range(size)
+                if self.codims[f] <= self.dim - m
+            }
+            for c in range(m, self.dim + 1):
+                level = [k for k in range(size) if self.codims[k] == c]
+                rows = _row_reduce(
+                    [[v[k] for k in level] for f, v in prods.items()
+                     if self.codims[f] == c - m]
+                )
+                for i, e in enumerate(level):
+                    unit = [RAT_ONE if k == i else RAT_ZERO for k in range(len(level))]
+                    if unit in rows:
+                        orders[e] = m
+        return tuple(orders)
+
     # -- construction-time validation ---------------------------------------
 
     def _validate(self) -> None:
@@ -325,8 +394,9 @@ class TargetDatum:
                 raise ValueError(f"decomposition products do not span codim {c}")
 
 
-def _rank(mat: list) -> int:
-    """Rank of a small exact matrix (row elimination)."""
+def _row_reduce(mat: list) -> list:
+    """The nonzero rows of the reduced row echelon form of a small exact
+    matrix."""
     rows = [list(r) for r in mat]
     rank = 0
     ncols = len(rows[0]) if rows else 0
@@ -342,7 +412,12 @@ def _rank(mat: list) -> int:
                 f = rows[r][col]
                 rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
         rank += 1
-    return rank
+    return rows[:rank]
+
+
+def _rank(mat: list) -> int:
+    """Rank of a small exact matrix (row elimination)."""
+    return len(_row_reduce(mat))
 
 
 # --------------------------------------------------------------------------
@@ -408,6 +483,7 @@ def hilb_datum() -> TargetDatum:
         },
         base_case=_hilb_base_case,
         rank=2,
+        base=1,
     )
 
 

@@ -66,9 +66,18 @@ def _parse_class(text: str):
     return (a, b)
 
 
+# Insertions one ``invariant`` call may list in total, repeats included; the
+# total is checked before any repeat is expanded.
+MAX_INSERTIONS = 100_000
+
+
 def _parse_insertions(text: str, top: int):
-    """Parse '4,8' / '4x13' / '4×13' / mixes into a list of basis indices."""
-    out = []
+    """Parse '4,8' / '4x13' / '4×13' / mixes into a list of basis indices.
+
+    More than MAX_INSERTIONS insertions in total raise ValueError before
+    the list is built.
+    """
+    parsed = []
     for token in text.split(","):
         token = token.strip()
         if not token:
@@ -89,6 +98,14 @@ def _parse_insertions(text: str, top: int):
                 raise ValueError(f"bad insertion token {token!r}")
         if not 0 <= idx <= top:
             raise ValueError(f"insertion index {idx} out of range 0..{top}")
+        parsed.append((idx, count))
+    total = sum(count for _idx, count in parsed)
+    if total > MAX_INSERTIONS:
+        raise ValueError(
+            f"{total} insertions requested; at most {MAX_INSERTIONS} are accepted"
+        )
+    out = []
+    for idx, count in parsed:
         out.extend([idx] * count)
     return out
 
@@ -388,7 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--insertions",
         required=True,
-        help="comma-separated basis indices; 'IxK' repeats index I K times",
+        help="comma-separated basis indices; 'IxK' repeats index I K times; "
+        f"at most {MAX_INSERTIONS} in total",
     )
     _add_common(p)
     p.set_defaults(func=_cmd_invariant)

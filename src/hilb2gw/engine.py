@@ -53,6 +53,21 @@ nonzero.  The memo therefore never solves a key just to multiply it by a
 known zero; which keys it holds depends slightly on the query order, their
 values do not.  All arithmetic is exact and everything runs on the calling
 thread.
+
+About half of the keys the tables reach are zero by a theorem, and the
+engine never solves one of them.  The Hilbert scheme is a P^2-bundle over
+the dual plane, and the base divisor T1 is the pullback of its line class.
+If T_e lies in T1^t(e) . H^* and a = T1 . beta, then by the functoriality
+of stable maps under the projection the product of the pulled-back powers
+of the line class comes from the space of stable maps to the plane.  So
+the key vanishes when the sum of the t(e) exceeds 2 (a = 0, the composite
+map is constant) or 3a - 1 + n, the dimension bound of the evaluation
+image (a >= 1); see ``TargetDatum.vanishes``.  ``value_of`` stores such a
+key as 0 without visiting a stage, as it stores a base case; ``_canon``
+and ``normalize`` drop it like a dimension mismatch; the harvest and
+``solve_stage`` never queue it; and a cache entry that gives it a nonzero
+value is an InconsistentSystem.  The split sum is unchanged: a killed
+factor becomes a stored 0 the first time it is looked up.
 """
 
 from __future__ import annotations
@@ -294,7 +309,7 @@ class _StageState:
     solved, and harvesting stops at memo membership, so a later visit to the
     same stage starts from the memo alone.  An open row or an unconsumed
     spec dropped with the state is never lost: its keys are not in the
-    memo, so a later visit harvests them again.  None of the 6,190 visits
+    memo, so a later visit harvests them again.  None of the 3,636 visits
     of the d <= 6 count tables ends with either, so there nothing dropped
     is ever rebuilt.
     """
@@ -326,6 +341,7 @@ class Engine:
         self._plan_parts: dict = {}  # shared plan entries and sub tuples
         self._rows: dict = {}
         d = self.datum
+        self._vanishes = d.vanishes
         self._codims = d.codims
         self._weights = d.weights
         self._dual = d.dual
@@ -405,14 +421,15 @@ class Engine:
         """Canonicalize a basis-index monomial: returns (ins, mult) or None.
 
         Divisors are stripped into the integer multiplier, a fundamental
-        class or a dimension mismatch kills the monomial, the rest is
-        sorted. ``None`` means the monomial contributes zero.
+        class, a dimension mismatch or the projection to the base plane
+        (``TargetDatum.vanishes``) kills the monomial, the rest is sorted.
+        ``None`` means the monomial contributes zero.
         """
         stripped = self._strip(cls, idxs)
         if stripped is None:
             return None
         bare, w, mult = stripped
-        if w != self._budget(cls):
+        if w != self._budget(cls) or self._vanishes(cls, bare):
             return None
         bare.sort()
         return tuple(bare), mult
@@ -422,8 +439,10 @@ class Engine:
 
         ``insertions`` may mix basis indices (ints in 0..basis_size-1) and
         cohomology vectors of length basis_size; anything else raises
-        ValueError. The class must be effective and nonzero; degree-0
-        invariants exist only inside equation building, never as keys.
+        ValueError, as does a key over the memo's insertion limit, even one
+        that the projection to the base plane would drop. The class must be
+        effective and nonzero; degree-0 invariants exist only inside
+        equation building, never as keys.
         """
         self._check_class(cls)
         size = self.datum.basis_size
@@ -462,7 +481,11 @@ class Engine:
             if stripped is None or stripped[1] != need:
                 continue
             bare, _w, mult = stripped
-            key = (cls, tuple(sorted(bare0 + bare)))
+            ins = tuple(sorted(bare0 + bare))
+            self.memo.code(ins)  # the insertion limit comes first
+            if self._vanishes(cls, ins):
+                continue
+            key = (cls, ins)
             terms[key] = terms.get(key, RAT_ZERO) + c * mult0 * mult
         return LinearForm({k: v for k, v in terms.items() if v != 0}, RAT_ZERO)
 
@@ -482,11 +505,17 @@ class Engine:
         return self.datum.base_case(cls, ins)
 
     def value_of(self, key):
-        """Exact value of a canonical admissible key, solving stages on demand."""
+        """Exact value of a canonical admissible key, solving stages on demand.
+
+        A base case or a key that the projection to the base plane kills is
+        stored without visiting a stage.
+        """
         v = self.memo.get(key)
         if v is not None:
             return v
         b = self.base_case(key)
+        if b is None and self._vanishes(*key):
+            b = 0
         if b is not None:
             self.memo.set(key, b)
             return b
@@ -918,27 +947,31 @@ class Engine:
         return fallback
 
     def _spec_unknowns(self, cls, spec):
-        """Current-stage keys that _build would keep symbolic for this spec."""
+        """Current-stage keys that _build would keep symbolic for this spec;
+        keys the base plane kills are dropped, as _canon drops them."""
         (d, rho, u, v), extras = spec
         cup_terms = self._cup_terms
         out = set()
         for m, _cm in cup_terms[d][rho]:
-            out.add((cls, _merged(extras, (u, v, m))))
+            out.add(_merged(extras, (u, v, m)))
         if self._codims[rho] >= 2:
             for m, _cm in cup_terms[d][v]:
-                out.add((cls, _merged(extras, (rho, u, m))))
-        return sorted(out)
+                out.add(_merged(extras, (rho, u, m)))
+        vanishes = self._vanishes
+        return sorted((cls, ins) for ins in out if not vanishes(cls, ins))
 
     def _stage_keys(self, cls, n):
-        """All admissible keys of stage (cls, n), sorted."""
+        """All admissible keys of stage (cls, n) that the base plane does not
+        kill, sorted."""
         budget = self._budget(cls)
         nond = self.datum.nondivisors
         weights = self._weights
+        vanishes = self._vanishes
         out = []
 
         def rec(pos, left, wleft, acc):
             if left == 0:
-                if wleft == 0:
+                if wleft == 0 and not vanishes(cls, acc):
                     out.append((cls, tuple(acc)))
                 return
             if pos >= len(nond):
@@ -999,8 +1032,10 @@ class Engine:
         dimension-admissible, with ``a``,
         ``b`` and the ``ins`` list made of JSON integers (anything else,
         such as a string of digits, raises CacheFormatError); entries the
-        base cases can derive must match them exactly. A value conflicting
-        with one already in the memo raises InconsistentSystem.
+        base cases can derive must match them exactly, and entries the
+        projection to the base plane kills must be 0, or InconsistentSystem
+        is raised. A value conflicting with one already in the memo raises
+        InconsistentSystem.
         """
         with open(path, "r", encoding="utf-8") as fh:
             try:
@@ -1051,6 +1086,11 @@ class Engine:
                 raise InconsistentSystem(
                     f"cache entry ({cls}, {ins}) = {val} contradicts base "
                     f"case {derivable}"
+                )
+            if val != 0 and self._vanishes(cls, ins):
+                raise InconsistentSystem(
+                    f"cache entry ({cls}, {ins}) = {val} but the projection "
+                    "to the base plane forces 0"
                 )
             self.memo.set((cls, ins), val)
             count += 1

@@ -18,6 +18,11 @@ class. Inverting the resulting triangular system
 from h = d-1 (the boundary where the class has first coordinate 0)
 downward yields the actual counts E^l(d, h). They must come out as
 nonnegative integers; anything else signals a broken engine and raises.
+
+The boundary invariant I(d, d-1, l) is 0 by the projection to the dual
+plane (see ``TargetDatum.vanishes``): its class (0, d) maps to a point of
+the plane, and its insertions carry base orders summing to
+2l + (3(d-l) + 1) = 3d + 1 - l > 2, so the engine answers 0 without solving.
 """
 
 from __future__ import annotations

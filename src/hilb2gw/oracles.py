@@ -14,7 +14,6 @@ from functools import lru_cache
 
 from .chow import p2_datum
 from .engine import Engine
-from .rationals import RAT_ONE, binom
 
 
 @lru_cache(maxsize=None)
@@ -25,17 +24,23 @@ def kontsevich_nd(d: int) -> int:
           (d1^2 d2^2 C(3d-4, 3d1-2) - d1^3 d2 C(3d-4, 3d1-1))
 
     evaluated bottom-up in a loop, so no degree reaches the recursion limit.
+    Each degree builds its row of binomials C(3d-4, k) once, getting
+    C(n, k+1) from C(n, k) with one multiplication and one exact division.
     """
     if d < 1:
         raise ValueError("the count is defined for degrees >= 1")
     nd = [0, 1]  # nd[e] = N_e
     for e in range(2, d + 1):
+        n = 3 * e - 4
+        row = [1]  # row[k] = C(n, k)
+        for k in range(n):
+            row.append(row[k] * (n - k) // (k + 1))
         total = 0
         for d1 in range(1, e):
             d2 = e - d1
             total += nd[d1] * nd[d2] * (
-                d1 * d1 * d2 * d2 * binom(3 * e - 4, 3 * d1 - 2)
-                - d1 ** 3 * d2 * binom(3 * e - 4, 3 * d1 - 1)
+                d1 * d1 * d2 * d2 * row[3 * d1 - 2]
+                - d1 ** 3 * d2 * row[3 * d1 - 1]
             )
         nd.append(total)
     return nd[d]

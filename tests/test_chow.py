@@ -161,6 +161,43 @@ def test_duality_violation_is_fatal():
         )
 
 
+def test_base_orders_are_derived_from_the_cup_table():
+    hilb = hilb_datum()
+    assert hilb.base == 1
+    assert hilb.base_orders[3:] == (2, 1, 0, 2, 1, 2)
+    assert hilb.vanishes((0, 1), (3, 8)) and not hilb.vanishes((0, 1), (5, 8))
+    # a >= 1: the bound is 3a - 1 + n.  (3, 8) carries 4 against 4 at
+    # (1, 1); (8^6, 6) carries 14 against 9, 12 and 15 at a = 1, 2, 3
+    assert not hilb.vanishes((1, 1), (3, 8))
+    seven = (6,) + (8,) * 6
+    assert hilb.vanishes((1, 4), seven) and hilb.vanishes((2, 4), seven)
+    assert not hilb.vanishes((3, 4), seven)
+    p2 = p2_datum()
+    assert p2.base is None and p2.base_orders == (0, 0, 0)
+    assert not p2.vanishes((1,), (2, 2))
+
+
+def test_base_divisor_must_cube_to_zero():
+    """T2 cubes to 3 T1 T2^2 - 6 T1^2 T2, so it is no pullback from a plane."""
+    from hilb2gw.chow import TargetDatum
+
+    d = hilb_datum()
+    with pytest.raises(ValueError, match="cube"):
+        TargetDatum(
+            name="wrong base",
+            dim=d.dim,
+            codims=d.codims,
+            divisors=d.divisors,
+            cup_table=d.cup_table,
+            dual=d.dual,
+            anticanonical=d.anticanonical,
+            decompositions=d.decompositions,
+            base_case=d.base_case,
+            rank=d.rank,
+            base=2,
+        )
+
+
 def test_weight_budgets():
     hilb = hilb_datum()
     assert hilb.weight_budget((1, 4)) == 13

@@ -62,6 +62,18 @@ def test_invariant_usage_errors(capsys):
     assert code == 2
 
 
+def test_invariant_bounds_the_insertion_total(capsys):
+    """The total is checked before any repeat is expanded, so a huge repeat
+    count is a usage error, not a list of that many elements."""
+    for spec in ("4x1000000000000000000", "4x100001", "4x60000,8x40001"):
+        code, out, err = run(capsys, "invariant", "--class", "1,1", "--insertions", spec)
+        assert code == 2 and not out and "at most 100000" in err, spec
+    code, out, _ = run(
+        capsys, "invariant", "--class", "1,1", "--insertions", "1x99998,3,8"
+    )
+    assert code == 0 and out.strip() == "1"
+
+
 # ----------------------------------------------------------------------
 # hyperelliptic
 # ----------------------------------------------------------------------
@@ -288,6 +300,15 @@ def test_cache_import_value_contradiction(capsys, tmp_path):
     )
     code, _, err = run(capsys, "cache", "import", str(path))
     assert code == 4 and "contradiction" in err
+
+
+def test_cache_import_rejects_nonzero_value_of_a_killed_key(capsys, tmp_path):
+    """I_(0,2)(T3^7) is 0 by the projection to the dual plane."""
+    path = tmp_path / "killed.json"
+    entry = {"a": 0, "b": 2, "ins": [3] * 7, "num": "1", "den": "1"}
+    path.write_text(json.dumps({"target": "hilb2p2", "entries": [entry]}))
+    code, _, err = run(capsys, "cache", "import", str(path))
+    assert code == 4 and "base plane" in err
 
 
 def test_cache_speeds_up_invariant(capsys, tmp_path):

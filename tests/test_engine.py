@@ -22,7 +22,7 @@ from hilb2gw import (
     kontsevich_nd,
     p2_datum,
 )
-from hilb2gw.chow import _A1_TABLE
+from hilb2gw.chow import _A1_TABLE, TargetDatum
 from hilb2gw.engine import (
     CACHE_SCHEMA,
     ExactLinearSolver,
@@ -243,7 +243,9 @@ def _plain_equation(engine, cls, frame, extras):
     """S(i,j,k,l) - S(i,l,j,k) summed term by term with sorted-tuple keys.
 
     Keys of the stage (cls, len(extras) + 3) missing from the memo stay
-    symbolic; every other key is valued with ``engine.value_of``.
+    symbolic, unless the projection to the base plane kills them; every
+    other key is valued with ``engine.value_of``, which gives 0 for a
+    killed key.
     """
     datum = engine.datum
     budget = datum.weight_budget
@@ -258,7 +260,11 @@ def _plain_equation(engine, cls, frame, extras):
                 if not hit or hit[1] != budget(cls):
                     continue
                 key, coeff = (cls, tuple(sorted(hit[0]))), sign * cm * hit[2]
-                if len(key[1]) == n and engine.memo.get(key) is None:
+                if (
+                    len(key[1]) == n
+                    and engine.memo.get(key) is None
+                    and not datum.vanishes(*key)
+                ):
                     terms[key] = terms.get(key, 0) + coeff
                 else:
                     const += coeff * engine.value_of(key)
@@ -415,19 +421,103 @@ def test_tables_and_memo_values_do_not_depend_on_query_order():
 
 
 # ----------------------------------------------------------------------
+# the projection to the base plane
+# ----------------------------------------------------------------------
+
+
+def _unpruned_hilb_datum():
+    """The Hilb^2 datum without its base divisor, so nothing is pruned."""
+    d = hilb_datum()
+    return TargetDatum(
+        name=d.name,
+        dim=d.dim,
+        codims=d.codims,
+        divisors=d.divisors,
+        cup_table=d.cup_table,
+        dual=d.dual,
+        anticanonical=d.anticanonical,
+        decompositions=d.decompositions,
+        base_case=d.base_case,
+        rank=d.rank,
+    )
+
+
+def test_unpruned_engine_solves_every_killed_key_to_zero():
+    """The vanishing theorem against the equations: an engine that prunes
+    nothing solves every key of the d <= 5 tables that the theorem kills
+    (the killed keys the pruning engine stored as factors included) to 0,
+    and both engines give the same tables."""
+    datum = hilb_datum()
+    pruned, unpruned = Engine(), Engine(_unpruned_hilb_datum())
+    for d in range(2, 6):
+        for l in (0, 1, 2):
+            want = invert_counts(unpruned, d, l)
+            got = invert_counts(pruned, d, l)
+            assert (got.invariants, got.counts) == (want.invariants, want.counts)
+    killed = {
+        key
+        for eng in (unpruned, pruned)
+        for key, _ in eng.memo.items()
+        if datum.vanishes(*key)
+    }
+    assert len(killed) >= 2000
+    assert all(unpruned.value_of(key) == 0 for key in killed)
+
+
+def test_killed_key_is_stored_without_a_stage_visit():
+    eng = Engine()
+
+    def no_stage(*args):
+        raise AssertionError(f"stage visit {args[:2]}")
+
+    eng._solve_for = no_stage
+    key = ((0, 2), (3,) * 7)  # sum of base orders 14 > 2
+    assert eng.datum.vanishes(*key)
+    assert eng.value_of(key) == 0 and eng.memo.get(key) == 0
+    assert eng.invariant((0, 2), [3] * 7) == 0
+
+
+def test_base_cases_obey_the_vanishing_theorem():
+    """Every two-point base case that the theorem kills is stored as 0."""
+    datum = hilb_datum()
+    killed = [
+        (a, pair, want)
+        for a, row in _A1_TABLE.items()
+        for pair, want in row.items()
+        if datum.vanishes((a, 1), pair)
+    ]
+    assert len(killed) == 4
+    assert all(want == 0 for _a, _pair, want in killed)
+
+
+def test_fibre_classes_count_plane_curves():
+    """In a fibre class (0, b) the two T4 insertions carry the line class of
+    the base and the T5 insertions become point conditions in the fibre
+    plane, so I_(0,b)(T5^(3b-1) T4^2) = b^2 N_b; the class is not all zero
+    for b >= 4."""
+    eng = Engine()
+    got = [eng.invariant((0, b), [5] * (3 * b - 1) + [4, 4]) for b in range(1, 9)]
+    assert got[:4] == [1, 4, 108, 9920]
+    assert got == [b * b * kontsevich_nd(b) for b in range(1, 9)]
+
+
+# ----------------------------------------------------------------------
 # packed memo keys
 # ----------------------------------------------------------------------
 
 
 def test_memo_codes_round_trip_every_stage_key_to_d6():
+    """Every admissible key of every stage the d <= 6 tables reach, the
+    keys the base plane kills included, has its own code and decodes back."""
     eng = Engine()
     for d in range(2, 7):
         for l in (0, 1, 2):
             invert_counts(eng, d, l)
     memo = eng.memo
+    unpruned = Engine(_unpruned_hilb_datum())
     checked = 0
     for cls, n in _reached_stages(eng):
-        keys = eng._stage_keys(cls, n)
+        keys = unpruned._stage_keys(cls, n)
         codes = {memo.code(ins) for _, ins in keys}
         assert len(codes) == len(keys), (cls, n)
         assert all(memo.decode(memo.code(ins)) == ins for _, ins in keys)
@@ -818,6 +908,17 @@ def test_cache_rejects_entries_that_are_not_json_ints(tmp_path, fields):
     with pytest.raises(CacheFormatError):
         eng.load_cache(path)
     assert len(eng.memo) == 0
+
+
+def test_cache_rejects_nonzero_value_of_a_killed_key(tmp_path):
+    path = tmp_path / "killed.json"
+    entry = {"a": 0, "b": 2, "ins": [3] * 7, "num": "1", "den": "1"}
+    path.write_text(json.dumps({"target": "hilb2p2", "entries": [entry]}))
+    with pytest.raises(InconsistentSystem):
+        Engine().load_cache(path)
+    entry["num"] = "0"
+    path.write_text(json.dumps({"target": "hilb2p2", "entries": [entry]}))
+    assert Engine().load_cache(path) == 1
 
 
 def test_cache_value_contradiction_is_inconsistency(tmp_path):

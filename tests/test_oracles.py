@@ -1,6 +1,7 @@
 """The closed recursion for rational plane curves, and its agreement with
 the generic engine run on the plane."""
 
+import math
 import sys
 
 import pytest
@@ -12,6 +13,24 @@ from hilb2gw.fixtures import RATIONAL_PLANE_COUNTS
 def test_closed_recursion_values():
     for d, want in RATIONAL_PLANE_COUNTS.items():
         assert kontsevich_nd(d) == want, d
+
+
+def _direct_nd(d, memo={1: 1}):
+    """The recursion with every binomial taken from math.comb."""
+    if d not in memo:
+        memo[d] = sum(
+            _direct_nd(d1) * _direct_nd(d - d1) * (
+                d1 ** 2 * (d - d1) ** 2 * math.comb(3 * d - 4, 3 * d1 - 2)
+                - d1 ** 3 * (d - d1) * math.comb(3 * d - 4, 3 * d1 - 1)
+            )
+            for d1 in range(1, d)
+        )
+    return memo[d]
+
+
+def test_closed_recursion_matches_direct_binomials():
+    for d in range(1, 41):
+        assert kontsevich_nd(d) == _direct_nd(d), d
 
 
 def test_closed_recursion_rejects_nonpositive():
