@@ -1,7 +1,7 @@
 """Exact genus-0 invariants of the Hilbert scheme of two plane points.
 
 The `Engine` reconstructs all genus-0 invariants of the target from a small
-set of two-point values by exact linear elimination; `hyperelliptic` turns
+set of two-point values by exact substitution; `hyperelliptic` turns
 them into curve counts, `quantum` into small quantum products, and `oracles`
 supplies independent cross-checks.  Everything is arbitrary-precision
 rational; nothing here ever rounds.

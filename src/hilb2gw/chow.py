@@ -95,24 +95,37 @@ _BASIS_POLYS = (
 _MONOMIALS = tuple((i, j) for i in range(3) for j in range(3))
 
 
-def _invert_basis_matrix() -> list:
-    """Inverse of the (monomial x basis) coefficient matrix, exactly."""
-    n = 9
-    rows = []
-    for mi, mono in enumerate(_MONOMIALS):
-        row = [poly.get(mono, RAT_ZERO) for poly in _BASIS_POLYS]
-        row += [RAT_ONE if k == mi else RAT_ZERO for k in range(n)]
-        rows.append(row)
-    for col in range(n):
-        piv = next(r for r in range(col, n) if rows[r][col] != 0)
-        rows[col], rows[piv] = rows[piv], rows[col]
-        inv = 1 / rows[col][col]
-        rows[col] = [x * inv for x in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col] != 0:
+def _row_reduce(mat: list) -> list:
+    """The nonzero rows of the reduced row echelon form of a small exact
+    matrix."""
+    rows = [list(r) for r in mat]
+    rank = 0
+    ncols = len(rows[0]) if rows else 0
+    for col in range(ncols):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = 1 / rows[rank][col]
+        rows[rank] = [x * inv for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] != 0:
                 f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
-    return [row[n:] for row in rows]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rows[:rank]
+
+
+def _invert_basis_matrix() -> list:
+    """Inverse of the (monomial x basis) coefficient matrix, exactly: the
+    right half of the reduced echelon form of [M | I]."""
+    n = len(_MONOMIALS)
+    rows = [
+        [poly.get(mono, RAT_ZERO) for poly in _BASIS_POLYS]
+        + [RAT_ONE if k == mi else RAT_ZERO for k in range(n)]
+        for mi, mono in enumerate(_MONOMIALS)
+    ]
+    return [row[n:] for row in _row_reduce(rows)]
 
 
 _MONO_TO_BASIS = _invert_basis_matrix()
@@ -244,20 +257,9 @@ class TargetDatum:
                     out[m] += c * cm
         return tuple(out)
 
-    def dual_index(self, e: int) -> int:
-        return self.dual[e]
-
     def integrate(self, v: CohVector):
         """Integral over the target: the point-class coordinate."""
         return v[self.top]
-
-    def decompose(self, m: int) -> tuple:
-        """Divisor-times-lower-class presentation of a basis class.
-
-        Returns terms (D, rho, c) with codim(T_rho) = codim(T_m) - 1 and
-        sum_r c_r * (T_D cup T_rho) = T_m exactly.
-        """
-        return self.decompositions[m]
 
     # -- curve classes -----------------------------------------------------
 
@@ -390,34 +392,8 @@ class TargetDatum:
         for c, vecs in by_codim.items():
             level = [e for e in range(self.basis_size) if self.codims[e] == c]
             mat = [[v[e] for e in level] for v in vecs]
-            if _rank(mat) != len(level):
+            if len(_row_reduce(mat)) != len(level):
                 raise ValueError(f"decomposition products do not span codim {c}")
-
-
-def _row_reduce(mat: list) -> list:
-    """The nonzero rows of the reduced row echelon form of a small exact
-    matrix."""
-    rows = [list(r) for r in mat]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rows[:rank]
-
-
-def _rank(mat: list) -> int:
-    """Rank of a small exact matrix (row elimination)."""
-    return len(_row_reduce(mat))
 
 
 # --------------------------------------------------------------------------

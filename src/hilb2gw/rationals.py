@@ -5,7 +5,7 @@ point is used anywhere. ``gmpy2.mpq`` is preferred for speed, with
 ``fractions.Fraction`` as a drop-in fallback so the package stays importable
 without the C extension.
 
-Normal form: inside the engine (memo values, solver rows, base cases, the
+Normal form: inside the engine (memo values, solved values, base cases, the
 sparse cup coefficients) an exact scalar is a plain ``int`` when it is
 integral and a ``Rat`` only when it is a true fraction. ``qnorm`` and
 ``qdiv`` produce that form; ``int`` carries ``numerator`` and ``denominator``
@@ -59,11 +59,32 @@ def binom(n: int, k: int) -> int:
 
 
 def rat_str(x) -> str:
-    """Render exactly: an integer string, or ``p/q`` for non-integers."""
+    """Render exactly: an integer string, or ``p/q`` for non-integers.
+
+    Integers of any length print in full; see ``_int_str``.
+    """
     num, den = x.numerator, x.denominator
     if den == 1:
-        return str(num)
-    return f"{num}/{den}"
+        return _int_str(num)
+    return f"{_int_str(num)}/{_int_str(den)}"
+
+
+def _int_str(n: int) -> str:
+    """The decimal digits of an int of any length.
+
+    CPython refuses ``str`` of an int longer than its conversion limit
+    (4,300 digits by default, 640 at the least), a guard meant for parsing
+    untrusted text.  An int past 2,000 bits (602 digits) is split at a
+    power of ten and its halves are converted apart, so printed values
+    never meet the limit while parsing, as in ``rat_from_parts``, keeps it.
+    """
+    if n < 0:
+        return "-" + _int_str(-n)
+    if n.bit_length() <= 2000:
+        return str(n)
+    k = n.bit_length() * 3 // 20  # about half the digits: log10(2) > 0.3
+    hi, lo = divmod(n, 10**k)
+    return _int_str(hi) + _int_str(lo).zfill(k)
 
 
 def rat_from_parts(num: str, den: str):

@@ -28,6 +28,21 @@ def test_invariant_examples(capsys):
     assert code == 0 and out.strip() == "2"
 
 
+def test_invariant_prints_values_past_the_int_conversion_limit(capsys):
+    """2^15000 has 4,516 digits, past CPython's default cap of 4,300 on
+    int-to-str conversion; the value still prints in full."""
+    code, out, _ = run(
+        capsys, "invariant", "--class", "2,1", "--insertions", "3,8,1x15000"
+    )
+    value = 2**15000
+    digits = []
+    while value:
+        value, r = divmod(value, 10**1000)
+        digits.append(r)
+    want = str(digits[-1]) + "".join(str(r).zfill(1000) for r in digits[-2::-1])
+    assert code == 0 and len(want) == 4516 and out.strip() == want
+
+
 def test_invariant_accepts_multiplication_sign(capsys):
     code, out, _ = run(capsys, "invariant", "--class", "1,2", "--insertions", "4×7")
     assert code == 0 and out.strip() == "0"
@@ -263,6 +278,16 @@ def test_threads_option_is_an_accepted_no_op(capsys):
             "--threads", threads,
         )
         assert code == 0 and out.strip() == "2"
+
+
+def test_cache_import_rejects_oversized_numbers(capsys, tmp_path):
+    """Parsing keeps CPython's cap on int conversion: a 5,000-digit
+    numerator is a malformed entry."""
+    path = tmp_path / "huge.json"
+    entry = {"a": 1, "b": 1, "ins": [3, 8], "num": "1" * 5000, "den": "1"}
+    path.write_text(json.dumps({"target": "hilb2p2", "entries": [entry]}))
+    code, _, err = run(capsys, "cache", "import", str(path))
+    assert code == 2 and "cache format error" in err
 
 
 @pytest.mark.parametrize("text", ["[1,2]", "42", "null"])

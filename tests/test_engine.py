@@ -16,6 +16,7 @@ from hilb2gw import (
     CacheFormatError,
     Engine,
     InconsistentSystem,
+    UnderdeterminedStage,
     engine_nd,
     hilb_datum,
     invert_counts,
@@ -327,9 +328,7 @@ def test_build_equation_matches_plain_split_sum(datum, solve, min_specs):
     solved = Engine(datum)
     solve(solved)
     specs = sorted({
-        (key[0], spec)
-        for key in _memo_stage_keys(solved)
-        if (spec := solved._lead_spec(key)) is not None
+        (key[0], solved._lead_spec(key)) for key in _memo_stage_keys(solved)
     })
     assert len(specs) >= min_specs
     fresh = Engine(datum)
@@ -354,9 +353,7 @@ def test_split_sum_solves_no_factor_whose_partner_is_a_stored_zero():
             invert_counts(solved, d, l)
     values = dict(solved.memo.items())
     specs = sorted({
-        (key[0], spec)
-        for key in _memo_stage_keys(solved)
-        if (spec := solved._lead_spec(key)) is not None
+        (key[0], solved._lead_spec(key)) for key in _memo_stage_keys(solved)
     })
     checked = 0
     for cls, (frame, extras) in specs:
@@ -655,6 +652,99 @@ def test_d8_tables_and_every_d6_stage_close():
         for l in (0, 1, 2):
             invert_counts(eng, d, l)
     _assert_every_reached_stage_closes(eng)
+
+
+def test_solver_substitutes_and_solves_one_unknown():
+    a, b = ((1, 1), (3, 8)), ((1, 1), (4, 8))
+    solver = ExactLinearSolver()
+    solver.add({a: 3}, -1)  # 3a - 1 = 0
+    assert solver.solved == {a: rat(1, 3)} and type(solver.solved[a]) is Rat
+    solver.add({a: 3, b: 2}, 1)  # 1 + 2b + 1 = 0
+    assert solver.solved[b] == -1 and type(solver.solved[b]) is int
+    solver.add({a: 6, b: 1}, -1)  # 2 - 1 - 1 = 0 holds
+    with pytest.raises(InconsistentSystem):
+        solver.add({a: 3}, 0)  # 1 = 0
+
+
+def test_solver_rejects_two_unknowns():
+    solver = ExactLinearSolver()
+    with pytest.raises(UnderdeterminedStage):
+        solver.add({((1, 1), (3, 8)): 1, ((1, 1), (4, 8)): 1}, 2)
+    assert not solver.solved
+
+
+def test_lead_equation_cycle_raises(monkeypatch):
+    """If two keys' lead equations each held the other's key, substitution
+    could not order them: the harvest raises instead of looping or solving
+    one from the other's equation."""
+    eng = Engine()
+    k1, k2 = ((1, 2), (3, 4, 8)), ((1, 2), (4, 5, 7))
+    monkeypatch.setattr(
+        Engine,
+        "_spec_unknowns",
+        lambda self, cls, spec: [k1, k2],
+    )
+    with pytest.raises(UnderdeterminedStage, match="cycle"):
+        eng._solve_for((1, 2), 3, (k1,))
+    assert k1 not in eng.memo and k2 not in eng.memo
+
+
+def test_harvest_queues_each_spec_after_its_other_unknowns():
+    """Over the d <= 4 tables, every unknown of a queued lead spec other
+    than its own key is in the memo or was queued earlier in the same
+    visit, and the visit solves every queued key."""
+
+    class Recording(Engine):
+        def __init__(self):
+            super().__init__()
+            self.owner = {}
+            self.visits = self.specs = 0
+
+        def _lead_spec(self, key):
+            spec = super()._lead_spec(key)
+            self.owner[spec] = key
+            return spec
+
+        def _harvest_closure(self, cls, st, seeds):
+            super()._harvest_closure(cls, st, seeds)
+            queued = set()
+            for spec in st.seen:
+                key = self.owner[spec]
+                for nb in self._spec_unknowns(cls, spec):
+                    assert nb == key or nb in self.memo or nb in queued, (
+                        cls, spec, nb
+                    )
+                queued.add(key)
+            self.visits += 1
+            self.specs += len(queued)
+
+        def _drain(self, cls, n, st):
+            super()._drain(cls, n, st)
+            assert all(self.owner[spec] in st.solver.solved for spec in st.seen)
+
+    eng = Recording()
+    _hilb_tables_to_d4(eng)
+    assert eng.visits >= 100 and eng.specs >= 500
+
+
+def test_lead_spec_fits_every_key():
+    """Every multiset of 3 to 15 insertions from T3..T8, and every plane
+    key with 3 to 15 insertions, has a lead spec whose equation holds the
+    key."""
+    for datum, nondivisors in ((hilb_datum(), range(3, 9)), (p2_datum(), (2,))):
+        eng = Engine(datum)
+        cup_terms = datum.cup_terms
+        count = 0
+        for n in range(3, 16):
+            for ins in itertools.combinations_with_replacement(nondivisors, n):
+                (dv, rho, u, v), extras = eng._lead_spec(((1,) * datum.rank, ins))
+                assert len(extras) == n - 3
+                assert any(
+                    tuple(sorted(extras + (u, v, m))) == ins
+                    for m, _c in cup_terms[dv][rho]
+                ), ins
+                count += 1
+        assert count == (54236 if datum.rank == 2 else 13)
 
 
 def test_pure_top_pair_keys_solve_via_forward_frame(engine):
