@@ -39,7 +39,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
-from .rationals import RAT_ONE, RAT_ZERO, qnorm, rat
+from .rationals import qdiv, qnorm
 
 # --------------------------------------------------------------------------
 # Exact polynomial arithmetic in Q[T1,T2] / (T1^3, T2^3 - 3 T1 T2^2 + 6 T1^2 T2)
@@ -64,9 +64,9 @@ def _poly_reduce(poly: dict) -> dict:
             # T2^j = T2^(j-3) * (3 T1 T2^2 - 6 T1^2 T2)
             for di, dj, m in ((1, j - 1, 3), (2, j - 2, -6)):
                 key = (i + di, dj)
-                work[key] = work.get(key, RAT_ZERO) + m * c
+                work[key] = work.get(key, 0) + m * c
             continue
-        out[(i, j)] = out.get((i, j), RAT_ZERO) + c
+        out[(i, j)] = out.get((i, j), 0) + c
     return {k: v for k, v in out.items() if v != 0}
 
 
@@ -75,21 +75,21 @@ def _poly_mul(p: dict, q: dict) -> dict:
     for (i1, j1), c1 in p.items():
         for (i2, j2), c2 in q.items():
             key = (i1 + i2, j1 + j2)
-            prod[key] = prod.get(key, RAT_ZERO) + c1 * c2
+            prod[key] = prod.get(key, 0) + c1 * c2
     return _poly_reduce(prod)
 
 
 # Basis classes as reduced polynomials in the divisors.
 _BASIS_POLYS = (
-    {(0, 0): RAT_ONE},                                   # T0
-    {(1, 0): RAT_ONE},                                   # T1
-    {(0, 1): RAT_ONE},                                   # T2
-    {(2, 0): RAT_ONE},                                   # T3
-    {(1, 1): RAT_ONE, (2, 0): rat(-2)},                  # T4
-    {(2, 0): RAT_ONE, (1, 1): rat(-1), (0, 2): RAT_ONE}, # T5
-    {(2, 1): RAT_ONE},                                   # T6
-    {(1, 2): RAT_ONE, (2, 1): rat(-3)},                  # T7
-    {(2, 2): RAT_ONE},                                   # T8
+    {(0, 0): 1},                          # T0
+    {(1, 0): 1},                          # T1
+    {(0, 1): 1},                          # T2
+    {(2, 0): 1},                          # T3
+    {(1, 1): 1, (2, 0): -2},              # T4
+    {(2, 0): 1, (1, 1): -1, (0, 2): 1},   # T5
+    {(2, 1): 1},                          # T6
+    {(1, 2): 1, (2, 1): -3},              # T7
+    {(2, 2): 1},                          # T8
 )
 
 _MONOMIALS = tuple((i, j) for i in range(3) for j in range(3))
@@ -97,7 +97,7 @@ _MONOMIALS = tuple((i, j) for i in range(3) for j in range(3))
 
 def _row_reduce(mat: list) -> list:
     """The nonzero rows of the reduced row echelon form of a small exact
-    matrix."""
+    matrix, in normal form."""
     rows = [list(r) for r in mat]
     rank = 0
     ncols = len(rows[0]) if rows else 0
@@ -106,12 +106,12 @@ def _row_reduce(mat: list) -> list:
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
+        p = rows[rank][col]
+        rows[rank] = [qdiv(x, p) for x in rows[rank]]
         for r in range(len(rows)):
             if r != rank and rows[r][col] != 0:
                 f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+                rows[r] = [qnorm(x - f * y) for x, y in zip(rows[r], rows[rank])]
         rank += 1
     return rows[:rank]
 
@@ -121,8 +121,8 @@ def _invert_basis_matrix() -> list:
     right half of the reduced echelon form of [M | I]."""
     n = len(_MONOMIALS)
     rows = [
-        [poly.get(mono, RAT_ZERO) for poly in _BASIS_POLYS]
-        + [RAT_ONE if k == mi else RAT_ZERO for k in range(n)]
+        [poly.get(mono, 0) for poly in _BASIS_POLYS]
+        + [int(k == mi) for k in range(n)]
         for mi, mono in enumerate(_MONOMIALS)
     ]
     return [row[n:] for row in _row_reduce(rows)]
@@ -133,7 +133,7 @@ _MONO_TO_BASIS = _invert_basis_matrix()
 
 def _poly_to_vector(poly: dict) -> tuple:
     """Coordinates of a reduced polynomial in the T0..T8 basis."""
-    coords = [RAT_ZERO] * 9
+    coords = [0] * 9
     for mono, c in poly.items():
         mi = _MONOMIALS.index(mono)
         for e in range(9):
@@ -158,7 +158,7 @@ def build_cup_table() -> tuple:
             table[f][e] = vec
     for e in range(9):
         for f in range(9):
-            expected = RAT_ONE if e + f == 8 else RAT_ZERO
+            expected = int(e + f == 8)
             if table[e][f][8] != expected:
                 raise ValueError(
                     f"derived cup table breaks duality at (T{e}, T{f}): "
@@ -201,8 +201,11 @@ class TargetDatum:
         self.name = name
         self.dim = dim
         self.codims = tuple(codims)
+        self.basis_size = len(self.codims)
         self.divisors = tuple(divisors)
-        self.cup_table = tuple(tuple(row) for row in cup_table)
+        self.cup_table = tuple(
+            tuple(self.check_vector(v) for v in row) for row in cup_table
+        )
         self.dual = tuple(dual)
         self.anticanonical = tuple(anticanonical)
         self.decompositions = {m: tuple(terms) for m, terms in decompositions.items()}
@@ -210,7 +213,6 @@ class TargetDatum:
         self.rank = rank
         self.base = base
 
-        self.basis_size = len(self.codims)
         self.top = self.basis_size - 1
         self.weights = tuple(c - 1 for c in self.codims)
         self.nondivisors = tuple(
@@ -221,11 +223,10 @@ class TargetDatum:
             self.divisors.index(e) if e in self.divisors else None
             for e in range(self.basis_size)
         )
-        # sparse form of each table entry in normal form, for the engine's
-        # hot loop
+        # sparse form of each table entry, for the engine's hot loop
         self.cup_terms = tuple(
             tuple(
-                tuple((m, qnorm(c)) for m, c in enumerate(row) if c != 0)
+                tuple((m, c) for m, c in enumerate(row) if c != 0)
                 for row in rows
             )
             for rows in self.cup_table
@@ -233,20 +234,32 @@ class TargetDatum:
         self._validate()
         self.base_orders = self._derive_base_orders()
 
-    # -- ring operations ---------------------------------------------------
+    # -- operands and ring operations --------------------------------------
+
+    def check_index(self, e) -> int:
+        """``e`` if it is a basis index (an int, not a bool); else ValueError."""
+        if type(e) is not int or not 0 <= e < self.basis_size:
+            raise ValueError(f"{e!r} is not a basis index in 0..{self.basis_size - 1}")
+        return e
+
+    def check_vector(self, v) -> CohVector:
+        """A tuple or list of basis_size exact rationals as a tuple in normal
+        form (``rationals.qnorm``); anything else raises ValueError."""
+        if not isinstance(v, (tuple, list)) or len(v) != self.basis_size:
+            raise ValueError(f"{v!r} is not a cohomology vector of {self.basis_size}")
+        return tuple(map(qnorm, v))
 
     def basis_vector(self, e: int) -> CohVector:
-        return tuple(
-            RAT_ONE if k == e else RAT_ZERO for k in range(self.basis_size)
-        )
+        return tuple(int(k == e) for k in range(self.basis_size))
 
     def cup_basis(self, e: int, f: int) -> CohVector:
         return self.cup_table[e][f]
 
     def cup(self, u: CohVector, v: CohVector) -> CohVector:
-        """Bilinear extension of the basis table to arbitrary classes."""
-        out = [RAT_ZERO] * self.basis_size
-        for e, cu in enumerate(u):
+        """Bilinear extension of the basis table to ``check_vector`` classes."""
+        out = [0] * self.basis_size
+        v = self.check_vector(v)
+        for e, cu in enumerate(self.check_vector(u)):
             if cu == 0:
                 continue
             for f, cv in enumerate(v):
@@ -255,7 +268,7 @@ class TargetDatum:
                 c = cu * cv
                 for m, cm in self.cup_terms[e][f]:
                     out[m] += c * cm
-        return tuple(out)
+        return tuple(map(qnorm, out))
 
     def integrate(self, v: CohVector):
         """Integral over the target: the point-class coordinate."""
@@ -354,7 +367,7 @@ class TargetDatum:
                      if self.codims[f] == c - m]
                 )
                 for i, e in enumerate(level):
-                    unit = [RAT_ONE if k == i else RAT_ZERO for k in range(len(level))]
+                    unit = [int(k == i) for k in range(len(level))]
                     if unit in rows:
                         orders[e] = m
         return tuple(orders)
@@ -370,14 +383,14 @@ class TargetDatum:
                 raise ValueError("duality map does not complement codimension")
         for e in range(self.basis_size):
             for f in range(self.basis_size):
-                expected = RAT_ONE if f == self.dual[e] else RAT_ZERO
+                expected = int(f == self.dual[e])
                 if self.integrate(self.cup_table[e][f]) != expected:
                     raise ValueError(
                         f"pairing is not the expected permutation at ({e},{f})"
                     )
         by_codim: dict = {}
         for m, terms in self.decompositions.items():
-            total = [RAT_ZERO] * self.basis_size
+            total = [0] * self.basis_size
             for d, rho, c in terms:
                 if self.codims[d] != 1:
                     raise ValueError(f"decomposition of T{m} uses non-divisor T{d}")
@@ -385,7 +398,7 @@ class TargetDatum:
                     raise ValueError(f"decomposition of T{m} drops codim wrongly")
                 vec = self.cup_table[d][rho]
                 for i, x in enumerate(vec):
-                    total[i] += rat(c) * x
+                    total[i] += qnorm(c) * x
                 by_codim.setdefault(self.codims[m], []).append(vec)
             if tuple(total) != self.basis_vector(m):
                 raise ValueError(f"decomposition of T{m} does not reproduce it")
@@ -416,11 +429,11 @@ def _hilb_base_case(cls: CurveClass, ins: tuple):
     a, b = cls
     if b == 0:
         if ins == (3,):
-            return qnorm(rat(3, a * a))
+            return qdiv(3, a * a)
         if ins == (4,):
             return 0
         if ins == (5,):
-            return qnorm(rat(-3, a * a))
+            return qdiv(-3, a * a)
         return None
     if b == 1:
         if a > 2:
@@ -471,12 +484,7 @@ def p2_datum() -> TargetDatum:
     curves through 3d - 1 general points, which an independent closed
     recursion also computes; agreement of the two is a standing cross-check.
     """
-    zero = (RAT_ZERO, RAT_ZERO, RAT_ZERO)
-    one, h, pt = (
-        (RAT_ONE, RAT_ZERO, RAT_ZERO),
-        (RAT_ZERO, RAT_ONE, RAT_ZERO),
-        (RAT_ZERO, RAT_ZERO, RAT_ONE),
-    )
+    zero, one, h, pt = (0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)
     table = (
         (one, h, pt),
         (h, pt, zero),

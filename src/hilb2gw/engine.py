@@ -82,7 +82,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .chow import TargetDatum, hilb_datum
-from .rationals import RAT_ONE, RAT_ZERO, binom, qdiv, qnorm, rat_from_parts
+from .rationals import binom, qdiv, qnorm, rat_from_parts
 
 
 CACHE_SCHEMA = "hilb2gw-cache/1"
@@ -120,7 +120,7 @@ class LinearForm:
     """An affine form sum(coeff * unknown) + constant over invariant keys."""
 
     terms: dict = field(default_factory=dict)
-    constant: object = RAT_ZERO
+    constant: object = 0
 
     def is_zero(self) -> bool:
         return not self.terms and self.constant == 0
@@ -396,40 +396,31 @@ class Engine:
     def normalize(self, cls, insertions) -> LinearForm:
         """Expand insertions multilinearly into canonical keys.
 
-        ``insertions`` may mix basis indices (ints in 0..basis_size-1) and
-        cohomology vectors of length basis_size; anything else raises
-        ValueError, as does a key over the memo's insertion limit, even one
-        that the projection to the base plane would drop. The class must be
-        effective and nonzero; degree-0 invariants exist only inside
-        equation building, never as keys.
+        ``insertions`` may mix basis indices and cohomology vectors (tuples
+        or lists), as ``TargetDatum.check_index`` and ``check_vector`` accept
+        them; anything else raises ValueError, as does a key over the memo's
+        insertion limit, even one that the projection to the base plane
+        would drop. The class must be effective and nonzero; degree-0
+        invariants exist only inside equation building, never as keys.
+        Coefficients are in normal form and the constant is 0.
         """
         self._check_class(cls)
-        size = self.datum.basis_size
+        datum = self.datum
         indices = []
         vectors = []
         for ins in insertions:
-            if isinstance(ins, (bool, float)):
-                raise ValueError(f"insertion {ins!r} is not a basis index")
-            if isinstance(ins, int):
-                if not 0 <= ins < size:
-                    raise ValueError(
-                        f"basis index {ins} out of range 0..{size - 1}"
-                    )
-                indices.append(ins)
+            if isinstance(ins, (tuple, list)):
+                vec = datum.check_vector(ins)
+                vectors.append(tuple((e, c) for e, c in enumerate(vec) if c != 0))
             else:
-                if not isinstance(ins, (tuple, list)) or len(ins) != size:
-                    raise ValueError(
-                        f"insertion {ins!r} is neither a basis index nor a "
-                        f"cohomology vector of length {size}"
-                    )
-                vectors.append(tuple((e, c) for e, c in enumerate(ins) if c != 0))
+                indices.append(datum.check_index(ins))
         # basis indices are stripped once; only the vectors expand
         fixed = self._strip(cls, indices)
         if fixed is None:
-            return LinearForm({}, RAT_ZERO)
+            return LinearForm()
         bare0, w0, mult0 = fixed
         need = self._budget(cls) - w0
-        combos = [((), RAT_ONE)]
+        combos = [((), 1)]
         for pairs in vectors:
             combos = [
                 (idx + (e,), c * ce) for idx, c in combos for e, ce in pairs
@@ -445,8 +436,8 @@ class Engine:
             if self._vanishes(cls, ins):
                 continue
             key = (cls, ins)
-            terms[key] = terms.get(key, RAT_ZERO) + c * mult0 * mult
-        return LinearForm({k: v for k, v in terms.items() if v != 0}, RAT_ZERO)
+            terms[key] = terms.get(key, 0) + c * mult0 * mult
+        return LinearForm({k: qnorm(v) for k, v in terms.items() if v != 0})
 
     def _check_class(self, cls) -> None:
         if not self.datum.effective(cls):
@@ -494,19 +485,23 @@ class Engine:
 
         Returns ``((top - i, I_cls(T_x, T_y, T_i)), ...)`` over the i whose
         invariant is nonzero, the empty tuple when there is none; ``cls`` is
-        a nonzero effective class tuple and x, y are basis indices in either
-        order.  A row is derived from memo values, which are never
-        overwritten, so a cached row cannot go stale.
+        a nonzero effective class and x, y are basis indices in either
+        order, all checked on every call.  A row is derived from memo
+        values, which are never overwritten, so a cached row cannot go
+        stale.
         """
-        if x > y:
-            x, y = y, x
+        cls = tuple(cls)
+        self._check_class(cls)
+        self.datum.check_index(x)
+        self.datum.check_index(y)
+        return self._row(cls, x, y)
+
+    def _row(self, cls, x, y):
+        """``three_point_row`` without the checks, for the product loop."""
         key = (cls, x, y)
         row = self._rows.get(key)
         if row is None:
-            self._check_class(cls)
             d = self.datum
-            if not 0 <= x <= y < d.basis_size:
-                raise ValueError(f"basis indices {x}, {y} out of range")
             need = self._budget(cls) - self._weights[x] - self._weights[y]
             entries = []
             for i in range(d.basis_size):
@@ -538,7 +533,9 @@ class Engine:
         frame = self._check_frame(frame)
         extras = self._check_extras(extras)
         terms, const = self._build(cls, frame, extras, len(extras) + 3)
-        return LinearForm(terms, const)
+        return LinearForm(
+            {k: qnorm(v) for k, v in terms.items()}, qnorm(const)
+        )
 
     def wdvv_residual(self, cls, frame, extras):
         """Value of a fully resolved associativity relation; always zero."""
@@ -553,19 +550,14 @@ class Engine:
         if len(frame) != 4:
             raise ValueError("a frame has exactly four basis indices")
         for e in frame:
-            if (
-                type(e) is not int
-                or not 0 <= e < self.datum.basis_size
-                or self._codims[e] == 0
-            ):
+            if self._codims[self.datum.check_index(e)] == 0:
                 raise ValueError(f"frame entry {e} is not a positive-codimension index")
         return frame
 
     def _check_extras(self, extras):
         extras = tuple(extras)
-        size = self.datum.basis_size
         for e in extras:
-            if type(e) is not int or not 0 <= e < size or self._codims[e] < 2:
+            if self._codims[self.datum.check_index(e)] < 2:
                 raise ValueError(f"extra {e!r} is not a non-divisor basis index")
         return tuple(sorted(extras))
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .engine import Engine
-from .rationals import binom
+from .rationals import binom, check_int
 
 
 class NonIntegralCount(Exception):
@@ -62,9 +62,11 @@ class CountTable:
 def genus_to_class(d: int, g: int):
     """Curve class (d-g-1, d) of degree-d genus-g hyperelliptic curves.
 
-    Needs 0 <= g <= d-1 so both coordinates are nonnegative; the diagonal
-    pairing 2(b-a) = 2g+2 then counts the branch points.
+    Needs ints with 0 <= g <= d-1 so both coordinates are nonnegative; the
+    diagonal pairing 2(b-a) = 2g+2 then counts the branch points.
     """
+    check_int(d, "the degree")
+    check_int(g, "the genus")
     if d < 1:
         raise ValueError("degree must be at least 1")
     if not 0 <= g <= d - 1:
@@ -75,6 +77,7 @@ def genus_to_class(d: int, g: int):
 def invariant_I(engine: Engine, d: int, g: int, l: int = 0):
     """I(d, g, l): the exact invariant with l conjugate pairs."""
     cls = genus_to_class(d, g)
+    check_int(l, "the pair count")
     if l < 0 or 3 * (d - l) + 1 < 0:
         raise ValueError(f"pair count must lie in 0..{d} for degree {d}")
     insertions = [8] * l + [4] * (3 * (d - l) + 1)
@@ -87,6 +90,7 @@ def invert_counts(engine: Engine, d: int, l: int = 0) -> CountTable:
     Raises NonIntegralCount or NegativeCount when an entry fails the
     integrality or positivity sanity gate.
     """
+    check_int(d, "the degree")
     if d < 2:
         raise ValueError("inversion is defined for degrees >= 2")
     table = CountTable(d, l)
@@ -114,6 +118,8 @@ def severi_degree(engine: Engine, genus: int, d: int):
     formula has no room for two conjugate pairs); genus 1 is E^1(d, 1)
     and needs d >= 3.
     """
+    check_int(genus, "the genus")
+    check_int(d, "the degree")
     if genus == 0:
         if d < 1:
             raise ValueError("degree must be at least 1")

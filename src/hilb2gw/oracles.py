@@ -14,6 +14,7 @@ from functools import lru_cache
 
 from .chow import p2_datum
 from .engine import Engine
+from .rationals import check_int
 
 
 @lru_cache(maxsize=None)
@@ -27,6 +28,7 @@ def kontsevich_nd(d: int) -> int:
     Each degree builds its row of binomials C(3d-4, k) once, getting
     C(n, k+1) from C(n, k) with one multiplication and one exact division.
     """
+    check_int(d, "the degree")
     if d < 1:
         raise ValueError("the count is defined for degrees >= 1")
     nd = [0, 1]  # nd[e] = N_e
@@ -53,6 +55,7 @@ def engine_nd(d: int, engine: Engine | None = None) -> int:
     fresh one otherwise. The exact rational result is returned as an int
     after checking integrality.
     """
+    check_int(d, "the degree")
     if d < 1:
         raise ValueError("the count is defined for degrees >= 1")
     if engine is None:

@@ -14,18 +14,20 @@ Products are bilinear: the coefficient of q1^a q2^b in g1 * g2 is
 resolved once per engine (``Engine.three_point_row``) and then contracted
 with the sparse supports of the operands.
 
-Every coefficient of a ``ScalarSeries`` or ``QSeries`` is in the package's
-normal form (``rationals.qnorm``): a plain ``int`` when integral and a
-``Rat`` only for a true fraction.
+Every coefficient of a ``ScalarSeries`` or ``QSeries`` passes through
+``rationals.qnorm`` on construction, so it is in the package's normal form
+(a plain ``int`` when integral, a ``Rat`` only for a true fraction) and any
+value that is not an exact rational raises ValueError.  Operands are basis
+indices or cohomology vectors, checked by ``TargetDatum.check_index`` and
+``TargetDatum.check_vector``; truncation bounds are non-negative ints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from numbers import Rational
 
 from .chow import CohVector, TargetDatum
-from .rationals import Rat, qnorm, rat
+from .rationals import Rat, check_int, qnorm
 
 __all__ = [
     "ScalarSeries",
@@ -46,29 +48,35 @@ __all__ = [
 # ----------------------------------------------------------------------
 
 
+def _check_truncation(n1, n2) -> None:
+    for n in (n1, n2):
+        if check_int(n, "a truncation bound") < 0:
+            raise ValueError("truncation bounds must be non-negative")
+
+
 class ScalarSeries:
     """Polynomial in q1, q2 truncated to degrees (n1, n2), exact coefficients."""
 
     __slots__ = ("n1", "n2", "terms")
 
     def __init__(self, n1: int, n2: int, terms: dict | None = None):
-        if n1 < 0 or n2 < 0:
-            raise ValueError("truncation bounds must be non-negative")
+        _check_truncation(n1, n2)
         self.n1 = n1
         self.n2 = n2
         self.terms: dict = {}
         if terms:
             for (a, b), c in terms.items():
-                if 0 <= a <= n1 and 0 <= b <= n2 and c != 0:
-                    self.terms[(a, b)] = qnorm(c)
+                c = qnorm(c)
+                if c and 0 <= a <= n1 and 0 <= b <= n2:
+                    self.terms[(a, b)] = c
 
     @classmethod
     def constant(cls, n1: int, n2: int, value) -> "ScalarSeries":
-        return cls(n1, n2, {(0, 0): rat(value)})
+        return cls(n1, n2, {(0, 0): value})
 
     @classmethod
     def monomial(cls, n1: int, n2: int, a: int, b: int, value=1) -> "ScalarSeries":
-        return cls(n1, n2, {(a, b): rat(value)})
+        return cls(n1, n2, {(a, b): value})
 
     def coefficient(self, a: int, b: int):
         return self.terms.get((a, b), 0)
@@ -101,7 +109,7 @@ class ScalarSeries:
                         k = (a, b)
                         terms[k] = terms.get(k, 0) + c1 * c2
             return ScalarSeries(self.n1, self.n2, terms)
-        c = qnorm(rat(other))
+        c = qnorm(other)
         return ScalarSeries(
             self.n1, self.n2, {k: v * c for k, v in self.terms.items()}
         )
@@ -114,9 +122,6 @@ class ScalarSeries:
             and (self.n1, self.n2) == (other.n1, other.n2)
             and self.terms == other.terms
         )
-
-    def __hash__(self):  # pragma: no cover - not used as dict key
-        return hash((self.n1, self.n2, tuple(sorted(self.terms.items()))))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -137,36 +142,14 @@ class ScalarSeries:
 
 def f_series(n1: int, n2: int = 0) -> ScalarSeries:
     """The series q1/(1 - q1) = q1 + q1^2 + ... truncated at degree n1."""
-    return ScalarSeries(n1, n2, {(a, 0): 1 for a in range(1, n1 + 1)})
+    f = ScalarSeries(n1, n2)
+    f.terms = {(a, 0): 1 for a in range(1, n1 + 1)}
+    return f
 
 
 # ----------------------------------------------------------------------
 # cohomology-valued series
 # ----------------------------------------------------------------------
-
-
-def _as_vector(datum: TargetDatum, g) -> CohVector:
-    """A basis index or a cohomology vector as a vector in normal form.
-
-    Anything else (an out-of-range index, a bool or float, a vector of the
-    wrong length or with an entry that is not an exact rational) raises
-    ValueError.
-    """
-    size = datum.basis_size
-    if isinstance(g, (bool, float)):
-        raise ValueError(f"{g!r} is not a basis index")
-    if isinstance(g, int):
-        if not 0 <= g < size:
-            raise ValueError(f"basis index {g} out of range 0..{size - 1}")
-        return tuple(int(k == g) for k in range(size))
-    if not isinstance(g, (tuple, list)) or len(g) != size:
-        raise ValueError(
-            f"{g!r} is neither a basis index nor a cohomology vector of "
-            f"length {size}"
-        )
-    if any(isinstance(c, bool) or not isinstance(c, Rational) for c in g):
-        raise ValueError(f"cohomology vector {g!r} has a non-rational entry")
-    return tuple(qnorm(rat(c)) for c in g)
 
 
 def _vec_add(u: CohVector, v: CohVector) -> CohVector:
@@ -183,27 +166,28 @@ class QSeries:
     __slots__ = ("datum", "n1", "n2", "coeffs")
 
     def __init__(self, datum: TargetDatum, n1: int, n2: int, coeffs: dict | None = None):
-        if n1 < 0 or n2 < 0:
-            raise ValueError("truncation bounds must be non-negative")
+        _check_truncation(n1, n2)
         self.datum = datum
         self.n1 = n1
         self.n2 = n2
         self.coeffs: dict = {}
         if coeffs:
             for (a, b), v in coeffs.items():
-                if 0 <= a <= n1 and 0 <= b <= n2:
-                    v = tuple(map(qnorm, v))
-                    if any(v):
-                        self.coeffs[(a, b)] = v
+                v = datum.check_vector(v)
+                if any(v) and 0 <= a <= n1 and 0 <= b <= n2:
+                    self.coeffs[(a, b)] = v
 
     @classmethod
     def from_vector(cls, datum: TargetDatum, n1: int, n2: int, g) -> "QSeries":
-        return cls(datum, n1, n2, {(0, 0): _as_vector(datum, g)})
+        """The constant series of a basis index or a cohomology vector."""
+        if not isinstance(g, (tuple, list)):
+            g = datum.basis_vector(datum.check_index(g))
+        return cls(datum, n1, n2, {(0, 0): g})
 
     @classmethod
     def from_scalar(cls, datum: TargetDatum, s: ScalarSeries) -> "QSeries":
         """Embed a scalar series as a multiple of the fundamental class."""
-        unit = _as_vector(datum, 0)
+        unit = datum.basis_vector(0)
         return cls(
             datum,
             s.n1,
@@ -242,7 +226,7 @@ class QSeries:
                         sv = _vec_scale(v, c)
                         coeffs[k] = _vec_add(coeffs[k], sv) if k in coeffs else sv
             return QSeries(self.datum, self.n1, self.n2, coeffs)
-        c = qnorm(rat(s))
+        c = qnorm(s)
         return QSeries(
             self.datum,
             self.n1,
@@ -256,9 +240,6 @@ class QSeries:
             and (self.n1, self.n2) == (other.n1, other.n2)
             and self.coeffs == other.coeffs
         )
-
-    def __hash__(self):  # pragma: no cover - not used as dict key
-        return hash((self.n1, self.n2, tuple(sorted(self.coeffs.items()))))
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -313,7 +294,7 @@ def _add_product(engine, out: dict, u, v, a0: int, b0: int, n1: int, n2: int) ->
         return
     datum = engine.datum
     size = datum.basis_size
-    row = engine.three_point_row
+    row = engine._row
     cup_terms = datum.cup_terms
     for a in range(n1 - a0 + 1):
         for b in range(n2 - b0 + 1):
@@ -339,14 +320,9 @@ def small_product(engine, g1, g2, n1: int = 4, n2: int = 2) -> QSeries:
     ``sum_i I_{(a,b)}(g1, g2, T_i) . T_{8-i}`` with i running over the whole
     basis (fundamental-class insertions vanish on their own).  ``g1`` and
     ``g2`` are basis indices or cohomology vectors; anything else raises
-    ValueError.
+    ValueError.  This is ``star`` of two constant operands.
     """
-    datum = engine.datum
-    v1 = _as_vector(datum, g1)
-    v2 = _as_vector(datum, g2)
-    coeffs: dict = {}
-    _add_product(engine, coeffs, v1, v2, 0, 0, n1, n2)
-    return QSeries(datum, n1, n2, coeffs)
+    return star(engine, g1, g2, n1, n2)
 
 
 def star(engine, left, right, n1: int = 4, n2: int = 2) -> QSeries:

@@ -1,28 +1,23 @@
 """Exact rational scalars and shared binomial coefficients.
 
 All arithmetic in this package is arbitrary-precision rational; no floating
-point is used anywhere. ``gmpy2.mpq`` is preferred for speed, with
-``fractions.Fraction`` as a drop-in fallback so the package stays importable
-without the C extension.
+point is used anywhere. The rational type ``Rat`` is the standard library's
+``fractions.Fraction``.
 
-Normal form: inside the engine (memo values, solved values, base cases, the
-sparse cup coefficients) an exact scalar is a plain ``int`` when it is
-integral and a ``Rat`` only when it is a true fraction. ``qnorm`` and
-``qdiv`` produce that form; ``int`` carries ``numerator`` and ``denominator``
-too, so code that inspects either works on both kinds.
+Normal form: every exact scalar the package stores or returns (memo values,
+solved values, base cases, cup-table entries, invariants, series
+coefficients) is a plain ``int`` when it is integral and a ``Rat`` only
+when it is a true fraction. ``qnorm`` is the one gate into that form for
+every scalar, computed or supplied by a caller, and ``qdiv`` divides into
+it; ``int`` carries ``numerator`` and ``denominator`` too, so code that
+inspects either works on both kinds.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction as Rat
 from math import comb
-
-try:
-    from gmpy2 import mpq as Rat
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    from fractions import Fraction as Rat
-
-RAT_ZERO = Rat(0)
-RAT_ONE = Rat(1)
+from numbers import Rational
 
 
 def rat(num: int, den: int = 1):
@@ -31,12 +26,19 @@ def rat(num: int, den: int = 1):
 
 
 def qnorm(x):
-    """The normal form of an exact scalar: ``int`` if integral, else ``Rat``."""
+    """The normal form of an exact scalar: ``int`` if integral, else ``Rat``.
+
+    An ``int`` is returned as it is, a ``Rat`` is normalised and any other
+    ``numbers.Rational`` is converted; a bool, a float, a string or anything
+    else raises ValueError.
+    """
     if type(x) is int:
         return x
-    if x.denominator == 1:
-        return int(x.numerator)
-    return x
+    if type(x) is Rat:
+        return x.numerator if x.denominator == 1 else x
+    if isinstance(x, Rational) and not isinstance(x, bool):
+        return qnorm(Rat(x.numerator, x.denominator))
+    raise ValueError(f"{x!r} is not an exact rational")
 
 
 def qdiv(a, b):
@@ -45,6 +47,14 @@ def qdiv(a, b):
         q, r = divmod(a, b)
         return Rat(a, b) if r else q
     return qnorm(a / b)
+
+
+def check_int(value, what: str) -> int:
+    """``value`` if it is an ``int`` (not a bool); anything else raises
+    ValueError naming ``what``."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def binom(n: int, k: int) -> int:

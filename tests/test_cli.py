@@ -77,6 +77,17 @@ def test_invariant_usage_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "cls, insertions",
+    [("a,4", "4"), ("1,1", "4,,8"), ("1,1", "4x-1"), ("1,1", "abc")],
+)
+def test_invariant_malformed_arguments_are_usage_errors(capsys, cls, insertions):
+    code, out, err = run(
+        capsys, "invariant", "--class", cls, "--insertions", insertions
+    )
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_invariant_bounds_the_insertion_total(capsys):
     """The total is checked before any repeat is expanded, so a huge repeat
     count is a usage error, not a list of that many elements."""
@@ -334,6 +345,43 @@ def test_cache_import_rejects_nonzero_value_of_a_killed_key(capsys, tmp_path):
     path.write_text(json.dumps({"target": "hilb2p2", "entries": [entry]}))
     code, _, err = run(capsys, "cache", "import", str(path))
     assert code == 4 and "base plane" in err
+
+
+def test_cache_json_reports(capsys, tmp_path):
+    first = tmp_path / "first.json"
+    second = tmp_path / "second.json"
+    code, out, _ = run(
+        capsys, "cache", "export", str(first), "--degree", "2", "--json"
+    )
+    payload = json.loads(out)
+    assert code == 0 and payload["command"] == "cache-export"
+    assert payload["path"] == str(first) and payload["entries"] > 0
+    code, out, _ = run(
+        capsys, "cache", "import", str(first), "--json", "--out", str(second)
+    )
+    imported = json.loads(out)
+    assert code == 0 and imported["command"] == "cache-import"
+    assert imported["entries"] == payload["entries"]
+    assert imported["out"] == str(second)
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_warm_cache_gives_the_same_hyperelliptic_and_qcoh_output(capsys, tmp_path):
+    path = tmp_path / "warm.json"
+    code, _, _ = run(capsys, "cache", "export", str(path), "--degree", "3")
+    assert code == 0
+    for argv in (
+        ("hyperelliptic", "--degree", "3", "--pairs", "1", "--csv"),
+        ("qcoh", "--n1", "2", "--n2", "1", "--json"),
+    ):
+        code, cold, _ = run(capsys, *argv)
+        assert code == 0
+        code, warm, _ = run(capsys, *argv, "--cache", str(path))
+        assert code == 0
+        if argv[0] == "qcoh":
+            cold, warm = json.loads(cold), json.loads(warm)
+            del cold["seconds"], warm["seconds"]
+        assert warm == cold, argv
 
 
 def test_cache_speeds_up_invariant(capsys, tmp_path):

@@ -220,11 +220,16 @@ def test_star_rejects_bad_operands(engine, bad):
 
 
 def test_three_point_row_validates_on_a_miss():
+    """Also on a hit: 1.0 and True equal 1, so they would find its row."""
     eng = Engine()
     with pytest.raises(ValueError):
         eng.three_point_row((0, 0), 1, 3)
-    with pytest.raises(ValueError):
-        eng.three_point_row((1, 1), 3, 9)
+    assert eng.three_point_row([1, 1], 1, 3) == eng.three_point_row((1, 1), 3, 1)
+    for bad in (9, -1, 1.0, True, "1", None):
+        with pytest.raises(ValueError):
+            eng.three_point_row((1, 1), 3, bad)
+        with pytest.raises(ValueError):
+            eng.three_point_row((1, 1), bad, 3)
     assert eng.three_point_row((1, 1), 8, 1) == eng.three_point_row((1, 1), 1, 8)
 
 
