@@ -178,7 +178,7 @@ CurveClass = tuple  # lattice point in the effective cone
 class TargetDatum:
     """Everything the reconstruction engine needs about one target variety.
 
-    Immutable after construction; freely shareable across threads. The
+    Immutable after construction, so engines may share one. The
     constructor validates the multiplication table against the duality
     property and checks that the divisor-decomposition data reproduces each
     basis class exactly and spans every graded piece it claims to cover.

@@ -110,6 +110,14 @@ def _parse_insertions(text: str, top: int):
     return out
 
 
+def _engine(args) -> Engine:
+    """A fresh engine, preloaded from ``--cache`` when given."""
+    engine = Engine()
+    if args.cache:
+        engine.load_cache(args.cache)
+    return engine
+
+
 def _emit_json(payload: dict) -> None:
     payload = {"schema": SCHEMA, **payload}
     json.dump(payload, sys.stdout, sort_keys=True, separators=(",", ":"))
@@ -123,11 +131,8 @@ def _emit_json(payload: dict) -> None:
 
 def _cmd_invariant(args) -> int:
     cls = _parse_class(args.cls)
-    datum = hilb_datum()
-    ins = _parse_insertions(args.insertions, datum.top)
-    engine = Engine(datum)
-    if args.cache:
-        engine.load_cache(args.cache)
+    ins = _parse_insertions(args.insertions, hilb_datum().top)
+    engine = _engine(args)
     t0 = time.perf_counter()
     value = engine.invariant(cls, ins)
     elapsed = time.perf_counter() - t0
@@ -157,9 +162,7 @@ def _cmd_hyperelliptic(args) -> int:
     # no fixture or oracle covers three or more conjugate pairs
     if not 0 <= args.pairs <= min(2, args.degree):
         raise ValueError("--pairs must lie in 0..min(2, degree)")
-    engine = Engine()
-    if args.cache:
-        engine.load_cache(args.cache)
+    engine = _engine(args)
     t0 = time.perf_counter()
     table = invert_counts(engine, args.degree, args.pairs)
     elapsed = time.perf_counter() - t0
@@ -191,9 +194,7 @@ def _cmd_tables(args) -> int:
     dmax = args.max_degree
     if not 2 <= dmax <= 7:
         raise ValueError("--max-degree must lie in 2..7")
-    engine = Engine()
-    if args.cache:
-        engine.load_cache(args.cache)
+    engine = _engine(args)
     t0 = time.perf_counter()
     results = []
     mismatch = None
@@ -264,11 +265,7 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_qcoh(args) -> int:
-    if args.n1 < 0 or args.n2 < 0:
-        raise ValueError("truncation bounds must be non-negative")
-    engine = Engine()
-    if args.cache:
-        engine.load_cache(args.cache)
+    engine = _engine(args)
     t0 = time.perf_counter()
     table = verify_product_table(engine, args.n1, args.n2)
     relations = verify_relations(engine, args.n1, args.n2)
@@ -311,8 +308,6 @@ def _cmd_qcoh(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    if args.nd < 1:
-        raise ValueError("--nd must be at least 1")
     value = kontsevich_nd(args.nd)
     checked = None
     if args.check_engine:
@@ -383,10 +378,6 @@ def _cmd_cache(args) -> int:
 
 
 def _add_common(sub, cache_flag: bool = True) -> None:
-    sub.add_argument(
-        "--threads", type=int, default=1,
-        help="accepted for compatibility; ignored (the engine is single-threaded)",
-    )
     sub.add_argument("--json", action="store_true", help="emit one JSON object")
     if cache_flag:
         sub.add_argument("--cache", help="preload a memo cache file")
@@ -438,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also recompute via the generic engine and compare",
     )
-    p.add_argument("--json", action="store_true", help="emit one JSON object")
+    _add_common(p, cache_flag=False)
     p.set_defaults(func=_cmd_oracle)
 
     p = subs.add_parser("cache", help="export or import the memo store")

@@ -82,7 +82,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .chow import TargetDatum, hilb_datum
-from .rationals import binom, qdiv, qnorm, rat_from_parts
+from .rationals import binom, check_int, qdiv, qnorm, rat_from_parts
 
 
 CACHE_SCHEMA = "hilb2gw-cache/1"
@@ -285,11 +285,11 @@ class _StageState:
 class Engine:
     """Reconstruction engine over one TargetDatum, with a persistent memo.
 
-    ``threads`` is accepted for compatibility and ignored: the engine always
-    runs on the calling thread.
+    Each kind of input passes one gate that raises ValueError on a bad value:
+    ``_check_class``, ``normalize``, ``_check_frame`` and ``_check_extras``.
     """
 
-    def __init__(self, datum: TargetDatum | None = None, threads: int = 1):
+    def __init__(self, datum: TargetDatum | None = None):
         self.datum = datum if datum is not None else hilb_datum()
         self.memo = MemoStore(self.datum.nondivisors)
         self._budgets: dict = {}
@@ -303,7 +303,6 @@ class Engine:
         self._vanishes = d.vanishes
         self._codims = d.codims
         self._weights = d.weights
-        self._dual = d.dual
         self._cup_terms = d.cup_terms
         # split-sum diagonal: (e, dual, both codims, both packed codes, the
         # code 0 standing for a divisor end), degenerate ends dropped
@@ -404,11 +403,11 @@ class Engine:
         invariants exist only inside equation building, never as keys.
         Coefficients are in normal form and the constant is 0.
         """
-        self._check_class(cls)
+        cls = self._check_class(cls)
         datum = self.datum
         indices = []
         vectors = []
-        for ins in insertions:
+        for ins in _as_tuple(insertions, "insertions"):
             if isinstance(ins, (tuple, list)):
                 vec = datum.check_vector(ins)
                 vectors.append(tuple((e, c) for e, c in enumerate(vec) if c != 0))
@@ -439,11 +438,14 @@ class Engine:
             terms[key] = terms.get(key, 0) + c * mult0 * mult
         return LinearForm({k: qnorm(v) for k, v in terms.items() if v != 0})
 
-    def _check_class(self, cls) -> None:
+    def _check_class(self, cls) -> tuple:
+        """The class as a tuple if effective and nonzero, else ValueError."""
+        cls = _as_tuple(cls, "a class")
         if not self.datum.effective(cls):
             raise ValueError(f"class {cls} is not effective")
         if self.datum.is_zero_class(cls):
             raise ValueError("the zero class carries no invariant keys")
+        return cls
 
     # ------------------------------------------------------------------
     # values
@@ -473,7 +475,7 @@ class Engine:
 
         The value is in normal form: an ``int`` when integral, else a Rat.
         """
-        cls = tuple(cls)
+        cls = self._check_class(cls)
         form = self.normalize(cls, insertions)
         total = 0
         for key, coeff in sorted(form.terms.items()):
@@ -490,8 +492,7 @@ class Engine:
         values, which are never overwritten, so a cached row cannot go
         stale.
         """
-        cls = tuple(cls)
-        self._check_class(cls)
+        cls = self._check_class(cls)
         self.datum.check_index(x)
         self.datum.check_index(y)
         return self._row(cls, x, y)
@@ -528,8 +529,7 @@ class Engine:
         by construction no key of a later stage can occur. Frames with equal
         second and fourth entries give the zero form.
         """
-        cls = tuple(cls)
-        self._check_class(cls)
+        cls = self._check_class(cls)
         frame = self._check_frame(frame)
         extras = self._check_extras(extras)
         terms, const = self._build(cls, frame, extras, len(extras) + 3)
@@ -538,15 +538,18 @@ class Engine:
         )
 
     def wdvv_residual(self, cls, frame, extras):
-        """Value of a fully resolved associativity relation; always zero."""
-        cls = tuple(cls)
-        self._check_class(cls)
+        """Value of a fully resolved associativity relation, always zero: the
+        relation of ``build_equation`` with each symbolic key resolved."""
+        cls = self._check_class(cls)
         frame = self._check_frame(frame)
-        _, const = self._build(cls, frame, self._check_extras(extras), None)
-        return const
+        extras = self._check_extras(extras)
+        terms, const = self._build(cls, frame, extras, len(extras) + 3)
+        for key, coeff in terms.items():
+            const += coeff * self.value_of(key)
+        return qnorm(const)
 
     def _check_frame(self, frame):
-        frame = tuple(frame)
+        frame = _as_tuple(frame, "a frame")
         if len(frame) != 4:
             raise ValueError("a frame has exactly four basis indices")
         for e in frame:
@@ -555,14 +558,15 @@ class Engine:
         return frame
 
     def _check_extras(self, extras):
-        extras = tuple(extras)
+        extras = _as_tuple(extras, "extras")
         for e in extras:
             if self._codims[self.datum.check_index(e)] < 2:
                 raise ValueError(f"extra {e!r} is not a non-divisor basis index")
         return tuple(sorted(extras))
 
     def _build(self, cls, frame, extras, stage_n):
-        """Assemble S(i,j,k,l) - S(i,l,j,k) over the memo and stage unknowns."""
+        """Assemble S(i,j,k,l) - S(i,l,j,k) at stage (cls, stage_n): the
+        stage keys outside the memo stay symbolic, the rest resolve."""
         i, j, k, l = frame
         if j == l:
             return {}, 0
@@ -588,18 +592,15 @@ class Engine:
                     ins_t, mult = canon
                     coeff = sign * cm * mult
                     key = (cls, ins_t)
-                    if stage_n is not None and len(ins_t) == stage_n:
-                        v_known = memo_get(key)
-                        if v_known is None:
-                            terms[key] = terms.get(key, 0) + coeff
-                            continue
-                        const += coeff * v_known
+                    if len(ins_t) > stage_n:
+                        raise AssertionError(
+                            f"key {key} outside stage (cls={cls}, n={stage_n})"
+                        )
+                    val = value_of(key) if len(ins_t) < stage_n else memo_get(key)
+                    if val is None:
+                        terms[key] = terms.get(key, 0) + coeff
                     else:
-                        if stage_n is not None and len(ins_t) > stage_n:
-                            raise AssertionError(
-                                f"key {key} outside stage (cls={cls}, n={stage_n})"
-                            )
-                        const += coeff * value_of(key)
+                        const += coeff * val
 
             # split terms over beta1 + beta2 = cls, both nonzero effective,
             # walked along the frame's plan (see _plan): only the (split, e)
@@ -774,13 +775,16 @@ class Engine:
     # ------------------------------------------------------------------
 
     def solve_stage(self, cls, n) -> None:
-        """Solve every admissible key of stage (cls, n) into the memo."""
-        cls = tuple(cls)
-        self._check_class(cls)
-        keys = tuple(
-            k for k in self._stage_keys(cls, n) if self.memo.get(k) is None
-        )
-        if keys:
+        """Solve every admissible key of stage (cls, n >= 0) into the memo;
+        the keys of a stage with n <= 2 are base cases, stored by value_of."""
+        cls = self._check_class(cls)
+        if check_int(n, "a stage size") < 0:
+            raise ValueError(f"a stage size must be non-negative, got {n}")
+        keys = [k for k in self._stage_keys(cls, n) if self.memo.get(k) is None]
+        if n <= 2:
+            for key in keys:
+                self.value_of(key)
+        elif keys:
             self._solve_for(cls, n, keys)
 
     def _solve_for(self, cls, n, requested) -> None:
@@ -789,19 +793,15 @@ class Engine:
                 f"stage (cls={cls}, n={n}) reached the solver; base cases "
                 "and dimension vanishing must cover every key with n <= 2"
             )
-        memo = self.memo
-        need = [k for k in requested if k not in memo]
-        if not need:
-            return
         st = _StageState()
-        self._harvest_closure(cls, st, need)
+        self._harvest_closure(cls, st, requested)
         self._drain(cls, n, st)
         # the memo gains no key of this stage during the visit, so every
         # solved key is new to it
         solved = st.solver.solved
         for key, val in solved.items():
-            memo.set(key, val)
-        missing = [k for k in need if k not in solved]
+            self.memo.set(key, val)
+        missing = [k for k in requested if k not in solved]
         if missing:
             raise UnderdeterminedStage(
                 f"stage (cls={cls}, n={n}) underdetermined; "
@@ -1053,6 +1053,14 @@ class Engine:
             self.memo.set((cls, ins), val)
             count += 1
         return count
+
+
+def _as_tuple(x, what):
+    """``tuple(x)``; a value that is not a sequence raises ValueError."""
+    try:
+        return tuple(x)
+    except TypeError:
+        raise ValueError(f"{what} must be a sequence, got {x!r}") from None
 
 
 def _merged(sorted_tuple, small):

@@ -1,7 +1,12 @@
 """CLI tests: every subcommand, both output formats, the documented exit
-codes, and cache round-trips. All invocations run in-process."""
+codes, and cache round-trips. Every invocation runs in-process except
+the one test of the ``python -m hilb2gw`` entry point."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -245,6 +250,19 @@ def test_oracle_rejects_nonpositive(capsys):
     assert code == 2
 
 
+def test_module_entry_point_runs_the_cli():
+    """``python -m hilb2gw`` runs the same CLI in a fresh interpreter."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hilb2gw", "oracle", "--nd", "3"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "12\n"
+
+
 # ----------------------------------------------------------------------
 # cache
 # ----------------------------------------------------------------------
@@ -282,13 +300,25 @@ def test_cache_import_rejects_unknown_schema_tag(capsys, tmp_path):
     assert code == 2 and "cache format error" in err and "schema" in err
 
 
-def test_threads_option_is_an_accepted_no_op(capsys):
-    for threads in ("1", "4"):
-        code, out, _ = run(
-            capsys, "invariant", "--class", "1,1", "--insertions", "6,7",
-            "--threads", threads,
-        )
-        assert code == 0 and out.strip() == "2"
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariant", "--class", "1,1", "--insertions", "6,7"],
+        ["hyperelliptic", "--degree", "3"],
+        ["tables", "--max-degree", "2"],
+        ["qcoh"],
+        ["oracle", "--nd", "3"],
+        ["cache", "export", "out.json"],
+    ],
+    ids=lambda argv: "-".join(argv[:2] if argv[0] == "cache" else argv[:1]),
+)
+def test_threads_option_is_an_unknown_option(capsys, argv):
+    """The engine is single-threaded and takes no thread count, so
+    ``--threads`` is a usage error like any unknown option."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--threads", "4"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads" in capsys.readouterr().err
 
 
 def test_cache_import_rejects_oversized_numbers(capsys, tmp_path):

@@ -121,6 +121,59 @@ def test_invariant_rejects_bad_insertions(engine, bad):
         engine.invariant((1, 1), [3] + bad)
 
 
+# One call per entry point that takes a curve class, on a fresh engine; each
+# returns something comparable (solve_stage returns the memo it filled).
+_CLASS_ENTRY_POINTS = {
+    "normalize": lambda eng, cls: eng.normalize(cls, [3, 8]),
+    "invariant": lambda eng, cls: eng.invariant(cls, [3, 8]),
+    "three_point_row": lambda eng, cls: eng.three_point_row(cls, 1, 3),
+    "build_equation": lambda eng, cls: eng.build_equation(cls, (1, 3, 4, 5), ()),
+    "wdvv_residual": lambda eng, cls: eng.wdvv_residual(cls, (1, 3, 4, 5), ()),
+    "solve_stage": lambda eng, cls: (
+        eng.solve_stage(cls, 3), list(eng.memo.items())
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_CLASS_ENTRY_POINTS))
+def test_every_class_entry_point_passes_one_gate(entry):
+    """A class given as a list acts as the same tuple at every entry point,
+    and every bad class raises ValueError, never a bare TypeError."""
+    call = _CLASS_ENTRY_POINTS[entry]
+    assert call(Engine(), [1, 1]) == call(Engine(), (1, 1))
+    for bad in (5, None, 1.5, "11", (1,), (1, -1), (0, 0)):
+        with pytest.raises(ValueError):
+            call(Engine(), bad)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda eng: eng.invariant(5, [3]),
+        lambda eng: eng.invariant((1, 1), 5),
+        lambda eng: eng.normalize((1, 1), 5),
+        lambda eng: eng.three_point_row(5, 3, 8),
+        lambda eng: eng.build_equation((1, 1), 5, ()),
+        lambda eng: eng.build_equation((1, 1), (1, 5, 7, 7), 5),
+        lambda eng: eng.wdvv_residual((1, 1), (1, 3, 4, 5), 5),
+        lambda eng: eng.solve_stage(5, 3),
+        lambda eng: eng.solve_stage((1, 1), "3"),
+        lambda eng: eng.solve_stage((1, 1), 3.0),
+        lambda eng: eng.solve_stage((1, 1), True),
+        lambda eng: eng.solve_stage((1, 1), -1),
+    ],
+    ids=[
+        "invariant-class", "invariant-insertions", "normalize-insertions",
+        "row-class", "build-frame", "build-extras", "residual-extras",
+        "stage-class", "stage-str", "stage-float", "stage-bool",
+        "stage-negative",
+    ],
+)
+def test_non_sequence_and_bad_stage_inputs_raise_value_error(engine, call):
+    with pytest.raises(ValueError):
+        call(engine)
+
+
 # ----------------------------------------------------------------------
 # equation building
 # ----------------------------------------------------------------------
@@ -607,6 +660,26 @@ def test_solve_stage_fills_every_admissible_key():
         eng = Engine(datum)
         solve(eng)
         _assert_every_reached_stage_closes(eng)
+
+
+def test_solve_stage_stores_low_stages_as_base_cases():
+    """Every key of a stage with n <= 2 is a base case: solve_stage stores
+    it without a stage visit, where it once reached the solver and raised
+    UnderdeterminedStage."""
+    eng = Engine()
+
+    def no_stage(*args):
+        raise AssertionError(f"stage visit {args[:2]}")
+
+    eng._solve_for = no_stage
+    stored = 0
+    for cls in ((1, 0), (0, 1), (1, 1), (2, 1), (1, 3), (4, 2)):
+        for n in (0, 1, 2):
+            eng.solve_stage(cls, n)
+            for key in eng._stage_keys(cls, n):
+                assert eng.memo.get(key) == eng.datum.base_case(*key), key
+                stored += 1
+    assert stored > 10
 
 
 def test_tables_retain_no_solver_and_share_partition_pairs():
