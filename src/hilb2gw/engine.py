@@ -70,9 +70,10 @@ map is constant) or 3a - 1 + n, the dimension bound of the evaluation
 image (a >= 1); see ``TargetDatum.vanishes``.  ``value_of`` stores such a
 key as 0 without visiting a stage, as it stores a base case; ``_canon``
 and ``normalize`` drop it like a dimension mismatch; the harvest and
-``solve_stage`` never queue it; and a cache entry that gives it a nonzero
-value is an InconsistentSystem.  The split sum is unchanged: a killed
-factor becomes a stored 0 the first time it is looked up.
+``solve_stage`` never queue it; a cache entry that gives it a nonzero
+value is an InconsistentSystem, and ``save_cache`` leaves it out.  The
+split sum is unchanged: a killed factor becomes a stored 0 the first time
+it is looked up.
 """
 
 from __future__ import annotations
@@ -141,7 +142,8 @@ class MemoStore:
 
     Values are stored in normal form (``int`` when integral, ``Rat``
     otherwise). An entry is never overwritten with a different value; a
-    conflicting write raises InconsistentSystem.
+    conflicting write raises InconsistentSystem. ``set`` writes one key;
+    ``merge`` commits a whole validated cache file, all or nothing.
     """
 
     MAX_INSERTIONS = 255
@@ -205,6 +207,29 @@ class MemoStore:
         vals[code] = value
         self._count += 1
 
+    def merge(self, staged) -> None:
+        """Commit ``{cls: {code: value}}`` at once, or nothing.
+
+        The codes must come from ``code`` and the values be in normal form.
+        Every value is checked against the store before any is written, so a
+        conflict raises InconsistentSystem and leaves the store unchanged.
+        """
+        classes = self._classes
+        for cls, vals in staged.items():
+            live = classes.get(cls)
+            if live:
+                for code in vals.keys() & live.keys():
+                    if live[code] != vals[code]:
+                        raise InconsistentSystem(
+                            f"memo conflict at {(cls, self.decode(code))}: "
+                            f"{live[code]} vs {vals[code]}"
+                        )
+        for cls, vals in staged.items():
+            live = self.class_values(cls)
+            before = len(live)
+            live.update(vals)
+            self._count += len(live) - before
+
     def items(self):
         """Every ``((cls, ins), value)`` in sorted key order, decoded lazily
         one class at a time, so only one class's tuples are alive at once."""
@@ -214,6 +239,10 @@ class MemoStore:
                 (decode(code), value) for code, value in self._classes[cls].items()
             ):
                 yield (cls, ins), value
+
+    def classes(self) -> list:
+        """The classes that hold entries, sorted."""
+        return sorted(cls for cls, vals in self._classes.items() if vals)
 
     def __len__(self) -> int:
         return self._count
@@ -952,33 +981,49 @@ class Engine:
     # ------------------------------------------------------------------
 
     def save_cache(self, path) -> int:
-        """Write the memo store as deterministic JSON; returns entry count."""
+        """Write the memo store as deterministic JSON; returns entry count.
+
+        The file holds ``json.dumps(payload, separators=(",", ":"),
+        sort_keys=True)`` and a newline, where ``payload`` has the keys
+        ``schema``, ``target`` and ``entries``, one ``{"a", "b", "ins",
+        "num", "den"}`` object per key in sorted key order, with the value
+        as decimal strings. A key the projection to the base plane kills is
+        left out: ``value_of`` stores it as 0 again without visiting a
+        stage. The text is built from strings one class at a time, each
+        code's insertion list rendered once.
+        """
         if self.datum.rank != 2:
             raise CacheFormatError(
                 "cache schema is defined for the two-parameter target only"
             )
+        memo = self.memo
+        decode = memo.decode
+        vanishes = self._vanishes
+        rendered: dict = {}  # code -> (sorted insertions, their JSON list)
         entries = []
-        for (cls, ins), val in self.memo.items():
-            entries.append(
-                {
-                    "a": cls[0],
-                    "b": cls[1],
-                    "ins": list(ins),
-                    "num": str(val.numerator),
-                    "den": str(val.denominator),
-                }
-            )
-        payload = {
-            "schema": CACHE_SCHEMA,
-            "target": self.datum.name,
-            "entries": entries,
-        }
-        # json.dumps takes the C encoder; json.dump streams through the
-        # pure-Python one, several times slower for the same bytes
-        text = json.dumps(payload, separators=(",", ":"), sort_keys=True)
+        for cls in memo.classes():
+            rows = []
+            for code, val in memo.class_values(cls).items():
+                ins = rendered.get(code)
+                if ins is None:
+                    tup = decode(code)
+                    ins = rendered[code] = (tup, ",".join(map(str, tup)))
+                if val == 0 and vanishes(cls, ins[0]):
+                    continue
+                rows.append((ins, val))
+            rows.sort()  # by insertions, unique within a class
+            head = '{"a":%d,"b":%d,"den":"' % cls
+            for (_tup, text), val in rows:
+                num = str(val.numerator)
+                den = str(val.denominator)
+                entries.append(f'{head}{den}","ins":[{text}],"num":"{num}"}}')
+        text = (
+            '{"entries":[' + ",".join(entries)
+            + '],"schema":' + json.dumps(CACHE_SCHEMA)
+            + ',"target":' + json.dumps(self.datum.name) + "}\n"
+        )
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-            fh.write("\n")
         return len(entries)
 
     def load_cache(self, path) -> int:
@@ -986,14 +1031,19 @@ class Engine:
 
         A file tagged with a ``schema`` other than CACHE_SCHEMA raises
         CacheFormatError; an untagged file, as written before the tag
-        existed, loads. Every entry must be canonical and
-        dimension-admissible, with ``a``,
-        ``b`` and the ``ins`` list made of JSON integers (anything else,
-        such as a string of digits, raises CacheFormatError); entries the
-        base cases can derive must match them exactly, and entries the
-        projection to the base plane kills must be 0, or InconsistentSystem
-        is raised. A value conflicting with one already in the memo raises
-        InconsistentSystem.
+        existed, loads, and so does one that holds killed keys as 0. Every
+        entry must be canonical and dimension-admissible, with ``a``, ``b``
+        and the ``ins`` list made of JSON integers (anything else, such as a
+        string of digits, raises CacheFormatError); entries the base cases
+        can derive must match them exactly, entries the projection to the
+        base plane kills must be 0, and two entries of one key must agree,
+        or InconsistentSystem is raised.
+
+        The load is all or nothing. Each distinct class and insertion list
+        is validated once; the values are staged per class and committed
+        by ``MemoStore.merge`` only after every entry has passed, which then
+        raises InconsistentSystem, loading nothing, if a value conflicts
+        with one already in the memo.
         """
         with open(path, "r", encoding="utf-8") as fh:
             try:
@@ -1014,12 +1064,20 @@ class Engine:
         entries = payload.get("entries")
         if not isinstance(entries, list):
             raise CacheFormatError("cache entries must be a list")
-        size = self.datum.basis_size
+        datum = self.datum
+        size = datum.basis_size
         codims = self._codims
-        count = 0
+        weights = self._weights
+        base_case = datum.base_case
+        vanishes = self._vanishes
+        code_of = self.memo.code
+        only_ints = {int}
+        classes: dict = {}  # admissible cls -> (budget, staged {code: value})
+        keys: dict = {}  # canonical ins -> (weight, code)
         for entry in entries:
             try:
-                cls = (entry["a"], entry["b"])
+                a = entry["a"]
+                b = entry["b"]
                 ins = entry["ins"]
                 val = rat_from_parts(entry["num"], entry["den"])
             except (KeyError, TypeError, ValueError) as exc:
@@ -1027,32 +1085,50 @@ class Engine:
             if type(ins) is not list:
                 raise CacheFormatError(f"entry insertions {ins!r} are not a list")
             ins = tuple(ins)
-            if not self.datum.effective(cls) or self.datum.is_zero_class(cls):
+            cls = (a, b)
+            # types before the lookups: 1.0 and True hash and compare as 1
+            known = None
+            if type(a) is int and type(b) is int:
+                known = classes.get(cls)
+                if known is None and (
+                    datum.effective(cls) and not datum.is_zero_class(cls)
+                ):
+                    known = classes[cls] = (self._budget(cls), {})
+            if known is None:
                 raise CacheFormatError(f"entry class {cls} is not admissible")
-            # one pass: JSON ints only (no bools), in range, non-divisor
-            if len(ins) > MemoStore.MAX_INSERTIONS or any(
-                type(e) is not int or not 0 <= e < size or codims[e] < 2
-                for e in ins
-            ) or tuple(sorted(ins)) != ins:
+            budget, vals = known
+            if not only_ints.issuperset(map(type, ins)):
                 raise CacheFormatError(f"entry insertions {ins} not canonical")
-            if sum(self._weights[e] for e in ins) != self._budget(cls):
+            key = keys.get(ins)
+            if key is None:
+                if len(ins) > MemoStore.MAX_INSERTIONS or not all(
+                    0 <= e < size and codims[e] >= 2 for e in ins
+                ) or tuple(sorted(ins)) != ins:
+                    raise CacheFormatError(f"entry insertions {ins} not canonical")
+                key = keys[ins] = (sum(weights[e] for e in ins), code_of(ins))
+            weight, code = key
+            if weight != budget:
                 raise CacheFormatError(
                     f"entry ({cls}, {ins}) violates the dimension count"
                 )
-            derivable = self.datum.base_case(cls, ins)
+            derivable = base_case(cls, ins)
             if derivable is not None and derivable != val:
                 raise InconsistentSystem(
                     f"cache entry ({cls}, {ins}) = {val} contradicts base "
                     f"case {derivable}"
                 )
-            if val != 0 and self._vanishes(cls, ins):
+            if val != 0 and vanishes(cls, ins):
                 raise InconsistentSystem(
                     f"cache entry ({cls}, {ins}) = {val} but the projection "
                     "to the base plane forces 0"
                 )
-            self.memo.set((cls, ins), val)
-            count += 1
-        return count
+            old = vals.setdefault(code, val)
+            if old != val:
+                raise InconsistentSystem(
+                    f"cache entries for ({cls}, {ins}) disagree: {old} vs {val}"
+                )
+        self.memo.merge({cls: vals for cls, (_b, vals) in classes.items()})
+        return len(entries)
 
 
 def _as_tuple(x, what):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from hilb2gw import cli
+from hilb2gw import Engine, cli, invert_counts
 
 
 def run(capsys, *argv):
@@ -276,6 +276,38 @@ def test_cache_export_import_roundtrip(capsys, tmp_path):
     code, out, _ = run(capsys, "cache", "import", str(first), "--out", str(second))
     assert code == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_cache_import_reexports_a_legacy_file_without_killed_keys(capsys, tmp_path):
+    """A file that holds the keys the projection to the base plane kills as
+    0, as exports once did, still imports, and ``--out`` writes it as a new
+    export, without those keys."""
+    new = tmp_path / "new.json"
+    code, _, _ = run(capsys, "cache", "export", str(new), "--degree", "2")
+    assert code == 0
+    engine = Engine()
+    for l in (0, 1, 2):
+        invert_counts(engine, 2, l)
+    killed = [k for k, v in engine.memo.items() if engine.datum.vanishes(*k)]
+    assert killed and all(engine.memo.get(k) == 0 for k in killed)
+    legacy = tmp_path / "legacy.json"
+    legacy.write_text(
+        json.dumps(
+            {
+                "target": "hilb2p2",
+                "entries": [
+                    {"a": a, "b": b, "ins": list(ins), "num": str(v.numerator),
+                     "den": str(v.denominator)}
+                    for ((a, b), ins), v in engine.memo.items()
+                ],
+            }
+        )
+    )
+    again = tmp_path / "again.json"
+    code, out, _ = run(capsys, "cache", "import", str(legacy), "--out", str(again))
+    assert code == 0 and f"loaded {len(engine.memo)} entries" in out
+    assert again.read_bytes() == new.read_bytes()
+    assert len(json.loads(new.read_text())["entries"]) == len(engine.memo) - len(killed)
 
 
 @pytest.mark.parametrize("degree", ["1", "0", "-4"])

@@ -930,18 +930,53 @@ def _warm_engine():
     return eng
 
 
+def _exported(eng):
+    """The warm memo without the keys the projection to the base plane
+    kills, which ``save_cache`` leaves out; each left-out key must be 0."""
+    kept = {}
+    for key, val in eng.memo.items():
+        if eng.datum.vanishes(*key):
+            assert val == 0, key
+        else:
+            kept[key] = val
+    return kept
+
+
+def _dumps_text(items, tagged=True):
+    """A cache file as ``json.dumps`` writes it, holding every given key:
+    the reference form of ``save_cache``, and with killed zeros among the
+    keys, a file as written before they were left out."""
+    payload = {
+        "target": "hilb2p2",
+        "entries": [
+            {
+                "a": cls[0],
+                "b": cls[1],
+                "ins": list(ins),
+                "num": str(val.numerator),
+                "den": str(val.denominator),
+            }
+            for (cls, ins), val in items
+        ],
+    }
+    if tagged:
+        payload["schema"] = CACHE_SCHEMA
+    return json.dumps(payload, separators=(",", ":"), sort_keys=True) + "\n"
+
+
 def test_cache_roundtrip(tmp_path):
     eng = _warm_engine()
     path = tmp_path / "cache.json"
     written = eng.save_cache(path)
-    assert written > 0
+    kept = _exported(eng)
+    assert written == len(kept) and 0 < written < len(eng.memo)
 
     fresh = Engine()
     loaded = fresh.load_cache(path)
     assert loaded == written
-    assert dict(fresh.memo.items()) == dict(eng.memo.items())
+    assert dict(fresh.memo.items()) == kept
     assert {k: type(v) for k, v in fresh.memo.items()} == {
-        k: type(v) for k, v in eng.memo.items()
+        k: type(v) for k, v in kept.items()
     }
 
     # deterministic bytes: saving the loaded store reproduces the file
@@ -956,23 +991,128 @@ def test_cache_file_carries_schema_tag(tmp_path):
     assert json.loads(path.read_text())["schema"] == CACHE_SCHEMA == "hilb2gw-cache/1"
 
 
+def test_cache_bytes_are_the_json_dumps_form(tmp_path):
+    """``save_cache`` writes exactly what ``json.dumps`` writes for the kept
+    entries, on a memo with ints, negative ints and true fractions."""
+    eng = Engine()
+    for d in range(2, 5):
+        for l in (0, 1, 2):
+            invert_counts(eng, d, l)
+    kept = _exported(eng)
+    values = list(kept.values())
+    assert any(type(v) is int and v < 0 for v in values)
+    assert any(type(v) is Rat for v in values)
+    assert Rat(3, 4) in values  # I_(2,0)(T3) = 3/a^2
+    path = tmp_path / "d4.json"
+    assert eng.save_cache(path) == len(kept)
+    assert path.read_text() == _dumps_text(sorted(kept.items()))
+
+
 def test_cache_loads_untagged_legacy_file(tmp_path):
-    """Files written before the schema tag existed still load, and re-export
-    tagged but otherwise byte for byte."""
+    """Files written before the schema tag existed, or before killed keys
+    were left out, still load; they re-export tagged and without the killed
+    zeros, byte for byte as a new export."""
     eng = _warm_engine()
     tagged = tmp_path / "tagged.json"
     eng.save_cache(tagged)
-    payload = json.loads(tagged.read_text())
-    del payload["schema"]
-    legacy = tmp_path / "legacy.json"
-    legacy.write_text(
-        json.dumps(payload, separators=(",", ":"), sort_keys=True) + "\n"
-    )
-    fresh = Engine()
-    assert fresh.load_cache(legacy) == len(eng.memo)
-    again = tmp_path / "again.json"
-    fresh.save_cache(again)
-    assert again.read_bytes() == tagged.read_bytes()
+    for is_tagged in (False, True):
+        legacy = tmp_path / "legacy.json"
+        legacy.write_text(_dumps_text(eng.memo.items(), tagged=is_tagged))
+        fresh = Engine()
+        assert fresh.load_cache(legacy) == len(eng.memo)
+        assert dict(fresh.memo.items()) == dict(eng.memo.items())
+        again = tmp_path / "again.json"
+        assert fresh.save_cache(again) == len(_exported(eng))
+        assert again.read_bytes() == tagged.read_bytes()
+
+
+def _entry(cls, ins, num="1", den="1"):
+    return {"a": cls[0], "b": cls[1], "ins": list(ins), "num": num, "den": den}
+
+
+def _write(path, entries):
+    path.write_text(json.dumps({"target": "hilb2p2", "entries": entries}))
+
+
+def _unsolved_entries():
+    """Valid entries of a warm memo with nonzero values no base case gives."""
+    eng = _warm_engine()
+    out = [
+        _entry(cls, ins, str(v.numerator), str(v.denominator))
+        for (cls, ins), v in eng.memo.items()
+        if v != 0 and eng.datum.base_case(cls, ins) is None
+    ]
+    assert len(out) >= 3
+    return out
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        (_entry((1, 1), (8, 3)), CacheFormatError),  # unsorted
+        (_entry((1, 1), (3, 8), num="5"), InconsistentSystem),  # base case is 1
+        (_entry((0, 2), (3,) * 7), InconsistentSystem),  # killed, not 0
+    ],
+    ids=["unsorted", "base-case", "killed"],
+)
+def test_failed_cache_load_leaves_the_memo_untouched(tmp_path, bad, error):
+    eng = Engine()
+    eng.invariant((2, 0), [3])
+    eng.invariant((1, 1), [4, 4, 4])
+    before = dict(eng.memo.items())
+    path = tmp_path / "last_bad.json"
+    _write(path, _unsolved_entries() + [bad])
+    with pytest.raises(error):
+        eng.load_cache(path)
+    assert len(eng.memo) == len(before)
+    assert dict(eng.memo.items()) == before
+
+
+def test_cache_conflict_with_the_memo_loads_nothing(tmp_path):
+    entries = _unsolved_entries()
+    eng = Engine()
+    first = entries[0]
+    cls, ins = (first["a"], first["b"]), tuple(first["ins"])
+    eng.invariant(cls, ins)
+    before = dict(eng.memo.items())
+    lie = dict(first, num=str(int(first["num"]) + 1))
+    path = tmp_path / "conflict.json"
+    _write(path, entries[1:] + [lie])
+    with pytest.raises(InconsistentSystem):
+        eng.load_cache(path)
+    assert dict(eng.memo.items()) == before
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{"ins": [3.0, 8]}, {"ins": [True, 8]}, {"a": True}, {"b": 1.0}],
+    ids=["float-ins", "bool-ins", "bool-class", "float-class"],
+)
+def test_cache_type_check_precedes_the_validation_caches(tmp_path, fields):
+    """3.0 and True hash and compare like 3 and 1, so a second entry that
+    repeats a validated class or insertion list in those types must still
+    fail."""
+    good = _entry((1, 1), (3, 8))
+    bad = dict(good, **fields)
+    path = tmp_path / "trap.json"
+    _write(path, [good, bad])
+    eng = Engine()
+    with pytest.raises(CacheFormatError):
+        eng.load_cache(path)
+    assert len(eng.memo) == 0
+
+
+def test_cache_entries_of_one_key_must_agree(tmp_path):
+    entry = _unsolved_entries()[0]
+    path = tmp_path / "twice.json"
+    _write(path, [entry, dict(entry)])
+    eng = Engine()
+    assert eng.load_cache(path) == 2 and len(eng.memo) == 1
+    _write(path, [entry, dict(entry, num=str(int(entry["num"]) + 1))])
+    eng = Engine()
+    with pytest.raises(InconsistentSystem):
+        eng.load_cache(path)
+    assert len(eng.memo) == 0
 
 
 @pytest.mark.parametrize("tag", ["hilb2gw-cache/2", "hilb2gw/1", "", None, 1])
