@@ -142,8 +142,9 @@ class MemoStore:
 
     Values are stored in normal form (``int`` when integral, ``Rat``
     otherwise). An entry is never overwritten with a different value; a
-    conflicting write raises InconsistentSystem. ``set`` writes one key;
-    ``merge`` commits a whole validated cache file, all or nothing.
+    conflicting write raises InconsistentSystem. ``set`` writes one key and
+    is the only write; ``merge`` checks a whole validated cache file against
+    the store before it sets any of its keys, so it loads all or nothing.
     """
 
     MAX_INSERTIONS = 255
@@ -208,27 +209,27 @@ class MemoStore:
         self._count += 1
 
     def merge(self, staged) -> None:
-        """Commit ``{cls: {code: value}}`` at once, or nothing.
+        """Write ``{cls: {ins: value}}`` into the store, all or nothing.
 
-        The codes must come from ``code`` and the values be in normal form.
-        Every value is checked against the store before any is written, so a
-        conflict raises InconsistentSystem and leaves the store unchanged.
+        The insertion tuples must be canonical and the values in normal
+        form. Every value is checked against the store before any is
+        written, so a conflict raises InconsistentSystem and leaves the store
+        unchanged; then each key is written by ``set``, the one write path.
         """
         classes = self._classes
+        code = self.code
         for cls, vals in staged.items():
             live = classes.get(cls)
             if live:
-                for code in vals.keys() & live.keys():
-                    if live[code] != vals[code]:
+                for ins, value in vals.items():
+                    old = live.get(code(ins))
+                    if old is not None and old != value:
                         raise InconsistentSystem(
-                            f"memo conflict at {(cls, self.decode(code))}: "
-                            f"{live[code]} vs {vals[code]}"
+                            f"memo conflict at {(cls, ins)}: {old} vs {value}"
                         )
         for cls, vals in staged.items():
-            live = self.class_values(cls)
-            before = len(live)
-            live.update(vals)
-            self._count += len(live) - before
+            for ins, value in vals.items():
+                self.set((cls, ins), value)
 
     def items(self):
         """Every ``((cls, ins), value)`` in sorted key order, decoded lazily
@@ -1033,17 +1034,19 @@ class Engine:
         CacheFormatError; an untagged file, as written before the tag
         existed, loads, and so does one that holds killed keys as 0. Every
         entry must be canonical and dimension-admissible, with ``a``, ``b``
-        and the ``ins`` list made of JSON integers (anything else, such as a
-        string of digits, raises CacheFormatError); entries the base cases
-        can derive must match them exactly, entries the projection to the
-        base plane kills must be 0, and two entries of one key must agree,
-        or InconsistentSystem is raised.
+        and the ``ins`` list made of JSON integers and ``num`` and ``den``
+        decimal strings (anything else, such as a string of digits for
+        ``a`` or a number for ``num``, raises CacheFormatError); entries the
+        base cases can derive must match them exactly, entries the
+        projection to the base plane kills must be 0, and two entries of one
+        key must agree, or InconsistentSystem is raised.
 
         The load is all or nothing. Each distinct class and insertion list
-        is validated once; the values are staged per class and committed
-        by ``MemoStore.merge`` only after every entry has passed, which then
-        raises InconsistentSystem, loading nothing, if a value conflicts
-        with one already in the memo.
+        is validated once; the values are staged per class and handed to
+        ``MemoStore.merge`` only after every entry has passed, which raises
+        InconsistentSystem, loading nothing, if a value conflicts with one
+        already in the memo, and otherwise writes each key by
+        ``MemoStore.set``.
         """
         with open(path, "r", encoding="utf-8") as fh:
             try:
@@ -1070,16 +1073,19 @@ class Engine:
         weights = self._weights
         base_case = datum.base_case
         vanishes = self._vanishes
-        code_of = self.memo.code
         only_ints = {int}
-        classes: dict = {}  # admissible cls -> (budget, staged {code: value})
-        keys: dict = {}  # canonical ins -> (weight, code)
+        classes: dict = {}  # admissible cls -> (budget, staged {ins: value})
+        weight_of: dict = {}  # canonical ins -> weight
         for entry in entries:
             try:
                 a = entry["a"]
                 b = entry["b"]
                 ins = entry["ins"]
-                val = rat_from_parts(entry["num"], entry["den"])
+                num = entry["num"]
+                den = entry["den"]
+                if type(num) is not str or type(den) is not str:
+                    raise TypeError("num and den must be strings")
+                val = rat_from_parts(num, den)
             except (KeyError, TypeError, ValueError) as exc:
                 raise CacheFormatError(f"malformed entry {entry!r}") from exc
             if type(ins) is not list:
@@ -1099,14 +1105,13 @@ class Engine:
             budget, vals = known
             if not only_ints.issuperset(map(type, ins)):
                 raise CacheFormatError(f"entry insertions {ins} not canonical")
-            key = keys.get(ins)
-            if key is None:
+            weight = weight_of.get(ins)
+            if weight is None:
                 if len(ins) > MemoStore.MAX_INSERTIONS or not all(
                     0 <= e < size and codims[e] >= 2 for e in ins
                 ) or tuple(sorted(ins)) != ins:
                     raise CacheFormatError(f"entry insertions {ins} not canonical")
-                key = keys[ins] = (sum(weights[e] for e in ins), code_of(ins))
-            weight, code = key
+                weight = weight_of[ins] = sum(weights[e] for e in ins)
             if weight != budget:
                 raise CacheFormatError(
                     f"entry ({cls}, {ins}) violates the dimension count"
@@ -1122,7 +1127,7 @@ class Engine:
                     f"cache entry ({cls}, {ins}) = {val} but the projection "
                     "to the base plane forces 0"
                 )
-            old = vals.setdefault(code, val)
+            old = vals.setdefault(ins, val)
             if old != val:
                 raise InconsistentSystem(
                     f"cache entries for ({cls}, {ins}) disagree: {old} vs {val}"

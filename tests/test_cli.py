@@ -363,6 +363,16 @@ def test_cache_import_rejects_oversized_numbers(capsys, tmp_path):
     assert code == 2 and "cache format error" in err
 
 
+def test_cache_import_rejects_a_number_as_value(capsys, tmp_path):
+    """``Infinity`` is valid input to ``json.load``; as a numerator it is
+    a malformed entry, not a traceback."""
+    path = tmp_path / "inf.json"
+    entry = {"a": 1, "b": 1, "ins": [3, 8], "num": float("inf"), "den": "1"}
+    path.write_text(json.dumps({"target": "hilb2p2", "entries": [entry]}))
+    code, _, err = run(capsys, "cache", "import", str(path))
+    assert code == 2 and "cache format error" in err
+
+
 @pytest.mark.parametrize("text", ["[1,2]", "42", "null"])
 def test_cache_import_rejects_non_object(capsys, tmp_path, text):
     path = tmp_path / "list.json"

@@ -1213,6 +1213,51 @@ def test_cache_rejects_entries_that_are_not_json_ints(tmp_path, fields):
     assert len(eng.memo) == 0
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"num": 2},
+        {"num": 2.5},
+        {"num": 1.9},
+        {"num": float("inf")},
+        {"num": None},
+        {"den": 1},
+        {"den": 1.0},
+    ],
+    ids=["int-num", "float-num", "float-num-low", "inf-num", "null-num",
+         "int-den", "float-den"],
+)
+def test_cache_rejects_values_that_are_not_decimal_strings(tmp_path, fields):
+    """``int()`` would truncate 2.5 to 2 on a key no base case pins, and
+    ``json.load`` reads ``Infinity``, so num and den must be strings."""
+    good = _unsolved_entries()[0]
+    path = tmp_path / "numbers.json"
+    _write(path, [good, dict(good, **fields)])
+    eng = Engine()
+    with pytest.raises(CacheFormatError):
+        eng.load_cache(path)
+    assert len(eng.memo) == 0
+
+
+def test_cache_load_writes_every_key_through_set(tmp_path, monkeypatch):
+    """The bulk load writes the memo by ``MemoStore.set`` like every other
+    write, once per distinct key, so a wrapper around ``set`` sees it."""
+    path = tmp_path / "warm.json"
+    _warm_engine().save_cache(path)
+    written = []
+    original = MemoStore.set
+
+    def counting_set(store, key, value):
+        written.append(key)
+        return original(store, key, value)
+
+    monkeypatch.setattr(MemoStore, "set", counting_set)
+    eng = Engine()
+    count = eng.load_cache(path)
+    assert len(written) == len(set(written)) == count == len(eng.memo)
+    assert sorted(written) == [key for key, _ in eng.memo.items()]
+
+
 def test_cache_rejects_nonzero_value_of_a_killed_key(tmp_path):
     path = tmp_path / "killed.json"
     entry = {"a": 0, "b": 2, "ins": [3] * 7, "num": "1", "den": "1"}
