@@ -570,13 +570,11 @@ class Engine:
     def wdvv_residual(self, cls, frame, extras):
         """Value of a fully resolved associativity relation, always zero: the
         relation of ``build_equation`` with each symbolic key resolved."""
-        cls = self._check_class(cls)
-        frame = self._check_frame(frame)
-        extras = self._check_extras(extras)
-        terms, const = self._build(cls, frame, extras, len(extras) + 3)
-        for key, coeff in terms.items():
-            const += coeff * self.value_of(key)
-        return qnorm(const)
+        form = self.build_equation(cls, frame, extras)
+        total = form.constant
+        for key, coeff in form.terms.items():
+            total += coeff * self.value_of(key)
+        return qnorm(total)
 
     def _check_frame(self, frame):
         frame = _as_tuple(frame, "a frame")

@@ -14,16 +14,21 @@ Products are bilinear: the coefficient of q1^a q2^b in g1 * g2 is
 resolved once per engine (``Engine.three_point_row``) and then contracted
 with the sparse supports of the operands.
 
-Every coefficient of a ``ScalarSeries`` or ``QSeries`` passes through
-``rationals.qnorm`` on construction, so it is in the package's normal form
-(a plain ``int`` when integral, a ``Rat`` only for a true fraction) and any
-value that is not an exact rational raises ValueError.  Operands are basis
-indices or cohomology vectors, checked by ``TargetDatum.check_index`` and
-``TargetDatum.check_vector``; truncation bounds are non-negative ints.
+``ScalarSeries`` (exact coefficients) and ``QSeries`` (cohomology-vector
+coefficients) share one truncated-series class: construction, the bounds
+check, ``+``, ``-``, scaling by an exact scalar or a ``ScalarSeries``,
+``==`` and ``first_mismatch`` are written once.  Every coefficient passes
+its type's gate on construction (``rationals.qnorm`` for a scalar,
+``TargetDatum.check_vector`` for a vector), so it is in the package's normal
+form (a plain ``int`` when integral, a ``Rat`` only for a true fraction) and
+any value that is not an exact rational raises ValueError.  Operands are
+basis indices or cohomology vectors, checked by ``TargetDatum.check_index``
+and ``TargetDatum.check_vector``; truncation bounds are non-negative ints.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 from .chow import CohVector, TargetDatum
@@ -44,7 +49,7 @@ __all__ = [
 
 
 # ----------------------------------------------------------------------
-# scalar series
+# truncated series
 # ----------------------------------------------------------------------
 
 
@@ -54,21 +59,94 @@ def _check_truncation(n1, n2) -> None:
             raise ValueError("truncation bounds must be non-negative")
 
 
-class ScalarSeries:
+class _Series:
+    """Series in q1, q2 truncated to degrees (n1, n2): ``coeffs`` maps (a, b)
+    to a nonzero coefficient in normal form.
+
+    A subclass names its coefficient type: ``_norm`` (the gate to normal
+    form), ``_nonzero``, ``_add`` (of two coefficients) and ``_scale`` (of a
+    coefficient by an exact scalar), and ``_like``, which builds a series of
+    the same kind and bounds from a coefficient dict.
+    """
+
+    __slots__ = ("n1", "n2", "coeffs")
+
+    def __init__(self, n1: int, n2: int, coeffs: dict | None = None):
+        _check_truncation(n1, n2)
+        self.n1, self.n2 = n1, n2
+        self.coeffs: dict = {}
+        if coeffs:
+            norm, nonzero = self._norm, self._nonzero
+            for (a, b), c in coeffs.items():
+                c = norm(c)
+                if nonzero(c) and 0 <= a <= n1 and 0 <= b <= n2:
+                    self.coeffs[(a, b)] = c
+
+    def _check_bounds(self, n1: int, n2: int) -> None:
+        if (self.n1, self.n2) != (n1, n2):
+            raise ValueError("mismatched truncation bounds")
+
+    def __add__(self, other):
+        self._check_bounds(other.n1, other.n2)
+        add = self._add
+        coeffs = dict(self.coeffs)
+        for k, c in other.coeffs.items():
+            coeffs[k] = add(coeffs[k], c) if k in coeffs else c
+        return self._like(coeffs)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self.scaled(-1)
+
+    def scaled(self, s):
+        """Multiply by an exact scalar or by a ScalarSeries (with truncation)."""
+        if not isinstance(s, ScalarSeries):
+            s = ScalarSeries.constant(self.n1, self.n2, s)
+        self._check_bounds(s.n1, s.n2)
+        scale, add = self._scale, self._add
+        n1, n2 = self.n1, self.n2
+        coeffs: dict = {}
+        for (a1, b1), v in self.coeffs.items():
+            for (a2, b2), c in s.coeffs.items():
+                a, b = a1 + a2, b1 + b2
+                if a <= n1 and b <= n2:
+                    k = (a, b)
+                    sv = scale(v, c)
+                    coeffs[k] = add(coeffs[k], sv) if k in coeffs else sv
+        return self._like(coeffs)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, type(self))
+            and (self.n1, self.n2) == (other.n1, other.n2)
+            and self.coeffs == other.coeffs
+        )
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def first_mismatch(self, other):
+        """Lowest (a, b) where the two series differ, or None."""
+        self._check_bounds(other.n1, other.n2)
+        for k in sorted(set(self.coeffs) | set(other.coeffs)):
+            if self.coefficient(*k) != other.coefficient(*k):
+                return k
+        return None
+
+
+class ScalarSeries(_Series):
     """Polynomial in q1, q2 truncated to degrees (n1, n2), exact coefficients."""
 
-    __slots__ = ("n1", "n2", "terms")
+    __slots__ = ()
+    _norm = staticmethod(qnorm)
+    _nonzero = bool
+    _add = operator.add
+    _scale = operator.mul
 
-    def __init__(self, n1: int, n2: int, terms: dict | None = None):
-        _check_truncation(n1, n2)
-        self.n1 = n1
-        self.n2 = n2
-        self.terms: dict = {}
-        if terms:
-            for (a, b), c in terms.items():
-                c = qnorm(c)
-                if c and 0 <= a <= n1 and 0 <= b <= n2:
-                    self.terms[(a, b)] = c
+    def _like(self, coeffs: dict) -> "ScalarSeries":
+        return ScalarSeries(self.n1, self.n2, coeffs)
 
     @classmethod
     def constant(cls, n1: int, n2: int, value) -> "ScalarSeries":
@@ -79,59 +157,16 @@ class ScalarSeries:
         return cls(n1, n2, {(a, b): value})
 
     def coefficient(self, a: int, b: int):
-        return self.terms.get((a, b), 0)
+        return self.coeffs.get((a, b), 0)
 
-    def _check_bounds(self, other: "ScalarSeries") -> None:
-        if (self.n1, self.n2) != (other.n1, other.n2):
-            raise ValueError("mismatched truncation bounds")
-
-    def __add__(self, other: "ScalarSeries") -> "ScalarSeries":
-        self._check_bounds(other)
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            terms[k] = terms.get(k, 0) + c
-        return ScalarSeries(self.n1, self.n2, terms)
-
-    def __sub__(self, other: "ScalarSeries") -> "ScalarSeries":
-        return self + (-other)
-
-    def __neg__(self) -> "ScalarSeries":
-        return ScalarSeries(self.n1, self.n2, {k: -c for k, c in self.terms.items()})
-
-    def __mul__(self, other) -> "ScalarSeries":
-        if isinstance(other, ScalarSeries):
-            self._check_bounds(other)
-            terms: dict = {}
-            for (a1, b1), c1 in self.terms.items():
-                for (a2, b2), c2 in other.terms.items():
-                    a, b = a1 + a2, b1 + b2
-                    if a <= self.n1 and b <= self.n2:
-                        k = (a, b)
-                        terms[k] = terms.get(k, 0) + c1 * c2
-            return ScalarSeries(self.n1, self.n2, terms)
-        c = qnorm(other)
-        return ScalarSeries(
-            self.n1, self.n2, {k: v * c for k, v in self.terms.items()}
-        )
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ScalarSeries)
-            and (self.n1, self.n2) == (other.n1, other.n2)
-            and self.terms == other.terms
-        )
-
-    def is_zero(self) -> bool:
-        return not self.terms
+    __mul__ = __rmul__ = _Series.scaled
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self.coeffs:
             return "0"
         bits = []
-        for (a, b) in sorted(self.terms):
-            c = self.terms[(a, b)]
+        for (a, b) in sorted(self.coeffs):
+            c = self.coeffs[(a, b)]
             mono = "".join(
                 f"q{i}^{e}" if e > 1 else (f"q{i}" if e == 1 else "")
                 for i, e in ((1, a), (2, b))
@@ -142,14 +177,8 @@ class ScalarSeries:
 
 def f_series(n1: int, n2: int = 0) -> ScalarSeries:
     """The series q1/(1 - q1) = q1 + q1^2 + ... truncated at degree n1."""
-    f = ScalarSeries(n1, n2)
-    f.terms = {(a, 0): 1 for a in range(1, n1 + 1)}
-    return f
-
-
-# ----------------------------------------------------------------------
-# cohomology-valued series
-# ----------------------------------------------------------------------
+    _check_truncation(n1, n2)
+    return ScalarSeries(n1, n2, {(a, 0): 1 for a in range(1, n1 + 1)})
 
 
 def _vec_add(u: CohVector, v: CohVector) -> CohVector:
@@ -160,22 +189,23 @@ def _vec_scale(u: CohVector, c: Rat) -> CohVector:
     return tuple(a * c for a in u)
 
 
-class QSeries:
+class QSeries(_Series):
     """Series in q1, q2 with cohomology-vector coefficients, truncated."""
 
-    __slots__ = ("datum", "n1", "n2", "coeffs")
+    __slots__ = ("datum",)
+    _nonzero = any
+    _add = staticmethod(_vec_add)
+    _scale = staticmethod(_vec_scale)
 
     def __init__(self, datum: TargetDatum, n1: int, n2: int, coeffs: dict | None = None):
-        _check_truncation(n1, n2)
         self.datum = datum
-        self.n1 = n1
-        self.n2 = n2
-        self.coeffs: dict = {}
-        if coeffs:
-            for (a, b), v in coeffs.items():
-                v = datum.check_vector(v)
-                if any(v) and 0 <= a <= n1 and 0 <= b <= n2:
-                    self.coeffs[(a, b)] = v
+        super().__init__(n1, n2, coeffs)
+
+    def _norm(self, v) -> CohVector:
+        return self.datum.check_vector(v)
+
+    def _like(self, coeffs: dict) -> "QSeries":
+        return QSeries(self.datum, self.n1, self.n2, coeffs)
 
     @classmethod
     def from_vector(cls, datum: TargetDatum, n1: int, n2: int, g) -> "QSeries":
@@ -187,71 +217,10 @@ class QSeries:
     @classmethod
     def from_scalar(cls, datum: TargetDatum, s: ScalarSeries) -> "QSeries":
         """Embed a scalar series as a multiple of the fundamental class."""
-        unit = datum.basis_vector(0)
-        return cls(
-            datum,
-            s.n1,
-            s.n2,
-            {k: _vec_scale(unit, c) for k, c in s.terms.items()},
-        )
+        return cls.from_vector(datum, s.n1, s.n2, 0).scaled(s)
 
     def coefficient(self, a: int, b: int) -> CohVector:
         return self.coeffs.get((a, b), (0,) * self.datum.basis_size)
-
-    def _check_bounds(self, other: "QSeries") -> None:
-        if (self.n1, self.n2) != (other.n1, other.n2):
-            raise ValueError("mismatched truncation bounds")
-
-    def __add__(self, other: "QSeries") -> "QSeries":
-        self._check_bounds(other)
-        coeffs = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            coeffs[k] = _vec_add(coeffs[k], v) if k in coeffs else v
-        return QSeries(self.datum, self.n1, self.n2, coeffs)
-
-    def __sub__(self, other: "QSeries") -> "QSeries":
-        return self + other.scaled(-1)
-
-    def scaled(self, s) -> "QSeries":
-        """Multiply by a rational or by a ScalarSeries (with truncation)."""
-        if isinstance(s, ScalarSeries):
-            if (s.n1, s.n2) != (self.n1, self.n2):
-                raise ValueError("mismatched truncation bounds")
-            coeffs: dict = {}
-            for (a1, b1), v in self.coeffs.items():
-                for (a2, b2), c in s.terms.items():
-                    a, b = a1 + a2, b1 + b2
-                    if a <= self.n1 and b <= self.n2:
-                        k = (a, b)
-                        sv = _vec_scale(v, c)
-                        coeffs[k] = _vec_add(coeffs[k], sv) if k in coeffs else sv
-            return QSeries(self.datum, self.n1, self.n2, coeffs)
-        c = qnorm(s)
-        return QSeries(
-            self.datum,
-            self.n1,
-            self.n2,
-            {k: _vec_scale(v, c) for k, v in self.coeffs.items()},
-        )
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, QSeries)
-            and (self.n1, self.n2) == (other.n1, other.n2)
-            and self.coeffs == other.coeffs
-        )
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def first_mismatch(self, other: "QSeries"):
-        """Lowest (a, b) where the two series differ, or None."""
-        self._check_bounds(other)
-        keys = sorted(set(self.coeffs) | set(other.coeffs))
-        for k in keys:
-            if self.coefficient(*k) != other.coefficient(*k):
-                return k
-        return None
 
     def __repr__(self) -> str:
         if not self.coeffs:
@@ -290,8 +259,6 @@ def _add_product(engine, out: dict, u, v, a0: int, b0: int, n1: int, n2: int) ->
                     k = (x, y) if x <= y else (y, x)
                     weights[k] = weights.get(k, 0) + cx * cy
     pairs = [(x, y, qnorm(c)) for (x, y), c in weights.items() if c]
-    if not pairs:
-        return
     datum = engine.datum
     size = datum.basis_size
     row = engine._row
@@ -336,8 +303,8 @@ def star(engine, left, right, n1: int = 4, n2: int = 2) -> QSeries:
         left = QSeries.from_vector(datum, n1, n2, left)
     if not isinstance(right, QSeries):
         right = QSeries.from_vector(datum, n1, n2, right)
-    if (left.n1, left.n2) != (n1, n2) or (right.n1, right.n2) != (n1, n2):
-        raise ValueError("mismatched truncation bounds")
+    left._check_bounds(n1, n2)
+    right._check_bounds(n1, n2)
     coeffs: dict = {}
     for (a1, b1), u in left.coeffs.items():
         for (a2, b2), v in right.coeffs.items():

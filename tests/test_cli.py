@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from hilb2gw import Engine, cli, invert_counts
+from hilb2gw import Engine, QSeries, cli, hilb_datum, invert_counts
+from hilb2gw.quantum import ProductCheck, ProductReport, RelationReport
 
 
 def run(capsys, *argv):
@@ -200,6 +201,22 @@ def test_tables_tamper_detection(capsys, monkeypatch):
     assert cell["expected"] == "12345" and cell["computed"] == "0"
 
 
+def test_tables_text_mismatch_from_a_poisoned_cache(capsys, tmp_path):
+    """I_(1,1)(T4,T4,T6) is 1.  No base case pins it, only the WDVV solve,
+    so a cache claiming 2 loads and the tables catch the lie."""
+    path = tmp_path / "poison.json"
+    entry = {"a": 1, "b": 1, "ins": [4, 4, 6], "num": "2", "den": "1"}
+    path.write_text(json.dumps({"target": "hilb2p2", "entries": [entry]}))
+    code, out, err = run(
+        capsys, "tables", "--max-degree", "3", "--cache", str(path)
+    )
+    assert code == 4
+    assert out == "invariant table (pairs=0): FAIL (1 cells)\n"
+    assert err == (
+        "MISMATCH invariant table pairs=0 d=2 g=0: computed 6 expected 0\n"
+    )
+
+
 # ----------------------------------------------------------------------
 # qcoh
 # ----------------------------------------------------------------------
@@ -226,6 +243,52 @@ def test_qcoh_json(capsys):
 def test_qcoh_rejects_negative_bounds(capsys):
     code, _, _ = run(capsys, "qcoh", "--n1", "-1")
     assert code == 2
+
+
+def _failing_qcoh(monkeypatch):
+    """Make ``qcoh`` see one wrong product and one nonzero residual."""
+    datum = hilb_datum()
+    good = QSeries.from_vector(datum, 2, 1, 3)
+    bad = good + QSeries(datum, 2, 1, {(2, 0): datum.basis_vector(7)})
+    table = ProductReport(
+        2,
+        1,
+        [
+            ProductCheck(1, 1, False, (2, 0), bad, good),
+            ProductCheck(1, 2, True, None, good, good),
+        ],
+    )
+    residual = QSeries(datum, 2, 1, {(1, 1): (0,) * 8 + (-2,)})
+    relations = RelationReport(2, 1, [QSeries(datum, 2, 1), residual])
+    monkeypatch.setattr(cli, "verify_product_table", lambda *a: table)
+    monkeypatch.setattr(cli, "verify_relations", lambda *a: relations)
+
+
+def test_qcoh_failure_text(capsys, monkeypatch):
+    _failing_qcoh(monkeypatch)
+    code, out, _ = run(capsys, "qcoh", "--n1", "2", "--n2", "1")
+    assert code == 4
+    lines = out.splitlines()
+    assert lines[:4] == [
+        "T1*T1: FAIL (first mismatch at q1^2q2^0)",
+        "T1*T2: PASS",
+        "relation 1: residual 0",
+        "relation 2: residual QSeries(q1^1q2^1*(-2*T8))",
+    ]
+    assert lines[4].startswith("FAIL (") and len(lines) == 5
+
+
+def test_qcoh_failure_json(capsys, monkeypatch):
+    _failing_qcoh(monkeypatch)
+    code, out, _ = run(capsys, "qcoh", "--n1", "2", "--n2", "1", "--json")
+    assert code == 4
+    payload = json.loads(out)
+    assert payload["status"] == "FAIL"
+    products = [
+        (p["name"], p["status"], p["first_mismatch"]) for p in payload["products"]
+    ]
+    assert products == [("T1*T1", "FAIL", [2, 0]), ("T1*T2", "PASS", None)]
+    assert [r["residual_zero"] for r in payload["relations"]] == [True, False]
 
 
 # ----------------------------------------------------------------------

@@ -78,6 +78,68 @@ def test_qseries_scalar_embedding():
     assert all(c == 0 for c in qs.coefficient(1, 1)[1:])
 
 
+def test_series_reprs():
+    """Terms print in increasing (a, b) order; the CLI prints a nonzero
+    relation residual through this repr."""
+    datum = hilb_datum()
+    assert repr(ScalarSeries(2, 1)) == "0"
+    s = ScalarSeries(2, 1, {(0, 0): 1, (1, 0): -2, (2, 1): rat(1, 2), (0, 1): 3})
+    assert repr(s) == "1 + 3*q2 + -2*q1 + 1/2*q1^2q2"
+    assert repr(QSeries(datum, 2, 1)) == "QSeries(0)"
+    qs = QSeries(
+        datum,
+        2,
+        1,
+        {
+            (0, 0): (0, 0, 0, 1, 0, 2, 0, 0, 0),
+            (1, 1): datum.basis_vector(0),
+            (2, 0): (0,) * 8 + (rat(-1, 3),),
+        },
+    )
+    assert repr(qs) == (
+        "QSeries(q1^0q2^0*(T3 + 2*T5) + q1^1q2^1*(T0) + q1^2q2^0*(-1/3*T8))"
+    )
+
+
+def test_qseries_rejects_mixed_bounds(engine):
+    datum = engine.datum
+    small = QSeries.from_vector(datum, 2, 1, 3)
+    wide = QSeries.from_vector(datum, 3, 1, 3)
+    for op in (
+        lambda: small + wide,
+        lambda: small - wide,
+        lambda: small.scaled(f_series(3, 1)),
+        lambda: small.first_mismatch(wide),
+        lambda: star(engine, small, 2, 3, 1),
+        lambda: star(engine, 2, small, 3, 1),
+        lambda: star(engine, small, wide, 2, 1),
+    ):
+        with pytest.raises(ValueError, match="mismatched truncation bounds"):
+            op()
+
+
+def test_first_mismatch_is_the_lowest_differing_exponent():
+    datum = hilb_datum()
+
+    def series(coeffs):
+        vectors = {k: datum.basis_vector(e) for k, e in coeffs.items()}
+        return QSeries(datum, 3, 2, vectors)
+
+    base = {(0, 0): 3, (1, 2): 4, (2, 0): 5, (3, 1): 6}
+    left = series(base)
+    assert left.first_mismatch(series(base)) is None
+    assert series({}).first_mismatch(series({})) is None
+    for change, want in (
+        ({(1, 2): 0}, (1, 2)),  # a term missing on the right
+        ({(3, 1): 7}, (3, 1)),
+        ({(0, 1): 8}, (0, 1)),  # a term missing on the left
+        ({(0, 0): 8, (3, 1): 7}, (0, 0)),
+    ):
+        other = {k: e for k, e in {**base, **change}.items() if e}
+        assert left.first_mismatch(series(other)) == want, change
+        assert series(other).first_mismatch(left) == want, change
+
+
 # ----------------------------------------------------------------------
 # the product itself
 # ----------------------------------------------------------------------
@@ -324,7 +386,7 @@ def test_series_coefficients_are_in_normal_form(engine):
     half = QSeries.from_vector(engine.datum, 1, 1, (rat(1, 2),) * 9)
     _assert_normal_form(half.scaled(2))
     _assert_normal_form(half.scaled(f_series(1, 1)))
-    assert all(type(c) is int for c in f_series(3, 1).terms.values())
+    assert all(type(c) is int for c in f_series(3, 1).coeffs.values())
 
 
 def test_product_table_makes_no_invariant_calls(monkeypatch):
