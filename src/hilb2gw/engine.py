@@ -329,6 +329,7 @@ class Engine:
         self._signature_plans: dict = {}  # their shared splits tuples
         self._plan_parts: dict = {}  # shared plan entries and sub tuples
         self._rows: dict = {}
+        self._boxes: dict = {}  # nonempty rows of a box, by (x, y, n1, n2)
         d = self.datum
         self._vanishes = d.vanishes
         self._codims = d.codims
@@ -546,6 +547,24 @@ class Engine:
                         entries.append((d.top - i, val))
             row = self._rows[key] = tuple(entries)
         return row
+
+    def _box_rows(self, x, y, n1, n2):
+        """``((a, b, row), ...)`` for each class (a, b) != (0, 0) with
+        a <= n1 and b <= n2 whose ``_row((a, b), x, y)`` is nonempty, in
+        increasing (a, b); built once per basis pair and truncation, for the
+        quantum product."""
+        key = (x, y, n1, n2)
+        box = self._boxes.get(key)
+        if box is None:
+            entries = []
+            for a in range(n1 + 1):
+                for b in range(n2 + 1):
+                    if a or b:
+                        row = self._row((a, b), x, y)
+                        if row:
+                            entries.append((a, b, row))
+            box = self._boxes[key] = tuple(entries)
+        return box
 
     # ------------------------------------------------------------------
     # equation building

@@ -10,14 +10,20 @@ divisor subring from engine invariants.
 
 Products are bilinear: the coefficient of q1^a q2^b in g1 * g2 is
 ``sum_{x,y} g1[x] g2[y] R_(a,b)(x, y)`` with the three-point basis row
-``R_(a,b)(x, y) = sum_i I_(a,b)(T_x, T_y, T_i) T_{8-i}``.  Each row is
-resolved once per engine (``Engine.three_point_row``) and then contracted
-with the sparse supports of the operands.
+``R_(a,b)(x, y) = sum_i I_(a,b)(T_x, T_y, T_i) T_{8-i}``.  Most rows are
+empty (249 of the 2,178 rows that ``qcoh`` at (80, 2) resolves are not),
+so the engine keeps, per basis pair and truncation, the tuple of the box's
+nonempty rows (``Engine._box_rows``), each row resolved once per engine.  A
+product contracts the sparse supports of its operands with those rows
+alone, skipping the ones that would land past the truncation.
 
 ``ScalarSeries`` (exact coefficients) and ``QSeries`` (cohomology-vector
-coefficients) share one truncated-series class: construction, the bounds
-check, ``+``, ``-``, scaling by an exact scalar or a ``ScalarSeries``,
-``==`` and ``first_mismatch`` are written once.  Every coefficient passes
+coefficients) share one truncated-series class: construction, the operand
+gate, ``+``, ``-``, scaling by an exact scalar or a ``ScalarSeries``,
+``==`` and ``first_mismatch`` are written once.  The gate checks the other
+operand's kind, truncation bounds and (for a QSeries) datum before any
+arithmetic and raises ValueError naming what differs; ``==`` is False
+instead.  Every coefficient passes
 its type's gate on construction (``rationals.qnorm`` for a scalar,
 ``TargetDatum.check_vector`` for a vector), so it is in the package's normal
 form (a plain ``int`` when integral, a ``Rat`` only for a true fraction) and
@@ -82,12 +88,23 @@ class _Series:
                 if nonzero(c) and 0 <= a <= n1 and 0 <= b <= n2:
                     self.coeffs[(a, b)] = c
 
-    def _check_bounds(self, n1: int, n2: int) -> None:
-        if (self.n1, self.n2) != (n1, n2):
-            raise ValueError("mismatched truncation bounds")
+    def _mismatch(self, other) -> str | None:
+        """What keeps ``other`` from combining with this series, or None: its
+        kind, then its bounds (a QSeries adds its datum)."""
+        if type(other) is not type(self):
+            return f"cannot combine {type(self).__name__} with {type(other).__name__}"
+        if (self.n1, self.n2) != (other.n1, other.n2):
+            return "mismatched truncation bounds"
+        return None
+
+    def _check_operand(self, other) -> None:
+        """The gate of every series operand: ValueError naming what differs."""
+        miss = self._mismatch(other)
+        if miss:
+            raise ValueError(miss)
 
     def __add__(self, other):
-        self._check_bounds(other.n1, other.n2)
+        self._check_operand(other)
         add = self._add
         coeffs = dict(self.coeffs)
         for k, c in other.coeffs.items():
@@ -95,6 +112,7 @@ class _Series:
         return self._like(coeffs)
 
     def __sub__(self, other):
+        self._check_operand(other)
         return self + (-other)
 
     def __neg__(self):
@@ -104,7 +122,8 @@ class _Series:
         """Multiply by an exact scalar or by a ScalarSeries (with truncation)."""
         if not isinstance(s, ScalarSeries):
             s = ScalarSeries.constant(self.n1, self.n2, s)
-        self._check_bounds(s.n1, s.n2)
+        elif (s.n1, s.n2) != (self.n1, self.n2):
+            raise ValueError("mismatched truncation bounds")
         scale, add = self._scale, self._add
         n1, n2 = self.n1, self.n2
         coeffs: dict = {}
@@ -118,18 +137,14 @@ class _Series:
         return self._like(coeffs)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, type(self))
-            and (self.n1, self.n2) == (other.n1, other.n2)
-            and self.coeffs == other.coeffs
-        )
+        return self._mismatch(other) is None and self.coeffs == other.coeffs
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def first_mismatch(self, other):
         """Lowest (a, b) where the two series differ, or None."""
-        self._check_bounds(other.n1, other.n2)
+        self._check_operand(other)
         for k in sorted(set(self.coeffs) | set(other.coeffs)):
             if self.coefficient(*k) != other.coefficient(*k):
                 return k
@@ -207,6 +222,12 @@ class QSeries(_Series):
     def _like(self, coeffs: dict) -> "QSeries":
         return QSeries(self.datum, self.n1, self.n2, coeffs)
 
+    def _mismatch(self, other) -> str | None:
+        miss = super()._mismatch(other)
+        if miss is None and other.datum is not self.datum:
+            miss = f"mismatched targets: {self.datum.name} and {other.datum.name}"
+        return miss
+
     @classmethod
     def from_vector(cls, datum: TargetDatum, n1: int, n2: int, g) -> "QSeries":
         """The constant series of a basis index or a cohomology vector."""
@@ -248,8 +269,10 @@ def _add_product(engine, out: dict, u, v, a0: int, b0: int, n1: int, n2: int) ->
     ``u`` and ``v`` are vectors in normal form and ``out`` maps (a, b) to a
     mutable coefficient list.  The product is contracted bilinearly: the
     operands' supports pair up (x <= y, the row being symmetric) and each
-    pair weight multiplies the cup-table entry at q^0 and the cached
-    three-point row of every class above it.
+    pair weight multiplies its cup-table entry at q1^a0 q2^b0 and each of
+    its nonempty three-point rows (``Engine._box_rows``) that lands inside
+    the truncation.  A cell of ``out`` is created only when a term lands on
+    it.
     """
     weights: dict = {}
     for x, cx in enumerate(u):
@@ -258,26 +281,32 @@ def _add_product(engine, out: dict, u, v, a0: int, b0: int, n1: int, n2: int) ->
                 if cy:
                     k = (x, y) if x <= y else (y, x)
                     weights[k] = weights.get(k, 0) + cx * cy
-    pairs = [(x, y, qnorm(c)) for (x, y), c in weights.items() if c]
-    datum = engine.datum
-    size = datum.basis_size
-    row = engine._row
-    cup_terms = datum.cup_terms
-    for a in range(n1 - a0 + 1):
-        for b in range(n2 - b0 + 1):
+    size = engine.datum.basis_size
+    cup_terms = engine.datum.cup_terms
+    box_rows = engine._box_rows
+    amax, bmax = n1 - a0, n2 - b0
+    for (x, y), c in weights.items():
+        if not c:
+            continue
+        c = qnorm(c)
+        terms = cup_terms[x][y]
+        if terms:
+            vec = out.get((a0, b0))
+            if vec is None:
+                vec = out[(a0, b0)] = [0] * size
+            for m, cm in terms:
+                vec[m] += c * cm
+        for a, b, row in box_rows(x, y, n1, n2):
+            if a > amax:
+                break
+            if b > bmax:
+                continue
             k = (a0 + a, b0 + b)
             vec = out.get(k)
             if vec is None:
                 vec = out[k] = [0] * size
-            if a or b:
-                cls = (a, b)
-                for x, y, c in pairs:
-                    for j, val in row(cls, x, y):
-                        vec[j] += c * val
-            else:
-                for x, y, c in pairs:
-                    for m, cm in cup_terms[x][y]:
-                        vec[m] += c * cm
+            for j, val in row:
+                vec[j] += c * val
 
 
 def small_product(engine, g1, g2, n1: int = 4, n2: int = 2) -> QSeries:
@@ -295,16 +324,23 @@ def small_product(engine, g1, g2, n1: int = 4, n2: int = 2) -> QSeries:
 def star(engine, left, right, n1: int = 4, n2: int = 2) -> QSeries:
     """Quantum product extended to series operands (left-to-right nesting).
 
-    Accepts basis indices, cohomology vectors, or QSeries on either side and
-    convolves coefficientwise, truncating every cross term.
+    Accepts basis indices, cohomology vectors, or QSeries on either side; a
+    QSeries operand must have the bounds (n1, n2) and the engine's datum,
+    else ValueError.  Each pair of coefficients at (a1, b1) and (a2, b2)
+    with a1 + a2 <= n1 and b1 + b2 <= n2 adds its product at that offset,
+    from the operands' nonempty three-point rows that land inside the
+    truncation.
     """
     datum = engine.datum
-    if not isinstance(left, QSeries):
+    gate = QSeries(datum, n1, n2)
+    if isinstance(left, QSeries):
+        gate._check_operand(left)
+    else:
         left = QSeries.from_vector(datum, n1, n2, left)
-    if not isinstance(right, QSeries):
+    if isinstance(right, QSeries):
+        gate._check_operand(right)
+    else:
         right = QSeries.from_vector(datum, n1, n2, right)
-    left._check_bounds(n1, n2)
-    right._check_bounds(n1, n2)
     coeffs: dict = {}
     for (a1, b1), u in left.coeffs.items():
         for (a2, b2), v in right.coeffs.items():

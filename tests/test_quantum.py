@@ -2,7 +2,9 @@
 the cubic relations, the ring axioms at small truncation, and the bilinear
 evaluation against the definition."""
 
+import operator
 import random
+from collections import Counter
 
 import pytest
 
@@ -17,6 +19,7 @@ from hilb2gw import (
     verify_product_table,
     verify_relations,
 )
+from hilb2gw.chow import p2_datum
 from hilb2gw.rationals import Rat, rat
 
 
@@ -116,6 +119,33 @@ def test_qseries_rejects_mixed_bounds(engine):
     ):
         with pytest.raises(ValueError, match="mismatched truncation bounds"):
             op()
+
+
+def test_series_operands_are_gated_before_any_arithmetic(engine):
+    """A scalar and a vector series, a bare number, or series of two targets
+    never combine: ``+``, ``-``, ``first_mismatch`` and ``star`` raise
+    ValueError naming what differs, and ``==`` is False."""
+    hilb, p2 = hilb_datum(), p2_datum()
+    scalar = ScalarSeries.constant(1, 1, 2)
+    vector = QSeries.from_vector(hilb, 1, 1, 3)
+    plane = QSeries.from_vector(p2, 1, 1, 1)
+    kind = "cannot combine"
+    for left, right, match in (
+        (scalar, vector, kind),
+        (vector, scalar, kind),
+        (scalar, 1, kind),
+        (vector, 1, kind),
+        (plane, vector, "mismatched targets: p2 and hilb2p2"),
+        (vector, plane, "mismatched targets: hilb2p2 and p2"),
+    ):
+        for op in (operator.add, operator.sub, lambda x, y: x.first_mismatch(y)):
+            with pytest.raises(ValueError, match=match):
+                op(left, right)
+        assert left != right
+    assert QSeries(hilb, 1, 1) != QSeries(p2, 1, 1)
+    for left, right in ((plane, 1), (1, plane), (plane, plane)):
+        with pytest.raises(ValueError, match="mismatched targets: hilb2p2 and p2"):
+            star(engine, left, right, 1, 1)
 
 
 def test_first_mismatch_is_the_lowest_differing_exponent():
@@ -376,6 +406,57 @@ def test_star_of_series_matches_definition():
         got = star(eng, left, right, n1, n2)
         assert got == QSeries(datum, n1, n2, want)
         _assert_normal_form(got)
+
+
+def test_star_truncates_at_the_box_edge():
+    """Terms landing exactly on a = n1 or b = n2 are kept, those one past
+    them dropped: coefficients at the edges of the (12, 2) box, against a
+    constant and against themselves, match the definition.  T1 has a
+    nonzero row at every (a, 0) and T6 at (a, 2) for small a, so dropping
+    the last a or b of a row walk changes the product."""
+    eng = Engine()
+    datum = eng.datum
+    n1, n2 = 12, 2
+    t1, t6 = datum.basis_vector(1), datum.basis_vector(6)
+    series = QSeries(
+        datum,
+        n1,
+        n2,
+        {
+            (0, 0): tuple(x + y for x, y in zip(t1, t6)),
+            (5, 1): t1,
+            (12, 0): datum.basis_vector(3),
+            (3, 2): datum.basis_vector(4),
+        },
+    )
+    constant = QSeries.from_vector(datum, n1, n2, 7)
+    for right in (constant, series):
+        want: dict = {}
+        for k1, u in series.coeffs.items():
+            for k2, v in right.coeffs.items():
+                shift = (k1[0] + k2[0], k1[1] + k2[1])
+                if shift[0] <= n1 and shift[1] <= n2:
+                    _defined_product(eng, u, v, n1, n2, shift, want)
+        assert star(eng, series, right, n1, n2) == QSeries(datum, n1, n2, want)
+
+
+def test_qcoh_resolves_each_three_point_row_once(monkeypatch):
+    """The product table and the relations ask for each (cls, x, y) row at
+    most once on one engine: each basis pair's nonempty rows are collected
+    once per truncation, not once per operand pair and class."""
+    calls = Counter()
+    original = Engine._row
+
+    def counted(self, cls, x, y):
+        calls[(cls, x, y)] += 1
+        return original(self, cls, x, y)
+
+    monkeypatch.setattr(Engine, "_row", counted)
+    eng = Engine()
+    assert verify_product_table(eng, 20, 2).passed
+    assert verify_relations(eng, 20, 2).passed
+    assert calls
+    assert max(calls.values()) == 1
 
 
 def test_series_coefficients_are_in_normal_form(engine):
