@@ -37,7 +37,6 @@ serves as an independent cross-check target.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
 
 from .rationals import qdiv, qnorm
 
@@ -179,15 +178,15 @@ class TargetDatum:
         self,
         name: str,
         dim: int,
-        codims: Sequence[int],
-        divisors: Sequence[int],
-        cup_table: Sequence[Sequence[CohVector]],
-        dual: Sequence[int],
-        anticanonical: Sequence[int],
+        codims: tuple[int, ...],
+        divisors: tuple[int, ...],
+        cup_table: tuple[tuple[CohVector, ...], ...],
+        dual: tuple[int, ...],
+        anticanonical: tuple[int, ...],
         decompositions: dict,
-        base_case: Callable[[CurveClass, tuple], Optional[object]],
+        base_case: object,  # (cls, ins) -> exact value, or None if not a base case
         rank: int,
-        base: Optional[int] = None,
+        base: int | None = None,
     ):
         self.name = name
         self.dim = dim

@@ -80,7 +80,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
 
 from .chow import TargetDatum, hilb_datum
 from .rationals import binom, check_int, qdiv, qnorm, rat_from_parts
@@ -116,12 +115,19 @@ class CacheFormatError(EngineError):
     """A cache file failed schema or consistency validation."""
 
 
-@dataclass
 class LinearForm:
     """An affine form sum(coeff * unknown) + constant over invariant keys."""
 
-    terms: dict = field(default_factory=dict)
-    constant: object = 0
+    __slots__ = ("terms", "constant")
+
+    def __init__(self, terms: dict | None = None, constant: object = 0):
+        self.terms = {} if terms is None else terms
+        self.constant = constant
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.terms == other.terms and self.constant == other.constant
 
     def is_zero(self) -> bool:
         return not self.terms and self.constant == 0

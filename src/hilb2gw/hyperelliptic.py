@@ -27,8 +27,6 @@ the plane, and its insertions carry base orders summing to
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .engine import Engine
 from .rationals import binom, check_int
 
@@ -41,14 +39,19 @@ class NegativeCount(Exception):
     """An inverted count came out negative."""
 
 
-@dataclass
 class CountTable:
     """Both columns of the inversion for one (d, l): genus 0 .. d-1."""
 
-    d: int
-    l: int
-    invariants: dict = field(default_factory=dict)  # g -> exact rational I
-    counts: dict = field(default_factory=dict)      # g -> int E^l(d, g)
+    __slots__ = ("d", "l", "invariants", "counts")
+
+    def __init__(
+        self, d: int, l: int, invariants: dict | None = None, counts: dict | None = None
+    ):
+        self.d = d
+        self.l = l
+        # g -> exact rational I, and g -> int E^l(d, g)
+        self.invariants = {} if invariants is None else invariants
+        self.counts = {} if counts is None else counts
 
     @property
     def genera(self):

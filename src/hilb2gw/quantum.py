@@ -35,7 +35,6 @@ and ``TargetDatum.check_vector``; truncation bounds are non-negative ints.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 
 from .chow import CohVector, TargetDatum
 from .rationals import Rat, check_int, qnorm
@@ -380,38 +379,52 @@ def _closed_product_forms(datum: TargetDatum, n1: int, n2: int) -> dict:
     }
 
 
-@dataclass
 class ProductCheck:
     """Outcome of one table entry: computed vs closed form."""
 
-    left: int
-    right: int
-    passed: bool
-    first_mismatch: tuple | None
-    computed: QSeries
-    expected: QSeries
+    __slots__ = ("left", "right", "passed", "first_mismatch", "computed", "expected")
+
+    def __init__(
+        self,
+        left: int,
+        right: int,
+        passed: bool,
+        first_mismatch: tuple | None,
+        computed: QSeries,
+        expected: QSeries,
+    ):
+        self.left = left
+        self.right = right
+        self.passed = passed
+        self.first_mismatch = first_mismatch
+        self.computed = computed
+        self.expected = expected
 
     @property
     def name(self) -> str:
         return f"T{self.left}*T{self.right}"
 
 
-@dataclass
 class ProductReport:
-    n1: int
-    n2: int
-    entries: list = field(default_factory=list)
+    __slots__ = ("n1", "n2", "entries")
+
+    def __init__(self, n1: int, n2: int, entries: list | None = None):
+        self.n1 = n1
+        self.n2 = n2
+        self.entries = [] if entries is None else entries
 
     @property
     def passed(self) -> bool:
         return all(e.passed for e in self.entries)
 
 
-@dataclass
 class RelationReport:
-    n1: int
-    n2: int
-    residuals: list = field(default_factory=list)
+    __slots__ = ("n1", "n2", "residuals")
+
+    def __init__(self, n1: int, n2: int, residuals: list | None = None):
+        self.n1 = n1
+        self.n2 = n2
+        self.residuals = [] if residuals is None else residuals
 
     @property
     def passed(self) -> bool:

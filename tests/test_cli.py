@@ -326,6 +326,24 @@ def test_module_entry_point_runs_the_cli():
     assert proc.stdout == "12\n"
 
 
+def test_import_loads_no_heavy_stdlib_modules():
+    """``import hilb2gw`` in a bare interpreter loads none of dataclasses,
+    inspect, typing, ast, dis or tokenize: every CLI call and bench
+    repetition pays its import."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    heavy = ("dataclasses", "inspect", "typing", "ast", "dis", "tokenize")
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import hilb2gw; "
+        f"print(' '.join(m for m in {heavy!r} if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
 # ----------------------------------------------------------------------
 # cache
 # ----------------------------------------------------------------------

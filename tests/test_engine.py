@@ -870,6 +870,18 @@ def test_linear_form_zero_detection():
     assert not LinearForm({((1, 1), (3, 8)): rat(1)}, rat(0)).is_zero()
 
 
+def test_linear_form_defaults_are_fresh_and_equality_compares_fields():
+    key = ((1, 1), (3, 8))
+    a, b = LinearForm(), LinearForm()
+    a.terms[key] = rat(1)
+    assert b.terms == {} and b.constant == 0
+    form = LinearForm({key: rat(1)}, rat(2))
+    assert form == LinearForm(terms={key: rat(1)}, constant=rat(2))
+    assert form != LinearForm({key: rat(1)}, rat(3))
+    assert form != LinearForm({key: rat(2)}, rat(2))
+    assert form != ({key: rat(1)}, rat(2))
+
+
 # ----------------------------------------------------------------------
 # randomized property suites
 # ----------------------------------------------------------------------

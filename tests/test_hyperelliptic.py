@@ -4,6 +4,7 @@ inversion into curve counts, and the named special counts."""
 import pytest
 
 from hilb2gw import (
+    CountTable,
     Engine,
     NegativeCount,
     NonIntegralCount,
@@ -86,6 +87,16 @@ def test_severi_degrees(engine):
         severi_degree(engine, 2, 5)
     with pytest.raises(ValueError):
         severi_degree(engine, 1, 2)
+
+
+def test_count_table_construction():
+    a, b = CountTable(3, 1), CountTable(3, 1)
+    a.invariants[0] = rat(1)
+    a.counts[0] = 1
+    assert b.invariants == {} and b.counts == {}
+    table = CountTable(2, 0, {0: rat(1), 1: rat(2)}, {0: 1, 1: 2})
+    assert (table.d, table.l) == (2, 0)
+    assert table.rows() == [(0, rat(1), 1), (1, rat(2), 2)]
 
 
 def test_non_integral_counts_raise():

@@ -20,6 +20,7 @@ from hilb2gw import (
     verify_relations,
 )
 from hilb2gw.chow import p2_datum
+from hilb2gw.quantum import ProductCheck, ProductReport, RelationReport
 from hilb2gw.rationals import Rat, rat
 
 
@@ -225,6 +226,29 @@ def test_relations_hold(engine):
     assert len(report.residuals) == 2
     for residual in report.residuals:
         assert residual.is_zero()
+
+
+def test_report_construction():
+    datum = hilb_datum()
+    zero = QSeries(datum, 2, 1)
+    one = QSeries.from_vector(datum, 2, 1, 0)
+    for report, box in (
+        (ProductReport(2, 1), "entries"),
+        (RelationReport(2, 1), "residuals"),
+    ):
+        other = type(report)(2, 1)
+        getattr(report, box).append(None)
+        assert getattr(other, box) == []
+    check = ProductCheck(1, 2, False, (0, 1), one, zero)
+    assert (check.name, check.passed, check.first_mismatch) == ("T1*T2", False, (0, 1))
+    assert (check.computed, check.expected) == (one, zero)
+    products = ProductReport(2, 1, [check])
+    assert (products.n1, products.n2, products.entries) == (2, 1, [check])
+    assert not products.passed
+    relations = RelationReport(2, 1, [zero, one])
+    assert (relations.n1, relations.n2, relations.residuals) == (2, 1, [zero, one])
+    assert not relations.passed
+    assert RelationReport(2, 1, [zero]).passed
 
 
 def test_relation_two_reduces_classically(engine):
