@@ -32,15 +32,15 @@ unknown of the equation carries strictly fewer copies of the top indices
 (a few corner keys take a frame that refers forward to keys with more).
 The harvest walks the closure of the requested keys depth first and queues
 each key's equation after the equations of its other unknowns, so the stage
-is triangular in that order: once the values solved before it are
-substituted, each equation has one unknown left, which one exact division
-solves. Every visit to a stage builds its own solver and drops it on
-return, after committing each key it solved: the memo is the only store
-that outlives a visit, and the harvest stops at memo keys. A cycle among
-the lead equations, an equation left with two unknowns, or a requested key
-left unsolved raises UnderdeterminedStage: reconstruction guarantees
-solvability, so that is a fatal invariant violation, as is any
-inconsistent equation.
+is triangular in that order.  The solver writes each key into the memo as
+it solves it and ``_build`` reads the earlier ones back as constants, so
+each equation reaches the solver with one key left, which one exact
+division solves.  The memo is the only store of solved values, and the
+harvest stops at memo keys. A cycle among the lead equations, an equation
+left with two unknowns, or a requested key left unsolved raises
+UnderdeterminedStage: reconstruction guarantees solvability, so that is a
+fatal invariant violation, as is any inconsistent equation.  A visit that
+fails partway keeps the exact keys it solved before the failure.
 
 The memo stores each canonical insertion multiset as a packed integer code,
 one 8-bit digit per non-divisor basis index (see MemoStore), so the split sum
@@ -259,62 +259,53 @@ class MemoStore:
 
 
 class ExactLinearSolver:
-    """Exact substitution solver for a stage's equations, fed in dependency
-    order.
+    """Exact solver of one stage visit's equations, writing into the memo.
 
-    Each equation arrives after the equations of every other unknown it
-    holds, so once the values solved so far are substituted exactly one
-    unknown is left, and one exact division solves it.
+    Each equation comes after those of its other unknowns, whose solved
+    values ``_build`` reads from the memo, so one key is left, and one exact
+    division solves it.
     """
 
-    def __init__(self):
-        self.solved: dict = {}  # key -> exact value
+    __slots__ = ("memo",)
+
+    def __init__(self, memo: MemoStore):
+        self.memo = memo
 
     def add(self, terms: dict, const) -> None:
-        """Solve sum(terms * x) + const = 0 for its one unsolved key.
+        """Solve sum(terms * x) + const = 0 for its one key into the memo.
 
         ``terms`` maps keys to nonzero coefficients, as ``_build`` gives them.
-
-        Raises UnderdeterminedStage when two or more keys are unsolved and
-        InconsistentSystem when none is and the constant is not 0.
+        Raises UnderdeterminedStage, leaving the memo unchanged, when two or
+        more keys are left, and InconsistentSystem when none is and the
+        constant is not 0.
         """
-        solved = self.solved
-        c = const
-        free = []
-        for k, coef in terms.items():
-            v = solved.get(k)
-            if v is None:
-                free.append((k, coef))
-            else:
-                c += coef * v
-        if len(free) == 1:
-            (k, coef), = free
-            solved[k] = -qdiv(c, coef)
-        elif free:
+        if len(terms) == 1:
+            (k, coef), = terms.items()
+            self.memo.set(k, -qdiv(const, coef))
+        elif terms:
             raise UnderdeterminedStage(
-                f"an equation reached the solver with {len(free)} unsolved "
-                f"keys: {sorted(k for k, _ in free)[:5]}"
+                f"an equation reached the solver with {len(terms)} unsolved "
+                f"keys: {sorted(terms)[:5]}"
             )
-        elif c != 0:
-            raise InconsistentSystem(f"0 = {c} from a harvested equation")
+        elif const != 0:
+            raise InconsistentSystem(f"0 = {const} from a harvested equation")
 
 
 class _StageState:
     """Solving state of one visit to a stage.
 
     Every visit builds a fresh state and drops it on return: the memo is the
-    only store that outlives a visit.  ``seen`` lists the lead specs the
-    harvest queued, each after the specs of its other unknowns, and the
-    drain builds every one of them, so a visit leaves nothing open: it
-    commits every key its solver solved, and a later visit to the same
-    stage starts from the memo alone.  Each of the 5,130 visits of the
-    d <= 6 count tables solves exactly as many keys as it queued specs.
+    only store of solved values.  ``seen`` lists the lead specs the harvest
+    queued, each after the specs of its other unknowns; the drain solves
+    every one of them into the memo, so a later visit to the same stage
+    starts from the memo alone.  Each of the 5,130 visits of the d <= 6
+    count tables in the CLI's query order (5,062 in the benchmark's seed-7
+    order) solves exactly as many keys as it queued specs.
     """
 
-    __slots__ = ("solver", "seen")
+    __slots__ = ("seen",)
 
     def __init__(self):
-        self.solver = ExactLinearSolver()
         self.seen = []  # lead specs in solving order
 
 
@@ -334,7 +325,6 @@ class Engine:
         self._plans: dict = {}  # split plans by (cls, p, q, r, s, w_x)
         self._signature_plans: dict = {}  # their shared splits tuples
         self._plan_parts: dict = {}  # shared plan entries and sub tuples
-        self._rows: dict = {}
         self._boxes: dict = {}  # nonempty rows of a box, by (x, y, n1, n2)
         d = self.datum
         self._vanishes = d.vanishes
@@ -520,14 +510,12 @@ class Engine:
         return qnorm(total)
 
     def three_point_row(self, cls, x, y):
-        """The three-point basis row of (T_x, T_y) at ``cls``, cached.
+        """The three-point basis row of (T_x, T_y) at ``cls``.
 
         Returns ``((top - i, I_cls(T_x, T_y, T_i)), ...)`` over the i whose
         invariant is nonzero, the empty tuple when there is none; ``cls`` is
         a nonzero effective class and x, y are basis indices in either
-        order, all checked on every call.  A row is derived from memo
-        values, which are never overwritten, so a cached row cannot go
-        stale.
+        order, all checked on every call.  Only ``_box_rows`` keeps rows.
         """
         cls = self._check_class(cls)
         self.datum.check_index(x)
@@ -535,30 +523,28 @@ class Engine:
         return self._row(cls, x, y)
 
     def _row(self, cls, x, y):
-        """``three_point_row`` without the checks, for the product loop."""
-        key = (cls, x, y)
-        row = self._rows.get(key)
-        if row is None:
-            d = self.datum
-            need = self._budget(cls) - self._weights[x] - self._weights[y]
-            entries = []
-            for i in range(d.basis_size):
-                if self._weights[i] != need:
-                    continue
-                canon = self._canon(cls, (x, y, i))
-                if canon is not None:
-                    ins, mult = canon
-                    val = qnorm(mult * self.value_of((cls, ins)))
-                    if val:
-                        entries.append((d.top - i, val))
-            row = self._rows[key] = tuple(entries)
-        return row
+        """``three_point_row`` without the checks, for ``_box_rows``."""
+        d = self.datum
+        weights = self._weights
+        need = self._budget(cls) - weights[x] - weights[y]
+        entries = []
+        for i in range(d.basis_size):
+            if weights[i] != need:
+                continue
+            canon = self._canon(cls, (x, y, i))
+            if canon is not None:
+                ins, mult = canon
+                val = qnorm(mult * self.value_of((cls, ins)))
+                if val:
+                    entries.append((d.top - i, val))
+        return tuple(entries)
 
     def _box_rows(self, x, y, n1, n2):
         """``((a, b, row), ...)`` for each class (a, b) != (0, 0) with
         a <= n1 and b <= n2 whose ``_row((a, b), x, y)`` is nonempty, in
         increasing (a, b); built once per basis pair and truncation, for the
-        quantum product."""
+        quantum product.  Memo values are never overwritten, so a kept box
+        cannot go stale."""
         key = (x, y, n1, n2)
         box = self._boxes.get(key)
         if box is None:
@@ -849,12 +835,7 @@ class Engine:
         st = _StageState()
         self._harvest_closure(cls, st, requested)
         self._drain(cls, n, st)
-        # the memo gains no key of this stage during the visit, so every
-        # solved key is new to it
-        solved = st.solver.solved
-        for key, val in solved.items():
-            self.memo.set(key, val)
-        missing = [k for k in requested if k not in solved]
+        missing = [k for k in requested if k not in self.memo]
         if missing:
             raise UnderdeterminedStage(
                 f"stage (cls={cls}, n={n}) underdetermined; "
@@ -864,11 +845,12 @@ class Engine:
     def _drain(self, cls, n, st) -> None:
         """Build the queued lead equations in order and solve each one.
 
-        The harvest queued every spec after those of its other unknowns, so
-        each equation reaches the solver with its own key the one unsolved
-        unknown left.
+        The harvest queued every spec after those of its other unknowns and
+        the solver writes each key into the memo, so every equation reaches
+        it with its own key the one key left.  If an equation fails, the
+        exact keys solved before it stay in the memo.
         """
-        add = st.solver.add
+        add = ExactLinearSolver(self.memo).add
         for frame, extras in st.seen:
             add(*self._build(cls, frame, extras, n))
 
@@ -1014,8 +996,10 @@ class Engine:
         as decimal strings. A key the projection to the base plane kills is
         left out: ``value_of`` stores it as 0 again without visiting a
         stage. The text is built from strings one class at a time, each
-        code's insertion list rendered once.
+        code's insertion list rendered once. An ``int`` or ``bool`` path
+        raises ValueError: ``open`` would take it as a file descriptor.
         """
+        _check_path(path)
         if self.datum.rank != 2:
             raise CacheFormatError(
                 "cache schema is defined for the two-parameter target only"
@@ -1069,12 +1053,16 @@ class Engine:
         ``MemoStore.merge`` only after every entry has passed, which raises
         InconsistentSystem, loading nothing, if a value conflicts with one
         already in the memo, and otherwise writes each key by
-        ``MemoStore.set``.
+        ``MemoStore.set``. Text the JSON parser rejects, bytes that are not
+        UTF-8 included, raises CacheFormatError; an ``int`` or ``bool`` path
+        raises ValueError before anything is opened.
         """
+        _check_path(path)
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 payload = json.load(fh)
-            except json.JSONDecodeError as exc:
+            # not JSON or not UTF-8 (ValueError), or nested too deep
+            except (ValueError, RecursionError) as exc:
                 raise CacheFormatError(f"not valid JSON: {exc}") from exc
         if not isinstance(payload, dict):
             raise CacheFormatError("a cache file must hold one JSON object")
@@ -1165,6 +1153,12 @@ def _as_tuple(x, what):
         return tuple(x)
     except TypeError:
         raise ValueError(f"{what} must be a sequence, got {x!r}") from None
+
+
+def _check_path(path) -> None:
+    """ValueError for an int or bool, which ``open`` takes as a descriptor."""
+    if isinstance(path, int):
+        raise ValueError(f"a cache path must name a file, got {path!r}")
 
 
 def _merged(sorted_tuple, small):

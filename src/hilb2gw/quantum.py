@@ -13,9 +13,9 @@ Products are bilinear: the coefficient of q1^a q2^b in g1 * g2 is
 ``R_(a,b)(x, y) = sum_i I_(a,b)(T_x, T_y, T_i) T_{8-i}``.  Most rows are
 empty (249 of the 2,178 rows that ``qcoh`` at (80, 2) resolves are not),
 so the engine keeps, per basis pair and truncation, the tuple of the box's
-nonempty rows (``Engine._box_rows``), each row resolved once per engine.  A
-product contracts the sparse supports of its operands with those rows
-alone, skipping the ones that would land past the truncation.
+nonempty rows (``Engine._box_rows``), each row resolved once when its box
+is built.  A product contracts the sparse supports of its operands with
+those rows alone, skipping the ones that would land past the truncation.
 
 ``ScalarSeries`` (exact coefficients) and ``QSeries`` (cohomology-vector
 coefficients) share one truncated-series class: construction, the operand
@@ -66,7 +66,9 @@ def _check_truncation(n1, n2) -> None:
 
 class _Series:
     """Series in q1, q2 truncated to degrees (n1, n2): ``coeffs`` maps (a, b)
-    to a nonzero coefficient in normal form.
+    to a nonzero coefficient in normal form.  The exponents a and b must be
+    non-negative ints (not bools), or ValueError is raised; terms past the
+    truncation box are dropped.
 
     A subclass names its coefficient type: ``_norm`` (the gate to normal
     form), ``_nonzero``, ``_add`` (of two coefficients) and ``_scale`` (of a
@@ -83,8 +85,12 @@ class _Series:
         if coeffs:
             norm, nonzero = self._norm, self._nonzero
             for (a, b), c in coeffs.items():
+                if type(a) is not int or type(b) is not int or a < 0 or b < 0:
+                    raise ValueError(
+                        f"series exponents must be non-negative ints, got {(a, b)!r}"
+                    )
                 c = norm(c)
-                if nonzero(c) and 0 <= a <= n1 and 0 <= b <= n2:
+                if nonzero(c) and a <= n1 and b <= n2:
                     self.coeffs[(a, b)] = c
 
     def _mismatch(self, other) -> str | None:

@@ -462,6 +462,18 @@ def test_cache_import_rejects_non_object(capsys, tmp_path, text):
     assert code == 2 and "cache format error" in err
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [b"[" * 200000, b"\xff\xfe{}", b'{"entries": ' + b"9" * 5000 + b"}"],
+    ids=["nested-too-deep", "not-utf-8", "huge-int-literal"],
+)
+def test_cache_import_rejects_unparsable_bytes(capsys, tmp_path, raw):
+    path = tmp_path / "unparsable.json"
+    path.write_bytes(raw)
+    code, _, err = run(capsys, "cache", "import", str(path))
+    assert code == 2 and err.startswith("cache format error:")
+
+
 def test_unreadable_cache_path_is_usage_error(capsys, tmp_path):
     missing = str(tmp_path / "absent.json")
     code, _, err = run(capsys, "cache", "import", missing)

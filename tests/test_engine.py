@@ -6,6 +6,7 @@ import gc
 import itertools
 import json
 import math
+import os
 import random
 import time
 from collections import Counter
@@ -23,6 +24,7 @@ from hilb2gw import (
     kontsevich_nd,
     p2_datum,
 )
+from hilb2gw import engine as engine_module
 from hilb2gw.chow import _A1_TABLE, TargetDatum
 from hilb2gw.engine import (
     CACHE_SCHEMA,
@@ -728,22 +730,29 @@ def test_d8_tables_and_every_d6_stage_close():
 
 
 def test_solver_substitutes_and_solves_one_unknown():
+    """``_build`` substitutes every solved key, so the solver gets one key
+    and writes its exact value straight into the memo."""
     a, b = ((1, 1), (3, 8)), ((1, 1), (4, 8))
-    solver = ExactLinearSolver()
+    memo = MemoStore(hilb_datum().nondivisors)
+    solver = ExactLinearSolver(memo)
     solver.add({a: 3}, -1)  # 3a - 1 = 0
-    assert solver.solved == {a: rat(1, 3)} and type(solver.solved[a]) is Rat
-    solver.add({a: 3, b: 2}, 1)  # 1 + 2b + 1 = 0
-    assert solver.solved[b] == -1 and type(solver.solved[b]) is int
-    solver.add({a: 6, b: 1}, -1)  # 2 - 1 - 1 = 0 holds
+    assert memo.get(a) == rat(1, 3) and type(memo.get(a)) is Rat
+    solver.add({b: 2}, 2)  # 2b + 2 = 0
+    assert memo.get(b) == -1 and type(memo.get(b)) is int
+    solver.add({}, 0)  # 0 = 0 holds
     with pytest.raises(InconsistentSystem):
-        solver.add({a: 3}, 0)  # 1 = 0
+        solver.add({}, 1)  # 0 = 1
+    with pytest.raises(InconsistentSystem):
+        solver.add({a: 3}, 0)  # a = 0 contradicts the stored 1/3
+    assert dict(memo.items()) == {a: rat(1, 3), b: -1}
 
 
 def test_solver_rejects_two_unknowns():
-    solver = ExactLinearSolver()
+    memo = MemoStore(hilb_datum().nondivisors)
+    solver = ExactLinearSolver(memo)
     with pytest.raises(UnderdeterminedStage):
         solver.add({((1, 1), (3, 8)): 1, ((1, 1), (4, 8)): 1}, 2)
-    assert not solver.solved
+    assert len(memo) == 0
 
 
 def test_lead_equation_cycle_raises(monkeypatch):
@@ -765,24 +774,26 @@ def test_lead_equation_cycle_raises(monkeypatch):
 def test_harvest_queues_each_spec_after_its_other_unknowns():
     """Over the d <= 4 tables, every unknown of a queued lead spec other
     than its own key is in the memo or was queued earlier in the same
-    visit, and the visit solves every queued key."""
+    visit, each equation the drain hands the solver holds exactly one key,
+    the spec's own, and the visit leaves every queued key in the memo."""
 
     class Recording(Engine):
         def __init__(self):
             super().__init__()
-            self.owner = {}
-            self.visits = self.specs = 0
+            self.owner = {}  # (cls, spec) -> key
+            self.built = {}  # (cls, spec) -> keys of its equation
+            self.visits = self.specs = self.equations = 0
 
         def _lead_spec(self, key):
             spec = super()._lead_spec(key)
-            self.owner[spec] = key
+            self.owner[(key[0], spec)] = key
             return spec
 
         def _harvest_closure(self, cls, st, seeds):
             super()._harvest_closure(cls, st, seeds)
             queued = set()
             for spec in st.seen:
-                key = self.owner[spec]
+                key = self.owner[(cls, spec)]
                 for nb in self._spec_unknowns(cls, spec):
                     assert nb == key or nb in self.memo or nb in queued, (
                         cls, spec, nb
@@ -791,13 +802,23 @@ def test_harvest_queues_each_spec_after_its_other_unknowns():
             self.visits += 1
             self.specs += len(queued)
 
+        def _build(self, cls, frame, extras, stage_n):
+            terms, const = super()._build(cls, frame, extras, stage_n)
+            self.built[(cls, (frame, extras))] = set(terms)
+            return terms, const
+
         def _drain(self, cls, n, st):
             super()._drain(cls, n, st)
-            assert all(self.owner[spec] in st.solver.solved for spec in st.seen)
+            for spec in st.seen:
+                key = self.owner[(cls, spec)]
+                assert self.built[(cls, spec)] == {key}, (cls, spec)
+                assert key in self.memo, key
+                self.equations += 1
 
     eng = Recording()
     _hilb_tables_to_d4(eng)
     assert eng.visits >= 100 and eng.specs >= 500
+    assert eng.equations == eng.specs
 
 
 def test_lead_spec_fits_every_key():
@@ -1092,6 +1113,57 @@ def test_cache_conflict_with_the_memo_loads_nothing(tmp_path):
     _write(path, entries[1:] + [lie])
     with pytest.raises(InconsistentSystem):
         eng.load_cache(path)
+    assert dict(eng.memo.items()) == before
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b"[" * 200000,
+        b'{"target": "hilb2p2", "entries": [], "x": "\xff"}',
+        b'{"target": "hilb2p2", "entries": [], "x": ' + b"1" * 5000 + b"}",
+    ],
+    ids=["nested-too-deep", "not-utf-8", "huge-int-literal"],
+)
+def test_unparsable_cache_file_is_a_format_error(tmp_path, raw):
+    """JSON nested past the parser's recursion limit, bytes that are not
+    UTF-8 and an int literal past CPython's digit limit raise
+    CacheFormatError, like any other text that is not JSON."""
+    eng = _warm_engine()
+    before = dict(eng.memo.items())
+    path = tmp_path / "unparsable.json"
+    path.write_bytes(raw)
+    with pytest.raises(CacheFormatError):
+        eng.load_cache(path)
+    assert dict(eng.memo.items()) == before
+
+
+def test_cache_path_must_not_be_a_file_descriptor(monkeypatch):
+    """``open`` takes an int as a file descriptor and closes it afterwards;
+    an int or bool path raises ValueError before anything is opened."""
+    eng = _warm_engine()
+    before = dict(eng.memo.items())
+    r, w = os.pipe()
+    try:
+        os.write(w, b"{}")
+        with pytest.raises(ValueError, match="must name a file"):
+            eng.save_cache(w)
+        with pytest.raises(ValueError, match="must name a file"):
+            eng.load_cache(r)
+        os.write(w, b"[]")  # both ends are still open and unread
+        assert os.read(r, 8) == b"{}[]"
+    finally:
+        os.close(r)
+        os.close(w)
+    # True and False are fds 1 and 0: make opening them fail the test
+    def no_open(*args, **kwargs):
+        raise AssertionError(f"opened {args[0]!r}")
+
+    monkeypatch.setattr(engine_module, "open", no_open, raising=False)
+    for fd in (True, False):
+        for method in (eng.save_cache, eng.load_cache):
+            with pytest.raises(ValueError, match="must name a file"):
+                method(fd)
     assert dict(eng.memo.items()) == before
 
 

@@ -62,6 +62,23 @@ def test_scalar_series_rejects_mixed_bounds():
         ScalarSeries(-1, 0)
 
 
+@pytest.mark.parametrize(
+    "exps", [(0.5, 0), (0, 1.0), (True, 0), (0, False), (-1, 0), (0, -3), ("1", 0)]
+)
+def test_series_exponents_are_non_negative_ints(exps):
+    """A fractional, bool, negative or non-int exponent raises ValueError;
+    it is never stored, printed or dropped as if it were past the box."""
+    datum = hilb_datum()
+    with pytest.raises(ValueError, match="non-negative ints"):
+        ScalarSeries(2, 2, {exps: 1})
+    with pytest.raises(ValueError, match="non-negative ints"):
+        ScalarSeries.monomial(2, 2, *exps)
+    with pytest.raises(ValueError, match="non-negative ints"):
+        QSeries(datum, 2, 2, {exps: datum.basis_vector(3)})
+    # in range or past the box, int exponents are accepted
+    assert ScalarSeries(2, 2, {(3, 0): 1, (1, 2): 1}).coeffs == {(1, 2): 1}
+
+
 # ----------------------------------------------------------------------
 # cohomology-valued series
 # ----------------------------------------------------------------------
