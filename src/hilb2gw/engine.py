@@ -27,9 +27,13 @@ every stage reduces to an exact linear system in its own keys.
 
 Each stage has one harvest. Every key contributes its lead equation: a frame
 built on its largest insertion t, the decomposition row of t whose divisor
-product contains t, and two more insertions chosen so that every other
-unknown of the equation carries strictly fewer copies of the top indices
-(a few corner keys take a frame that refers forward to keys with more).
+product contains t, and two more insertions, so that every other unknown of
+the equation carries strictly fewer copies of the top indices (a few corner
+keys take a frame that refers forward to keys with more).  Those two are the
+rarest insertions the frame allows: that leaves the extras with the fewest
+sub-multisets, so the split sum walks the fewest partitions and the closure
+of a query reaches the fewest lower-stage keys, and it does not change which
+same-stage keys the equation touches (see ``_lead_spec``).
 The harvest walks the closure of the requested keys depth first and queues
 each key's equation after the equations of its other unknowns, so the stage
 is triangular in that order.  The solver writes each key into the memo as
@@ -298,8 +302,8 @@ class _StageState:
     only store of solved values.  ``seen`` lists the lead specs the harvest
     queued, each after the specs of its other unknowns; the drain solves
     every one of them into the memo, so a later visit to the same stage
-    starts from the memo alone.  Each of the 5,130 visits of the d <= 6
-    count tables in the CLI's query order (5,062 in the benchmark's seed-7
+    starts from the memo alone.  Each of the 2,479 visits of the d <= 6
+    count tables in the CLI's query order (2,515 in the benchmark's seed-7
     order) solves exactly as many keys as it queued specs.
     """
 
@@ -320,6 +324,7 @@ class Engine:
         self.datum = datum if datum is not None else hilb_datum()
         self.memo = MemoStore(self.datum.nondivisors)
         self._budgets: dict = {}
+        self._key_budgets: dict = {}  # budgets of the classes _check_key passed
         self._partition_cache: dict = {}
         self._pairs: dict = {}  # shared (code(A), mult) pairs of the groups
         self._plans: dict = {}  # split plans by (cls, p, q, r, s, w_x)
@@ -482,11 +487,17 @@ class Engine:
         """Exact value of a canonical admissible key, solving stages on demand.
 
         A base case or a key that the projection to the base plane kills is
-        stored without visiting a stage.
+        stored without visiting a stage.  A key the memo does not hold passes
+        ``_check_key`` first, so a bad one raises ValueError and leaves the
+        memo unchanged; a memo hit skips the gate.
         """
-        v = self.memo.get(key)
+        try:
+            v = self.memo.get(key)
+        except (TypeError, ValueError):  # no key at all: _check_key says why
+            v = None
         if v is not None:
             return v
+        self._check_key(key)
         b = self.datum.base_case(*key)
         if b is None and self._vanishes(*key):
             b = 0
@@ -496,6 +507,48 @@ class Engine:
         cls, ins = key
         self._solve_for(cls, len(ins), (key,))
         return self.memo.get(key)
+
+    def _check_key(self, key) -> None:
+        """ValueError unless ``key`` is a canonical admissible key: a pair of
+        tuples ``(cls, ins)``, cls nonzero and effective, ins the sorted
+        non-divisor basis indices (ints, at most 255 of them) whose weights
+        fill the class's dimension budget.  It runs on every memo miss, so
+        each class passes ``_check_class`` once and keeps its budget in
+        ``_key_budgets``, and the insertions are checked in one pass."""
+        if not (
+            type(key) is tuple
+            and len(key) == 2
+            and type(key[0]) is tuple
+            and type(key[1]) is tuple
+            and _ONLY_INTS.issuperset(map(type, key[0]))
+        ):
+            raise ValueError(
+                f"an invariant key is a (class, insertions) pair of tuples "
+                f"of ints, got {key!r}"
+            )
+        cls, ins = key
+        budget = self._key_budgets.get(cls)
+        if budget is None:
+            self._check_class(cls)
+            budget = self._key_budgets[cls] = self._budget(cls)
+        if len(ins) > MemoStore.MAX_INSERTIONS:
+            raise ValueError(
+                f"a key holds at most {MemoStore.MAX_INSERTIONS} insertions, "
+                f"got {len(ins)}"
+            )
+        pack = self.memo.pack
+        weights = self._weights
+        w = prev = 0
+        for e in ins:
+            if type(e) is not int or e < prev or e not in pack:
+                raise ValueError(
+                    f"key insertions {ins!r} are not sorted non-divisor "
+                    "basis indices"
+                )
+            prev = e
+            w += weights[e]
+        if w != budget:
+            raise ValueError(f"key {key!r} violates the dimension count")
 
     def invariant(self, cls, insertions):
         """I_cls(insertions): canonicalize, then resolve every key.
@@ -895,16 +948,33 @@ class Engine:
     def _lead_spec(self, key):
         """The key's lead equation spec ``(frame, extras)``.
 
-        Triangular frame: take the largest insertion t, the row of its
-        decomposition whose product contains t, and fill the last two slots
-        from the remaining insertions.  A frame is accepted only when its
-        second family of same-stage unknowns is ruled out — either the row's
-        rho is a divisor (the family drops a stage) or the fourth slot
-        erases it (vkill) — so every other key the equation touches carries
-        strictly fewer copies of the top indices.  Keys built solely from
-        insertions with non-divisor rows and no erasing partner fall back to
-        the first frame, largest t first, whose fourth slot is not rho; the
-        harvest walk solves the keys it references forward before it.
+        Triangular frame ``(dv, rho, u, v)``: take the largest insertion t,
+        the row of its decomposition whose product contains t, and fill the
+        last two slots from the remaining insertions.  A frame is accepted
+        only when its second family of same-stage unknowns is ruled out —
+        either the row's rho is a divisor (the family drops a stage) or the
+        fourth slot erases it (v in vkill) — so every other key the equation
+        touches carries strictly fewer copies of the top indices.
+
+        The two free slots take the rarest insertions: v is the candidate
+        (any remaining insertion, or any in vkill) with the fewest copies
+        among the remaining insertions, u the one with the fewest copies
+        among those left after v, ties going to the smaller index.  Taking a
+        copy of an index held m times divides the extras' count of
+        sub-multisets, prod(m + 1), by (m + 1) / m, most for the smallest m,
+        so the split sum walks the fewest partitions A|B and reaches the
+        fewest lower-stage keys.  Every such choice is safe: the first
+        family of same-stage unknowns is extras + u + v + m with m in
+        cup(dv, rho), that is the key minus t plus m, whatever u and v are;
+        the second is erased by v in vkill, or drops a stage when rho is a
+        divisor.  So the triangularity, and with it the harvest order, does
+        not depend on u and v; the cycle check of ``_harvest_closure``
+        stays the guard.
+
+        Keys built solely from insertions with non-divisor rows and no
+        erasing partner fall back to the first frame, largest t first, whose
+        fourth slot is not rho; the harvest walk solves the keys it
+        references forward before it.
 
         The fallback exists for every key with n >= 3 insertions, so the
         error below cannot fire there.  rho(t) has codimension one less than
@@ -920,10 +990,11 @@ class Engine:
             dv, rho, vkill = lead_rows[t]
             i = ins.index(t)
             rest = ins[:i] + ins[i + 1 :]
+            count = rest.count
             if vkill is None:
-                j = 0
+                v = min(rest, key=count)
             else:
-                v = next((x for x in rest if x in vkill), None)
+                v = min((x for x in rest if x in vkill), key=count, default=None)
                 if v is None:
                     if fallback is None:
                         w = next((x for x in rest if x != rho), None)
@@ -932,9 +1003,11 @@ class Engine:
                             remw = rest[:jw] + rest[jw + 1 :]
                             fallback = ((dv, rho, remw[0], w), remw[1:])
                     continue
-                j = rest.index(v)
+            j = rest.index(v)
             rem = rest[:j] + rest[j + 1 :]
-            return (dv, rho, rem[0], rest[j]), rem[1:]
+            u = min(rem, key=rem.count)
+            j = rem.index(u)
+            return (dv, rho, u, v), rem[:j] + rem[j + 1 :]
         if fallback is None:  # pragma: no cover - impossible for n >= 3
             raise UnderdeterminedStage(f"no lead frame fits key {key}")
         return fallback
@@ -1145,6 +1218,9 @@ class Engine:
                 )
         self.memo.merge({cls: vals for cls, (_b, vals) in classes.items()})
         return len(entries)
+
+
+_ONLY_INTS = frozenset((int,))
 
 
 def _as_tuple(x, what):

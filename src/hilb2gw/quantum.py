@@ -66,9 +66,9 @@ def _check_truncation(n1, n2) -> None:
 
 class _Series:
     """Series in q1, q2 truncated to degrees (n1, n2): ``coeffs`` maps (a, b)
-    to a nonzero coefficient in normal form.  The exponents a and b must be
-    non-negative ints (not bools), or ValueError is raised; terms past the
-    truncation box are dropped.
+    to a nonzero coefficient in normal form.  The input must be a dict (or
+    None) keyed by pairs of non-negative ints (not bools), or ValueError is
+    raised; terms past the truncation box are dropped.
 
     A subclass names its coefficient type: ``_norm`` (the gate to normal
     form), ``_nonzero``, ``_add`` (of two coefficients) and ``_scale`` (of a
@@ -82,16 +82,26 @@ class _Series:
         _check_truncation(n1, n2)
         self.n1, self.n2 = n1, n2
         self.coeffs: dict = {}
-        if coeffs:
-            norm, nonzero = self._norm, self._nonzero
-            for (a, b), c in coeffs.items():
-                if type(a) is not int or type(b) is not int or a < 0 or b < 0:
-                    raise ValueError(
-                        f"series exponents must be non-negative ints, got {(a, b)!r}"
-                    )
-                c = norm(c)
-                if nonzero(c) and a <= n1 and b <= n2:
-                    self.coeffs[(a, b)] = c
+        if coeffs is None:
+            return
+        if type(coeffs) is not dict:
+            raise ValueError(
+                "series coefficients must be a dict keyed by (a, b) exponent "
+                f"pairs of non-negative ints, got {type(coeffs).__name__}"
+            )
+        norm, nonzero = self._norm, self._nonzero
+        for key, c in coeffs.items():
+            try:
+                a, b = key
+            except (TypeError, ValueError):  # not a pair: refused just below
+                a = b = None
+            if type(a) is not int or type(b) is not int or a < 0 or b < 0:
+                raise ValueError(
+                    f"series exponents must be non-negative ints, got {key!r}"
+                )
+            c = norm(c)
+            if nonzero(c) and a <= n1 and b <= n2:
+                self.coeffs[(a, b)] = c
 
     def _mismatch(self, other) -> str | None:
         """What keeps ``other`` from combining with this series, or None: its

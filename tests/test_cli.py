@@ -203,7 +203,10 @@ def test_tables_tamper_detection(capsys, monkeypatch):
 
 def test_tables_text_mismatch_from_a_poisoned_cache(capsys, tmp_path):
     """I_(1,1)(T4,T4,T6) is 1.  No base case pins it, only the WDVV solve,
-    so a cache claiming 2 loads and the tables catch the lie."""
+    so a cache claiming 2 loads and the tables catch the lie.  The wrong
+    value reaches the d = 2 cell through split terms of the lead equations
+    below it, so the computed value depends on which insertions fill the
+    frames' free slots: with the rarest ones it reads 4."""
     path = tmp_path / "poison.json"
     entry = {"a": 1, "b": 1, "ins": [4, 4, 6], "num": "2", "den": "1"}
     path.write_text(json.dumps({"target": "hilb2p2", "entries": [entry]}))
@@ -213,7 +216,7 @@ def test_tables_text_mismatch_from_a_poisoned_cache(capsys, tmp_path):
     assert code == 4
     assert out == "invariant table (pairs=0): FAIL (1 cells)\n"
     assert err == (
-        "MISMATCH invariant table pairs=0 d=2 g=0: computed 6 expected 0\n"
+        "MISMATCH invariant table pairs=0 d=2 g=0: computed 4 expected 0\n"
     )
 
 

@@ -348,17 +348,15 @@ def _hilb_tables_to_d4(eng):
             invert_counts(eng, d, l)
 
 
-def _hilb_d3_stages_then_tables_to_d4(eng):
-    """Close every stage the d <= 3 tables reach, then run the d <= 4
-    tables: the split sum solves a factor only when its partner can be
-    nonzero, so the d <= 4 tables alone leave fewer keys to draw specs
-    from."""
-    for d in range(2, 4):
-        for l in (0, 1, 2):
-            invert_counts(eng, d, l)
-    for cls, n in _reached_stages(eng):
-        eng.solve_stage(cls, n)
+def _hilb_tables_to_d4_then_their_stages(eng):
+    """Run the d <= 4 tables, then close every stage they reach with at most
+    eight insertions: the split sum solves a factor only when its partner can
+    be nonzero, so the tables alone leave fewer keys to draw specs from, and
+    closing the larger stages too takes more than five times as long."""
     _hilb_tables_to_d4(eng)
+    for cls, n in _reached_stages(eng):
+        if n <= 8:
+            eng.solve_stage(cls, n)
 
 
 def _plane_counts_to_d8(eng):
@@ -369,14 +367,14 @@ def _plane_counts_to_d8(eng):
 @pytest.mark.parametrize(
     "datum, solve, min_specs",
     [
-        (hilb_datum(), _hilb_d3_stages_then_tables_to_d4, 2000),
+        (hilb_datum(), _hilb_tables_to_d4_then_their_stages, 2000),
         (p2_datum(), _plane_counts_to_d8, 7),
     ],
     ids=["hilb2", "p2"],
 )
 def test_build_equation_matches_plain_split_sum(datum, solve, min_specs):
-    """The lead spec of every memo key solved by closing the stages of the
-    d <= 3 tables and then running the d <= 4 tables of Hilb^2 (the d <= 8
+    """The lead spec of every memo key solved by running the d <= 4 tables
+    of Hilb^2 and closing the stages they reach up to n = 8 (the d <= 8
     counts of P^2, one spec per stage) builds the same affine
     form as the plain sum, on a fresh engine where part of each stage is
     still unknown."""
@@ -455,7 +453,7 @@ def test_tables_and_memo_values_do_not_depend_on_query_order():
     """Which keys the split sum solves depends on the query order, since a
     factor is solved only while its partner is not a stored zero; the
     tables and the value of every key both orders solve do not."""
-    queries = [(d, l) for d in range(2, 5) for l in (0, 1, 2)]
+    queries = [(d, l) for d in range(2, 6) for l in (0, 1, 2)]
     runs = []
     for order in (queries, queries[::-1]):
         eng = Engine()
@@ -516,6 +514,41 @@ def test_unpruned_engine_solves_every_killed_key_to_zero():
     assert all(unpruned.value_of(key) == 0 for key in killed)
 
 
+@pytest.mark.parametrize(
+    "key",
+    [
+        ((-1, 2), (4, 4, 4)),  # not effective
+        ((1, 2), (4, 4, 4)),  # off the dimension budget
+        ((0, 0), (3,)),  # the zero class
+        ((1, 2), (9,)),  # not a non-divisor index
+        ((1, 2), (8, 7, 6)),  # not sorted
+        ((1, 2), (6.0, 7, 8)),
+        ((1, 2), [6, 7, 8]),
+        ([1, 2], (6, 7, 8)),
+        ((1.0, 2), (6, 7, 8)),
+        ((1, [2]), (6, 7, 8)),
+        ((1, 2), (-1, 8, 8)),
+        ((1, 2), (3,) * 256),
+        ((1, 2),),
+        5,
+        None,
+    ],
+)
+def test_value_of_rejects_a_key_that_is_not_canonical(key):
+    """A key that is not canonical and admissible raises ValueError and
+    leaves the memo as it was; a non-effective class is not stored as a
+    killed 0 that load_cache would refuse.  The gate runs on a memo miss, so
+    the bad keys here name no solved key."""
+    eng = Engine()
+    assert eng.invariant((1, 2), [4, 8, 8]) == 1
+    before = dict(eng.memo.items())
+    assert ((1, 2), (6, 7, 8)) not in before
+    with pytest.raises(ValueError):
+        eng.value_of(key)
+    assert dict(eng.memo.items()) == before
+    assert eng.value_of(((1, 2), (4, 8, 8))) == 1
+
+
 def test_killed_key_is_stored_without_a_stage_visit():
     eng = Engine()
 
@@ -559,16 +592,20 @@ def test_fibre_classes_count_plane_curves():
 
 
 def test_memo_codes_round_trip_every_stage_key_to_d6():
-    """Every admissible key of every stage the d <= 6 tables reach, the
-    keys the base plane kills included, has its own code and decodes back."""
+    """Every admissible key with 3 to N insertions at every class the d <= 6
+    tables reach, N the most insertions they reach, the keys the base plane
+    kills included, has its own code and decodes back."""
     eng = Engine()
     for d in range(2, 7):
         for l in (0, 1, 2):
             invert_counts(eng, d, l)
     memo = eng.memo
     unpruned = Engine(_unpruned_hilb_datum())
+    stages = _reached_stages(eng)
+    top = max(n for _cls, n in stages)
+    classes = sorted({cls for cls, _n in stages})
     checked = 0
-    for cls, n in _reached_stages(eng):
+    for cls, n in itertools.product(classes, range(3, top + 1)):
         keys = unpruned._stage_keys(cls, n)
         codes = {memo.code(ins) for _, ins in keys}
         assert len(codes) == len(keys), (cls, n)
@@ -772,7 +809,7 @@ def test_lead_equation_cycle_raises(monkeypatch):
 
 
 def test_harvest_queues_each_spec_after_its_other_unknowns():
-    """Over the d <= 4 tables, every unknown of a queued lead spec other
+    """Over the d <= 5 tables, every unknown of a queued lead spec other
     than its own key is in the memo or was queued earlier in the same
     visit, each equation the drain hands the solver holds exactly one key,
     the spec's own, and the visit leaves every queued key in the memo."""
@@ -816,9 +853,32 @@ def test_harvest_queues_each_spec_after_its_other_unknowns():
                 self.equations += 1
 
     eng = Recording()
-    _hilb_tables_to_d4(eng)
+    for d in range(2, 6):
+        for l in (0, 1, 2):
+            invert_counts(eng, d, l)
     assert eng.visits >= 100 and eng.specs >= 500
     assert eng.equations == eng.specs
+
+
+def test_d5_tables_build_at_most_1434_equations():
+    """The d <= 5 tables in the CLI's query order build at most 1,434
+    equations, one per harvested key, and the same number on every run."""
+
+    class Counting(Engine):
+        builds = 0
+
+        def _build(self, cls, frame, extras, stage_n):
+            self.builds += 1
+            return super()._build(cls, frame, extras, stage_n)
+
+    counts = []
+    for _run in range(2):
+        eng = Counting()
+        for l in (0, 1, 2):
+            for d in range(2, 6):
+                invert_counts(eng, d, l)
+        counts.append(eng.builds)
+    assert counts[0] == counts[1] <= 1434
 
 
 def test_lead_spec_fits_every_key():
@@ -839,6 +899,44 @@ def test_lead_spec_fits_every_key():
                 ), ins
                 count += 1
         assert count == (54236 if datum.rank == 2 else 13)
+
+
+def _sub_multisets(ins):
+    return math.prod(m + 1 for m in Counter(ins).values())
+
+
+def test_lead_spec_fills_its_free_slots_with_the_rarest_insertions():
+    """Every multiset of 3 to 10 insertions from T3..T8 whose lead spec is
+    not the fallback leaves extras with the fewest sub-multisets,
+    prod(m + 1) over the multiplicities m, of every (u, v) its frame allows:
+    v any insertion besides t (one in vkill when rho is not a divisor), u
+    any one after v.  Fewer sub-multisets mean fewer partitions A|B for the
+    split sum to walk."""
+    eng = Engine()
+    tops = {(dv, rho): (t, vkill) for t, (dv, rho, vkill) in eng._lead_rows.items()}
+    checked = 0
+    for n in range(3, 11):
+        for ins in itertools.combinations_with_replacement(range(3, 9), n):
+            (dv, rho, u, v), extras = eng._lead_spec(((1, 1), ins))
+            t, vkill = tops[(dv, rho)]
+            if vkill is not None and v not in vkill:
+                continue  # the fallback frame
+            rest = list(ins)
+            rest.remove(t)
+            best = None
+            for v2 in set(rest):
+                if vkill is not None and v2 not in vkill:
+                    continue
+                rem = list(rest)
+                rem.remove(v2)
+                for u2 in set(rem):
+                    left = list(rem)
+                    left.remove(u2)
+                    size = _sub_multisets(left)
+                    best = size if best is None else min(best, size)
+            assert _sub_multisets(extras) == best, (ins, (dv, rho, u, v), extras)
+            checked += 1
+    assert checked == 7972  # the other 8 multisets take the fallback frame
 
 
 def test_pure_top_pair_keys_solve_via_forward_frame(engine):

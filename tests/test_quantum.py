@@ -79,6 +79,23 @@ def test_series_exponents_are_non_negative_ints(exps):
     assert ScalarSeries(2, 2, {(3, 0): 1, (1, 2): 1}).coeffs == {(1, 2): 1}
 
 
+@pytest.mark.parametrize(
+    "coeffs",
+    [{1: 1}, {(1, 2, 3): 1}, {(): 1}, {"ab": 1}, [((0, 0), 1)], [], ((0, 0),), 5],
+)
+def test_series_coefficients_must_be_a_dict_of_exponent_pairs(coeffs):
+    """A key that is not a pair, or coefficients that are not a dict, raise
+    ValueError with the gate's message, not a TypeError, an unpacking
+    ValueError or an AttributeError."""
+    datum = hilb_datum()
+    match = "non-negative ints"
+    with pytest.raises(ValueError, match=match):
+        ScalarSeries(2, 2, coeffs)
+    with pytest.raises(ValueError, match=match):
+        QSeries(datum, 2, 2, coeffs)
+    assert ScalarSeries(2, 2, {}).is_zero() and ScalarSeries(2, 2).is_zero()
+
+
 # ----------------------------------------------------------------------
 # cohomology-valued series
 # ----------------------------------------------------------------------
