@@ -26,14 +26,16 @@ insertions, so solving stages in order of (class, then n) is well-founded and
 every stage reduces to an exact linear system in its own keys.
 
 Each stage has one harvest. Every key contributes its lead equation: a frame
-built on its largest insertion t, the decomposition row of t whose divisor
-product contains t, and two more insertions, so that every other unknown of
-the equation carries strictly fewer copies of the top indices (a few corner
-keys take a frame that refers forward to keys with more).  Those two are the
-rarest insertions the frame allows: that leaves the extras with the fewest
-sub-multisets, so the split sum walks the fewest partitions and the closure
-of a query reaches the fewest lower-stage keys, and it does not change which
-same-stage keys the equation touches (see ``_lead_spec``).
+built on an anchor insertion t, the decomposition row of t whose divisor
+product contains t, and two more insertions.  One rule fills all three
+slots: rarest first, the insertion with the fewest copies left (ties are
+settled by index).  Each other cup term of a lead row has a smaller index
+than t, so every other same-stage unknown of the equation has a strictly
+smaller index sum than the key, whichever insertion anchors the frame (a
+few corner keys take a frame that refers forward).  The rarest choices
+leave the extras with the fewest sub-multisets, so the split sum walks the
+fewest partitions and a query's closure reaches the fewest lower-stage keys
+(see ``_lead_spec``).
 The harvest walks the closure of the requested keys depth first and queues
 each key's equation after the equations of its other unknowns, so the stage
 is triangular in that order.  The solver writes each key into the memo as
@@ -49,19 +51,18 @@ fails partway keeps the exact keys it solved before the failure.
 The memo stores each canonical insertion multiset as a packed integer code,
 one 8-bit digit per non-divisor basis index (see MemoStore), so the split sum
 forms the key of a merged multiset by adding two codes instead of sorting a
-tuple; the cached partitions of the spectator insertions share one object per
-distinct (code, multiplicity) pair.
+tuple.
 
 The split sum does no work it can see is zero.  Which (split, e) pairs of a
 frame ordering can contribute (nonzero divisor multipliers, balanced
-weights) depends only on the class, the frame and the weight of the extras,
-so each is computed once into a cached plan.  Along the plan, both factors
-of a term are looked up before either is solved: a stored zero ends the
-term, and a missing factor is solved only while its partner can still be
-nonzero.  The memo therefore never solves a key just to multiply it by a
-known zero; which keys it holds depends slightly on the query order, their
-values do not.  All arithmetic is exact and everything runs on the calling
-thread.
+weights) depends only on the class, the divisors and weights of the frame's
+two sides and the weight of the extras, so each is computed once into a plan
+cached under that signature.  Along the plan, both factors of a term are
+looked up before either is solved: a stored zero ends the term, and a
+missing factor is solved only while its partner can still be nonzero.  The
+memo therefore never solves a key just to multiply it by a known zero;
+which keys it holds depends slightly on the query order, their values do
+not.  All arithmetic is exact and everything runs on the calling thread.
 
 About half of the keys the tables reach are zero by a theorem, and the
 engine never solves one of them.  The Hilbert scheme is a P^2-bundle over
@@ -146,7 +147,8 @@ class MemoStore:
     gives the code of the merged multiset, and reading the 8-bit digits back
     in nondivisor order gives the sorted tuple. A key with more than 255
     insertions, which could overflow a digit, or with an insertion that is
-    not a non-divisor index raises ValueError.
+    not a non-divisor index, an ``int`` (a float or bool equal to one
+    included), raises ValueError.
     The layout is ``{cls: {code: value}}``; a class dict, once created, is
     never replaced, so callers may hold on to it (``class_values``).
 
@@ -175,6 +177,9 @@ class MemoStore:
         pack = self.pack
         code = 0
         try:
+            # 4.0 or True would hash and compare like an index: check types
+            if not _ONLY_INTS.issuperset(map(type, ins)):
+                raise TypeError
             for e in ins:
                 code += pack[e]
         except (KeyError, TypeError):
@@ -302,8 +307,8 @@ class _StageState:
     only store of solved values.  ``seen`` lists the lead specs the harvest
     queued, each after the specs of its other unknowns; the drain solves
     every one of them into the memo, so a later visit to the same stage
-    starts from the memo alone.  Each of the 2,479 visits of the d <= 6
-    count tables in the CLI's query order (2,515 in the benchmark's seed-7
+    starts from the memo alone.  Each of the 415 visits of the d <= 6
+    count tables in the CLI's query order (455 in the benchmark's seed-7
     order) solves exactly as many keys as it queued specs.
     """
 
@@ -326,9 +331,7 @@ class Engine:
         self._budgets: dict = {}
         self._key_budgets: dict = {}  # budgets of the classes _check_key passed
         self._partition_cache: dict = {}
-        self._pairs: dict = {}  # shared (code(A), mult) pairs of the groups
-        self._plans: dict = {}  # split plans by (cls, p, q, r, s, w_x)
-        self._signature_plans: dict = {}  # their shared splits tuples
+        self._signature_plans: dict = {}  # splits tuples by frame signature
         self._plan_parts: dict = {}  # shared plan entries and sub tuples
         self._boxes: dict = {}  # nonempty rows of a box, by (x, y, n1, n2)
         d = self.datum
@@ -345,8 +348,8 @@ class Engine:
             if d.codims[e] != 0 and d.codims[eh] != 0
         )
         # For each non-divisor t, the decomposition row whose divisor product
-        # contains t itself: the frame built on that row isolates keys holding
-        # t against keys whose top indices are strictly smaller.  When the
+        # contains t itself: the frame built on that row isolates the key
+        # against keys with a strictly smaller index sum.  When the
         # row's second slot rho is itself a divisor, the frame's second family
         # of collapsed terms loses an insertion to the divisor axiom and lands
         # in an earlier stage, so the frame is safe for any fourth slot; that
@@ -658,7 +661,8 @@ class Engine:
 
     def _build(self, cls, frame, extras, stage_n):
         """Assemble S(i,j,k,l) - S(i,l,j,k) at stage (cls, stage_n): the
-        stage keys outside the memo stay symbolic, the rest resolve."""
+        stage keys outside the memo stay symbolic, the rest resolve; split
+        terms follow each ordering's ``_plan`` over ``_partition_groups``."""
         i, j, k, l = frame
         if j == l:
             return {}, 0
@@ -666,7 +670,6 @@ class Engine:
         memo_get = self.memo.get
         decode = self.memo.decode
         value_of = self.value_of
-        plans = self._plans
         code_x, w_x, groups = self._partition_groups(extras)
         terms: dict = {}
         const = 0
@@ -699,10 +702,7 @@ class Engine:
             # pairs whose divisor multipliers are nonzero and whose weights
             # balance, each with its unsigned multiplier, so the sign is
             # applied once to the ordering's sum.
-            plan = plans.get((cls, p, q, r, s, w_x))
-            if plan is None:
-                plan = self._plan(cls, p, q, r, s, w_x)
-            splits, code1, code2 = plan
+            splits, code1, code2 = self._plan(cls, p, q, r, s, w_x)
             part = 0
             part_frac = 0
             # Python-level calls stay out of this loop (value_of and decode
@@ -754,7 +754,7 @@ class Engine:
         return {k: v for k, v in terms.items() if v != 0}, const
 
     def _plan(self, cls, p, q, r, s, w_x):
-        """The split plan of one frame ordering, cached under its key.
+        """The split plan of one frame ordering.
 
         Returns ``(splits, code(kept1), code(kept2))``: kept1 and kept2 are
         the non-divisor entries of (p, q) and (r, s), and ``splits`` holds
@@ -764,8 +764,9 @@ class Engine:
         divisor multipliers are nonzero and whose weights balance against
         ``w_x``; ``scale`` is the product of the divisor multipliers, unsigned.
         Which pairs survive depends on the frame only through the divisors
-        and weight of each side, so frames of one signature share the splits
-        tuple, and equal entries and ``sub`` tuples are shared across plans.
+        and weight of each side, so the splits tuple is cached per signature;
+        equal entries and ``sub`` tuples are shared across signatures
+        (``_plan_parts``), about halving the d <= 10 tables' peak memory.
         """
         codims = self._codims
         weights = self._weights
@@ -780,10 +781,7 @@ class Engine:
         splits = self._signature_plans.get(sig)
         if splits is None:
             splits = self._signature_plans[sig] = self._split_plan(*sig)
-        plan = self._plans[(cls, p, q, r, s, w_x)] = (
-            splits, code(kept1), code(kept2)
-        )
-        return plan
+        return splits, code(kept1), code(kept2)
 
     def _split_plan(self, cls, div1, w1, div2, w2, w_x):
         """The surviving (split, e) pairs of one signature; see _plan."""
@@ -832,8 +830,7 @@ class Engine:
         with the memo's packed codes, where mult counts the ways to pick A
         among the labeled copies of equal classes. B is the complement:
         code(B) = code(extras) - code(A) and w(B) = w(extras) - w(A).
-        Equal pairs recur across multisets (about one in five is new at
-        d <= 6), so every group holds the engine's one shared pair object.
+        The result is cached per multiset in ``_partition_cache``.
         """
         cached = self._partition_cache.get(extras)
         if cached is not None:
@@ -850,10 +847,8 @@ class Engine:
                 for take in range(m + 1)
             ]
         groups: dict = {}
-        share = self._pairs.setdefault
         for ca, wa, mu in combos:
-            pair = (ca, mu)
-            groups.setdefault(wa, []).append(share(pair, pair))
+            groups.setdefault(wa, []).append((ca, mu))
         cached = (
             code_x,
             sum(weights[e] for e in extras),
@@ -948,45 +943,47 @@ class Engine:
     def _lead_spec(self, key):
         """The key's lead equation spec ``(frame, extras)``.
 
-        Triangular frame ``(dv, rho, u, v)``: take the largest insertion t,
-        the row of its decomposition whose product contains t, and fill the
-        last two slots from the remaining insertions.  A frame is accepted
-        only when its second family of same-stage unknowns is ruled out —
-        either the row's rho is a divisor (the family drops a stage) or the
-        fourth slot erases it (v in vkill) — so every other key the equation
-        touches carries strictly fewer copies of the top indices.
+        Triangular frame ``(dv, rho, u, v)``: an anchor insertion t, the row
+        of its decomposition whose product contains t, and two more
+        insertions.  A frame is accepted only when its second family of
+        same-stage unknowns is ruled out: the row's rho is a divisor (the
+        family drops a stage) or the fourth slot erases it (v in vkill).
 
-        The two free slots take the rarest insertions: v is the candidate
-        (any remaining insertion, or any in vkill) with the fewest copies
-        among the remaining insertions, u the one with the fewest copies
-        among those left after v, ties going to the smaller index.  Taking a
-        copy of an index held m times divides the extras' count of
-        sub-multisets, prod(m + 1), by (m + 1) / m, most for the smallest m,
-        so the split sum walks the fewest partitions A|B and reaches the
-        fewest lower-stage keys.  Every such choice is safe: the first
-        family of same-stage unknowns is extras + u + v + m with m in
-        cup(dv, rho), that is the key minus t plus m, whatever u and v are;
-        the second is erased by v in vkill, or drops a stage when rho is a
-        divisor.  So the triangularity, and with it the harvest order, does
-        not depend on u and v; the cycle check of ``_harvest_closure``
-        stays the guard.
+        One rule fills all three slots, rarest first.  Anchors are tried by
+        fewest copies in the key, ties to the larger index; v is the
+        candidate (any remaining insertion, or any in vkill) with the fewest
+        copies among the remaining insertions, u the rarest of those left
+        after v, ties to the smaller index.  Taking a copy of an index held
+        m times divides the extras' count of sub-multisets, prod(m + 1), by
+        (m + 1) / m, most for the smallest m, so the split sum walks the
+        fewest partitions A|B and reaches the fewest lower-stage keys.
 
-        Keys built solely from insertions with non-divisor rows and no
-        erasing partner fall back to the first frame, largest t first, whose
-        fourth slot is not rho; the harvest walk solves the keys it
-        references forward before it.
+        Any anchor is safe.  For every lead row, each cup term m of
+        T_dv . T_rho other than t has a smaller index than t: T4 -> T3;
+        T5 -> T3, T4; T7 -> T6; T3, T6 and T8 have no other term.  So each
+        first-family unknown, extras + u + v + m = the key minus t plus m,
+        has a strictly smaller index sum than the key, whichever insertion
+        anchors the frame; the second family is erased by v in vkill, or it
+        drops a stage.  The cycle check of ``_harvest_closure`` stays the
+        guard.
+
+        Keys that no anchor fits fall back to the frame of the first t
+        tried whose fourth slot is not rho.  Only this frame refers
+        forward (7 of the 2,700 specs of the d <= 10 tables); the harvest
+        walk solves the keys it references before it.
 
         The fallback exists for every key with n >= 3 insertions, so the
         error below cannot fire there.  rho(t) has codimension one less than
-        t, so it is not t.  If every insertion besides one copy of the
-        largest t were r = rho(t), then t would occur once and r n - 1 >= 2
-        times; the insertions besides one copy of r would then hold r
-        itself, which is not rho(r), and the fallback takes it.
+        t, so it is not t.  If every insertion besides one copy of the first
+        t tried were r = rho(t), then t would occur once and r n - 1 >= 2
+        times.  r is tried next, and the insertions besides one copy of r
+        hold r itself, which is not rho(r), so a frame on r is accepted or
+        the fallback takes it.
         """
         _, ins = key
         lead_rows = self._lead_rows
         fallback = None
-        for t in sorted(set(ins), reverse=True):
+        for t in sorted(set(ins), key=lambda e: (ins.count(e), -e)):
             dv, rho, vkill = lead_rows[t]
             i = ins.index(t)
             rest = ins[:i] + ins[i + 1 :]

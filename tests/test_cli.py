@@ -201,23 +201,43 @@ def test_tables_tamper_detection(capsys, monkeypatch):
     assert cell["expected"] == "12345" and cell["computed"] == "0"
 
 
-def test_tables_text_mismatch_from_a_poisoned_cache(capsys, tmp_path):
+@pytest.mark.parametrize(
+    "value, code_want, out_want, err_want",
+    [
+        (
+            "0",
+            4,
+            "invariant table (pairs=0): FAIL (1 cells)\n",
+            "MISMATCH invariant table pairs=0 d=2 g=0: computed 6 expected 0\n",
+        ),
+        (
+            "2",
+            3,
+            "",
+            "count sanity failure: E^0(2,0) = -6 is negative\n",
+        ),
+    ],
+    ids=["0", "2"],
+)
+def test_tables_text_mismatch_from_a_poisoned_cache(
+    capsys, tmp_path, value, code_want, out_want, err_want
+):
     """I_(1,1)(T4,T4,T6) is 1.  No base case pins it, only the WDVV solve,
-    so a cache claiming 2 loads and the tables catch the lie.  The wrong
-    value reaches the d = 2 cell through split terms of the lead equations
-    below it, so the computed value depends on which insertions fill the
-    frames' free slots: with the rarest ones it reads 4."""
+    so a cache giving it another value loads and the tables catch the lie.
+    The wrong value reaches the d = 2 cells through split terms of the lead
+    equations below it, so what the tables read depends on which lead
+    frames the engine takes: with 0 the l = 0 invariant cell at g = 0 reads
+    6 where the fixture says 0 (exit 4); with 2 the inverted count
+    E^0(2,0) turns negative before any cell is compared (exit 3)."""
     path = tmp_path / "poison.json"
-    entry = {"a": 1, "b": 1, "ins": [4, 4, 6], "num": "2", "den": "1"}
+    entry = {"a": 1, "b": 1, "ins": [4, 4, 6], "num": value, "den": "1"}
     path.write_text(json.dumps({"target": "hilb2p2", "entries": [entry]}))
     code, out, err = run(
         capsys, "tables", "--max-degree", "3", "--cache", str(path)
     )
-    assert code == 4
-    assert out == "invariant table (pairs=0): FAIL (1 cells)\n"
-    assert err == (
-        "MISMATCH invariant table pairs=0 d=2 g=0: computed 4 expected 0\n"
-    )
+    assert code == code_want
+    assert out == out_want
+    assert err == err_want
 
 
 # ----------------------------------------------------------------------
