@@ -53,11 +53,13 @@ one 8-bit digit per non-divisor basis index (see MemoStore), so the split sum
 forms the key of a merged multiset by adding two codes instead of sorting a
 tuple.
 
-The split sum does no work it can see is zero.  Which (split, e) pairs of a
-frame ordering can contribute (nonzero divisor multipliers, balanced
-weights) depends only on the class, the divisors and weights of the frame's
-two sides and the weight of the extras, so each is computed once into a plan
-cached under that signature.  Along the plan, both factors of a term are
+The split sum does no work it can see is zero.  A frame and extras off the
+dimension count give the zero form before any term is walked.  On the
+count every (split, e) pair balances its weights, and which pairs can
+contribute (nonzero divisor multipliers) depends only on the class and the
+divisors of the frame's two sides, so each is computed once into a plan
+cached under that signature; the weights pick the partition group at
+lookup.  Along the plan, both factors of a term are
 looked up before either is solved: a stored zero ends the term, and a
 missing factor is solved only while its partner can still be nonzero.  The
 memo therefore never solves a key just to multiply it by a known zero;
@@ -331,8 +333,7 @@ class Engine:
         self._budgets: dict = {}
         self._key_budgets: dict = {}  # budgets of the classes _check_key passed
         self._partition_cache: dict = {}
-        self._signature_plans: dict = {}  # splits tuples by frame signature
-        self._plan_parts: dict = {}  # shared plan entries and sub tuples
+        self._signature_plans: dict = {}  # splits tuples by (cls, div1, div2)
         self._boxes: dict = {}  # nonempty rows of a box, by (x, y, n1, n2)
         d = self.datum
         self._vanishes = d.vanishes
@@ -662,15 +663,24 @@ class Engine:
     def _build(self, cls, frame, extras, stage_n):
         """Assemble S(i,j,k,l) - S(i,l,j,k) at stage (cls, stage_n): the
         stage keys outside the memo stay symbolic, the rest resolve; split
-        terms follow each ordering's ``_plan`` over ``_partition_groups``."""
+        terms follow each ordering's ``_plan`` over ``_partition_groups``.
+        A frame and extras whose weights miss ``budget(cls) - 1`` give the
+        zero form: no collapsed term meets the dimension count and no split
+        term balances."""
         i, j, k, l = frame
         if j == l:
+            return {}, 0
+        code_x, w_x, groups = self._partition_groups(extras)
+        weights = self._weights
+        if (
+            weights[i] + weights[j] + weights[k] + weights[l] + w_x
+            != self._budget(cls) - 1
+        ):
             return {}, 0
         cup_terms = self._cup_terms
         memo_get = self.memo.get
         decode = self.memo.decode
         value_of = self.value_of
-        code_x, w_x, groups = self._partition_groups(extras)
         terms: dict = {}
         const = 0
         # true fractions (the few non-integral memo values) are summed apart,
@@ -699,10 +709,11 @@ class Engine:
 
             # split terms over beta1 + beta2 = cls, both nonzero effective,
             # walked along the frame's plan (see _plan): only the (split, e)
-            # pairs whose divisor multipliers are nonzero and whose weights
-            # balance, each with its unsigned multiplier, so the sign is
-            # applied once to the ordering's sum.
-            splits, code1, code2 = self._plan(cls, p, q, r, s, w_x)
+            # pairs whose divisor multipliers are nonzero, each with its
+            # unsigned multiplier, so the sign is applied once to the
+            # ordering's sum.  On the dimension count every pair balances,
+            # and w(A) = need - w(kept1) picks its partition group.
+            splits, code1, code2, w1 = self._plan(cls, p, q, r, s)
             part = 0
             part_frac = 0
             # Python-level calls stay out of this loop (value_of and decode
@@ -718,8 +729,8 @@ class Engine:
             # v1 came out nonzero), so no key is solved just to be
             # multiplied by a known zero.
             for vals1, vals2, b1, b2, sub in splits:
-                for pe, peh, scale, w_a in sub:
-                    grp = groups.get(w_a)
+                for pe, peh, scale, need in sub:
+                    grp = groups.get(need - w1)
                     if grp is None:
                         continue
                     add1 = code1 + pe
@@ -753,42 +764,41 @@ class Engine:
             const = qnorm(const + frac)
         return {k: v for k, v in terms.items() if v != 0}, const
 
-    def _plan(self, cls, p, q, r, s, w_x):
+    def _plan(self, cls, p, q, r, s):
         """The split plan of one frame ordering.
 
-        Returns ``(splits, code(kept1), code(kept2))``: kept1 and kept2 are
-        the non-divisor entries of (p, q) and (r, s), and ``splits`` holds
-        one ``(vals1, vals2, b1, b2, sub)`` per split b1 + b2 = cls that has
-        a surviving basis pair, with the two classes' live memo value dicts.
-        ``sub`` lists ``(code(e), code(e^), scale, w(A))`` for every e whose
-        divisor multipliers are nonzero and whose weights balance against
-        ``w_x``; ``scale`` is the product of the divisor multipliers, unsigned.
-        Which pairs survive depends on the frame only through the divisors
-        and weight of each side, so the splits tuple is cached per signature;
-        equal entries and ``sub`` tuples are shared across signatures
-        (``_plan_parts``), about halving the d <= 10 tables' peak memory.
+        Returns ``(splits, code(kept1), code(kept2), w(kept1))``: kept1 and
+        kept2 are the non-divisor entries of (p, q) and (r, s), and
+        ``splits`` holds one ``(vals1, vals2, b1, b2, sub)`` per split
+        b1 + b2 = cls that has a surviving basis pair, with the two classes'
+        live memo value dicts.  ``sub`` lists ``(code(e), code(e^), scale,
+        need)`` for every e whose divisor multipliers are nonzero; ``scale``
+        is the product of the divisor multipliers, unsigned, and ``need`` is
+        budget(b1) - w(e), so the partition side A of the first factor has
+        weight ``need - w(kept1)``.  On the dimension count, which ``_build``
+        checks once per frame, the weights of A and B then add up to the
+        extras' for every e, so no entry is filtered by weight.  Which pairs
+        survive depends on the frame only through the divisors of each side,
+        so the splits tuple is cached per ``(cls, div1, div2)``.
         """
         codims = self._codims
-        weights = self._weights
         code = self.memo.code
         kept1 = tuple(x for x in (p, q) if codims[x] >= 2)
         kept2 = tuple(x for x in (r, s) if codims[x] >= 2)
         div1 = tuple(sorted(x for x in (p, q) if codims[x] == 1))
         div2 = tuple(sorted(x for x in (r, s) if codims[x] == 1))
-        w1 = sum(weights[x] for x in kept1)
-        w2 = sum(weights[x] for x in kept2)
-        sig = (cls, div1, w1, div2, w2, w_x)
+        sig = (cls, div1, div2)
         splits = self._signature_plans.get(sig)
         if splits is None:
             splits = self._signature_plans[sig] = self._split_plan(*sig)
-        return splits, code(kept1), code(kept2)
+        w1 = sum(self._weights[x] for x in kept1)
+        return splits, code(kept1), code(kept2), w1
 
-    def _split_plan(self, cls, div1, w1, div2, w2, w_x):
+    def _split_plan(self, cls, div1, div2):
         """The surviving (split, e) pairs of one signature; see _plan."""
         pos = self.datum.divisor_pos
         weights = self._weights
         values = self.memo.class_values
-        share = self._plan_parts.setdefault
         out = []
         for b1, b2 in self.datum.splits(cls):
             m1 = 1
@@ -799,28 +809,15 @@ class Engine:
                 m2 *= b2[pos[x]]
             if m1 == 0 or m2 == 0:
                 continue
-            bud1 = self._budget(b1) - w1
-            bud2 = self._budget(b2) - w2
+            bud1 = self._budget(b1)
             sub = []
             for e, eh, ce, ceh, pe, peh in self._epairs:
-                me1, w_a = m1, bud1
-                if ce == 1:
-                    me1 *= b1[pos[e]]
-                else:
-                    w_a -= weights[e]
-                me2, w_b = m2, bud2
-                if ceh == 1:
-                    me2 *= b2[pos[eh]]
-                else:
-                    w_b -= weights[eh]
-                # w(A) + w(B) = w(extras), both parts of the extras
-                if me1 == 0 or me2 == 0 or w_a + w_b != w_x or not 0 <= w_a <= w_x:
-                    continue
-                entry = (pe, peh, me1 * me2, w_a)
-                sub.append(share(entry, entry))
+                me1 = m1 * b1[pos[e]] if ce == 1 else m1
+                me2 = m2 * b2[pos[eh]] if ceh == 1 else m2
+                if me1 and me2:
+                    sub.append((pe, peh, me1 * me2, bud1 - weights[e]))
             if sub:
-                sub = tuple(sub)
-                out.append((values(b1), values(b2), b1, b2, share(sub, sub)))
+                out.append((values(b1), values(b2), b1, b2, tuple(sub)))
         return tuple(out)
 
     def _partition_groups(self, extras):
@@ -830,7 +827,9 @@ class Engine:
         with the memo's packed codes, where mult counts the ways to pick A
         among the labeled copies of equal classes. B is the complement:
         code(B) = code(extras) - code(A) and w(B) = w(extras) - w(A).
-        The result is cached per multiset in ``_partition_cache``.
+        ``_build`` reads w(extras) only in its frame's dimension check; the
+        split sum finds a group by w(A) alone.  The result is cached per
+        multiset in ``_partition_cache``.
         """
         cached = self._partition_cache.get(extras)
         if cached is not None:

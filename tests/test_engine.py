@@ -230,6 +230,41 @@ def test_resolved_equation_residual_is_zero(engine):
     assert engine.wdvv_residual((1, 3), (1, 4, 4, 5), (4, 4)) == 0
 
 
+def test_frame_off_the_dimension_count_gives_the_zero_form():
+    """A frame and extras whose weights miss budget(cls) - 1 give the zero
+    form and residual 0, and resolve, solve and plan nothing."""
+    eng = Engine()
+    eng.value_of(((1, 1), (6, 6)))
+    memo, plans = len(eng.memo), len(eng._signature_plans)
+    for cls, frame, extras in (
+        ((1, 3), (1, 4, 4, 5), (4, 4)),  # 5 of the 9 the count asks for
+        ((1, 1), (1, 3, 4, 5), (4,)),  # 4 of 3
+        ((1, 2), (8, 8, 8, 8), (8, 8)),  # 18 of 6
+    ):
+        form = eng.build_equation(cls, frame, extras)
+        assert form.is_zero() and form == LinearForm()
+        assert eng.wdvv_residual(cls, frame, extras) == 0
+    assert len(eng.memo) == memo
+    assert len(eng._signature_plans) == plans
+
+
+def test_one_split_plan_serves_frames_of_every_weight():
+    """Two frames at one class with the same divisor slots and non-divisor
+    sides of different weights share one split plan, and each still builds
+    the plain split sum's form."""
+    eng = Engine()
+    cls = (1, 2)
+    specs = (((2, 4, 4, 4), (4, 4, 4)), ((2, 6, 7, 4), (4,)))
+    want = [_plain_equation(eng, cls, frame, extras) for frame, extras in specs]
+    before = set(eng._signature_plans)
+    got = []
+    for frame, extras in specs:
+        form = eng.build_equation(cls, frame, extras)
+        got.append((form.terms, form.constant))
+    assert got == want
+    assert set(eng._signature_plans) - before == {(cls, (2,), ())}
+
+
 def test_reduction_chain_for_single_insertion_values(engine):
     """The residual of one specific relation certifies the 3/a^2 line:
     it encodes (a-1)^2 I_((a-1,0))(T3) = (a-2)^2 I_((a-2,0))(T3)."""
@@ -897,7 +932,9 @@ def test_harvest_queues_each_spec_after_its_other_unknowns():
 
 def test_d5_tables_build_384_equations():
     """The d <= 5 tables in the CLI's query order build 384 equations, one
-    per harvested key, and the same number on every run."""
+    per harvested key, and the same number on every run.  They take 122
+    split plans, one per (class, divisors of the two frame sides): a plan
+    keyed by the sides' weights as well would take 411."""
 
     class Counting(Engine):
         builds = 0
@@ -912,8 +949,8 @@ def test_d5_tables_build_384_equations():
         for l in (0, 1, 2):
             for d in range(2, 6):
                 invert_counts(eng, d, l)
-        counts.append(eng.builds)
-    assert counts == [384, 384]
+        counts.append((eng.builds, len(eng._signature_plans)))
+    assert counts == [(384, 122), (384, 122)]
 
 
 def test_lead_spec_fits_every_key():
