@@ -36,8 +36,9 @@ serves as an independent cross-check target.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
+from .kontsevich import kontsevich_nd
 from .rationals import qdiv, qnorm
 
 # --------------------------------------------------------------------------
@@ -172,6 +173,13 @@ class TargetDatum:
     constructor validates the multiplication table against the duality
     property and checks that the divisor-decomposition data reproduces each
     basis class exactly and spans every graded piece it claims to cover.
+
+    Besides the ring, a datum carries what it knows of the invariants
+    without the engine: ``base_case`` (the two-point values the
+    reconstruction starts from), ``zero_class`` (classes whose invariants
+    all vanish, which the engine's split plans skip), and, with a base
+    divisor, ``vanishes`` and ``boundary_value`` (the vanishing theorem of
+    the projection to the base plane and its closed form on the boundary).
     """
 
     def __init__(
@@ -187,6 +195,7 @@ class TargetDatum:
         base_case: object,  # (cls, ins) -> exact value, or None if not a base case
         rank: int,
         base: int | None = None,
+        zero_class: object = None,  # cls -> True if every invariant is 0
     ):
         self.name = name
         self.dim = dim
@@ -202,6 +211,7 @@ class TargetDatum:
         self.base_case = base_case
         self.rank = rank
         self.base = base
+        self._zero_class = zero_class
 
         self.top = self.basis_size - 1
         self.weights = tuple(c - 1 for c in self.codims)
@@ -273,7 +283,19 @@ class TargetDatum:
         )
 
     def is_zero_class(self, cls: CurveClass) -> bool:
+        """True for the zero curve class; see ``zero_class`` for the
+        classes whose invariants all vanish."""
         return all(x == 0 for x in cls)
+
+    def zero_class(self, cls: CurveClass) -> bool:
+        """True when the datum declares every invariant of ``cls`` zero.
+
+        Hilb^2 declares the classes (a, 1) with a > 2, which its base cases
+        also answer with 0 (``_hilb_zero_class``); the plane declares none.
+        The engine's split plans leave out every split with a side in such a
+        class, so the split sum never looks up or stores its keys.
+        """
+        return self._zero_class is not None and self._zero_class(cls)
 
     def inter(self, e: int, cls: CurveClass) -> int:
         """Intersection number of the divisor T_e with a curve class."""
@@ -324,6 +346,70 @@ class TargetDatum:
         a = cls[self.divisor_pos[self.base]]
         return sum(orders[e] for e in ins) > (2 if a == 0 else 3 * a - 1 + len(ins))
 
+    def boundary_value(self, cls: CurveClass, ins):
+        """I_cls(ins) in closed form on the boundary of ``vanishes``, else None.
+
+        ``ins`` are the non-divisor insertions of a canonical key; t(e),
+        a = H . cls and n = len(ins) are as in ``vanishes``, and N_d is
+        ``kontsevich_nd(d)``.  Always None without a base divisor.  The
+        engine does not use this rule; a tier-1 test checks it against the
+        engine's solved values.
+
+        a = 0, on the boundary sum t = 2.  The composite map to the base
+        plane is constant, so every curve lies in one fibre F, a plane, and
+        the moduli space is the family over the base plane of the stable
+        maps M_0,n(F, b), b = L . cls with L the other divisor.  The normal
+        bundle of F is trivial, so its H^1 on a rational curve is 0 and the
+        virtual class is the fundamental class.  Write T_e = H^t(e) . D_e.
+        All n points map to one fibre, so the product of the ev_i^* H^t(e_i)
+        is ev^* H^2, the class of one fibre, and I is the plane invariant
+        I_b(D_1|F, ..., D_n|F).  D_e|F = k(e) h^c(e) (``fibre_classes``),
+        and on the plane a fundamental-class insertion kills the invariant,
+        a line multiplies it by b (divisor axiom), and points must number
+        3b - 1 for the count N_b.  So I = 0 if some c(e) = 0, else
+        prod k(e) . b^#(c = 1) . N_b when #(c = 2) = 3b - 1, else 0.  On
+        Hilb^2, T3 restricts to the fibre, T4 and T6 to the line, and T5,
+        T7 and T8 to the point, each with k = 1.
+
+        a >= 1, on the boundary sum t = 3a - 1 + n (a sketch: the last step
+        is checked, not proved).  The pulled-back powers of the line class
+        come from M_0,n(P^2*, a), where sum t is the top degree, so their
+        product is the plane invariant of the powers l^t(e) of the line
+        class l, times the class of the lifts of one such map.  A t = 0
+        insertion (T5 on Hilb^2) is the fundamental class of P^2*, which
+        kills the plane invariant, so I = 0.  Otherwise each t = 1 insertion
+        is a line, a factor a by the divisor axiom, and the t = 2 ones are
+        the 3a - 1 points of N_a, so I = N_a . a^#(t = 1) times the integral
+        of the D_e over the lifts.  That fibre factor is 1 on every boundary
+        key checked so far (all of those in the stages the d <= 7 tables
+        reach); the sketch does not derive it.
+        """
+        if self.base is None:
+            return None
+        orders = self.base_orders
+        a = cls[self.divisor_pos[self.base]]
+        total = sum(orders[e] for e in ins)
+        if a >= 1:
+            if total != 3 * a - 1 + len(ins):
+                return None
+            if any(orders[e] == 0 for e in ins):
+                return 0
+            return kontsevich_nd(a) * a ** sum(orders[e] == 1 for e in ins)
+        if total != 2:
+            return None
+        b = cls[self.divisor_pos[self._fibre_line]]
+        value, lines, points = 1, 0, 0
+        for e in ins:
+            c, k = self.fibre_classes[e]
+            if c == 0 or k == 0:
+                return 0
+            value *= k
+            lines += c == 1
+            points += c == 2
+        if points != 3 * b - 1:
+            return 0
+        return value * b ** lines * kontsevich_nd(b)
+
     def _derive_base_orders(self) -> tuple:
         """t(e) for every basis index, from the cup table; zeros without a
         base divisor. Raises ValueError unless the base divisor cubes to 0,
@@ -361,6 +447,45 @@ class TargetDatum:
                     if unit in rows:
                         orders[e] = m
         return tuple(orders)
+
+    @property
+    def _fibre_line(self) -> int:
+        """The divisor other than the base one."""
+        (line,) = (x for x in self.divisors if x != self.base)
+        return line
+
+    @cached_property
+    def fibre_classes(self) -> tuple | None:
+        """(c(e), k(e)) for every basis index, or None without a base divisor;
+        derived from the cup table on first use.
+
+        A fibre F of the projection is a plane; the base divisor H restricts
+        to 0 on it, and the other divisor L is taken to restrict to the line
+        class h, as T2 does on Hilb^2 (the integral of T1^2 T2^2 is 1).  For T_e = H^t(e) . D_e the
+        restriction D_e|F is k(e) h^c(e) with c(e) = codim(e) - t(e), and
+        k(e) = integral of D_e . H^2 . L^(2 - c) = integral of T_e . H^(2 - t)
+        . L^(2 - c), the coordinate of H^(2 - t) . L^(2 - c) at the dual of
+        e; k(e) = 0 when c(e) > 2.
+        """
+        if self.base is None:
+            return None
+        h = self.basis_vector(self.base)
+        line = self.basis_vector(self._fibre_line)
+        hpow = [self.basis_vector(self.codims.index(0))]
+        for _ in range(2):
+            hpow.append(self.cup(hpow[-1], h))
+        out = []
+        for e in range(self.basis_size):
+            t = self.base_orders[e]
+            c = self.codims[e] - t
+            k = 0
+            if c <= 2:
+                prod = hpow[2 - t]
+                for _ in range(2 - c):
+                    prod = self.cup(prod, line)
+                k = prod[self.dual[e]]
+            out.append((c, k))
+        return tuple(out)
 
     # -- construction-time validation ---------------------------------------
 
@@ -406,8 +531,8 @@ class TargetDatum:
 # Two-point invariants of the Hilbert scheme for classes (a, 1), a = 0, 1, 2,
 # indexed by the (sorted) insertion pair. These six columns are exactly the
 # admissible pairs at b = 1. Classes (a, 1) with a > 2 vanish for any
-# insertions, and classes (a, 0) admit a single codim-2 insertion with
-# I(T3) = 3/a^2, I(T4) = 0, I(T5) = -3/a^2.
+# insertions (``_hilb_zero_class``), and classes (a, 0) admit a single
+# codim-2 insertion with I(T3) = 3/a^2, I(T4) = 0, I(T5) = -3/a^2.
 _A1_TABLE = {
     0: {(3, 8): 0, (4, 8): 0, (5, 8): 1, (6, 6): 0, (6, 7): 0, (7, 7): 1},
     1: {(3, 8): 1, (4, 8): 2, (5, 8): 1, (6, 6): 1, (6, 7): 2, (7, 7): -2},
@@ -415,7 +540,14 @@ _A1_TABLE = {
 }
 
 
+def _hilb_zero_class(cls: CurveClass) -> bool:
+    """The classes whose invariants all vanish: (a, 1) with a > 2."""
+    return cls[1] == 1 and cls[0] > 2
+
+
 def _hilb_base_case(cls: CurveClass, ins: tuple):
+    if _hilb_zero_class(cls):
+        return 0
     a, b = cls
     if b == 0:
         if ins == (3,):
@@ -425,12 +557,8 @@ def _hilb_base_case(cls: CurveClass, ins: tuple):
         if ins == (5,):
             return qdiv(-3, a * a)
         return None
-    if b == 1:
-        if a > 2:
-            return 0
-        if len(ins) == 2:
-            return _A1_TABLE[a].get(ins)
-        return None
+    if b == 1 and len(ins) == 2:
+        return _A1_TABLE[a].get(ins)
     return None
 
 
@@ -463,6 +591,7 @@ def hilb_datum() -> TargetDatum:
         base_case=_hilb_base_case,
         rank=2,
         base=1,
+        zero_class=_hilb_zero_class,
     )
 
 

@@ -55,16 +55,21 @@ tuple.
 
 The split sum does no work it can see is zero.  A frame and extras off the
 dimension count give the zero form before any term is walked.  On the
-count every (split, e) pair balances its weights, and which pairs can
-contribute (nonzero divisor multipliers) depends only on the class and the
-divisors of the frame's two sides, so each is computed once into a plan
-cached under that signature; the weights pick the partition group at
-lookup.  Along the plan, both factors of a term are
-looked up before either is solved: a stored zero ends the term, and a
-missing factor is solved only while its partner can still be nonzero.  The
-memo therefore never solves a key just to multiply it by a known zero;
-which keys it holds depends slightly on the query order, their values do
-not.  All arithmetic is exact and everything runs on the calling thread.
+count every (split, e) pair balances its weights, so the work is planned
+in two layers.  A class plan, built once per class from one
+``TargetDatum.splits`` call, holds each split's live value dicts and one
+tuple of its (e, e^) pairs whose own divisor multipliers are nonzero;
+splits into a class the datum declares zero (``TargetDatum.zero_class``)
+are left out, so their keys are never looked up or stored.  A signature
+plan, one per class and divisors of the frame's two sides, keeps the
+splits whose frame-divisor multiplier is nonzero, next to the class plan's
+own pair tuple; the weights pick the partition group at lookup.  Along
+the plan, both factors of a term are looked up before either is solved: a
+stored zero ends the term, and a missing factor is solved only while its
+partner can still be nonzero.  The memo therefore never solves a key just
+to multiply it by a known zero; which keys it holds depends slightly on
+the query order, their values do not.  All arithmetic is exact and
+everything runs on the calling thread.
 
 About half of the keys the tables reach are zero by a theorem, and the
 engine never solves one of them.  The Hilbert scheme is a P^2-bundle over
@@ -333,6 +338,7 @@ class Engine:
         self._budgets: dict = {}
         self._key_budgets: dict = {}  # budgets of the classes _check_key passed
         self._partition_cache: dict = {}
+        self._class_plans: dict = {}  # live splits with their sub, by cls
         self._signature_plans: dict = {}  # splits tuples by (cls, div1, div2)
         self._boxes: dict = {}  # nonempty rows of a box, by (x, y, n1, n2)
         d = self.datum
@@ -347,6 +353,18 @@ class Engine:
             (e, eh, d.codims[e], d.codims[eh], pack.get(e, 0), pack.get(eh, 0))
             for e, eh in enumerate(d.dual)
             if d.codims[e] != 0 and d.codims[eh] != 0
+        )
+        # _sides[p][q]: one frame side (p, q) of a split term as the sorted
+        # divisors, the packed code and the weight of its non-divisor
+        # entries, for every pair of positive-codimension indices; read by
+        # _plan
+        one = [
+            ((e,), 0, 0) if c == 1 else ((), pack.get(e, 0), d.weights[e])
+            for e, c in enumerate(d.codims)
+        ]
+        self._sides = tuple(
+            tuple((min(dp + dq, dq + dp), cp + cq, wp + wq) for dq, cq, wq in one)
+            for dp, cp, wp in one
         )
         # For each non-divisor t, the decomposition row whose divisor product
         # contains t itself: the frame built on that row isolates the key
@@ -709,10 +727,11 @@ class Engine:
 
             # split terms over beta1 + beta2 = cls, both nonzero effective,
             # walked along the frame's plan (see _plan): only the (split, e)
-            # pairs whose divisor multipliers are nonzero, each with its
-            # unsigned multiplier, so the sign is applied once to the
-            # ordering's sum.  On the dimension count every pair balances,
-            # and w(A) = need - w(kept1) picks its partition group.
+            # pairs whose divisor multipliers are nonzero.  A split's sum is
+            # multiplied once by its frame-divisor multiplier m, each term
+            # by the multiplier f of e and e^, and the sign is applied once
+            # to the ordering's sum.  On the dimension count every pair
+            # balances, and w(A) = need - w(kept1) picks its partition group.
             splits, code1, code2, w1 = self._plan(cls, p, q, r, s)
             part = 0
             part_frac = 0
@@ -728,8 +747,10 @@ class Engine:
             # while its partner can still be nonzero (v1 first, then v2 if
             # v1 came out nonzero), so no key is solved just to be
             # multiplied by a known zero.
-            for vals1, vals2, b1, b2, sub in splits:
-                for pe, peh, scale, need in sub:
+            for vals1, vals2, b1, b2, m, sub in splits:
+                acc = 0
+                acc_frac = 0
+                for pe, peh, f, need in sub:
                     grp = groups.get(need - w1)
                     if grp is None:
                         continue
@@ -751,11 +772,15 @@ class Engine:
                             v2 = value_of((b2, decode(add2 - code_a)))
                             if v2 == 0:
                                 continue
-                        term = scale * mult * v1 * v2
+                        term = f * mult * v1 * v2
                         if type(term) is int:
-                            part += term
+                            acc += term
                         else:
-                            part_frac += term
+                            acc_frac += term
+                if acc:
+                    part += m * acc
+                if acc_frac:
+                    part_frac += m * acc_frac
             const += sign * part
             if part_frac:
                 frac += sign * part_frac
@@ -768,57 +793,80 @@ class Engine:
         """The split plan of one frame ordering.
 
         Returns ``(splits, code(kept1), code(kept2), w(kept1))``: kept1 and
-        kept2 are the non-divisor entries of (p, q) and (r, s), and
-        ``splits`` holds one ``(vals1, vals2, b1, b2, sub)`` per split
-        b1 + b2 = cls that has a surviving basis pair, with the two classes'
-        live memo value dicts.  ``sub`` lists ``(code(e), code(e^), scale,
-        need)`` for every e whose divisor multipliers are nonzero; ``scale``
-        is the product of the divisor multipliers, unsigned, and ``need`` is
-        budget(b1) - w(e), so the partition side A of the first factor has
-        weight ``need - w(kept1)``.  On the dimension count, which ``_build``
-        checks once per frame, the weights of A and B then add up to the
-        extras' for every e, so no entry is filtered by weight.  Which pairs
-        survive depends on the frame only through the divisors of each side,
-        so the splits tuple is cached per ``(cls, div1, div2)``.
+        kept2 are the non-divisor entries of (p, q) and (r, s), read with
+        the divisors of each side from the table ``_sides`` that
+        ``__init__`` fills for every index pair.  ``splits`` is the plan of
+        the signature ``(cls, div1, div2)`` (``_split_plan``); the weights
+        of the sides are not part of it, since on the dimension count, which
+        ``_build`` checks once per frame, every (split, e) pair balances and
+        w(kept1) only picks the partition group.
         """
-        codims = self._codims
-        code = self.memo.code
-        kept1 = tuple(x for x in (p, q) if codims[x] >= 2)
-        kept2 = tuple(x for x in (r, s) if codims[x] >= 2)
-        div1 = tuple(sorted(x for x in (p, q) if codims[x] == 1))
-        div2 = tuple(sorted(x for x in (r, s) if codims[x] == 1))
+        div1, code1, w1 = self._sides[p][q]
+        div2, code2, _w2 = self._sides[r][s]
         sig = (cls, div1, div2)
         splits = self._signature_plans.get(sig)
         if splits is None:
             splits = self._signature_plans[sig] = self._split_plan(*sig)
-        w1 = sum(self._weights[x] for x in kept1)
-        return splits, code(kept1), code(kept2), w1
+        return splits, code1, code2, w1
 
     def _split_plan(self, cls, div1, div2):
-        """The surviving (split, e) pairs of one signature; see _plan."""
+        """The splits of ``_class_plan(cls)`` that a frame with divisors div1
+        on its first side and div2 on its second can reach.
+
+        Each is ``(vals1, vals2, b1, b2, m, sub)`` with m the frame-divisor
+        multiplier, the product of b1[pos[x]] over x in div1 and b2[pos[x]]
+        over x in div2; splits with m = 0 are left out.  ``sub`` is the class
+        plan's own tuple, so every signature of a class shares its entries.
+        """
         pos = self.datum.divisor_pos
+        out = []
+        for vals1, vals2, b1, b2, sub in self._class_plan(cls):
+            m = 1
+            for x in div1:
+                m *= b1[pos[x]]
+            for x in div2:
+                m *= b2[pos[x]]
+            if m:
+                out.append((vals1, vals2, b1, b2, m, sub))
+        return tuple(out)
+
+    def _class_plan(self, cls):
+        """The splits b1 + b2 = cls of every frame, built once per class.
+
+        One ``(vals1, vals2, b1, b2, sub)`` per split from one
+        ``TargetDatum.splits`` call, with the two classes' live memo value
+        dicts.  ``sub`` lists ``(code(e), code(e^), f, need)`` for every basis
+        pair whose own divisor multipliers f = (b1 . T_e if e is a divisor)
+        * (b2 . T_e^ if e^ is one) are nonzero, and need = budget(b1) - w(e),
+        so the partition side A of the first factor has weight
+        ``need - w(kept1)``.  A split with a side in a class that
+        ``TargetDatum.zero_class`` declares zero is left out, so the split
+        sum never looks up or stores keys of such a class; so is a split
+        with no surviving pair.  Cached in ``_class_plans``.
+        """
+        plan = self._class_plans.get(cls)
+        if plan is not None:
+            return plan
+        datum = self.datum
+        pos = datum.divisor_pos
         weights = self._weights
         values = self.memo.class_values
+        zero_class = datum.zero_class
         out = []
-        for b1, b2 in self.datum.splits(cls):
-            m1 = 1
-            for x in div1:
-                m1 *= b1[pos[x]]
-            m2 = 1
-            for x in div2:
-                m2 *= b2[pos[x]]
-            if m1 == 0 or m2 == 0:
+        for b1, b2 in datum.splits(cls):
+            if zero_class(b1) or zero_class(b2):
                 continue
             bud1 = self._budget(b1)
             sub = []
             for e, eh, ce, ceh, pe, peh in self._epairs:
-                me1 = m1 * b1[pos[e]] if ce == 1 else m1
-                me2 = m2 * b2[pos[eh]] if ceh == 1 else m2
-                if me1 and me2:
-                    sub.append((pe, peh, me1 * me2, bud1 - weights[e]))
+                f1 = b1[pos[e]] if ce == 1 else 1
+                f = f1 * b2[pos[eh]] if ceh == 1 else f1
+                if f:
+                    sub.append((pe, peh, f, bud1 - weights[e]))
             if sub:
                 out.append((values(b1), values(b2), b1, b2, tuple(sub)))
-        return tuple(out)
+        plan = self._class_plans[cls] = tuple(out)
+        return plan
 
     def _partition_groups(self, extras):
         """Partitions A|B of an insertion multiset, grouped by weight of A.
@@ -1062,11 +1110,13 @@ class Engine:
         sort_keys=True)`` and a newline, where ``payload`` has the keys
         ``schema``, ``target`` and ``entries``, one ``{"a", "b", "ins",
         "num", "den"}`` object per key in sorted key order, with the value
-        as decimal strings. A key the projection to the base plane kills is
-        left out: ``value_of`` stores it as 0 again without visiting a
-        stage. The text is built from strings one class at a time, each
-        code's insertion list rendered once. An ``int`` or ``bool`` path
-        raises ValueError: ``open`` would take it as a file descriptor.
+        as decimal strings. A key the projection to the base plane kills,
+        or any key of a class the datum declares zero
+        (``TargetDatum.zero_class``), is left out: ``value_of`` stores it as
+        0 again without visiting a stage. The text is built from strings
+        one class at a time, each code's insertion list rendered once. An
+        ``int`` or ``bool`` path raises ValueError: ``open`` would take it
+        as a file descriptor.
         """
         _check_path(path)
         if self.datum.rank != 2:
@@ -1079,6 +1129,8 @@ class Engine:
         rendered: dict = {}  # code -> (sorted insertions, their JSON list)
         entries = []
         for cls in memo.classes():
+            if self.datum.zero_class(cls):
+                continue
             rows = []
             for code, val in memo.class_values(cls).items():
                 ins = rendered.get(code)

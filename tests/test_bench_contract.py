@@ -1,10 +1,12 @@
-"""The benchmark tracer's contract with the package.
+"""The benchmark's contract with the package.
 
 ``bench/tracer.py`` wraps package functions by name and records a name that
 no longer resolves as an absent layer instead of failing, so a refactor
 that drops a wrapped name would only thin out the benchmark's per-layer
-metrics.  This test fails instead.  The tracer is loaded read-only from its
-path; nothing is installed.
+metrics.  This test fails instead.  ``bench/workloads.py`` keeps its own
+copy of the frozen d <= 6 tables, so a drift from ``hilb2gw.fixtures`` is
+caught here too.  Both files are loaded read-only from their paths; nothing
+is installed.
 """
 
 import importlib
@@ -13,17 +15,18 @@ from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def _tracer():
-    spec = importlib.util.spec_from_file_location("_bench_tracer", TRACER)
+def _bench_module(name):
+    path = BENCH / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"_bench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-_TRACER = _tracer()
+_TRACER = _bench_module("tracer")
 
 
 @pytest.mark.parametrize(
@@ -49,3 +52,21 @@ def test_stage_state_counts_queued_specs():
     key = ((1, 2), (4,) * 7)
     eng._harvest_closure(key[0], st, [key])
     assert len(st.seen) >= 1
+
+
+def test_workload_tables_match_the_fixtures():
+    """The tables the benchmark grades against equal the frozen fixtures
+    for every (l, d) with d <= 6."""
+    from hilb2gw import fixtures
+
+    workloads = _bench_module("workloads")
+    assert workloads.MAX_DEGREE == 6
+    for expected, columns in (
+        (workloads.EXPECTED_INVARIANTS, fixtures.INVARIANT_TABLES),
+        (workloads.EXPECTED_COUNTS, fixtures.COUNT_TABLES),
+    ):
+        assert expected == {
+            (l, d): tuple(columns[l][(d, g)] for g in range(d - 1))
+            for l in (0, 1, 2)
+            for d in range(2, 7)
+        }

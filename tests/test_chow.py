@@ -228,3 +228,53 @@ def test_p2_datum_ring():
     assert p2.cup(h, h) == pt
     assert p2.cup(h, pt) == (rat(0),) * 3
     assert p2.integrate(pt) == 1
+
+
+def test_zero_classes_are_declared_by_the_datum():
+    """Hilb^2 declares exactly the classes (a, 1) with a >= 3 zero, and its
+    base cases read the same predicate: every insertion tuple gets 0 there.
+    The plane declares no class zero."""
+    from hilb2gw.chow import _hilb_base_case
+
+    hilb = hilb_datum()
+    classes = [(a, b) for a in range(9) for b in range(4) if a or b]
+    assert [c for c in classes if hilb.zero_class(c)] == [
+        (a, 1) for a in range(3, 9)
+    ]
+    for a in range(3, 9):
+        for ins in ((3, 8), (6, 6), (4, 4, 8), (5,) * 4, (7, 8, 8, 8)):
+            assert _hilb_base_case((a, 1), ins) == 0
+    assert _hilb_base_case((2, 1), (6, 6)) == 4
+    p2 = p2_datum()
+    assert not any(p2.zero_class((d,)) for d in range(1, 20))
+
+
+def test_fibre_classes_are_derived_from_the_cup_table():
+    """On a fibre of the projection, T3 restricts to the fundamental class,
+    T4 and T6 to the line and T5, T7 and T8 to the point, each once."""
+    hilb = hilb_datum()
+    assert hilb.fibre_classes[3:] == ((0, 1), (1, 1), (2, 1), (1, 1), (2, 1), (2, 1))
+    assert p2_datum().fibre_classes is None
+
+
+def test_boundary_value_rules():
+    """The closed form on the boundary of the vanishing theorem, and None
+    off it (inside or past it) and without a base divisor."""
+    from hilb2gw.kontsevich import kontsevich_nd
+
+    hilb = hilb_datum()
+    bv = hilb.boundary_value
+    # a = 0: sum t = 2; T3 kills, T4/T6 count b, T5/T7/T8 are the 3b - 1 points
+    assert bv((0, 1), (5, 5, 4, 4)) == 1
+    assert bv((0, 2), (5,) * 5 + (4, 4)) == 4 * kontsevich_nd(2)
+    assert bv((0, 2), (3,) + (5,) * 5) == 0
+    assert bv((0, 2), (5,) * 5 + (6,)) == 2 * kontsevich_nd(2)
+    assert bv((0, 1), (5, 5, 5, 5)) is None  # sum t = 0, inside
+    # a >= 1: sum t = 3a - 1 + n; T5 kills, T4/T7 count a
+    assert bv((1, 1), (3, 8)) == 1
+    assert bv((2, 2), (3, 3, 3, 3, 8)) == kontsevich_nd(2)
+    assert bv((2, 2), (3, 3, 3, 3, 4, 6)) == 2 * kontsevich_nd(2)
+    assert bv((2, 2), (3,) * 6 + (5,)) == 0
+    assert bv((2, 2), (4,) * 7) is None  # sum t = 7, 12 needed
+    assert bv((2, 2), (3,) * 4 + (4, 4, 4)) is None  # 11 of 12
+    assert p2_datum().boundary_value((1,), (2, 2)) is None

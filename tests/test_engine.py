@@ -265,6 +265,56 @@ def test_one_split_plan_serves_frames_of_every_weight():
     assert set(eng._signature_plans) - before == {(cls, (2,), ())}
 
 
+def test_signature_plans_share_their_class_plans_sub_tuples():
+    """Every signature plan of the d <= 5 tables filters its class plan:
+    each split keeps the class plan's own ``sub`` tuple, the same object,
+    and a nonzero frame-divisor multiplier."""
+    eng = Engine()
+    for d in range(2, 6):
+        for l in (0, 1, 2):
+            invert_counts(eng, d, l)
+    pos = eng.datum.divisor_pos
+    shared = 0
+    for (cls, div1, div2), splits in eng._signature_plans.items():
+        subs = {(b1, b2): sub for _v1, _v2, b1, b2, sub in eng._class_plans[cls]}
+        for _v1, _v2, b1, b2, m, sub in splits:
+            assert sub is subs[(b1, b2)], (cls, div1, div2, b1, b2)
+            assert m == math.prod(b1[pos[x]] for x in div1) * math.prod(
+                b2[pos[x]] for x in div2
+            ) != 0
+            shared += 1
+    assert len(eng._signature_plans) > len(eng._class_plans)
+    assert shared > 500
+
+
+def test_split_sum_skips_zero_classes_and_matches_the_plain_sum():
+    """At (3, 2) and (4, 2) the splits include the zero classes (a, 1),
+    a >= 3.  The lead equations of the stages n = 3..6 there build the plain
+    split sum's form, which values those keys as 0, while the class plans
+    leave the zero classes out, so building alone stores none of their
+    keys."""
+    datum = hilb_datum()
+    probe = Engine()
+    specs = set()
+    for cls in ((3, 2), (4, 2)):
+        assert any(datum.zero_class(b1) for b1, _b2 in datum.splits(cls))
+        for n in range(3, 7):
+            for key in probe._stage_keys(cls, n):
+                specs.add((cls, probe._lead_spec(key)))
+    assert len(specs) >= 100
+    plain, built = Engine(), Engine()
+    for cls, (frame, extras) in sorted(specs):
+        want = _plain_equation(plain, cls, frame, extras)
+        form = plain.build_equation(cls, frame, extras)
+        assert (form.terms, form.constant) == want, (cls, frame, extras)
+        built.build_equation(cls, frame, extras)
+    assert any(datum.zero_class(cls) for (cls, _ins), _v in plain.memo.items())
+    assert not any(datum.zero_class(cls) for (cls, _ins), _v in built.memo.items())
+    for plan in built._class_plans.values():
+        for _v1, _v2, b1, b2, _sub in plan:
+            assert not datum.zero_class(b1) and not datum.zero_class(b2)
+
+
 def test_reduction_chain_for_single_insertion_values(engine):
     """The residual of one specific relation certifies the 3/a^2 line:
     it encodes (a-1)^2 I_((a-1,0))(T3) = (a-2)^2 I_((a-2,0))(T3)."""
@@ -368,8 +418,9 @@ def _plain_equation(engine, cls, frame, extras):
 
 def _memo_stage_keys(eng):
     """The memo's keys outside the two-point base stages (n >= 3): the keys
-    that the engine's stage visits solved, plus the few that base cases
-    answer at n >= 3 (the vanishing classes (a, 1), a >= 3)."""
+    that the engine's stage visits solved, plus any that base cases answer
+    at n >= 3 (keys of the zero classes (a, 1), a >= 3, which only an
+    engine without ``zero_class`` or a direct query stores)."""
     return [key for key, _ in eng.memo.items() if len(key[1]) >= 3]
 
 
@@ -512,7 +563,10 @@ def test_tables_and_memo_values_do_not_depend_on_query_order():
 
 
 def _unpruned_hilb_datum():
-    """The Hilb^2 datum without its base divisor, so nothing is pruned."""
+    """The Hilb^2 datum without its base divisor or its zero classes, so
+    nothing is pruned: no key is killed by the projection, and the split
+    plans keep the splits into the classes (a, 1), a >= 3, whose keys the
+    base cases answer with 0."""
     d = hilb_datum()
     return TargetDatum(
         name=d.name,
@@ -532,7 +586,8 @@ def test_unpruned_engine_solves_every_killed_key_to_zero():
     """The vanishing theorem against the equations: an engine that prunes
     nothing solves to 0 every admissible key that the theorem kills in
     every stage its d <= 5 tables reach, and both engines give the same
-    tables.  The tables alone solve too few keys to test, so the keys come
+    tables, though only the unpruned one walks the splits into the zero
+    classes.  The tables alone solve too few keys to test, so the keys come
     from the stages, not from the memo."""
     datum = hilb_datum()
     pruned, unpruned = Engine(), Engine(_unpruned_hilb_datum())
@@ -541,6 +596,9 @@ def test_unpruned_engine_solves_every_killed_key_to_zero():
             want = invert_counts(unpruned, d, l)
             got = invert_counts(pruned, d, l)
             assert (got.invariants, got.counts) == (want.invariants, want.counts)
+    in_zero_class = [k for k, _v in unpruned.memo.items() if datum.zero_class(k[0])]
+    assert in_zero_class and all(unpruned.memo.get(k) == 0 for k in in_zero_class)
+    assert not any(datum.zero_class(k[0]) for k, _v in pruned.memo.items())
     killed = [
         key
         for cls, n in _reached_stages(unpruned)
@@ -591,6 +649,29 @@ def test_value_of_rejects_a_key_that_is_not_canonical(key):
         eng.value_of(key)
     assert dict(eng.memo.items()) == before
     assert eng.value_of(((1, 2), (4, 8, 8))) == 1
+
+
+def test_boundary_keys_solve_to_their_closed_form():
+    """The closed form of ``TargetDatum.boundary_value`` against the
+    equations: the engine, which does not use it, solves every key on the
+    boundary of the vanishing theorem (a = 0 and a >= 1) in every stage its
+    d <= 5 tables reach to that value.  The keys come from the stages."""
+    datum = hilb_datum()
+    eng = Engine()
+    for d in range(2, 6):
+        for l in (0, 1, 2):
+            invert_counts(eng, d, l)
+    boundary = [
+        (key, value)
+        for cls, n in _reached_stages(eng)
+        for key in eng._stage_keys(cls, n)
+        if (value := datum.boundary_value(*key)) is not None
+    ]
+    assert len(boundary) >= 600
+    for a_zero in (True, False):
+        side = [v for (cls, _ins), v in boundary if (cls[0] == 0) == a_zero]
+        assert len(side) >= 20 and any(side) and not all(side)
+    assert [key for key, value in boundary if eng.value_of(key) != value] == []
 
 
 def test_killed_key_is_stored_without_a_stage_visit():
@@ -932,9 +1013,10 @@ def test_harvest_queues_each_spec_after_its_other_unknowns():
 
 def test_d5_tables_build_384_equations():
     """The d <= 5 tables in the CLI's query order build 384 equations, one
-    per harvested key, and the same number on every run.  They take 122
-    split plans, one per (class, divisors of the two frame sides): a plan
-    keyed by the sides' weights as well would take 411."""
+    per harvested key, and the same number on every run.  They take 19
+    class plans, one per class whose splits a frame walks, and 122
+    signature plans, one per (class, divisors of the two frame sides): a
+    plan keyed by the sides' weights as well would take 411."""
 
     class Counting(Engine):
         builds = 0
@@ -949,8 +1031,10 @@ def test_d5_tables_build_384_equations():
         for l in (0, 1, 2):
             for d in range(2, 6):
                 invert_counts(eng, d, l)
-        counts.append((eng.builds, len(eng._signature_plans)))
-    assert counts == [(384, 122), (384, 122)]
+        counts.append(
+            (eng.builds, len(eng._class_plans), len(eng._signature_plans))
+        )
+    assert counts == [(384, 19, 122), (384, 19, 122)]
 
 
 def test_lead_spec_fits_every_key():
@@ -1239,6 +1323,29 @@ def test_cache_loads_untagged_legacy_file(tmp_path):
         again = tmp_path / "again.json"
         assert fresh.save_cache(again) == len(_exported(eng))
         assert again.read_bytes() == tagged.read_bytes()
+
+
+def test_cache_loads_and_drops_keys_of_zero_classes(tmp_path):
+    """A file that holds keys of the zero classes (a, 1), a >= 3, as 0, as
+    exports once did, still loads; it re-exports without them, as without
+    killed keys."""
+    datum = hilb_datum()
+    old = Engine(_unpruned_hilb_datum())
+    for l in (0, 1, 2):
+        invert_counts(old, 4, l)
+    items = sorted(old.memo.items())
+    assert any(datum.zero_class(cls) for (cls, _ins), _v in items)
+    legacy = tmp_path / "legacy.json"
+    legacy.write_text(_dumps_text(items))
+    fresh = Engine()
+    assert fresh.load_cache(legacy) == len(items)
+    again = tmp_path / "again.json"
+    kept = [
+        (key, v) for key, v in items
+        if not datum.zero_class(key[0]) and not datum.vanishes(*key)
+    ]
+    assert fresh.save_cache(again) == len(kept)
+    assert again.read_text() == _dumps_text(kept)
 
 
 def _entry(cls, ins, num="1", den="1"):
