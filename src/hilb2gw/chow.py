@@ -178,8 +178,9 @@ class TargetDatum:
     without the engine: ``base_case`` (the two-point values the
     reconstruction starts from), ``zero_class`` (classes whose invariants
     all vanish, which the engine's split plans skip), and, with a base
-    divisor, ``vanishes`` and ``boundary_value`` (the vanishing theorem of
-    the projection to the base plane and its closed form on the boundary).
+    divisor, ``vanishes``, ``order_bound`` and ``boundary_value`` (the
+    vanishing theorem of the projection to the base plane, its bound, and
+    its closed form on the boundary).
     """
 
     def __init__(
@@ -338,13 +339,22 @@ class TargetDatum:
         constant, so the product lives on the plane itself and vanishes
         when sum t > 2; if a >= 1 the evaluation image of M_0,n(P^2, a) has
         dimension at most 3a - 1 + n, and the product vanishes when sum t
-        exceeds it. Always False without a base divisor.
+        exceeds it (``order_bound``). Always False without a base divisor.
         """
-        if self.base is None:
+        bound = self.order_bound(cls, len(ins))
+        if bound is None:
             return False
-        orders = self.base_orders
+        return sum(map(self.base_orders.__getitem__, ins)) > bound
+
+    def order_bound(self, cls: CurveClass, n: int):
+        """The largest sum of base orders t(e) over n non-divisor insertions
+        at which the projection to the base plane leaves I_cls free: 2 when
+        a = H . cls is 0, else 3a - 1 + n (see ``vanishes``).  None without
+        a base divisor, where no sum kills a key."""
+        if self.base is None:
+            return None
         a = cls[self.divisor_pos[self.base]]
-        return sum(orders[e] for e in ins) > (2 if a == 0 else 3 * a - 1 + len(ins))
+        return 2 if a == 0 else 3 * a - 1 + n
 
     def boundary_value(self, cls: CurveClass, ins):
         """I_cls(ins) in closed form on the boundary of ``vanishes``, else None.
@@ -384,19 +394,15 @@ class TargetDatum:
         key checked so far (all of those in the stages the d <= 7 tables
         reach); the sketch does not derive it.
         """
-        if self.base is None:
-            return None
+        bound = self.order_bound(cls, len(ins))
         orders = self.base_orders
+        if bound is None or sum(orders[e] for e in ins) != bound:
+            return None
         a = cls[self.divisor_pos[self.base]]
-        total = sum(orders[e] for e in ins)
         if a >= 1:
-            if total != 3 * a - 1 + len(ins):
-                return None
             if any(orders[e] == 0 for e in ins):
                 return 0
             return kontsevich_nd(a) * a ** sum(orders[e] == 1 for e in ins)
-        if total != 2:
-            return None
         b = cls[self.divisor_pos[self._fibre_line]]
         value, lines, points = 1, 0, 0
         for e in ins:

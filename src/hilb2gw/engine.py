@@ -49,9 +49,18 @@ fatal invariant violation, as is any inconsistent equation.  A visit that
 fails partway keeps the exact keys it solved before the failure.
 
 The memo stores each canonical insertion multiset as a packed integer code,
-one 8-bit digit per non-divisor basis index (see MemoStore), so the split sum
-forms the key of a merged multiset by adding two codes instead of sorting a
-tuple.
+one 8-bit digit per non-divisor basis index (see MemoStore), and ``_build``
+forms every key it needs on such codes, never as a sorted tuple.  The split
+sum adds two codes to get the key of a merged multiset.  A collapsed term
+adds a per-index table entry for each of its three new insertions to the
+code, weight and base-order sum cached for its extras, and checks the
+dimension count and the projection's order bound on those sums
+(``_canon_code``).  Each key is looked up in its class's live value dict,
+and only a miss is decoded to a tuple: a same-stage key that stays symbolic,
+or a key to resolve.  Every miss, on a key ``_build`` formed or on a
+caller's key that ``value_of`` has checked, goes through one method,
+``_resolve``: base case, projection rule, then a visit to the key's
+stage.
 
 The split sum does no work it can see is zero.  A frame and extras off the
 dimension count give the zero form before any term is walked.  On the
@@ -79,9 +88,10 @@ of stable maps under the projection the product of the pulled-back powers
 of the line class comes from the space of stable maps to the plane.  So
 the key vanishes when the sum of the t(e) exceeds 2 (a = 0, the composite
 map is constant) or 3a - 1 + n, the dimension bound of the evaluation
-image (a >= 1); see ``TargetDatum.vanishes``.  ``value_of`` stores such a
-key as 0 without visiting a stage, as it stores a base case; ``_canon``
-and ``normalize`` drop it like a dimension mismatch; the harvest and
+image (a >= 1); see ``TargetDatum.vanishes`` and its bound
+``TargetDatum.order_bound``.  ``_resolve`` stores such a key as 0 without
+visiting a stage, as it stores a base case; ``_canon``, ``_canon_code`` and
+``normalize`` drop it like a dimension mismatch; the harvest and
 ``solve_stage`` never queue it; a cache entry that gives it a nonzero
 value is an InconsistentSystem, and ``save_cache`` leaves it out.  The
 split sum is unchanged: a killed factor becomes a stored 0 the first time
@@ -343,12 +353,25 @@ class Engine:
         self._boxes: dict = {}  # nonempty rows of a box, by (x, y, n1, n2)
         d = self.datum
         self._vanishes = d.vanishes
+        self._order_bound = d.order_bound
         self._codims = d.codims
         self._weights = d.weights
         self._cup_terms = d.cup_terms
+        pack = self.memo.pack
+        # _units[e]: what insertion e adds in _canon_code, (slot, packed
+        # code, weight, base order, count).  The slot indexes cls + (1, 0)
+        # for the multiplier: a divisor's position in the class (its
+        # intersection number), 1 for a non-divisor, which adds the rest,
+        # and 0 for the fundamental class, which kills the monomial.
+        rank = d.rank
+        self._units = tuple(
+            (d.divisor_pos[e], 0, 0, 0, 0) if c == 1
+            else (rank + 1, 0, 0, 0, 0) if c == 0
+            else (rank, pack[e], d.weights[e], d.base_orders[e], 1)
+            for e, c in enumerate(d.codims)
+        )
         # split-sum diagonal: (e, dual, both codims, both packed codes, the
         # code 0 standing for a divisor end), degenerate ends dropped
-        pack = self.memo.pack
         self._epairs = tuple(
             (e, eh, d.codims[e], d.codims[eh], pack.get(e, 0), pack.get(eh, 0))
             for e, eh in enumerate(d.dual)
@@ -446,6 +469,34 @@ class Engine:
         bare.sort()
         return tuple(bare), mult
 
+    def _canon_code(self, cls, x, y, m, sums):
+        """``_canon`` on packed codes, for the collapsed terms of ``_build``.
+
+        Canonicalizes the monomial (x, y, m) plus extras whose sums
+        ``(code, weight, base-order sum, count)`` are given, as
+        ``_partition_groups`` returns them (``(0, 0, 0, 0)`` for none):
+        each of x, y and m adds its ``_units`` entry.  Returns ``(code, n,
+        mult)``, the packed code and insertion count of the key and the
+        divisor multiplier, or None where ``_canon`` gives None: a
+        fundamental class, a divisor of zero intersection, a weight off the
+        budget, or a base-order sum past ``TargetDatum.order_bound``.  No
+        tuple is formed or sorted.
+        """
+        code, w, t, n = sums
+        units = self._units
+        mults = cls + (1, 0)  # indexed by a unit's slot
+        sx, cx, wx, tx, nx = units[x]
+        sy, cy, wy, ty, ny = units[y]
+        sm, cm, wm, tm, nm = units[m]
+        mult = mults[sx] * mults[sy] * mults[sm]
+        if not mult or w + wx + wy + wm != self._budget(cls):
+            return None
+        n += nx + ny + nm
+        bound = self._order_bound(cls, n)
+        if bound is not None and t + tx + ty + tm > bound:
+            return None
+        return code + cx + cy + cm, n, mult
+
     def normalize(self, cls, insertions) -> LinearForm:
         """Expand insertions multilinearly into canonical keys.
 
@@ -508,10 +559,11 @@ class Engine:
     def value_of(self, key):
         """Exact value of a canonical admissible key, solving stages on demand.
 
-        A base case or a key that the projection to the base plane kills is
-        stored without visiting a stage.  A key the memo does not hold passes
-        ``_check_key`` first, so a bad one raises ValueError and leaves the
-        memo unchanged; a memo hit skips the gate.
+        The entry point for a caller's key.  A memo hit is returned at once;
+        a key the memo does not hold passes ``_check_key`` first, so a bad
+        one raises ValueError and leaves the memo unchanged, and then goes
+        to ``_resolve`` on its packed code, the path every key the engine
+        forms itself takes.
         """
         try:
             v = self.memo.get(key)
@@ -519,24 +571,43 @@ class Engine:
             v = None
         if v is not None:
             return v
-        self._check_key(key)
-        b = self.datum.base_case(*key)
-        if b is None and self._vanishes(*key):
+        code = self._check_key(key)
+        cls, ins = key
+        return self._resolve(cls, code, ins)
+
+    def _resolve(self, cls, code, ins):
+        """Exact value of the canonical key ``(cls, ins)`` of packed code
+        ``code``: the one path of a memo miss.
+
+        The key must be canonical and admissible, as every key ``_build``
+        forms is and as ``value_of`` checks.  A key the memo holds (it may
+        have been solved since the caller's lookup) is returned; a base case
+        or a key that the projection to the base plane kills is stored
+        without visiting a stage; any other key is solved by a visit to its
+        stage.
+        """
+        vals = self.memo.class_values(cls)
+        v = vals.get(code)
+        if v is not None:
+            return v
+        key = (cls, ins)
+        b = self.datum.base_case(cls, ins)
+        if b is None and self._vanishes(cls, ins):
             b = 0
         if b is not None:
             self.memo.set(key, b)
             return b
-        cls, ins = key
         self._solve_for(cls, len(ins), (key,))
-        return self.memo.get(key)
+        return vals[code]
 
-    def _check_key(self, key) -> None:
-        """ValueError unless ``key`` is a canonical admissible key: a pair of
-        tuples ``(cls, ins)``, cls nonzero and effective, ins the sorted
-        non-divisor basis indices (ints, at most 255 of them) whose weights
-        fill the class's dimension budget.  It runs on every memo miss, so
-        each class passes ``_check_class`` once and keeps its budget in
-        ``_key_budgets``, and the insertions are checked in one pass."""
+    def _check_key(self, key) -> int:
+        """The packed memo code of ``key`` if it is a canonical admissible
+        key, else ValueError: a pair of tuples ``(cls, ins)``, cls nonzero
+        and effective, ins the sorted non-divisor basis indices (ints, at
+        most 255 of them) whose weights fill the class's dimension budget.
+        It runs on every memo miss of a caller's key, so each class passes
+        ``_check_class`` once and keeps its budget in ``_key_budgets``, and
+        the insertions are checked and packed in one pass."""
         if not (
             type(key) is tuple
             and len(key) == 2
@@ -560,7 +631,7 @@ class Engine:
             )
         pack = self.memo.pack
         weights = self._weights
-        w = prev = 0
+        code = w = prev = 0
         for e in ins:
             if type(e) is not int or e < prev or e not in pack:
                 raise ValueError(
@@ -569,8 +640,10 @@ class Engine:
                 )
             prev = e
             w += weights[e]
+            code += pack[e]
         if w != budget:
             raise ValueError(f"key {key!r} violates the dimension count")
+        return code
 
     def invariant(self, cls, insertions):
         """I_cls(insertions): canonicalize, then resolve every key.
@@ -684,11 +757,19 @@ class Engine:
         terms follow each ordering's ``_plan`` over ``_partition_groups``.
         A frame and extras whose weights miss ``budget(cls) - 1`` give the
         zero form: no collapsed term meets the dimension count and no split
-        term balances."""
+        term balances.
+
+        Every key is formed on packed codes, never as a sorted tuple: a
+        collapsed term by ``_canon_code`` from the extras' cached sums, a
+        split factor by adding codes along the plan.  A key is looked up in
+        its class's live value dict, and only a miss is decoded to a tuple:
+        below the stage it goes to ``_resolve``, in the stage it stays
+        symbolic."""
         i, j, k, l = frame
         if j == l:
             return {}, 0
-        code_x, w_x, groups = self._partition_groups(extras)
+        sums, groups = self._partition_groups(extras)
+        code_x, w_x = sums[0], sums[1]
         weights = self._weights
         if (
             weights[i] + weights[j] + weights[k] + weights[l] + w_x
@@ -696,9 +777,10 @@ class Engine:
         ):
             return {}, 0
         cup_terms = self._cup_terms
-        memo_get = self.memo.get
+        canon_code = self._canon_code
+        vals = self.memo.class_values(cls)
         decode = self.memo.decode
-        value_of = self.value_of
+        resolve = self._resolve
         terms: dict = {}
         const = 0
         # true fractions (the few non-integral memo values) are summed apart,
@@ -709,21 +791,25 @@ class Engine:
             # collapsed degree-0 terms: I(x, y, (u cup v), extras)
             for x, y, u, v in ((p, q, r, s), (r, s, p, q)):
                 for m, cm in cup_terms[u][v]:
-                    canon = self._canon(cls, (x, y, m) + extras)
+                    canon = canon_code(cls, x, y, m, sums)
                     if canon is None:
                         continue
-                    ins_t, mult = canon
+                    code, n, mult = canon
                     coeff = sign * cm * mult
-                    key = (cls, ins_t)
-                    if len(ins_t) > stage_n:
-                        raise AssertionError(
-                            f"key {key} outside stage (cls={cls}, n={stage_n})"
-                        )
-                    val = value_of(key) if len(ins_t) < stage_n else memo_get(key)
+                    val = vals.get(code)
                     if val is None:
-                        terms[key] = terms.get(key, 0) + coeff
-                    else:
-                        const += coeff * val
+                        if n < stage_n:
+                            val = resolve(cls, code, decode(code))
+                        elif n == stage_n:
+                            key = (cls, decode(code))
+                            terms[key] = terms.get(key, 0) + coeff
+                            continue
+                        else:
+                            raise AssertionError(
+                                f"key {(cls, decode(code))} outside stage "
+                                f"(cls={cls}, n={stage_n})"
+                            )
+                    const += coeff * val
 
             # split terms over beta1 + beta2 = cls, both nonzero effective,
             # walked along the frame's plan (see _plan): only the (split, e)
@@ -735,8 +821,8 @@ class Engine:
             splits, code1, code2, w1 = self._plan(cls, p, q, r, s)
             part = 0
             part_frac = 0
-            # Python-level calls stay out of this loop (value_of and decode
-            # run only on a memo miss, Rat methods only on true fractions):
+            # Python-level calls stay out of this loop (_resolve runs only on
+            # a memo miss, Rat methods only on true fractions):
             # it runs at the deepest point of the stage recursion, where a
             # call can make the interpreter map and unmap a fresh frame-stack
             # chunk every time.  A factor's key is its class plus the packed
@@ -765,11 +851,13 @@ class Engine:
                         if v2 == 0:
                             continue
                         if v1 is None:
-                            v1 = value_of((b1, decode(code_a + add1)))
+                            c1 = code_a + add1
+                            v1 = resolve(b1, c1, decode(c1))
                             if v1 == 0:
                                 continue
                         if v2 is None:
-                            v2 = value_of((b2, decode(add2 - code_a)))
+                            c2 = add2 - code_a
+                            v2 = resolve(b2, c2, decode(c2))
                             if v2 == 0:
                                 continue
                         term = f * mult * v1 * v2
@@ -871,12 +959,14 @@ class Engine:
     def _partition_groups(self, extras):
         """Partitions A|B of an insertion multiset, grouped by weight of A.
 
-        Returns (code(extras), w(extras), {w(A): ((code(A), mult), ...)})
-        with the memo's packed codes, where mult counts the ways to pick A
-        among the labeled copies of equal classes. B is the complement:
-        code(B) = code(extras) - code(A) and w(B) = w(extras) - w(A).
-        ``_build`` reads w(extras) only in its frame's dimension check; the
-        split sum finds a group by w(A) alone.  The result is cached per
+        Returns ``(sums, groups)``: sums is ``(code(extras), w(extras),
+        t(extras), len(extras))`` with t the sum of base orders, as
+        ``_canon_code`` reads it, and groups is ``{w(A): ((code(A), mult),
+        ...)}`` with the memo's packed codes, where mult counts the ways to
+        pick A among the labeled copies of equal classes. B is the
+        complement: code(B) = code(extras) - code(A) and w(B) = w(extras) -
+        w(A).  ``_build`` reads w(extras) in its frame's dimension check;
+        the split sum finds a group by w(A) alone.  The result is cached per
         multiset in ``_partition_cache``.
         """
         cached = self._partition_cache.get(extras)
@@ -896,11 +986,13 @@ class Engine:
         groups: dict = {}
         for ca, wa, mu in combos:
             groups.setdefault(wa, []).append((ca, mu))
-        cached = (
+        sums = (
             code_x,
             sum(weights[e] for e in extras),
-            {wa: tuple(grp) for wa, grp in groups.items()},
+            sum(self.datum.base_orders[e] for e in extras),
+            len(extras),
         )
+        cached = (sums, {wa: tuple(grp) for wa, grp in groups.items()})
         self._partition_cache[extras] = cached
         return cached
 
@@ -1170,8 +1262,11 @@ class Engine:
         key must agree, or InconsistentSystem is raised.
 
         The load is all or nothing. Each distinct class and insertion list
-        is validated once; the values are staged per class and handed to
-        ``MemoStore.merge`` only after every entry has passed, which raises
+        is validated once, and each list's weight and base-order sum are
+        summed once; the projection rule compares that sum with
+        ``TargetDatum.order_bound``, the bound ``vanishes`` reads.  The
+        values are staged per class and handed to ``MemoStore.merge`` only
+        after every entry has passed, which raises
         InconsistentSystem, loading nothing, if a value conflicts with one
         already in the memo, and otherwise writes each key by
         ``MemoStore.set``. Text the JSON parser rejects, bytes that are not
@@ -1203,11 +1298,12 @@ class Engine:
         size = datum.basis_size
         codims = self._codims
         weights = self._weights
+        orders = datum.base_orders
         base_case = datum.base_case
-        vanishes = self._vanishes
+        order_bound = self._order_bound
         only_ints = {int}
         classes: dict = {}  # admissible cls -> (budget, staged {ins: value})
-        weight_of: dict = {}  # canonical ins -> weight
+        sums_of: dict = {}  # canonical ins -> (weight, base-order sum)
         for entry in entries:
             try:
                 a = entry["a"]
@@ -1237,13 +1333,16 @@ class Engine:
             budget, vals = known
             if not only_ints.issuperset(map(type, ins)):
                 raise CacheFormatError(f"entry insertions {ins} not canonical")
-            weight = weight_of.get(ins)
-            if weight is None:
+            sums = sums_of.get(ins)
+            if sums is None:
                 if len(ins) > MemoStore.MAX_INSERTIONS or not all(
                     0 <= e < size and codims[e] >= 2 for e in ins
                 ) or tuple(sorted(ins)) != ins:
                     raise CacheFormatError(f"entry insertions {ins} not canonical")
-                weight = weight_of[ins] = sum(weights[e] for e in ins)
+                sums = sums_of[ins] = (
+                    sum(weights[e] for e in ins), sum(orders[e] for e in ins)
+                )
+            weight, order = sums
             if weight != budget:
                 raise CacheFormatError(
                     f"entry ({cls}, {ins}) violates the dimension count"
@@ -1254,11 +1353,13 @@ class Engine:
                     f"cache entry ({cls}, {ins}) = {val} contradicts base "
                     f"case {derivable}"
                 )
-            if val != 0 and vanishes(cls, ins):
-                raise InconsistentSystem(
-                    f"cache entry ({cls}, {ins}) = {val} but the projection "
-                    "to the base plane forces 0"
-                )
+            if val != 0:
+                bound = order_bound(cls, len(ins))
+                if bound is not None and order > bound:
+                    raise InconsistentSystem(
+                        f"cache entry ({cls}, {ins}) = {val} but the "
+                        "projection to the base plane forces 0"
+                    )
             old = vals.setdefault(ins, val)
             if old != val:
                 raise InconsistentSystem(

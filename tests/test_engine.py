@@ -315,6 +315,70 @@ def test_split_sum_skips_zero_classes_and_matches_the_plain_sum():
             assert not datum.zero_class(b1) and not datum.zero_class(b2)
 
 
+def _random_collapsed_monomials(datum, rng, count):
+    """``count`` monomials (cls, x, y, m, extras) shaped like a collapsed
+    term: x, y and m any basis indices, the fundamental class included, and
+    extras sorted non-divisors drawn until they fill the budget, or
+    overshoot it, or stop short of it one time in twenty."""
+    nond = datum.nondivisors
+    for _ in range(count):
+        cls = (0,) * datum.rank
+        while datum.is_zero_class(cls):
+            cls = tuple(rng.randint(0, 3) for _ in range(datum.rank))
+        x, y, m = (rng.randrange(datum.basis_size) for _ in range(3))
+        need = datum.weight_budget(cls) - sum(
+            datum.weights[e] for e in (x, y, m) if datum.codims[e] >= 2
+        )
+        extras = []
+        while need > 0 and rng.random() > 0.05:
+            e = rng.choice(nond)
+            extras.append(e)
+            need -= datum.weights[e]
+        yield cls, x, y, m, tuple(sorted(extras))
+
+
+@pytest.mark.parametrize("datum", [hilb_datum(), p2_datum()], ids=["hilb2", "p2"])
+def test_canon_code_agrees_with_canon_on_random_monomials(datum):
+    """``_canon_code``, the collapsed terms' canonicalisation on packed
+    codes, gives the code, the insertion count and the multiplier of
+    ``_canon``'s key, and None exactly where ``_canon`` does, on random
+    monomials of both targets.  They include the fundamental class T0,
+    divisors of zero intersection, monomials off the dimension budget and,
+    on Hilb^2, keys the projection to the base plane kills; the plane has
+    no base divisor, so no order bound."""
+    eng = Engine(datum)
+    rng = random.Random(20240)
+    seen = Counter()
+    for cls, x, y, m, extras in _random_collapsed_monomials(datum, rng, 4000):
+        mono = (x, y, m) + extras
+        sums, _groups = eng._partition_groups(extras)
+        got = eng._canon_code(cls, x, y, m, sums)
+        want = eng._canon(cls, mono)
+        if want is None:
+            assert got is None, (cls, mono)
+        else:
+            ins, mult = want
+            assert got == (eng.memo.code(ins), len(ins), mult), (cls, mono)
+        bare = [e for e in mono if datum.codims[e] >= 2]
+        if 0 in mono:
+            seen["fundamental"] += 1
+        elif any(datum.codims[e] == 1 and not datum.inter(e, cls) for e in mono):
+            seen["zero intersection"] += 1
+        elif sum(datum.weights[e] for e in bare) != datum.weight_budget(cls):
+            seen["off budget"] += 1
+        elif datum.vanishes(cls, bare):
+            seen["killed"] += 1
+        else:
+            seen["key"] += 1
+            assert want is not None
+    kinds = ["fundamental", "off budget", "key"]
+    if datum.base is not None:
+        kinds += ["zero intersection", "killed"]
+    else:  # no divisor of the plane meets a nonzero class in 0
+        assert datum.order_bound((2,), 5) is None
+    assert all(seen[kind] >= 50 for kind in kinds), seen
+
+
 def test_reduction_chain_for_single_insertion_values(engine):
     """The residual of one specific relation certifies the 3/a^2 line:
     it encodes (a-1)^2 I_((a-1,0))(T3) = (a-2)^2 I_((a-2,0))(T3)."""
@@ -486,7 +550,8 @@ def test_split_sum_solves_no_factor_whose_partner_is_a_stored_zero():
     factor is solved.  For each lead spec of the d <= 3 tables whose split
     factors are all valued, a fresh engine gets every memo value except the
     nonzero factors that meet only true zeros in this equation; building
-    the equation must then ask value_of for no key outside the memo."""
+    the equation must then send no key outside the memo to ``_resolve``,
+    the path of every memo miss."""
     solved = Engine()
     for d in range(2, 4):
         for l in (0, 1, 2):
@@ -522,14 +587,14 @@ def test_split_sum_solves_no_factor_whose_partner_is_a_stored_zero():
             if key not in withheld:
                 fresh.memo.set(key, val)
         misses = []
-        value_of = fresh.value_of
+        resolve = fresh._resolve
 
-        def counting_value_of(key):
-            if key not in fresh.memo:
-                misses.append(key)
-            return value_of(key)
+        def counting_resolve(cls, code, ins):
+            if code not in fresh.memo.class_values(cls):
+                misses.append((cls, ins))
+            return resolve(cls, code, ins)
 
-        fresh.value_of = counting_value_of
+        fresh._resolve = counting_resolve
         fresh.build_equation(cls, frame, extras)
         assert not misses, (cls, frame, extras, misses[:3])
         checked += 1
@@ -649,6 +714,32 @@ def test_value_of_rejects_a_key_that_is_not_canonical(key):
         eng.value_of(key)
     assert dict(eng.memo.items()) == before
     assert eng.value_of(((1, 2), (4, 8, 8))) == 1
+
+
+def test_memo_holds_only_canonical_keys_after_the_d6_tables():
+    """The keys the engine forms itself skip ``_check_key``; after the
+    d <= 6 tables every key the memo holds passes it, so the internal path
+    stores canonical admissible keys only.  A caller's bad key still raises
+    ValueError on the warm engine and stores nothing."""
+    eng = Engine()
+    for d in range(2, 7):
+        for l in (0, 1, 2):
+            invert_counts(eng, d, l)
+    keys = [key for key, _v in eng.memo.items()]
+    assert len(keys) >= 600
+    for key in keys:
+        eng._check_key(key)
+    before = len(eng.memo)
+    for bad in (
+        ((1, 2), (4, 4, 9)),  # not a basis index
+        ((1, 2), (4, 4, 4)),  # off the dimension budget
+        ((1, 2), (4.0, 8, 8)),  # equals a solved key
+        ((0, 0), (3,)),  # the zero class
+        ((2, 3), (1, 4, 8)),  # a divisor insertion
+    ):
+        with pytest.raises(ValueError):
+            eng.value_of(bad)
+    assert len(eng.memo) == before
 
 
 def test_boundary_keys_solve_to_their_closed_form():
