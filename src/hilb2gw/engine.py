@@ -51,16 +51,20 @@ fails partway keeps the exact keys it solved before the failure.
 The memo stores each canonical insertion multiset as a packed integer code,
 one 8-bit digit per non-divisor basis index (see MemoStore), and ``_build``
 forms every key it needs on such codes, never as a sorted tuple.  The split
-sum adds two codes to get the key of a merged multiset.  A collapsed term
-adds a per-index table entry for each of its three new insertions to the
-code, weight and base-order sum cached for its extras, and checks the
-dimension count and the projection's order bound on those sums
-(``_canon_code``).  Each key is looked up in its class's live value dict,
-and only a miss is decoded to a tuple: a same-stage key that stays symbolic,
-or a key to resolve.  Every miss, on a key ``_build`` formed or on a
-caller's key that ``value_of`` has checked, goes through one method,
-``_resolve``: base case, projection rule, then a visit to the key's
-stage.
+sum adds two codes to get the key of a merged multiset.  One per-index
+table, ``Engine._units``, holds what each basis index adds to a monomial:
+its divisor multiplier slot, packed code, weight, base order and count.  A
+collapsed term adds the entries of its three new insertions to the sums
+cached for its extras and checks the dimension count and the projection's
+order bound on them (``_canon_code``); ``_canon`` folds the same table
+over any monomial, and the class plans read their pair multipliers from
+it.  Each key is looked up in its class's live value dict, and only a miss
+is decoded to a tuple: a same-stage key that stays symbolic, or a key to
+resolve.  A caller's key passes one gate, ``_check_key``, on every
+``value_of`` call, hit or miss; a key the engine forms itself (``_build``,
+the quantum rows of ``_row``) skips it.  Either way the key goes to one
+method, ``_resolve``: memo hit, base case, projection rule, then a visit to
+the key's stage.
 
 The split sum does no work it can see is zero.  A frame and extras off the
 dimension count give the zero form before any term is walked.  On the
@@ -90,8 +94,9 @@ the key vanishes when the sum of the t(e) exceeds 2 (a = 0, the composite
 map is constant) or 3a - 1 + n, the dimension bound of the evaluation
 image (a >= 1); see ``TargetDatum.vanishes`` and its bound
 ``TargetDatum.order_bound``.  ``_resolve`` stores such a key as 0 without
-visiting a stage, as it stores a base case; ``_canon``, ``_canon_code`` and
-``normalize`` drop it like a dimension mismatch; the harvest and
+visiting a stage, as it stores a base case; ``_canon`` and ``_canon_code``
+drop it like a dimension mismatch, and so does ``normalize``, which
+canonicalizes each monomial with ``_canon``; the harvest and
 ``solve_stage`` never queue it; a cache entry that gives it a nonzero
 value is an InconsistentSystem, and ``save_cache`` leaves it out.  The
 split sum is unchanged: a killed factor becomes a stored 0 the first time
@@ -345,8 +350,11 @@ class Engine:
     def __init__(self, datum: TargetDatum | None = None):
         self.datum = datum if datum is not None else hilb_datum()
         self.memo = MemoStore(self.datum.nondivisors)
+        # weight budget by class.  Every class in it is admissible (nonzero
+        # and effective): each caller of _budget has checked its class or
+        # took it from TargetDatum.splits.  So _check_key runs _check_class
+        # only on a class it does not find here.
         self._budgets: dict = {}
-        self._key_budgets: dict = {}  # budgets of the classes _check_key passed
         self._partition_cache: dict = {}
         self._class_plans: dict = {}  # live splits with their sub, by cls
         self._signature_plans: dict = {}  # splits tuples by (cls, div1, div2)
@@ -358,24 +366,18 @@ class Engine:
         self._weights = d.weights
         self._cup_terms = d.cup_terms
         pack = self.memo.pack
-        # _units[e]: what insertion e adds in _canon_code, (slot, packed
-        # code, weight, base order, count).  The slot indexes cls + (1, 0)
-        # for the multiplier: a divisor's position in the class (its
-        # intersection number), 1 for a non-divisor, which adds the rest,
-        # and 0 for the fundamental class, which kills the monomial.
+        # _units[e]: what index e adds to a monomial, (slot, packed code,
+        # weight, base order, count); read by _canon, _canon_code and
+        # _class_plan.  The slot indexes cls + (1, 0) for the multiplier: a
+        # divisor's position in the class (its intersection number), 1 for a
+        # non-divisor, which adds the rest, and 0 for the fundamental class,
+        # which kills the monomial.
         rank = d.rank
         self._units = tuple(
             (d.divisor_pos[e], 0, 0, 0, 0) if c == 1
             else (rank + 1, 0, 0, 0, 0) if c == 0
             else (rank, pack[e], d.weights[e], d.base_orders[e], 1)
             for e, c in enumerate(d.codims)
-        )
-        # split-sum diagonal: (e, dual, both codims, both packed codes, the
-        # code 0 standing for a divisor end), degenerate ends dropped
-        self._epairs = tuple(
-            (e, eh, d.codims[e], d.codims[eh], pack.get(e, 0), pack.get(eh, 0))
-            for e, eh in enumerate(d.dual)
-            if d.codims[e] != 0 and d.codims[eh] != 0
         )
         # _sides[p][q]: one frame side (p, q) of a split term as the sorted
         # divisors, the packed code and the weight of its non-divisor
@@ -424,63 +426,52 @@ class Engine:
             self._budgets[cls] = b
         return b
 
-    def _strip(self, cls, idxs):
-        """Strip divisors off a basis-index monomial: (bare, weight, mult).
-
-        Each divisor multiplies ``mult`` by its intersection with ``cls``;
-        ``bare`` lists the other indices unsorted, of total ``weight``.
-        ``None`` means a fundamental class or a zero intersection kills the
-        monomial.
-        """
-        codims = self._codims
-        weights = self._weights
-        pos = self.datum.divisor_pos
-        mult = 1
-        bare = []
-        w = 0
-        for e in idxs:
-            c = codims[e]
-            if c == 0:
-                return None
-            if c == 1:
-                t = cls[pos[e]]
-                if t == 0:
-                    return None
-                mult *= t
-            else:
-                bare.append(e)
-                w += weights[e]
-        return bare, w, mult
-
     def _canon(self, cls, idxs):
         """Canonicalize a basis-index monomial: returns (ins, mult) or None.
 
-        Divisors are stripped into the integer multiplier, a fundamental
-        class, a dimension mismatch or the projection to the base plane
-        (``TargetDatum.vanishes``) kills the monomial, the rest is sorted.
-        ``None`` means the monomial contributes zero.
+        Folds the ``_units`` entry of each index: the divisors' intersection
+        numbers with ``cls`` multiply into ``mult``, and the non-divisors
+        add their packed code, weight, base order and count.  ``None`` means
+        the monomial contributes zero: a fundamental class or a divisor of
+        zero intersection, a weight off the budget, or a base-order sum past
+        ``TargetDatum.order_bound``.  More than 255 non-divisor insertions
+        on the budget raise ValueError, before the order bound is read.
+        ``ins`` is the sorted tuple, decoded from the code.
         """
-        stripped = self._strip(cls, idxs)
-        if stripped is None:
+        units = self._units
+        mults = cls + (1, 0)  # indexed by a unit's slot
+        mult = 1
+        code = w = t = n = 0
+        for e in idxs:
+            s, ce, we, te, ne = units[e]
+            mult *= mults[s]
+            code += ce
+            w += we
+            t += te
+            n += ne
+        if not mult or w != self._budget(cls):
             return None
-        bare, w, mult = stripped
-        if w != self._budget(cls) or self._vanishes(cls, bare):
+        if n > MemoStore.MAX_INSERTIONS:
+            raise ValueError(
+                f"a memo key holds at most {MemoStore.MAX_INSERTIONS} "
+                f"insertions, got {n}"
+            )
+        bound = self._order_bound(cls, n)
+        if bound is not None and t > bound:
             return None
-        bare.sort()
-        return tuple(bare), mult
+        return self.memo.decode(code), mult
 
     def _canon_code(self, cls, x, y, m, sums):
-        """``_canon`` on packed codes, for the collapsed terms of ``_build``.
+        """``_canon`` on packed codes, for the collapsed terms of ``_build``
+        and the three-point rows of ``_row``.
 
         Canonicalizes the monomial (x, y, m) plus extras whose sums
         ``(code, weight, base-order sum, count)`` are given, as
-        ``_partition_groups`` returns them (``(0, 0, 0, 0)`` for none):
+        ``_partition_groups`` returns them (``_NO_EXTRAS`` for none):
         each of x, y and m adds its ``_units`` entry.  Returns ``(code, n,
         mult)``, the packed code and insertion count of the key and the
-        divisor multiplier, or None where ``_canon`` gives None: a
-        fundamental class, a divisor of zero intersection, a weight off the
-        budget, or a base-order sum past ``TargetDatum.order_bound``.  No
-        tuple is formed or sorted.
+        divisor multiplier, or None where ``_canon`` gives None.  No tuple
+        is formed or sorted, and the three units are read unrolled.
         """
         code, w, t, n = sums
         units = self._units
@@ -518,29 +509,18 @@ class Engine:
                 vectors.append(tuple((e, c) for e, c in enumerate(vec) if c != 0))
             else:
                 indices.append(datum.check_index(ins))
-        # basis indices are stripped once; only the vectors expand
-        fixed = self._strip(cls, indices)
-        if fixed is None:
-            return LinearForm()
-        bare0, w0, mult0 = fixed
-        need = self._budget(cls) - w0
-        combos = [((), 1)]
+        combos = [(tuple(indices), 1)]
         for pairs in vectors:
             combos = [
                 (idx + (e,), c * ce) for idx, c in combos for e, ce in pairs
             ]
         terms: dict = {}
         for idxs, c in combos:
-            stripped = self._strip(cls, idxs)
-            if stripped is None or stripped[1] != need:
-                continue
-            bare, _w, mult = stripped
-            ins = tuple(sorted(bare0 + bare))
-            self.memo.code(ins)  # the insertion limit comes first
-            if self._vanishes(cls, ins):
-                continue
-            key = (cls, ins)
-            terms[key] = terms.get(key, 0) + c * mult0 * mult
+            canon = self._canon(cls, idxs)
+            if canon is not None:
+                ins, mult = canon
+                key = (cls, ins)
+                terms[key] = terms.get(key, 0) + c * mult
         return LinearForm({k: qnorm(v) for k, v in terms.items() if v != 0})
 
     def _check_class(self, cls) -> tuple:
@@ -559,32 +539,25 @@ class Engine:
     def value_of(self, key):
         """Exact value of a canonical admissible key, solving stages on demand.
 
-        The entry point for a caller's key.  A memo hit is returned at once;
-        a key the memo does not hold passes ``_check_key`` first, so a bad
-        one raises ValueError and leaves the memo unchanged, and then goes
+        The entry point for a caller's key.  Every call, hit or miss, passes
+        ``_check_key``, so a bad key raises ValueError and leaves the memo
+        unchanged, on a cold engine and a warm one alike; then the key goes
         to ``_resolve`` on its packed code, the path every key the engine
         forms itself takes.
         """
-        try:
-            v = self.memo.get(key)
-        except (TypeError, ValueError):  # no key at all: _check_key says why
-            v = None
-        if v is not None:
-            return v
         code = self._check_key(key)
-        cls, ins = key
-        return self._resolve(cls, code, ins)
+        return self._resolve(key[0], code, key[1])
 
     def _resolve(self, cls, code, ins):
         """Exact value of the canonical key ``(cls, ins)`` of packed code
-        ``code``: the one path of a memo miss.
+        ``code``: the one path of every key, a caller's or the engine's.
 
         The key must be canonical and admissible, as every key ``_build``
-        forms is and as ``value_of`` checks.  A key the memo holds (it may
-        have been solved since the caller's lookup) is returned; a base case
-        or a key that the projection to the base plane kills is stored
-        without visiting a stage; any other key is solved by a visit to its
-        stage.
+        and ``_row`` form is and as ``value_of`` checks.  A key the memo
+        holds (it may have been solved since the caller's lookup) is
+        returned; a base case or a key that the projection to the base
+        plane kills is stored without visiting a stage; any other key is
+        solved by a visit to its stage.
         """
         vals = self.memo.class_values(cls)
         v = vals.get(code)
@@ -605,9 +578,10 @@ class Engine:
         key, else ValueError: a pair of tuples ``(cls, ins)``, cls nonzero
         and effective, ins the sorted non-divisor basis indices (ints, at
         most 255 of them) whose weights fill the class's dimension budget.
-        It runs on every memo miss of a caller's key, so each class passes
-        ``_check_class`` once and keeps its budget in ``_key_budgets``, and
-        the insertions are checked and packed in one pass."""
+        It runs on every ``value_of`` call, so a class passes
+        ``_check_class`` only while ``_budgets``, which holds admissible
+        classes only, lacks it, and the insertions are checked and packed
+        in one pass."""
         if not (
             type(key) is tuple
             and len(key) == 2
@@ -620,10 +594,9 @@ class Engine:
                 f"of ints, got {key!r}"
             )
         cls, ins = key
-        budget = self._key_budgets.get(cls)
+        budget = self._budgets.get(cls)
         if budget is None:
-            self._check_class(cls)
-            budget = self._key_budgets[cls] = self._budget(cls)
+            budget = self._budget(self._check_class(cls))
         if len(ins) > MemoStore.MAX_INSERTIONS:
             raise ValueError(
                 f"a key holds at most {MemoStore.MAX_INSERTIONS} insertions, "
@@ -671,18 +644,23 @@ class Engine:
         return self._row(cls, x, y)
 
     def _row(self, cls, x, y):
-        """``three_point_row`` without the checks, for ``_box_rows``."""
+        """``three_point_row`` without the checks, for ``_box_rows``: each
+        key is formed by ``_canon_code`` and valued by ``_resolve``, the
+        internal path, not the caller's gate of ``value_of``."""
         d = self.datum
         weights = self._weights
         need = self._budget(cls) - weights[x] - weights[y]
+        canon_code = self._canon_code
+        resolve = self._resolve
+        decode = self.memo.decode
         entries = []
         for i in range(d.basis_size):
             if weights[i] != need:
                 continue
-            canon = self._canon(cls, (x, y, i))
+            canon = canon_code(cls, x, y, i, _NO_EXTRAS)
             if canon is not None:
-                ins, mult = canon
-                val = qnorm(mult * self.value_of((cls, ins)))
+                code, _n, mult = canon
+                val = qnorm(mult * resolve(cls, code, decode(code)))
                 if val:
                     entries.append((d.top - i, val))
         return tuple(entries)
@@ -692,10 +670,16 @@ class Engine:
         a <= n1 and b <= n2 whose ``_row((a, b), x, y)`` is nonempty, in
         increasing (a, b); built once per basis pair and truncation, for the
         quantum product.  Memo values are never overwritten, so a kept box
-        cannot go stale."""
+        cannot go stale.  The classes (a, b) are admissible only on a
+        two-parameter target; any other raises ValueError."""
         key = (x, y, n1, n2)
         box = self._boxes.get(key)
         if box is None:
+            if self.datum.rank != 2:
+                raise ValueError(
+                    "the quantum product is defined for the two-parameter "
+                    "target only"
+                )
             entries = []
             for a in range(n1 + 1):
                 for b in range(n2 + 1):
@@ -721,7 +705,7 @@ class Engine:
         cls = self._check_class(cls)
         frame = self._check_frame(frame)
         extras = self._check_extras(extras)
-        terms, const = self._build(cls, frame, extras, len(extras) + 3)
+        terms, const = self._build(cls, frame, extras)
         return LinearForm(
             {k: qnorm(v) for k, v in terms.items()}, qnorm(const)
         )
@@ -751,10 +735,12 @@ class Engine:
                 raise ValueError(f"extra {e!r} is not a non-divisor basis index")
         return tuple(sorted(extras))
 
-    def _build(self, cls, frame, extras, stage_n):
-        """Assemble S(i,j,k,l) - S(i,l,j,k) at stage (cls, stage_n): the
-        stage keys outside the memo stay symbolic, the rest resolve; split
-        terms follow each ordering's ``_plan`` over ``_partition_groups``.
+    def _build(self, cls, frame, extras):
+        """Assemble S(i,j,k,l) - S(i,l,j,k) at stage (cls, len(extras) + 3):
+        the stage keys outside the memo stay symbolic, the rest resolve;
+        split terms follow each ordering's ``_plan`` over
+        ``_partition_groups``.  No collapsed key can lie past the stage: it
+        holds the extras and at most the three non-divisors x, y and m.
         A frame and extras whose weights miss ``budget(cls) - 1`` give the
         zero form: no collapsed term meets the dimension count and no split
         term balances.
@@ -770,6 +756,7 @@ class Engine:
             return {}, 0
         sums, groups = self._partition_groups(extras)
         code_x, w_x = sums[0], sums[1]
+        stage_n = sums[3] + 3
         weights = self._weights
         if (
             weights[i] + weights[j] + weights[k] + weights[l] + w_x
@@ -798,17 +785,11 @@ class Engine:
                     coeff = sign * cm * mult
                     val = vals.get(code)
                     if val is None:
-                        if n < stage_n:
-                            val = resolve(cls, code, decode(code))
-                        elif n == stage_n:
+                        if n == stage_n:
                             key = (cls, decode(code))
                             terms[key] = terms.get(key, 0) + coeff
                             continue
-                        else:
-                            raise AssertionError(
-                                f"key {(cls, decode(code))} outside stage "
-                                f"(cls={cls}, n={stage_n})"
-                            )
+                        val = resolve(cls, code, decode(code))
                     const += coeff * val
 
             # split terms over beta1 + beta2 = cls, both nonzero effective,
@@ -924,10 +905,13 @@ class Engine:
         One ``(vals1, vals2, b1, b2, sub)`` per split from one
         ``TargetDatum.splits`` call, with the two classes' live memo value
         dicts.  ``sub`` lists ``(code(e), code(e^), f, need)`` for every basis
-        pair whose own divisor multipliers f = (b1 . T_e if e is a divisor)
-        * (b2 . T_e^ if e^ is one) are nonzero, and need = budget(b1) - w(e),
-        so the partition side A of the first factor has weight
-        ``need - w(kept1)``.  A split with a side in a class that
+        pair whose multiplier f is nonzero, and need = budget(b1) - w(e), so
+        the partition side A of the first factor has weight
+        ``need - w(kept1)``.  Code, weight and f come from ``_units``: f is
+        the slot multiplier of e in b1 times that of e^ in b2, which is
+        b1 . T_e for a divisor e, 1 for a non-divisor and 0 for the
+        fundamental class, so a pair with a fundamental-class end drops
+        out by itself.  A split with a side in a class that
         ``TargetDatum.zero_class`` declares zero is left out, so the split
         sum never looks up or stores keys of such a class; so is a split
         with no surviving pair.  Cached in ``_class_plans``.
@@ -936,8 +920,7 @@ class Engine:
         if plan is not None:
             return plan
         datum = self.datum
-        pos = datum.divisor_pos
-        weights = self._weights
+        units = self._units
         values = self.memo.class_values
         zero_class = datum.zero_class
         out = []
@@ -945,12 +928,15 @@ class Engine:
             if zero_class(b1) or zero_class(b2):
                 continue
             bud1 = self._budget(b1)
+            mults1 = b1 + (1, 0)  # indexed by a unit's slot
+            mults2 = b2 + (1, 0)
             sub = []
-            for e, eh, ce, ceh, pe, peh in self._epairs:
-                f1 = b1[pos[e]] if ce == 1 else 1
-                f = f1 * b2[pos[eh]] if ceh == 1 else f1
+            for e, eh in enumerate(datum.dual):
+                s1, pe, we, _t, _n = units[e]
+                s2, peh, _w, _t, _n = units[eh]
+                f = mults1[s1] * mults2[s2]
                 if f:
-                    sub.append((pe, peh, f, bud1 - weights[e]))
+                    sub.append((pe, peh, f, bud1 - we))
             if sub:
                 out.append((values(b1), values(b2), b1, b2, tuple(sub)))
         plan = self._class_plans[cls] = tuple(out)
@@ -1021,7 +1007,7 @@ class Engine:
             )
         st = _StageState()
         self._harvest_closure(cls, st, requested)
-        self._drain(cls, n, st)
+        self._drain(cls, st)
         missing = [k for k in requested if k not in self.memo]
         if missing:
             raise UnderdeterminedStage(
@@ -1029,7 +1015,7 @@ class Engine:
                 f"unsolved: {missing[:5]}{'...' if len(missing) > 5 else ''}"
             )
 
-    def _drain(self, cls, n, st) -> None:
+    def _drain(self, cls, st) -> None:
         """Build the queued lead equations in order and solve each one.
 
         The harvest queued every spec after those of its other unknowns and
@@ -1039,7 +1025,7 @@ class Engine:
         """
         add = ExactLinearSolver(self.memo).add
         for frame, extras in st.seen:
-            add(*self._build(cls, frame, extras, n))
+            add(*self._build(cls, frame, extras))
 
     # -- harvesting ------------------------------------------------------
 
@@ -1370,6 +1356,9 @@ class Engine:
 
 
 _ONLY_INTS = frozenset((int,))
+# the extras' sums (code, weight, base-order sum, count) of no extras, for
+# the three-point monomials that _row hands to _canon_code
+_NO_EXTRAS = (0, 0, 0, 0)
 
 
 def _as_tuple(x, what):

@@ -339,39 +339,52 @@ def _random_collapsed_monomials(datum, rng, count):
 
 @pytest.mark.parametrize("datum", [hilb_datum(), p2_datum()], ids=["hilb2", "p2"])
 def test_canon_code_agrees_with_canon_on_random_monomials(datum):
-    """``_canon_code``, the collapsed terms' canonicalisation on packed
-    codes, gives the code, the insertion count and the multiplier of
-    ``_canon``'s key, and None exactly where ``_canon`` does, on random
-    monomials of both targets.  They include the fundamental class T0,
-    divisors of zero intersection, monomials off the dimension budget and,
-    on Hilb^2, keys the projection to the base plane kills; the plane has
-    no base divisor, so no order bound."""
+    """``_canon`` and ``_canon_code``, which both read the per-index table
+    ``Engine._units``, against a reference that does not: ``_plain_strip``,
+    the datum's weight budget, ``TargetDatum.vanishes`` and ``sorted``.
+    ``_canon`` gives the reference's (sorted insertions, multiplier) and
+    ``_canon_code`` its code, insertion count and multiplier, each None
+    exactly where the reference is, on random monomials of both targets.
+    They include the fundamental class T0 on and off the budget, divisors
+    of zero intersection, monomials off the budget and, on Hilb^2, keys the
+    projection to the base plane kills; the plane has no base divisor, so
+    no order bound."""
     eng = Engine(datum)
     rng = random.Random(20240)
     seen = Counter()
     for cls, x, y, m, extras in _random_collapsed_monomials(datum, rng, 4000):
         mono = (x, y, m) + extras
+        hit = _plain_strip(datum, cls, mono)
+        if (
+            hit is None
+            or hit[1] != datum.weight_budget(cls)
+            or datum.vanishes(cls, hit[0])
+        ):
+            want = None
+        else:
+            want = tuple(sorted(hit[0])), hit[2]
+        assert eng._canon(cls, mono) == want, (cls, mono)
         sums, _groups = eng._partition_groups(extras)
         got = eng._canon_code(cls, x, y, m, sums)
-        want = eng._canon(cls, mono)
         if want is None:
             assert got is None, (cls, mono)
         else:
             ins, mult = want
             assert got == (eng.memo.code(ins), len(ins), mult), (cls, mono)
         bare = [e for e in mono if datum.codims[e] >= 2]
+        on_budget = sum(datum.weights[e] for e in bare) == datum.weight_budget(cls)
         if 0 in mono:
-            seen["fundamental"] += 1
+            seen["fundamental on budget" if on_budget else "fundamental"] += 1
         elif any(datum.codims[e] == 1 and not datum.inter(e, cls) for e in mono):
             seen["zero intersection"] += 1
-        elif sum(datum.weights[e] for e in bare) != datum.weight_budget(cls):
+        elif not on_budget:
             seen["off budget"] += 1
         elif datum.vanishes(cls, bare):
             seen["killed"] += 1
         else:
             seen["key"] += 1
             assert want is not None
-    kinds = ["fundamental", "off budget", "key"]
+    kinds = ["fundamental", "fundamental on budget", "off budget", "key"]
     if datum.base is not None:
         kinds += ["zero intersection", "killed"]
     else:  # no divisor of the plane meets a nonzero class in 0
@@ -551,7 +564,7 @@ def test_split_sum_solves_no_factor_whose_partner_is_a_stored_zero():
     factors are all valued, a fresh engine gets every memo value except the
     nonzero factors that meet only true zeros in this equation; building
     the equation must then send no key outside the memo to ``_resolve``,
-    the path of every memo miss."""
+    which every key the engine forms goes to on a memo miss."""
     solved = Engine()
     for d in range(2, 4):
         for l in (0, 1, 2):
@@ -698,9 +711,11 @@ def test_unpruned_engine_solves_every_killed_key_to_zero():
 def test_value_of_rejects_a_key_that_is_not_canonical(key):
     """A key that is not canonical and admissible raises ValueError and
     leaves the memo as it was; a non-effective class is not stored as a
-    killed 0 that load_cache would refuse.  The gate runs on a memo miss;
-    the memo misses every bad key, the float that equals a solved key's
-    index included, since its codes take ints only."""
+    killed 0 that load_cache would refuse.  The gate runs on every call;
+    the memo here misses every bad key, the float that equals a solved
+    key's index included, since its codes take ints only (a bad key the
+    memo does hold is in
+    ``test_memo_holds_only_canonical_keys_after_the_d6_tables``)."""
     eng = Engine()
     assert eng.invariant((1, 2), [4, 8, 8]) == 1
     before = dict(eng.memo.items())
@@ -719,8 +734,10 @@ def test_value_of_rejects_a_key_that_is_not_canonical(key):
 def test_memo_holds_only_canonical_keys_after_the_d6_tables():
     """The keys the engine forms itself skip ``_check_key``; after the
     d <= 6 tables every key the memo holds passes it, so the internal path
-    stores canonical admissible keys only.  A caller's bad key still raises
-    ValueError on the warm engine and stores nothing."""
+    stores canonical admissible keys only, and every class with a cached
+    budget is admissible.  A caller's bad key still raises ValueError on
+    the warm engine and stores nothing, a non-canonical order of a key the
+    memo holds included."""
     eng = Engine()
     for d in range(2, 7):
         for l in (0, 1, 2):
@@ -729,6 +746,9 @@ def test_memo_holds_only_canonical_keys_after_the_d6_tables():
     assert len(keys) >= 600
     for key in keys:
         eng._check_key(key)
+    for cls in eng._budgets:
+        assert eng._check_class(cls) == cls
+    assert eng.value_of(((1, 2), (6, 7, 8))) == 1
     before = len(eng.memo)
     for bad in (
         ((1, 2), (4, 4, 9)),  # not a basis index
@@ -736,6 +756,7 @@ def test_memo_holds_only_canonical_keys_after_the_d6_tables():
         ((1, 2), (4.0, 8, 8)),  # equals a solved key
         ((0, 0), (3,)),  # the zero class
         ((2, 3), (1, 4, 8)),  # a divisor insertion
+        ((1, 2), (8, 7, 6)),  # a solved key out of order
     ):
         with pytest.raises(ValueError):
             eng.value_of(bad)
@@ -1081,13 +1102,13 @@ def test_harvest_queues_each_spec_after_its_other_unknowns():
             self.visits += 1
             self.specs += len(queued)
 
-        def _build(self, cls, frame, extras, stage_n):
-            terms, const = super()._build(cls, frame, extras, stage_n)
+        def _build(self, cls, frame, extras):
+            terms, const = super()._build(cls, frame, extras)
             self.built[(cls, (frame, extras))] = set(terms)
             return terms, const
 
-        def _drain(self, cls, n, st):
-            super()._drain(cls, n, st)
+        def _drain(self, cls, st):
+            super()._drain(cls, st)
             for spec in st.seen:
                 key = self.owner[(cls, spec)]
                 assert self.built[(cls, spec)] == {key}, (cls, spec)
@@ -1112,9 +1133,9 @@ def test_d5_tables_build_384_equations():
     class Counting(Engine):
         builds = 0
 
-        def _build(self, cls, frame, extras, stage_n):
+        def _build(self, cls, frame, extras):
             self.builds += 1
-            return super()._build(cls, frame, extras, stage_n)
+            return super()._build(cls, frame, extras)
 
     counts = []
     for _run in range(2):

@@ -517,6 +517,19 @@ def test_qcoh_resolves_each_three_point_row_once(monkeypatch):
     assert max(calls.values()) == 1
 
 
+def test_star_on_the_plane_target_raises_and_caches_no_class():
+    """The quantum product's classes (a, b) exist on the two-parameter
+    target only: on the plane ``star`` raises ValueError instead of
+    returning the classical product, and the engine keeps no budget of a
+    class of the wrong rank, so ``value_of`` still refuses a key of one."""
+    eng = Engine(p2_datum())
+    with pytest.raises(ValueError, match="two-parameter"):
+        star(eng, 1, 1, 2, 1)
+    assert not eng._budgets
+    with pytest.raises(ValueError, match="not effective"):
+        eng.value_of(((1, 0), (2, 2)))
+
+
 def test_series_coefficients_are_in_normal_form(engine):
     report = verify_product_table(engine, 4, 2)
     for entry in report.entries:
