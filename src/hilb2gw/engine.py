@@ -38,7 +38,13 @@ fewest partitions and a query's closure reaches the fewest lower-stage keys
 (see ``_lead_spec``).
 The harvest walks the closure of the requested keys depth first and queues
 each key's equation after the equations of its other unknowns, so the stage
-is triangular in that order.  The solver writes each key into the memo as
+is triangular in that order.  It walks packed codes, and reads each key's
+spec and unknowns from one table keyed by the insertion list (``_leads``,
+filled once per list by ``_lead_entry``): 137 lists serve the 581 keys of
+the d <= 6 tables, 361 the 2,700 of the d <= 10 tables.  The table is exact
+because the spec and the unknowns depend on the insertions alone; the class
+enters only through the order bound of the projection rule, which the walk
+reads once per visit.  The solver writes each key into the memo as
 it solves it and ``_build`` reads the earlier ones back as constants, so
 each equation reaches the solver with one key left, which one exact
 division solves.  The memo is the only store of solved values, and the
@@ -106,6 +112,7 @@ it is looked up.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 
 from .chow import TargetDatum, hilb_datum
@@ -359,6 +366,7 @@ class Engine:
         self._class_plans: dict = {}  # live splits with their sub, by cls
         self._signature_plans: dict = {}  # splits tuples by (cls, div1, div2)
         self._boxes: dict = {}  # nonempty rows of a box, by (x, y, n1, n2)
+        self._leads: dict = {}  # (spec, unknowns) by insertion code
         d = self.datum
         self._vanishes = d.vanishes
         self._order_bound = d.order_bound
@@ -1032,38 +1040,90 @@ class Engine:
     def _harvest_closure(self, cls, st, seeds) -> None:
         """Queue the lead specs of the seeds' closure in dependency order.
 
-        A depth-first walk from each seed: a key's lead spec is queued
-        (appended to ``st.seen``) after the specs of that spec's other
+        A depth-first walk on packed codes from each seed: a key's lead spec
+        is queued (appended to ``st.seen``) after the specs of its other
         unknowns, and the walk stops at memo keys and at keys already
-        queued.  Reaching a key whose walk is still open means the lead
-        equations form a cycle, which substitution cannot solve; that
-        raises UnderdeterminedStage.  The walk recurses once per key on its
-        path, at most 3(d - 1) deep for the degree-d tables (18 at d = 7).
+        queued.  Spec and unknowns come from the per-list table ``_leads``
+        (``_lead_entry``): 137 lists serve the 581 keys of the d <= 6
+        tables, 361 the 2,700 of the d <= 10 tables.  It is exact because
+        both depend on the insertions alone; the class enters only through
+        ``TargetDatum.order_bound(cls, n)``, read once per visit, past which
+        an unknown is dropped as ``vanishes`` drops it.  Reaching a key
+        whose walk is still open means the lead equations form a cycle,
+        which substitution cannot solve; that raises UnderdeterminedStage.
+        The walk recurses once per key on its path, at most 3(d - 1) deep
+        for the degree-d tables (18 at d = 7).
         """
-        memo = self.memo
+        seeds = sorted(set(seeds))
+        if not seeds:
+            return
+        n = len(seeds[0][1])
+        bound = self._order_bound(cls, n)
+        if bound is None:  # no base divisor: no order sum kills a key
+            bound = math.inf
+        vals = self.memo.class_values(cls)
+        leads = self._leads
+        lead_entry = self._lead_entry
         queue = st.seen
         queued = set()
         walking = set()
 
-        def walk(key):
-            walking.add(key)
-            spec = self._lead_spec(key)
-            for nb in self._spec_unknowns(cls, spec):
-                if nb == key or nb in queued or nb in memo:
+        def walk(code):
+            walking.add(code)
+            spec, unknowns = leads.get(code) or lead_entry(cls, code)
+            for nb, t in unknowns:
+                if t > bound or nb in queued or nb in vals:
                     continue
                 if nb in walking:
                     raise UnderdeterminedStage(
-                        f"lead equations of stage (cls={cls}, "
-                        f"n={len(key[1])}) form a cycle through {nb}"
+                        f"lead equations of stage (cls={cls}, n={n}) form a "
+                        f"cycle through {(cls, self.memo.decode(nb))}"
                     )
                 walk(nb)
-            walking.discard(key)
-            queued.add(key)
+            walking.discard(code)
+            queued.add(code)
             queue.append(spec)
 
-        for seed in sorted(set(seeds)):
-            if seed not in queued:
-                walk(seed)
+        code_of = self.memo.code
+        for _cls, ins in seeds:
+            code = code_of(ins)
+            if code not in queued:
+                walk(code)
+
+    def _lead_entry(self, cls, code):
+        """The ``_leads`` entry ``(spec, unknowns)`` of the insertion list
+        of packed code ``code``, made and stored on its first walk.
+
+        ``spec`` is ``_lead_spec`` of the list.  ``unknowns`` holds ``(code,
+        t)``, t the base-order sum, for every other same-stage key that
+        ``_build`` keeps symbolic for the spec, in sorted-tuple order: with
+        the frame (dv, rho, u, v), the extras plus u, v and each cup term of
+        T_dv . T_rho, and, when rho is not a divisor, the extras plus rho, u
+        and each cup term of T_dv . T_v.  No class filter is applied here.
+        """
+        decode = self.memo.decode
+        spec = self._lead_spec((cls, decode(code)))
+        (dv, rho, u, v), extras = spec
+        pack = self.memo.pack
+        orders = self.datum.base_orders
+        code_x = sum(pack[e] for e in extras)
+        t_x = sum(orders[e] for e in extras)
+        found = {}
+        cup_terms = self._cup_terms
+        families = [(u, v, cup_terms[dv][rho])]
+        if self._codims[rho] >= 2:
+            families.append((rho, u, cup_terms[dv][v]))
+        for a, b, terms in families:
+            code_ab = code_x + pack[a] + pack[b]
+            t_ab = t_x + orders[a] + orders[b]
+            for m, _cm in terms:
+                found[code_ab + pack[m]] = t_ab + orders[m]
+        found.pop(code, None)
+        entry = self._leads[code] = (
+            spec,
+            tuple(sorted(found.items(), key=lambda item: decode(item[0]))),
+        )
+        return entry
 
     def _lead_spec(self, key):
         """The key's lead equation spec ``(frame, extras)``.
@@ -1133,20 +1193,6 @@ class Engine:
         if fallback is None:  # pragma: no cover - impossible for n >= 3
             raise UnderdeterminedStage(f"no lead frame fits key {key}")
         return fallback
-
-    def _spec_unknowns(self, cls, spec):
-        """Current-stage keys that _build would keep symbolic for this spec;
-        keys the base plane kills are dropped, as _canon drops them."""
-        (d, rho, u, v), extras = spec
-        cup_terms = self._cup_terms
-        out = set()
-        for m, _cm in cup_terms[d][rho]:
-            out.add(_merged(extras, (u, v, m)))
-        if self._codims[rho] >= 2:
-            for m, _cm in cup_terms[d][v]:
-                out.add(_merged(extras, (rho, u, m)))
-        vanishes = self._vanishes
-        return sorted((cls, ins) for ins in out if not vanishes(cls, ins))
 
     def _stage_keys(self, cls, n):
         """All admissible keys of stage (cls, n) that the base plane does not
@@ -1374,6 +1420,3 @@ def _check_path(path) -> None:
     if isinstance(path, int):
         raise ValueError(f"a cache path must name a file, got {path!r}")
 
-
-def _merged(sorted_tuple, small):
-    return tuple(sorted(sorted_tuple + tuple(small)))

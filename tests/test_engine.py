@@ -1013,13 +1013,24 @@ def test_d10_tables_meet_their_closed_forms():
     E^l(d, d - 1) = 0 (the vanishing theorem).  E^1(d, d - 2) is left out:
     its excess term is read off the engine's values, not derived.  The six
     cells of _D8_TO_10_CELLS have no oracle yet; integrality and sign are
-    all that invert_counts checks of them."""
-    eng = Engine()
+    all that invert_counts checks of them.  The same run, in the query
+    order of ``hilb2gw cache export``, pins the harvest's walk: it builds
+    2,700 equations and leaves 3,077 memo entries."""
+
+    class Counting(Engine):
+        builds = 0
+
+        def _build(self, cls, frame, extras):
+            self.builds += 1
+            return super()._build(cls, frame, extras)
+
+    eng = Counting()
     counts = {
         (d, l): invert_counts(eng, d, l).counts
         for d in range(2, 11)
         for l in (0, 1, 2)
     }
+    assert (eng.builds, len(eng.memo)) == (2700, 3077)
     for d in range(2, 11):
         assert counts[(d, 2)][0] == kontsevich_nd(d), d
         assert counts[(d, 0)][d - 2] == 27 * math.comb(d, 4), d
@@ -1055,49 +1066,107 @@ def test_solver_rejects_two_unknowns():
     assert len(memo) == 0
 
 
-def test_lead_equation_cycle_raises(monkeypatch):
+def _reference_unknowns(datum, key, spec):
+    """The same-stage keys other than ``key`` that ``_build`` keeps
+    symbolic for its lead spec, sorted, read off the cup table: the extras
+    plus u, v and each cup term of T_dv . T_rho, and, when rho is not a
+    divisor, the extras plus rho, u and each cup term of T_dv . T_v, less
+    the keys ``TargetDatum.vanishes`` kills."""
+    cls, ins = key
+    (dv, rho, u, v), extras = spec
+    out = {
+        tuple(sorted(extras + (u, v, m))) for m, _c in datum.cup_terms[dv][rho]
+    }
+    if datum.codims[rho] >= 2:
+        out |= {
+            tuple(sorted(extras + (rho, u, m)))
+            for m, _c in datum.cup_terms[dv][v]
+        }
+    out.discard(ins)
+    return sorted((cls, x) for x in out if not datum.vanishes(cls, x))
+
+
+def test_lead_equation_cycle_raises():
     """If two keys' lead equations each held the other's key, substitution
     could not order them: the harvest raises instead of looping or solving
     one from the other's equation."""
     eng = Engine()
     k1, k2 = ((1, 2), (3, 4, 8)), ((1, 2), (4, 5, 7))
-    monkeypatch.setattr(
-        Engine,
-        "_spec_unknowns",
-        lambda self, cls, spec: [k1, k2],
-    )
-    with pytest.raises(UnderdeterminedStage, match="cycle"):
+    c1, c2 = eng.memo.code(k1[1]), eng.memo.code(k2[1])
+    eng._leads[c1] = (eng._lead_spec(k1), ((c2, 0),))
+    eng._leads[c2] = (eng._lead_spec(k2), ((c1, 0),))
+    with pytest.raises(
+        UnderdeterminedStage, match=r"cycle through \(\(1, 2\), \(3, 4, 8\)\)"
+    ):
         eng._solve_for((1, 2), 3, (k1,))
     assert k1 not in eng.memo and k2 not in eng.memo
+
+
+def test_lead_table_matches_the_cup_table():
+    """For every multiset of 3 to 10 insertions from T3..T8, at a class
+    with a = 0 and one with a >= 1 on one engine, and for plane keys, the
+    ``_leads`` entry of the list holds its lead spec and base-order sums,
+    and its unknowns within the class's order bound are the reference
+    keys, in order: the table is the same at every class, which enters
+    only through ``TargetDatum.order_bound``."""
+    checked = 0
+    for datum, nondivisors, classes in (
+        (hilb_datum(), range(3, 9), ((0, 3), (2, 3))),
+        (p2_datum(), (2,), ((1,), (3,))),
+    ):
+        eng = Engine(datum)
+        orders = datum.base_orders
+        for n in range(3, 11):
+            for ins in itertools.combinations_with_replacement(nondivisors, n):
+                code = eng.memo.code(ins)
+                for cls in classes:
+                    spec, unknowns = eng._leads.get(code) or eng._lead_entry(
+                        cls, code
+                    )
+                    assert spec == eng._lead_spec((cls, ins))
+                    bound = datum.order_bound(cls, n)
+                    got = []
+                    for nb, t in unknowns:
+                        nb_ins = eng.memo.decode(nb)
+                        assert t == sum(orders[e] for e in nb_ins), (ins, nb_ins)
+                        if bound is None or t <= bound:
+                            got.append((cls, nb_ins))
+                    want = _reference_unknowns(datum, (cls, ins), spec)
+                    assert got == want, (cls, ins)
+                    checked += 1
+    assert checked == 2 * 7980 + 2 * 8
 
 
 def test_harvest_queues_each_spec_after_its_other_unknowns():
     """Over the d <= 6 tables, every unknown of a queued lead spec other
     than its own key is in the memo or was queued earlier in the same
     visit, each equation the drain hands the solver holds exactly one key,
-    the spec's own, and the visit leaves every queued key in the memo."""
+    the spec's own, and the visit leaves every queued key in the memo.  The
+    unknowns are the cup-table reference, not the engine's table.  The 581
+    keys hold 137 insertion lists, and ``_lead_spec`` runs once per list,
+    whose spec serves it at every class."""
 
     class Recording(Engine):
         def __init__(self):
             super().__init__()
-            self.owner = {}  # (cls, spec) -> key
+            self.owner = {}  # spec -> insertions
+            self.lists = []  # the insertions of each _lead_spec call
             self.built = {}  # (cls, spec) -> keys of its equation
             self.visits = self.specs = self.equations = 0
 
         def _lead_spec(self, key):
             spec = super()._lead_spec(key)
-            self.owner[(key[0], spec)] = key
+            assert self.owner.setdefault(spec, key[1]) == key[1], spec
+            self.lists.append(key[1])
             return spec
 
         def _harvest_closure(self, cls, st, seeds):
             super()._harvest_closure(cls, st, seeds)
             queued = set()
             for spec in st.seen:
-                key = self.owner[(cls, spec)]
-                for nb in self._spec_unknowns(cls, spec):
-                    assert nb == key or nb in self.memo or nb in queued, (
-                        cls, spec, nb
-                    )
+                key = (cls, self.owner[spec])
+                for nb in _reference_unknowns(self.datum, key, spec):
+                    assert nb in self.memo or nb in queued, (cls, spec, nb)
                 queued.add(key)
             self.visits += 1
             self.specs += len(queued)
@@ -1110,7 +1179,7 @@ def test_harvest_queues_each_spec_after_its_other_unknowns():
         def _drain(self, cls, st):
             super()._drain(cls, st)
             for spec in st.seen:
-                key = self.owner[(cls, spec)]
+                key = (cls, self.owner[spec])
                 assert self.built[(cls, spec)] == {key}, (cls, spec)
                 assert key in self.memo, key
                 self.equations += 1
@@ -1120,7 +1189,8 @@ def test_harvest_queues_each_spec_after_its_other_unknowns():
         for l in (0, 1, 2):
             invert_counts(eng, d, l)
     assert eng.visits >= 100 and eng.specs >= 500
-    assert eng.equations == eng.specs
+    assert eng.equations == eng.specs == 581
+    assert len(eng.lists) == len(set(eng.lists)) == len(eng._leads) == 137
 
 
 def test_d5_tables_build_384_equations():
