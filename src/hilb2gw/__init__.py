@@ -22,7 +22,6 @@ from .hyperelliptic import (
     genus_to_class,
     invariant_I,
     invert_counts,
-    severi_degree,
 )
 from .oracles import engine_nd, kontsevich_nd
 from .quantum import (
@@ -59,7 +58,6 @@ __all__ = [
     "invert_counts",
     "kontsevich_nd",
     "p2_datum",
-    "severi_degree",
     "small_product",
     "star",
     "verify_product_table",

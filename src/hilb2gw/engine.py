@@ -390,7 +390,7 @@ class Engine:
         # _sides[p][q]: one frame side (p, q) of a split term as the sorted
         # divisors, the packed code and the weight of its non-divisor
         # entries, for every pair of positive-codimension indices; read by
-        # _plan
+        # _build
         one = [
             ((e,), 0, 0) if c == 1 else ((), pack.get(e, 0), d.weights[e])
             for e, c in enumerate(d.codims)
@@ -588,8 +588,9 @@ class Engine:
         most 255 of them) whose weights fill the class's dimension budget.
         It runs on every ``value_of`` call, so a class passes
         ``_check_class`` only while ``_budgets``, which holds admissible
-        classes only, lacks it, and the insertions are checked and packed
-        in one pass."""
+        classes only, lacks it.  ``MemoStore.code`` packs the insertions and
+        refuses a non-int, a non-divisor index or more than 255 of them;
+        this gate adds the order and the dimension count."""
         if not (
             type(key) is tuple
             and len(key) == 2
@@ -605,24 +606,11 @@ class Engine:
         budget = self._budgets.get(cls)
         if budget is None:
             budget = self._budget(self._check_class(cls))
-        if len(ins) > MemoStore.MAX_INSERTIONS:
-            raise ValueError(
-                f"a key holds at most {MemoStore.MAX_INSERTIONS} insertions, "
-                f"got {len(ins)}"
-            )
-        pack = self.memo.pack
+        code = self.memo.code(ins)
+        if list(ins) != sorted(ins):
+            raise ValueError(f"key insertions {ins!r} are not sorted")
         weights = self._weights
-        code = w = prev = 0
-        for e in ins:
-            if type(e) is not int or e < prev or e not in pack:
-                raise ValueError(
-                    f"key insertions {ins!r} are not sorted non-divisor "
-                    "basis indices"
-                )
-            prev = e
-            w += weights[e]
-            code += pack[e]
-        if w != budget:
+        if sum(weights[e] for e in ins) != budget:
             raise ValueError(f"key {key!r} violates the dimension count")
         return code
 
@@ -746,19 +734,28 @@ class Engine:
     def _build(self, cls, frame, extras):
         """Assemble S(i,j,k,l) - S(i,l,j,k) at stage (cls, len(extras) + 3):
         the stage keys outside the memo stay symbolic, the rest resolve;
-        split terms follow each ordering's ``_plan`` over
+        split terms follow each ordering's signature plan over
         ``_partition_groups``.  No collapsed key can lie past the stage: it
         holds the extras and at most the three non-divisors x, y and m.
         A frame and extras whose weights miss ``budget(cls) - 1`` give the
         zero form: no collapsed term meets the dimension count and no split
         term balances.
 
+        Each ordering (p, q, r, s) reads its two frame sides, (p, q) and
+        (r, s), from ``_sides``: the divisors, packed code and weight of
+        each side.  The divisors pick the signature plan
+        ``_signature_plans[(cls, div1, div2)]``, built by ``_split_plan`` on
+        a miss; the codes enter every factor's key, and w(kept1) picks the
+        partition group.
+
         Every key is formed on packed codes, never as a sorted tuple: a
         collapsed term by ``_canon_code`` from the extras' cached sums, a
         split factor by adding codes along the plan.  A key is looked up in
         its class's live value dict, and only a miss is decoded to a tuple:
         below the stage it goes to ``_resolve``, in the stage it stays
-        symbolic."""
+        symbolic.  Every sum runs in one accumulator, int until a true
+        fraction enters it, and the constant is brought to normal form once,
+        at return."""
         i, j, k, l = frame
         if j == l:
             return {}, 0
@@ -776,11 +773,10 @@ class Engine:
         vals = self.memo.class_values(cls)
         decode = self.memo.decode
         resolve = self._resolve
+        sides = self._sides
+        signature_plans = self._signature_plans
         terms: dict = {}
         const = 0
-        # true fractions (the few non-integral memo values) are summed apart,
-        # so one of them does not turn every later addition into Rat work
-        frac = 0
 
         for (p, q, r, s), sign in (((i, j, k, l), 1), ((i, l, j, k), -1)):
             # collapsed degree-0 terms: I(x, y, (u cup v), extras)
@@ -801,30 +797,33 @@ class Engine:
                     const += coeff * val
 
             # split terms over beta1 + beta2 = cls, both nonzero effective,
-            # walked along the frame's plan (see _plan): only the (split, e)
-            # pairs whose divisor multipliers are nonzero.  A split's sum is
-            # multiplied once by its frame-divisor multiplier m, each term
-            # by the multiplier f of e and e^, and the sign is applied once
-            # to the ordering's sum.  On the dimension count every pair
-            # balances, and w(A) = need - w(kept1) picks its partition group.
-            splits, code1, code2, w1 = self._plan(cls, p, q, r, s)
+            # walked along the signature plan of the two frame sides (see
+            # _split_plan): only the (split, e) pairs whose divisor
+            # multipliers are nonzero.  A split's sum is multiplied once by
+            # its frame-divisor multiplier m, each term by the multiplier f
+            # of e and e^, and the sign is applied once to the ordering's
+            # sum.  On the dimension count every pair balances, and
+            # w(A) = need - w(kept1) picks its partition group, kept1 being
+            # the non-divisor entries of (p, q).
+            div1, code1, w1 = sides[p][q]
+            div2, code2, _w2 = sides[r][s]
+            splits = signature_plans.get((cls, div1, div2))
+            if splits is None:
+                splits = self._split_plan(cls, div1, div2)
             part = 0
-            part_frac = 0
             # Python-level calls stay out of this loop (_resolve runs only on
-            # a memo miss, Rat methods only on true fractions):
-            # it runs at the deepest point of the stage recursion, where a
-            # call can make the interpreter map and unmap a fresh frame-stack
-            # chunk every time.  A factor's key is its class plus the packed
-            # code of its insertions, the sum of the partition side's and the
-            # frame's codes, looked up in the class's live value dict.  Both
-            # factors are looked up before either is solved: a term with a
-            # stored zero is skipped, and a missing factor is solved only
-            # while its partner can still be nonzero (v1 first, then v2 if
-            # v1 came out nonzero), so no key is solved just to be
-            # multiplied by a known zero.
+            # a memo miss): it runs at the deepest point of the stage
+            # recursion, where a call can make the interpreter map and unmap
+            # a fresh frame-stack chunk every time.  A factor's key is its
+            # class plus the packed code of its insertions, the sum of the
+            # partition side's and the frame's codes, looked up in the
+            # class's live value dict.  Both factors are looked up before
+            # either is solved: a term with a stored zero is skipped, and a
+            # missing factor is solved only while its partner can still be
+            # nonzero (v1 first, then v2 if v1 came out nonzero), so no key
+            # is solved just to be multiplied by a known zero.
             for vals1, vals2, b1, b2, m, sub in splits:
                 acc = 0
-                acc_frac = 0
                 for pe, peh, f, need in sub:
                     grp = groups.get(need - w1)
                     if grp is None:
@@ -849,42 +848,12 @@ class Engine:
                             v2 = resolve(b2, c2, decode(c2))
                             if v2 == 0:
                                 continue
-                        term = f * mult * v1 * v2
-                        if type(term) is int:
-                            acc += term
-                        else:
-                            acc_frac += term
+                        acc += f * mult * v1 * v2
                 if acc:
                     part += m * acc
-                if acc_frac:
-                    part_frac += m * acc_frac
             const += sign * part
-            if part_frac:
-                frac += sign * part_frac
 
-        if frac:
-            const = qnorm(const + frac)
-        return {k: v for k, v in terms.items() if v != 0}, const
-
-    def _plan(self, cls, p, q, r, s):
-        """The split plan of one frame ordering.
-
-        Returns ``(splits, code(kept1), code(kept2), w(kept1))``: kept1 and
-        kept2 are the non-divisor entries of (p, q) and (r, s), read with
-        the divisors of each side from the table ``_sides`` that
-        ``__init__`` fills for every index pair.  ``splits`` is the plan of
-        the signature ``(cls, div1, div2)`` (``_split_plan``); the weights
-        of the sides are not part of it, since on the dimension count, which
-        ``_build`` checks once per frame, every (split, e) pair balances and
-        w(kept1) only picks the partition group.
-        """
-        div1, code1, w1 = self._sides[p][q]
-        div2, code2, _w2 = self._sides[r][s]
-        sig = (cls, div1, div2)
-        splits = self._signature_plans.get(sig)
-        if splits is None:
-            splits = self._signature_plans[sig] = self._split_plan(*sig)
-        return splits, code1, code2, w1
+        return {k: v for k, v in terms.items() if v != 0}, qnorm(const)
 
     def _split_plan(self, cls, div1, div2):
         """The splits of ``_class_plan(cls)`` that a frame with divisors div1
@@ -894,6 +863,8 @@ class Engine:
         multiplier, the product of b1[pos[x]] over x in div1 and b2[pos[x]]
         over x in div2; splits with m = 0 are left out.  ``sub`` is the class
         plan's own tuple, so every signature of a class shares its entries.
+        Built once per signature, on ``_build``'s first miss in
+        ``_signature_plans``, and stored there.
         """
         pos = self.datum.divisor_pos
         out = []
@@ -905,7 +876,8 @@ class Engine:
                 m *= b2[pos[x]]
             if m:
                 out.append((vals1, vals2, b1, b2, m, sub))
-        return tuple(out)
+        plan = self._signature_plans[(cls, div1, div2)] = tuple(out)
+        return plan
 
     def _class_plan(self, cls):
         """The splits b1 + b2 = cls of every frame, built once per class.

@@ -113,24 +113,3 @@ def invert_counts(engine: Engine, d: int, l: int = 0) -> CountTable:
         table.counts[g] = value
     return table
 
-
-def severi_degree(engine: Engine, genus: int, d: int):
-    """Severi degree of degree-d plane curves of genus 0 or 1.
-
-    Genus 0 is E^2(d, 0) (one point for d = 1, where the generic pair
-    formula has no room for two conjugate pairs); genus 1 is E^1(d, 1)
-    and needs d >= 3.
-    """
-    check_int(genus, "the genus")
-    check_int(d, "the degree")
-    if genus == 0:
-        if d < 1:
-            raise ValueError("degree must be at least 1")
-        if d == 1:
-            return 1
-        return invert_counts(engine, d, 2).counts[0]
-    if genus == 1:
-        if d < 3:
-            raise ValueError("the genus-1 count needs degree >= 3")
-        return invert_counts(engine, d, 1).counts[1]
-    raise ValueError("only genus 0 and 1 Severi degrees are available here")

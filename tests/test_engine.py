@@ -1318,6 +1318,46 @@ def test_memo_values_are_in_normal_form(engine):
     assert any(type(v) is Rat for v in values)
 
 
+def test_lead_equation_constants_are_in_normal_form():
+    """The split sum keeps one accumulator, int until a true fraction
+    enters it, and normalises the constant once.  Every lead equation the
+    d <= 6 tables build has a constant that is an int when integral and a
+    Rat only when it is a true fraction, and some of them meet a split term
+    with a true-fraction factor, a key of a class (a, 0) with a >= 2, and a
+    nonzero partner."""
+
+    class Recording(Engine):
+        def __init__(self):
+            super().__init__()
+            self.built = []
+
+        def _build(self, cls, frame, extras):
+            terms, const = super()._build(cls, frame, extras)
+            self.built.append((cls, frame, extras, const))
+            return terms, const
+
+    eng = Recording()
+    for d in range(2, 7):
+        for l in (0, 1, 2):
+            invert_counts(eng, d, l)
+    assert len(eng.built) == 581
+    bad = [
+        b for b in eng.built
+        if not (type(b[3]) is int or (type(b[3]) is Rat and b[3].denominator != 1))
+    ]
+    assert not bad, bad[:5]
+
+    def meets_a_fraction(cls, frame, extras):
+        for _coeff, key1, key2 in _plain_split_terms(eng.datum, cls, frame, extras):
+            v1, v2 = eng.memo.get(key1), eng.memo.get(key2)
+            for (b, _ins), v, partner in ((key1, v1, v2), (key2, v2, v1)):
+                if b[1] == 0 and b[0] >= 2 and type(v) is Rat and partner:
+                    return True
+        return False
+
+    assert any(meets_a_fraction(*b[:3]) for b in eng.built)
+
+
 def test_memo_set_normalises_integral_rationals():
     store = MemoStore(hilb_datum().nondivisors)
     store.set(((1, 1), (3, 8)), rat(4, 2))

@@ -1,5 +1,5 @@
-"""Tests for the genus-to-class map, the invariant queries, the binomial
-inversion into curve counts, and the named special counts."""
+"""Tests for the genus-to-class map, the invariant queries and the binomial
+inversion into curve counts."""
 
 import pytest
 
@@ -11,7 +11,6 @@ from hilb2gw import (
     genus_to_class,
     invariant_I,
     invert_counts,
-    severi_degree,
 )
 from hilb2gw.fixtures import COUNT_TABLES, INVARIANT_TABLES
 from hilb2gw.rationals import rat
@@ -75,18 +74,6 @@ def test_rows_are_exactly_genera(engine):
 def test_invert_counts_rejects_low_degree(engine):
     with pytest.raises(ValueError):
         invert_counts(engine, 1, 0)
-
-
-def test_severi_degrees(engine):
-    assert severi_degree(engine, 0, 1) == 1
-    assert severi_degree(engine, 0, 2) == 1
-    assert severi_degree(engine, 0, 4) == 620
-    assert severi_degree(engine, 1, 3) == 1
-    assert severi_degree(engine, 1, 4) == 225
-    with pytest.raises(ValueError):
-        severi_degree(engine, 2, 5)
-    with pytest.raises(ValueError):
-        severi_degree(engine, 1, 2)
 
 
 def test_count_table_construction():

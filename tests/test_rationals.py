@@ -17,7 +17,6 @@ from hilb2gw import (
     invariant_I,
     invert_counts,
     kontsevich_nd,
-    severi_degree,
     small_product,
     star,
 )
@@ -118,7 +117,6 @@ def test_public_values_are_in_normal_form(engine):
         lambda e: kontsevich_nd(True),
         lambda e: kontsevich_nd(2.5),
         lambda e: engine_nd(2.0),
-        lambda e: severi_degree(e, 0, 1.0),
         lambda e: ScalarSeries(1.5, 0),
         lambda e: QSeries(hilb_datum(), 1, None),
         lambda e: f_series(2.0),
@@ -128,7 +126,7 @@ def test_public_values_are_in_normal_form(engine):
     ids=[
         "genus_to_class-d", "genus_to_class-g", "invariant_I-l",
         "invert_counts-d", "invert_counts-l", "kontsevich_nd-bool",
-        "kontsevich_nd-float", "engine_nd", "severi_degree",
+        "kontsevich_nd-float", "engine_nd",
         "ScalarSeries", "QSeries", "f_series", "small_product", "star",
     ],
 )
