@@ -36,6 +36,7 @@ serves as an independent cross-check target.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property, lru_cache
 
 from .kontsevich import kontsevich_nd
@@ -339,20 +340,21 @@ class TargetDatum:
         constant, so the product lives on the plane itself and vanishes
         when sum t > 2; if a >= 1 the evaluation image of M_0,n(P^2, a) has
         dimension at most 3a - 1 + n, and the product vanishes when sum t
-        exceeds it (``order_bound``). Always False without a base divisor.
+        exceeds it (``order_bound``). Always False without a base divisor,
+        where the bound is infinite.
         """
         bound = self.order_bound(cls, len(ins))
-        if bound is None:
-            return False
         return sum(map(self.base_orders.__getitem__, ins)) > bound
 
     def order_bound(self, cls: CurveClass, n: int):
         """The largest sum of base orders t(e) over n non-divisor insertions
         at which the projection to the base plane leaves I_cls free: 2 when
-        a = H . cls is 0, else 3a - 1 + n (see ``vanishes``).  None without
-        a base divisor, where no sum kills a key."""
+        a = H . cls is 0, else 3a - 1 + n (see ``vanishes``).  ``math.inf``
+        without a base divisor, where every base order is 0 and no sum
+        kills a key.  Callers only compare a sum with the bound and never
+        do arithmetic with it, so the infinite bound needs no branch."""
         if self.base is None:
-            return None
+            return math.inf
         a = cls[self.divisor_pos[self.base]]
         return 2 if a == 0 else 3 * a - 1 + n
 
@@ -361,9 +363,10 @@ class TargetDatum:
 
         ``ins`` are the non-divisor insertions of a canonical key; t(e),
         a = H . cls and n = len(ins) are as in ``vanishes``, and N_d is
-        ``kontsevich_nd(d)``.  Always None without a base divisor.  The
-        engine does not use this rule; a tier-1 test checks it against the
-        engine's solved values.
+        ``kontsevich_nd(d)``.  Always None without a base divisor, since
+        no sum of base orders meets the infinite bound.  The engine does
+        not use this rule; a tier-1 test checks it against the engine's
+        solved values.
 
         a = 0, on the boundary sum t = 2.  The composite map to the base
         plane is constant, so every curve lies in one fibre F, a plane, and
@@ -396,7 +399,7 @@ class TargetDatum:
         """
         bound = self.order_bound(cls, len(ins))
         orders = self.base_orders
-        if bound is None or sum(orders[e] for e in ins) != bound:
+        if sum(orders[e] for e in ins) != bound:
             return None
         a = cls[self.divisor_pos[self.base]]
         if a >= 1:

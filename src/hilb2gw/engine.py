@@ -64,13 +64,12 @@ collapsed term adds the entries of its three new insertions to the sums
 cached for its extras and checks the dimension count and the projection's
 order bound on them (``_canon_code``); ``_canon`` folds the same table
 over any monomial, and the class plans read their pair multipliers from
-it.  Each key is looked up in its class's live value dict, and only a miss
-is decoded to a tuple: a same-stage key that stays symbolic, or a key to
-resolve.  A caller's key passes one gate, ``_check_key``, on every
-``value_of`` call, hit or miss; a key the engine forms itself (``_build``,
-the quantum rows of ``_row``) skips it.  Either way the key goes to one
-method, ``_resolve``: memo hit, base case, projection rule, then a visit to
-the key's stage.
+it.  A caller's key passes one gate, ``_check_key``, on every ``value_of``
+call; a key the engine forms itself (``_build``, the rows of ``_row``)
+skips it.  Past the gate a key is its class and packed code alone, and
+every key goes to ``_resolve(cls, code)``: memo hit, base case, projection
+rule, then a visit to the key's stage.  Only a memo miss there is decoded
+to a sorted tuple, and, in ``_build``, a same-stage key that stays symbolic.
 
 The split sum does no work it can see is zero.  A frame and extras off the
 dimension count give the zero form before any term is walked.  On the
@@ -99,20 +98,19 @@ of the line class comes from the space of stable maps to the plane.  So
 the key vanishes when the sum of the t(e) exceeds 2 (a = 0, the composite
 map is constant) or 3a - 1 + n, the dimension bound of the evaluation
 image (a >= 1); see ``TargetDatum.vanishes`` and its bound
-``TargetDatum.order_bound``.  ``_resolve`` stores such a key as 0 without
-visiting a stage, as it stores a base case; ``_canon`` and ``_canon_code``
-drop it like a dimension mismatch, and so does ``normalize``, which
-canonicalizes each monomial with ``_canon``; the harvest and
-``solve_stage`` never queue it; a cache entry that gives it a nonzero
-value is an InconsistentSystem, and ``save_cache`` leaves it out.  The
-split sum is unchanged: a killed factor becomes a stored 0 the first time
-it is looked up.
+``TargetDatum.order_bound`` (``math.inf`` without a base divisor).
+``_resolve`` stores such a key as 0 without visiting a stage, as it stores
+a base case; ``_canon`` and ``_canon_code`` drop it like a dimension
+mismatch, and so does ``normalize``, which canonicalizes each monomial
+with ``_canon``; the harvest and ``solve_stage`` never queue it; a cache
+entry that gives it a nonzero value is an InconsistentSystem, and
+``save_cache`` leaves it out.  The split sum is unchanged: a killed factor
+becomes a stored 0 the first time it is looked up.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from collections import Counter
 
 from .chow import TargetDatum, hilb_datum
@@ -442,9 +440,10 @@ class Engine:
         add their packed code, weight, base order and count.  ``None`` means
         the monomial contributes zero: a fundamental class or a divisor of
         zero intersection, a weight off the budget, or a base-order sum past
-        ``TargetDatum.order_bound``.  More than 255 non-divisor insertions
-        on the budget raise ValueError, before the order bound is read.
-        ``ins`` is the sorted tuple, decoded from the code.
+        ``TargetDatum.order_bound`` (infinite without a base divisor).  More
+        than 255 non-divisor insertions on the budget raise ValueError,
+        before the order bound is read.  ``ins`` is the sorted tuple,
+        decoded from the code.
         """
         units = self._units
         mults = cls + (1, 0)  # indexed by a unit's slot
@@ -464,8 +463,7 @@ class Engine:
                 f"a memo key holds at most {MemoStore.MAX_INSERTIONS} "
                 f"insertions, got {n}"
             )
-        bound = self._order_bound(cls, n)
-        if bound is not None and t > bound:
+        if t > self._order_bound(cls, n):
             return None
         return self.memo.decode(code), mult
 
@@ -491,8 +489,7 @@ class Engine:
         if not mult or w + wx + wy + wm != self._budget(cls):
             return None
         n += nx + ny + nm
-        bound = self._order_bound(cls, n)
-        if bound is not None and t + tx + ty + tm > bound:
+        if t + tx + ty + tm > self._order_bound(cls, n):
             return None
         return code + cx + cy + cm, n, mult
 
@@ -549,28 +546,30 @@ class Engine:
 
         The entry point for a caller's key.  Every call, hit or miss, passes
         ``_check_key``, so a bad key raises ValueError and leaves the memo
-        unchanged, on a cold engine and a warm one alike; then the key goes
-        to ``_resolve`` on its packed code, the path every key the engine
-        forms itself takes.
+        unchanged, on a cold engine and a warm one alike; then the class and
+        the packed code the gate returns go to ``_resolve``, the path every
+        key the engine forms itself takes.
         """
         code = self._check_key(key)
-        return self._resolve(key[0], code, key[1])
+        return self._resolve(key[0], code)
 
-    def _resolve(self, cls, code, ins):
-        """Exact value of the canonical key ``(cls, ins)`` of packed code
-        ``code``: the one path of every key, a caller's or the engine's.
+    def _resolve(self, cls, code):
+        """Exact value of the key of class ``cls`` and packed code ``code``:
+        the one path of every key, a caller's or the engine's.
 
         The key must be canonical and admissible, as every key ``_build``
         and ``_row`` form is and as ``value_of`` checks.  A key the memo
         holds (it may have been solved since the caller's lookup) is
-        returned; a base case or a key that the projection to the base
-        plane kills is stored without visiting a stage; any other key is
-        solved by a visit to its stage.
+        returned undecoded.  A miss is decoded to the sorted tuple that
+        ``base_case``, ``vanishes`` and ``_solve_for`` read: a base case or
+        a key the projection to the base plane kills is stored without
+        visiting a stage; any other key is solved by a visit to its stage.
         """
         vals = self.memo.class_values(cls)
         v = vals.get(code)
         if v is not None:
             return v
+        ins = self.memo.decode(code)
         key = (cls, ins)
         b = self.datum.base_case(cls, ins)
         if b is None and self._vanishes(cls, ins):
@@ -641,14 +640,14 @@ class Engine:
 
     def _row(self, cls, x, y):
         """``three_point_row`` without the checks, for ``_box_rows``: each
-        key is formed by ``_canon_code`` and valued by ``_resolve``, the
-        internal path, not the caller's gate of ``value_of``."""
+        key is formed by ``_canon_code`` and valued on its packed code by
+        ``_resolve``, the internal path, not the caller's gate of
+        ``value_of``."""
         d = self.datum
         weights = self._weights
         need = self._budget(cls) - weights[x] - weights[y]
         canon_code = self._canon_code
         resolve = self._resolve
-        decode = self.memo.decode
         entries = []
         for i in range(d.basis_size):
             if weights[i] != need:
@@ -656,7 +655,7 @@ class Engine:
             canon = canon_code(cls, x, y, i, _NO_EXTRAS)
             if canon is not None:
                 code, _n, mult = canon
-                val = qnorm(mult * resolve(cls, code, decode(code)))
+                val = qnorm(mult * resolve(cls, code))
                 if val:
                     entries.append((d.top - i, val))
         return tuple(entries)
@@ -726,9 +725,7 @@ class Engine:
 
     def _check_extras(self, extras):
         extras = _as_tuple(extras, "extras")
-        for e in extras:
-            if self._codims[self.datum.check_index(e)] < 2:
-                raise ValueError(f"extra {e!r} is not a non-divisor basis index")
+        self.memo.code(extras)  # the packer refuses what a key may not hold
         return tuple(sorted(extras))
 
     def _build(self, cls, frame, extras):
@@ -751,9 +748,9 @@ class Engine:
         Every key is formed on packed codes, never as a sorted tuple: a
         collapsed term by ``_canon_code`` from the extras' cached sums, a
         split factor by adding codes along the plan.  A key is looked up in
-        its class's live value dict, and only a miss is decoded to a tuple:
-        below the stage it goes to ``_resolve``, in the stage it stays
-        symbolic.  Every sum runs in one accumulator, int until a true
+        its class's live value dict: a miss below the stage goes to
+        ``_resolve`` on its code, and a miss in the stage is decoded and
+        stays symbolic.  Every sum runs in one accumulator, int until a true
         fraction enters it, and the constant is brought to normal form once,
         at return."""
         i, j, k, l = frame
@@ -793,7 +790,7 @@ class Engine:
                             key = (cls, decode(code))
                             terms[key] = terms.get(key, 0) + coeff
                             continue
-                        val = resolve(cls, code, decode(code))
+                        val = resolve(cls, code)
                     const += coeff * val
 
             # split terms over beta1 + beta2 = cls, both nonzero effective,
@@ -839,13 +836,11 @@ class Engine:
                         if v2 == 0:
                             continue
                         if v1 is None:
-                            c1 = code_a + add1
-                            v1 = resolve(b1, c1, decode(c1))
+                            v1 = resolve(b1, code_a + add1)
                             if v1 == 0:
                                 continue
                         if v2 is None:
-                            c2 = add2 - code_a
-                            v2 = resolve(b2, c2, decode(c2))
+                            v2 = resolve(b2, add2 - code_a)
                             if v2 == 0:
                                 continue
                         acc += f * mult * v1 * v2
@@ -1012,27 +1007,25 @@ class Engine:
     def _harvest_closure(self, cls, st, seeds) -> None:
         """Queue the lead specs of the seeds' closure in dependency order.
 
-        A depth-first walk on packed codes from each seed: a key's lead spec
-        is queued (appended to ``st.seen``) after the specs of its other
-        unknowns, and the walk stops at memo keys and at keys already
-        queued.  Spec and unknowns come from the per-list table ``_leads``
-        (``_lead_entry``): 137 lists serve the 581 keys of the d <= 6
-        tables, 361 the 2,700 of the d <= 10 tables.  It is exact because
-        both depend on the insertions alone; the class enters only through
-        ``TargetDatum.order_bound(cls, n)``, read once per visit, past which
-        an unknown is dropped as ``vanishes`` drops it.  Reaching a key
-        whose walk is still open means the lead equations form a cycle,
-        which substitution cannot solve; that raises UnderdeterminedStage.
-        The walk recurses once per key on its path, at most 3(d - 1) deep
-        for the degree-d tables (18 at d = 7).
+        ``seeds``, same-stage key tuples, is nonempty.  A depth-first walk
+        on packed codes from each seed: a key's lead spec is queued
+        (appended to ``st.seen``) after the specs of its other unknowns, and
+        the walk stops at memo keys and at keys already queued.  Spec and
+        unknowns come from the per-list table ``_leads`` (``_lead_entry``):
+        137 lists serve the 581 keys of the d <= 6 tables, 361 the 2,700 of
+        the d <= 10 tables.  It is exact because both depend on the
+        insertions alone; the class enters only through
+        ``TargetDatum.order_bound(cls, n)``, read once per visit (infinite
+        without a base divisor), past which an unknown is dropped as
+        ``vanishes`` drops it.  Reaching a key whose walk is still open
+        means the lead equations form a cycle, which substitution cannot
+        solve; that raises UnderdeterminedStage.  The walk recurses once per
+        key on its path, at most 3(d - 1) deep for the degree-d tables (18
+        at d = 7).
         """
         seeds = sorted(set(seeds))
-        if not seeds:
-            return
         n = len(seeds[0][1])
         bound = self._order_bound(cls, n)
-        if bound is None:  # no base divisor: no order sum kills a key
-            bound = math.inf
         vals = self.memo.class_values(cls)
         leads = self._leads
         lead_entry = self._lead_entry
@@ -1072,14 +1065,14 @@ class Engine:
         the frame (dv, rho, u, v), the extras plus u, v and each cup term of
         T_dv . T_rho, and, when rho is not a divisor, the extras plus rho, u
         and each cup term of T_dv . T_v.  No class filter is applied here.
+        The extras' sums are ``_build``'s, from ``_partition_groups``.
         """
         decode = self.memo.decode
         spec = self._lead_spec((cls, decode(code)))
         (dv, rho, u, v), extras = spec
+        code_x, _w, t_x, _n = self._partition_groups(extras)[0]
         pack = self.memo.pack
         orders = self.datum.base_orders
-        code_x = sum(pack[e] for e in extras)
-        t_x = sum(orders[e] for e in extras)
         found = {}
         cup_terms = self._cup_terms
         families = [(u, v, cup_terms[dv][rho])]
@@ -1357,13 +1350,11 @@ class Engine:
                     f"cache entry ({cls}, {ins}) = {val} contradicts base "
                     f"case {derivable}"
                 )
-            if val != 0:
-                bound = order_bound(cls, len(ins))
-                if bound is not None and order > bound:
-                    raise InconsistentSystem(
-                        f"cache entry ({cls}, {ins}) = {val} but the "
-                        "projection to the base plane forces 0"
-                    )
+            if val != 0 and order > order_bound(cls, len(ins)):
+                raise InconsistentSystem(
+                    f"cache entry ({cls}, {ins}) = {val} but the "
+                    "projection to the base plane forces 0"
+                )
             old = vals.setdefault(ins, val)
             if old != val:
                 raise InconsistentSystem(

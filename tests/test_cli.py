@@ -10,7 +10,14 @@ from pathlib import Path
 
 import pytest
 
-from hilb2gw import Engine, QSeries, cli, hilb_datum, invert_counts
+from hilb2gw import (
+    Engine,
+    QSeries,
+    UnderdeterminedStage,
+    cli,
+    hilb_datum,
+    invert_counts,
+)
 from hilb2gw.quantum import ProductCheck, ProductReport, RelationReport
 
 
@@ -81,6 +88,20 @@ def test_invariant_usage_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "invariant", "--class", "1", "--insertions", "3")
     assert code == 2
+
+
+def test_unmapped_engine_error_is_an_internal_error(capsys, monkeypatch):
+    """An EngineError that no other exit code claims (here the solver's
+    UnderdeterminedStage) exits 1 with one ``internal error:`` line on
+    stderr, not a traceback."""
+
+    def fail(self, cls, insertions):
+        raise UnderdeterminedStage("stage (1, 1) left unsolved")
+
+    monkeypatch.setattr(Engine, "invariant", fail)
+    code, out, err = run(capsys, "invariant", "--class", "1,1", "--insertions", "3,8")
+    assert code == 1 and out == ""
+    assert err == "internal error: stage (1, 1) left unsolved\n"
 
 
 @pytest.mark.parametrize(
@@ -329,6 +350,18 @@ def test_oracle_engine_check(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["value"] == "12" and payload["engine_agrees"] is True
+
+
+def test_oracle_engine_disagreement_exits_4(capsys, monkeypatch):
+    """When the engine's N_d differs from the closed recursion, ``oracle
+    --check-engine`` reports it and exits 4, in both output formats."""
+    monkeypatch.setattr(cli, "engine_nd", lambda d: 13)
+    code, out, _ = run(capsys, "oracle", "--nd", "3", "--check-engine", "--json")
+    payload = json.loads(out)
+    assert code == 4
+    assert payload["value"] == "12" and payload["engine_agrees"] is False
+    code, out, _ = run(capsys, "oracle", "--nd", "3", "--check-engine")
+    assert code == 4 and out.split("\n")[:2] == ["12", "engine agrees: False"]
 
 
 def test_oracle_rejects_nonpositive(capsys):

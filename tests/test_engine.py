@@ -388,7 +388,7 @@ def test_canon_code_agrees_with_canon_on_random_monomials(datum):
     if datum.base is not None:
         kinds += ["zero intersection", "killed"]
     else:  # no divisor of the plane meets a nonzero class in 0
-        assert datum.order_bound((2,), 5) is None
+        assert datum.order_bound((2,), 5) == math.inf
     assert all(seen[kind] >= 50 for kind in kinds), seen
 
 
@@ -602,10 +602,10 @@ def test_split_sum_solves_no_factor_whose_partner_is_a_stored_zero():
         misses = []
         resolve = fresh._resolve
 
-        def counting_resolve(cls, code, ins):
+        def counting_resolve(cls, code):
             if code not in fresh.memo.class_values(cls):
-                misses.append((cls, ins))
-            return resolve(cls, code, ins)
+                misses.append((cls, fresh.memo.decode(code)))
+            return resolve(cls, code)
 
         fresh._resolve = counting_resolve
         fresh.build_equation(cls, frame, extras)
@@ -1129,7 +1129,7 @@ def test_lead_table_matches_the_cup_table():
                     for nb, t in unknowns:
                         nb_ins = eng.memo.decode(nb)
                         assert t == sum(orders[e] for e in nb_ins), (ins, nb_ins)
-                        if bound is None or t <= bound:
+                        if t <= bound:
                             got.append((cls, nb_ins))
                     want = _reference_unknowns(datum, (cls, ins), spec)
                     assert got == want, (cls, ins)
@@ -1676,6 +1676,17 @@ def test_cache_path_must_not_be_a_file_descriptor(monkeypatch):
             with pytest.raises(ValueError, match="must name a file"):
                 method(fd)
     assert dict(eng.memo.items()) == before
+
+
+def test_plane_engine_saves_no_cache(tmp_path):
+    """The cache schema holds two-parameter classes only: a plane engine's
+    ``save_cache`` raises CacheFormatError and creates no file."""
+    eng = Engine(p2_datum())
+    assert eng.invariant((2,), [2] * 5) == 1
+    path = tmp_path / "plane.json"
+    with pytest.raises(CacheFormatError, match="two-parameter"):
+        eng.save_cache(path)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize(

@@ -20,7 +20,7 @@ from hilb2gw import (
     small_product,
     star,
 )
-from hilb2gw.rationals import Rat, qdiv, qnorm, rat, rat_from_parts
+from hilb2gw.rationals import Rat, binom, qdiv, qnorm, rat, rat_from_parts
 
 
 def is_normal(x) -> bool:
@@ -159,6 +159,24 @@ def test_qdiv_is_exact_and_normal(a, b, want):
     assert got == want
     assert is_normal(got)
     assert type(got) is type(want)
+
+
+@pytest.mark.parametrize(
+    "n,k,want",
+    [
+        (5, 2, 10),
+        (0, 0, 1),
+        (4, 4, 1),
+        (5, -1, 0),  # k < 0
+        (5, 6, 0),  # k > n
+        (-1, 0, 0),  # n < 0, where math.comb raises
+        (-3, -1, 0),
+        (-2, 1, 0),
+    ],
+)
+def test_binom_is_zero_out_of_range(n, k, want):
+    """``binom`` is C(n, k) in range and 0 for k < 0, k > n or n < 0."""
+    assert binom(n, k) == want
 
 
 def test_qdiv_by_zero_raises():
