@@ -41,17 +41,91 @@ def test_every_traced_name_resolves(module, owner, name, layer):
     assert callable(getattr(target, name, None)), (module, owner, name, layer)
 
 
-def test_stage_state_counts_queued_specs():
+def test_stage_state_counts_queued_specs(monkeypatch):
     """The tracer's ``engine.harvest.specs`` is the growth of ``st.seen``,
-    the third argument of ``Engine._harvest_closure``, over each call."""
+    the third argument of ``Engine._harvest_closure``, over each call; over
+    one stage visit, ``Engine._solve_for`` with the stage ``(cls, n)`` in
+    its second and third arguments, that growth equals the keys of the
+    stage the visit solves into the memo.  The wrappers read the arguments
+    at the positions the tracer's hooks read them."""
     from hilb2gw import Engine
-    from hilb2gw.engine import _StageState
 
     eng = Engine()
-    st = _StageState()
-    key = ((1, 2), (4,) * 7)
-    eng._harvest_closure(key[0], st, [key])
-    assert len(st.seen) >= 1
+    memo = eng.memo
+    visits = []  # [cls, n, stage codes before, specs queued], innermost last
+    checked = []
+
+    def stage_codes(cls, n):
+        return {
+            c for c in memo.class_values(cls) if len(memo.decode(c)) == n
+        }
+
+    solve_for = Engine._solve_for
+    harvest = Engine._harvest_closure
+
+    def traced_solve_for(*args):
+        cls, n = args[1], args[2]
+        visits.append([cls, n, stage_codes(cls, n), 0])
+        solve_for(*args)
+        cls, n, before, specs = visits.pop()
+        solved = stage_codes(cls, n) - before
+        assert specs == len(solved) >= 1, (cls, n)
+        checked.append((cls, n))
+
+    def traced_harvest(*args):
+        mark = _TRACER._harvest_before(None, args)
+        harvest(*args)
+        visits[-1][3] += len(args[2].seen) - mark
+
+    monkeypatch.setattr(Engine, "_solve_for", traced_solve_for)
+    monkeypatch.setattr(Engine, "_harvest_closure", traced_harvest)
+    eng.value_of(((1, 2), (4,) * 7))
+    assert len(checked) >= 10 and checked[-1] == ((1, 2), 7)
+
+
+def test_traced_tables_do_the_pinned_work():
+    """The traced seed-7 ``tables-d6`` workload does exactly this work.
+
+    ``bench/tracer.py`` is installed around one pass of the workload's
+    queries on a cold engine.  Each counter is deterministic, so any change
+    to the engine's harvest, solve or memo traffic shows up here as a
+    changed number rather than as benchmark drift."""
+    from hilb2gw import Engine
+
+    workloads = _bench_module("workloads")
+    tracer = _TRACER.Tracer().install()
+    try:
+        workloads.query_tables(Engine(), workloads.table_queries(7))
+    finally:
+        tracer.uninstall()
+    got = {name: m["value"] for name, m in tracer.metrics().items()}
+    assert tracer.absent == []
+    assert {
+        name: got[name]
+        for name in (
+            "engine.build.calls",
+            "engine.solve.calls",
+            "engine.harvest.specs",
+            "engine.stage.visits",
+            "engine.stage.count",
+            "engine.stage.max_depth",
+            "engine.memo.entries",
+            "engine.memo.set_calls",
+            "engine.memo.value_of_calls",
+            "engine.canon.calls",
+        )
+    } == {
+        "engine.build.calls": 581,
+        "engine.solve.calls": 581,
+        "engine.harvest.specs": 581,
+        "engine.stage.visits": 455,
+        "engine.stage.count": 125,
+        "engine.stage.max_depth": 15,
+        "engine.memo.entries": 727,
+        "engine.memo.set_calls": 727,
+        "engine.memo.value_of_calls": 45,
+        "engine.canon.calls": 120,
+    }
 
 
 def test_workload_tables_match_the_fixtures():
