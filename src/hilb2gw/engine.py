@@ -66,10 +66,15 @@ order bound on them (``_canon_code``); ``_canon`` folds the same table
 over any monomial, and the class plans read their pair multipliers from
 it.  A caller's key passes one gate, ``_check_key``, on every ``value_of``
 call; a key the engine forms itself (``_build``, the rows of ``_row``)
-skips it.  Past the gate a key is its class and packed code alone, and
-every key goes to ``_resolve(cls, code)``: memo hit, base case, projection
-rule, then a visit to the key's stage.  Only a memo miss there is decoded
-to a sorted tuple, and, in ``_build``, a same-stage key that stays symbolic.
+skips it.  Past the gates (``_check_key``, ``normalize``, ``_check_extras``
+and the validation of ``load_cache``) a key is its class and packed code
+alone.  Every key goes to ``_resolve(cls, code)``: memo hit, base case,
+projection rule, then a visit to the key's stage, whose harvest, symbolic
+terms, solver and memo writes all take codes.  A code is decoded only at
+the outward edges: the ``_resolve`` miss that ``base_case`` and
+``vanishes`` read, ``_lead_entry``'s call to ``_lead_spec``, the
+LinearForms of ``normalize`` and ``build_equation``, ``MemoStore.items``,
+``save_cache`` and error messages.
 
 The split sum does no work it can see is zero.  A frame and extras off the
 dimension count give the zero form before any term is walked.  On the
@@ -166,18 +171,21 @@ class LinearForm:
 
 
 class MemoStore:
-    """Exact values by canonical key ``(cls, ins)``, one dict per class.
+    """Exact values by canonical key ``(cls, code)``, one dict per class.
 
     The insertions of a key are a multiset of non-divisor basis indices; the
     store packs them into an int ``code = sum(pack[e] for e in ins)`` with
     ``pack[e] = 1 << (8 * rank of e in nondivisors)``, so adding two codes
     gives the code of the merged multiset, and reading the 8-bit digits back
-    in nondivisor order gives the sorted tuple. A key with more than 255
-    insertions, which could overflow a digit, or with an insertion that is
-    not a non-divisor index, an ``int`` (a float or bool equal to one
-    included), raises ValueError.
+    in nondivisor order gives the sorted tuple. ``code`` raises ValueError
+    for more than 255 insertions, which could overflow a digit, or for an
+    insertion that is not a non-divisor index, an ``int`` (a float or bool
+    equal to one included).
     The layout is ``{cls: {code: value}}``; a class dict, once created, is
     never replaced, so callers may hold on to it (``class_values``).
+    The writes ``set`` and ``merge`` take codes; ``get`` and ``in`` take a
+    ``(cls, sorted tuple)`` key and pack it, and ``items`` and a conflict's
+    message decode.
 
     Values are stored in normal form (``int`` when integral, ``Rat``
     otherwise). An entry is never overwritten with a different value; a
@@ -231,47 +239,47 @@ class MemoStore:
         return vals
 
     def get(self, key):
+        """The value of the key ``(cls, sorted insertion tuple)``, or None."""
         cls, ins = key
         vals = self._classes.get(cls)
         return None if vals is None else vals.get(self.code(ins))
 
-    def set(self, key, value) -> None:
-        cls, ins = key
-        code = self.code(ins)
+    def set(self, cls, code, value) -> None:
         vals = self.class_values(cls)
         value = qnorm(value)
         old = vals.get(code)
         if old is not None:
             if old != value:
                 raise InconsistentSystem(
-                    f"memo conflict at {key}: {old} vs {value}"
+                    f"memo conflict at {(cls, self.decode(code))}: "
+                    f"{old} vs {value}"
                 )
             return
         vals[code] = value
         self._count += 1
 
     def merge(self, staged) -> None:
-        """Write ``{cls: {ins: value}}`` into the store, all or nothing.
+        """Write ``{cls: {code: value}}`` into the store, all or nothing.
 
-        The insertion tuples must be canonical and the values in normal
-        form. Every value is checked against the store before any is
-        written, so a conflict raises InconsistentSystem and leaves the store
-        unchanged; then each key is written by ``set``, the one write path.
+        The codes must be of canonical keys and the values in normal form.
+        Every value is checked against the store before any is written, so
+        a conflict raises InconsistentSystem and leaves the store unchanged;
+        then each key is written by ``set``, the one write path.
         """
         classes = self._classes
-        code = self.code
         for cls, vals in staged.items():
             live = classes.get(cls)
             if live:
-                for ins, value in vals.items():
-                    old = live.get(code(ins))
+                for code, value in vals.items():
+                    old = live.get(code)
                     if old is not None and old != value:
                         raise InconsistentSystem(
-                            f"memo conflict at {(cls, ins)}: {old} vs {value}"
+                            f"memo conflict at {(cls, self.decode(code))}: "
+                            f"{old} vs {value}"
                         )
         for cls, vals in staged.items():
-            for ins, value in vals.items():
-                self.set((cls, ins), value)
+            for code, value in vals.items():
+                self.set(cls, code, value)
 
     def items(self):
         """Every ``((cls, ins), value)`` in sorted key order, decoded lazily
@@ -299,29 +307,31 @@ class ExactLinearSolver:
 
     Each equation comes after those of its other unknowns, whose solved
     values ``_build`` reads from the memo, so one key is left, and one exact
-    division solves it.
+    division solves it.  A visit's keys are all of its class ``cls``.
     """
 
-    __slots__ = ("memo",)
+    __slots__ = ("memo", "cls")
 
-    def __init__(self, memo: MemoStore):
+    def __init__(self, memo: MemoStore, cls):
         self.memo = memo
+        self.cls = cls
 
     def add(self, terms: dict, const) -> None:
         """Solve sum(terms * x) + const = 0 for its one key into the memo.
 
-        ``terms`` maps keys to nonzero coefficients, as ``_build`` gives them.
-        Raises UnderdeterminedStage, leaving the memo unchanged, when two or
-        more keys are left, and InconsistentSystem when none is and the
-        constant is not 0.
+        ``terms`` maps packed codes of the class to nonzero coefficients, as
+        ``_build`` gives them.  Raises UnderdeterminedStage, leaving the memo
+        unchanged, when two or more keys are left, and InconsistentSystem
+        when none is and the constant is not 0.
         """
         if len(terms) == 1:
-            (k, coef), = terms.items()
-            self.memo.set(k, -qdiv(const, coef))
+            (code, coef), = terms.items()
+            self.memo.set(self.cls, code, -qdiv(const, coef))
         elif terms:
             raise UnderdeterminedStage(
-                f"an equation reached the solver with {len(terms)} unsolved "
-                f"keys: {sorted(terms)[:5]}"
+                f"an equation of class {self.cls} reached the solver with "
+                f"{len(terms)} unsolved keys: "
+                f"{sorted(map(self.memo.decode, terms))[:5]}"
             )
         elif const != 0:
             raise InconsistentSystem(f"0 = {const} from a harvested equation")
@@ -410,12 +420,9 @@ class Engine:
         for t in d.nondivisors:
             for dv, rho, _c in d.decompositions[t]:
                 if any(m == t for m, _cm in d.cup_terms[dv][rho]):
-                    if d.codims[rho] >= 2:
-                        vkill = frozenset(
-                            x for x in d.nondivisors if not d.cup_terms[dv][x]
-                        )
-                    else:
-                        vkill = None
+                    vkill = None if d.codims[rho] < 2 else frozenset(
+                        x for x in d.nondivisors if not d.cup_terms[dv][x]
+                    )
                     self._lead_rows[t] = (dv, rho, vkill)
                     break
             else:  # pragma: no cover - decomposition sums exactly to t
@@ -428,8 +435,7 @@ class Engine:
     def _budget(self, cls) -> int:
         b = self._budgets.get(cls)
         if b is None:
-            b = self.datum.weight_budget(cls)
-            self._budgets[cls] = b
+            b = self._budgets[cls] = self.datum.weight_budget(cls)
         return b
 
     def _canon(self, cls, idxs):
@@ -561,23 +567,23 @@ class Engine:
         and ``_row`` form is and as ``value_of`` checks.  A key the memo
         holds (it may have been solved since the caller's lookup) is
         returned undecoded.  A miss is decoded to the sorted tuple that
-        ``base_case``, ``vanishes`` and ``_solve_for`` read: a base case or
-        a key the projection to the base plane kills is stored without
-        visiting a stage; any other key is solved by a visit to its stage.
+        ``base_case`` and ``vanishes`` read, the one decode on this path: a
+        base case or a key the projection to the base plane kills is stored
+        by its code without visiting a stage; any other key is solved by a
+        visit to its stage, which takes the code.
         """
         vals = self.memo.class_values(cls)
         v = vals.get(code)
         if v is not None:
             return v
         ins = self.memo.decode(code)
-        key = (cls, ins)
         b = self.datum.base_case(cls, ins)
         if b is None and self._vanishes(cls, ins):
             b = 0
         if b is not None:
-            self.memo.set(key, b)
+            self.memo.set(cls, code, b)
             return b
-        self._solve_for(cls, len(ins), (key,))
+        self._solve_for(cls, len(ins), (code,))
         return vals[code]
 
     def _check_key(self, key) -> int:
@@ -701,8 +707,9 @@ class Engine:
         frame = self._check_frame(frame)
         extras = self._check_extras(extras)
         terms, const = self._build(cls, frame, extras)
+        decode = self.memo.decode
         return LinearForm(
-            {k: qnorm(v) for k, v in terms.items()}, qnorm(const)
+            {(cls, decode(c)): qnorm(v) for c, v in terms.items()}, qnorm(const)
         )
 
     def wdvv_residual(self, cls, frame, extras):
@@ -745,14 +752,14 @@ class Engine:
         a miss; the codes enter every factor's key, and w(kept1) picks the
         partition group.
 
-        Every key is formed on packed codes, never as a sorted tuple: a
+        Every key is formed on packed codes and none is decoded: a
         collapsed term by ``_canon_code`` from the extras' cached sums, a
         split factor by adding codes along the plan.  A key is looked up in
         its class's live value dict: a miss below the stage goes to
-        ``_resolve`` on its code, and a miss in the stage is decoded and
-        stays symbolic.  Every sum runs in one accumulator, int until a true
-        fraction enters it, and the constant is brought to normal form once,
-        at return."""
+        ``_resolve`` on its code, and a miss in the stage stays symbolic,
+        keyed by its code in the returned ``{code: coefficient}``.  Every
+        sum runs in one accumulator, int until a true fraction enters it,
+        and the constant is brought to normal form once, at return."""
         i, j, k, l = frame
         if j == l:
             return {}, 0
@@ -768,7 +775,6 @@ class Engine:
         cup_terms = self._cup_terms
         canon_code = self._canon_code
         vals = self.memo.class_values(cls)
-        decode = self.memo.decode
         resolve = self._resolve
         sides = self._sides
         signature_plans = self._signature_plans
@@ -787,8 +793,7 @@ class Engine:
                     val = vals.get(code)
                     if val is None:
                         if n == stage_n:
-                            key = (cls, decode(code))
-                            terms[key] = terms.get(key, 0) + coeff
+                            terms[code] = terms.get(code, 0) + coeff
                             continue
                         val = resolve(cls, code)
                     const += coeff * val
@@ -947,14 +952,13 @@ class Engine:
         groups: dict = {}
         for ca, wa, mu in combos:
             groups.setdefault(wa, []).append((ca, mu))
-        sums = (
-            code_x,
-            sum(weights[e] for e in extras),
-            sum(self.datum.base_orders[e] for e in extras),
-            len(extras),
+        orders = self.datum.base_orders
+        w_x = sum(weights[e] for e in extras)
+        t_x = sum(orders[e] for e in extras)
+        cached = self._partition_cache[extras] = (
+            (code_x, w_x, t_x, len(extras)),
+            {wa: tuple(grp) for wa, grp in groups.items()},
         )
-        cached = (sums, {wa: tuple(grp) for wa, grp in groups.items()})
-        self._partition_cache[extras] = cached
         return cached
 
     # ------------------------------------------------------------------
@@ -967,23 +971,27 @@ class Engine:
         cls = self._check_class(cls)
         if check_int(n, "a stage size") < 0:
             raise ValueError(f"a stage size must be non-negative, got {n}")
-        keys = [k for k in self._stage_keys(cls, n) if self.memo.get(k) is None]
+        vals = self.memo.class_values(cls)
+        codes = [self.memo.code(ins) for _cls, ins in self._stage_keys(cls, n)]
+        codes = [c for c in codes if c not in vals]
         if n <= 2:
-            for key in keys:
-                self.value_of(key)
-        elif keys:
-            self._solve_for(cls, n, keys)
+            for c in codes:
+                self._resolve(cls, c)
+        elif codes:
+            self._solve_for(cls, n, codes)
 
-    def _solve_for(self, cls, n, requested) -> None:
+    def _solve_for(self, cls, n, codes) -> None:
+        """Visit stage (cls, n) to solve the keys of the packed ``codes``."""
         if n < 3:
             raise UnderdeterminedStage(
                 f"stage (cls={cls}, n={n}) reached the solver; base cases "
                 "and dimension vanishing must cover every key with n <= 2"
             )
         st = _StageState()
-        self._harvest_closure(cls, st, requested)
+        self._harvest_closure(cls, st, codes, n)
         self._drain(cls, st)
-        missing = [k for k in requested if k not in self.memo]
+        vals = self.memo.class_values(cls)
+        missing = [self.memo.decode(c) for c in codes if c not in vals]
         if missing:
             raise UnderdeterminedStage(
                 f"stage (cls={cls}, n={n}) underdetermined; "
@@ -998,33 +1006,31 @@ class Engine:
         it with its own key the one key left.  If an equation fails, the
         exact keys solved before it stay in the memo.
         """
-        add = ExactLinearSolver(self.memo).add
+        add = ExactLinearSolver(self.memo, cls).add
         for frame, extras in st.seen:
             add(*self._build(cls, frame, extras))
 
     # -- harvesting ------------------------------------------------------
 
-    def _harvest_closure(self, cls, st, seeds) -> None:
+    def _harvest_closure(self, cls, st, seeds, n) -> None:
         """Queue the lead specs of the seeds' closure in dependency order.
 
-        ``seeds``, same-stage key tuples, is nonempty.  A depth-first walk
-        on packed codes from each seed: a key's lead spec is queued
-        (appended to ``st.seen``) after the specs of its other unknowns, and
-        the walk stops at memo keys and at keys already queued.  Spec and
-        unknowns come from the per-list table ``_leads`` (``_lead_entry``):
-        137 lists serve the 581 keys of the d <= 6 tables, 361 the 2,700 of
-        the d <= 10 tables.  It is exact because both depend on the
-        insertions alone; the class enters only through
-        ``TargetDatum.order_bound(cls, n)``, read once per visit (infinite
-        without a base divisor), past which an unknown is dropped as
-        ``vanishes`` drops it.  Reaching a key whose walk is still open
+        ``seeds`` are the packed codes of keys of stage (cls, n), walked in
+        the order given, depth first; only a cycle's message decodes.  A
+        key's lead spec is queued (appended to ``st.seen``) after the specs
+        of its other unknowns, and the walk stops at memo keys and at keys
+        already queued.  Spec and unknowns come from the per-list table
+        ``_leads`` (``_lead_entry``): 137 lists serve the 581 keys of the
+        d <= 6 tables, 361 the 2,700 of the d <= 10 tables.  It is exact
+        because both depend on the insertions alone; the class enters only
+        through ``TargetDatum.order_bound(cls, n)``, read once per visit
+        (infinite without a base divisor), past which an unknown is dropped
+        as ``vanishes`` drops it.  Reaching a key whose walk is still open
         means the lead equations form a cycle, which substitution cannot
         solve; that raises UnderdeterminedStage.  The walk recurses once per
         key on its path, at most 3(d - 1) deep for the degree-d tables (18
         at d = 7).
         """
-        seeds = sorted(set(seeds))
-        n = len(seeds[0][1])
         bound = self._order_bound(cls, n)
         vals = self.memo.class_values(cls)
         leads = self._leads
@@ -1049,9 +1055,7 @@ class Engine:
             queued.add(code)
             queue.append(spec)
 
-        code_of = self.memo.code
-        for _cls, ins in seeds:
-            code = code_of(ins)
+        for code in seeds:
             if code not in queued:
                 walk(code)
 
@@ -1172,18 +1176,11 @@ class Engine:
             if left == 0:
                 if wleft == 0 and not vanishes(cls, acc):
                     out.append((cls, tuple(acc)))
-                return
-            if pos >= len(nond):
-                return
-            e = nond[pos]
-            w = weights[e]
-            # take k copies of e
-            max_k = left
-            for k in range(max_k + 1):
-                wk = w * k
-                if wk > wleft:
-                    break
-                rec(pos + 1, left - k, wleft - wk, acc + [e] * k)
+            elif pos < len(nond):
+                e = nond[pos]
+                w = weights[e]  # >= 1: a non-divisor has codimension >= 2
+                for k in range(min(left, wleft // w) + 1):  # k copies of e
+                    rec(pos + 1, left - k, wleft - w * k, acc + [e] * k)
 
         rec(0, n, budget, [])
         return sorted(out)
@@ -1259,11 +1256,11 @@ class Engine:
         key must agree, or InconsistentSystem is raised.
 
         The load is all or nothing. Each distinct class and insertion list
-        is validated once, and each list's weight and base-order sum are
-        summed once; the projection rule compares that sum with
+        is validated once, and each list's weight, base-order sum and packed
+        code are computed once; the projection rule compares that sum with
         ``TargetDatum.order_bound``, the bound ``vanishes`` reads.  The
-        values are staged per class and handed to ``MemoStore.merge`` only
-        after every entry has passed, which raises
+        values are staged per class by code and handed to
+        ``MemoStore.merge`` only after every entry has passed, which raises
         InconsistentSystem, loading nothing, if a value conflicts with one
         already in the memo, and otherwise writes each key by
         ``MemoStore.set``. Text the JSON parser rejects, bytes that are not
@@ -1298,9 +1295,9 @@ class Engine:
         orders = datum.base_orders
         base_case = datum.base_case
         order_bound = self._order_bound
-        only_ints = {int}
-        classes: dict = {}  # admissible cls -> (budget, staged {ins: value})
-        sums_of: dict = {}  # canonical ins -> (weight, base-order sum)
+        code_of = self.memo.code
+        classes: dict = {}  # admissible cls -> (budget, staged {code: value})
+        sums_of: dict = {}  # canonical ins -> (weight, base-order sum, code)
         for entry in entries:
             try:
                 a = entry["a"]
@@ -1328,7 +1325,7 @@ class Engine:
             if known is None:
                 raise CacheFormatError(f"entry class {cls} is not admissible")
             budget, vals = known
-            if not only_ints.issuperset(map(type, ins)):
+            if not _ONLY_INTS.issuperset(map(type, ins)):
                 raise CacheFormatError(f"entry insertions {ins} not canonical")
             sums = sums_of.get(ins)
             if sums is None:
@@ -1337,9 +1334,11 @@ class Engine:
                 ) or tuple(sorted(ins)) != ins:
                     raise CacheFormatError(f"entry insertions {ins} not canonical")
                 sums = sums_of[ins] = (
-                    sum(weights[e] for e in ins), sum(orders[e] for e in ins)
+                    sum(weights[e] for e in ins),
+                    sum(orders[e] for e in ins),
+                    code_of(ins),
                 )
-            weight, order = sums
+            weight, order, code = sums
             if weight != budget:
                 raise CacheFormatError(
                     f"entry ({cls}, {ins}) violates the dimension count"
@@ -1355,7 +1354,7 @@ class Engine:
                     f"cache entry ({cls}, {ins}) = {val} but the "
                     "projection to the base plane forces 0"
                 )
-            old = vals.setdefault(ins, val)
+            old = vals.setdefault(code, val)
             if old != val:
                 raise InconsistentSystem(
                     f"cache entries for ({cls}, {ins}) disagree: {old} vs {val}"

@@ -98,7 +98,18 @@ def _int_str(n: int) -> str:
 
 
 def rat_from_parts(num: str, den: str):
-    """Rebuild an exact scalar in normal form from decimal integer strings."""
+    """Rebuild an exact scalar in normal form from decimal integer strings.
+
+    ``num`` must be ASCII ``-?[0-9]+`` and ``den`` ASCII ``[0-9]+``, not
+    zero; anything else raises ValueError.  ``int`` alone would also take
+    full-width digits, surrounding spaces, ``+`` and ``_``, and a negative
+    denominator.
+    """
+    digits = num[1:] if num[:1] == "-" else num
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"numerator {num!r} is not a decimal integer string")
+    if not (den.isascii() and den.isdigit()):
+        raise ValueError(f"denominator {den!r} is not a decimal digit string")
     d = int(den)
     if d == 0:
         raise ValueError("zero denominator")

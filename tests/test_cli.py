@@ -405,11 +405,18 @@ def test_import_loads_no_heavy_stdlib_modules():
 # ----------------------------------------------------------------------
 
 
-def test_cache_export_import_roundtrip(capsys, tmp_path):
+@pytest.mark.parametrize("degree", [2, 6])
+def test_cache_export_import_roundtrip(capsys, tmp_path, degree):
+    """Export, import and re-export give the same bytes; at d <= 6, the
+    size the benchmark's cache round trip loads, the file has 609 entries."""
     first = tmp_path / "first.json"
     second = tmp_path / "second.json"
-    code, out, _ = run(capsys, "cache", "export", str(first), "--degree", "2")
+    code, out, _ = run(
+        capsys, "cache", "export", str(first), "--degree", str(degree)
+    )
     assert code == 0 and first.exists()
+    entries = json.loads(first.read_text())["entries"]
+    assert len(entries) == {2: 43, 6: 609}[degree]
     code, out, _ = run(capsys, "cache", "import", str(first), "--out", str(second))
     assert code == 0
     assert first.read_bytes() == second.read_bytes()
@@ -498,6 +505,23 @@ def test_cache_import_rejects_oversized_numbers(capsys, tmp_path):
     path.write_text(json.dumps({"target": "hilb2p2", "entries": [entry]}))
     code, _, err = run(capsys, "cache", "import", str(path))
     assert code == 2 and "cache format error" in err
+
+
+@pytest.mark.parametrize(
+    "num, den",
+    [("\uff11", "1"), (" 1", "1"), ("+1", "1"), ("-1", "-1"), ("1_0", "1")],
+)
+def test_cache_import_rejects_values_that_are_not_decimal_strings(
+    capsys, tmp_path, num, den
+):
+    """``int`` would read each of these as a number; as a cache value it is
+    a malformed entry, exit 2, and nothing is re-exported."""
+    path = tmp_path / "odd.json"
+    out = tmp_path / "out.json"
+    entry = {"a": 1, "b": 1, "ins": [3, 8], "num": num, "den": den}
+    path.write_text(json.dumps({"target": "hilb2p2", "entries": [entry]}))
+    code, _, err = run(capsys, "cache", "import", str(path), "--out", str(out))
+    assert code == 2 and "cache format error" in err and not out.exists()
 
 
 def test_cache_import_rejects_a_number_as_value(capsys, tmp_path):

@@ -596,9 +596,9 @@ def test_split_sum_solves_no_factor_whose_partner_is_a_stored_zero():
         if not withheld:
             continue
         fresh = Engine()
-        for key, val in values.items():
-            if key not in withheld:
-                fresh.memo.set(key, val)
+        for (c, ins), val in values.items():
+            if (c, ins) not in withheld:
+                fresh.memo.set(c, fresh.memo.code(ins), val)
         misses = []
         resolve = fresh._resolve
 
@@ -855,14 +855,13 @@ def test_memo_rejects_keys_over_255_insertions():
     datum = hilb_datum()
     store = MemoStore(datum.nondivisors)
     full = ((1, 1), (3,) * 255)
-    store.set(full, 7)  # a digit may reach 255 without spilling over
+    # a digit may reach 255 without spilling over
+    store.set(full[0], store.code(full[1]), 7)
     assert store.decode(store.code(full[1])) == full[1]
     assert store.get(full) == 7 and store.get(((1, 1), (4,))) is None
     for bad in ((3,) * 256, (3,) * 200 + (8,) * 56):
         with pytest.raises(ValueError):
-            store.code(bad)
-        with pytest.raises(ValueError):
-            store.set(((1, 1), bad), 1)
+            store.code(bad)  # the one packer: no write can take such a key
         with pytest.raises(ValueError):
             store.get(((1, 1), bad))
     assert len(store) == 1
@@ -1045,24 +1044,27 @@ def test_solver_substitutes_and_solves_one_unknown():
     and writes its exact value straight into the memo."""
     a, b = ((1, 1), (3, 8)), ((1, 1), (4, 8))
     memo = MemoStore(hilb_datum().nondivisors)
-    solver = ExactLinearSolver(memo)
-    solver.add({a: 3}, -1)  # 3a - 1 = 0
+    ca, cb = memo.code(a[1]), memo.code(b[1])
+    solver = ExactLinearSolver(memo, (1, 1))
+    solver.add({ca: 3}, -1)  # 3a - 1 = 0
     assert memo.get(a) == rat(1, 3) and type(memo.get(a)) is Rat
-    solver.add({b: 2}, 2)  # 2b + 2 = 0
+    solver.add({cb: 2}, 2)  # 2b + 2 = 0
     assert memo.get(b) == -1 and type(memo.get(b)) is int
     solver.add({}, 0)  # 0 = 0 holds
     with pytest.raises(InconsistentSystem):
         solver.add({}, 1)  # 0 = 1
     with pytest.raises(InconsistentSystem):
-        solver.add({a: 3}, 0)  # a = 0 contradicts the stored 1/3
+        solver.add({ca: 3}, 0)  # a = 0 contradicts the stored 1/3
     assert dict(memo.items()) == {a: rat(1, 3), b: -1}
 
 
 def test_solver_rejects_two_unknowns():
     memo = MemoStore(hilb_datum().nondivisors)
-    solver = ExactLinearSolver(memo)
-    with pytest.raises(UnderdeterminedStage):
-        solver.add({((1, 1), (3, 8)): 1, ((1, 1), (4, 8)): 1}, 2)
+    solver = ExactLinearSolver(memo, (1, 1))
+    with pytest.raises(
+        UnderdeterminedStage, match=r"2 unsolved keys: \[\(3, 8\), \(4, 8\)\]"
+    ):
+        solver.add({memo.code((3, 8)): 1, memo.code((4, 8)): 1}, 2)
     assert len(memo) == 0
 
 
@@ -1098,7 +1100,7 @@ def test_lead_equation_cycle_raises():
     with pytest.raises(
         UnderdeterminedStage, match=r"cycle through \(\(1, 2\), \(3, 4, 8\)\)"
     ):
-        eng._solve_for((1, 2), 3, (k1,))
+        eng._solve_for((1, 2), 3, (c1,))
     assert k1 not in eng.memo and k2 not in eng.memo
 
 
@@ -1160,8 +1162,8 @@ def test_harvest_queues_each_spec_after_its_other_unknowns():
             self.lists.append(key[1])
             return spec
 
-        def _harvest_closure(self, cls, st, seeds):
-            super()._harvest_closure(cls, st, seeds)
+        def _harvest_closure(self, cls, st, seeds, n):
+            super()._harvest_closure(cls, st, seeds, n)
             queued = set()
             for spec in st.seen:
                 key = (cls, self.owner[spec])
@@ -1173,7 +1175,9 @@ def test_harvest_queues_each_spec_after_its_other_unknowns():
 
         def _build(self, cls, frame, extras):
             terms, const = super()._build(cls, frame, extras)
-            self.built[(cls, (frame, extras))] = set(terms)
+            self.built[(cls, (frame, extras))] = {
+                (cls, self.memo.decode(code)) for code in terms
+            }
             return terms, const
 
         def _drain(self, cls, st):
@@ -1360,17 +1364,19 @@ def test_lead_equation_constants_are_in_normal_form():
 
 def test_memo_set_normalises_integral_rationals():
     store = MemoStore(hilb_datum().nondivisors)
-    store.set(((1, 1), (3, 8)), rat(4, 2))
+    store.set((1, 1), store.code((3, 8)), rat(4, 2))
     assert type(store.get(((1, 1), (3, 8)))) is int
 
 
 def test_memo_rejects_contradiction():
     store = MemoStore(hilb_datum().nondivisors)
-    key = ((1, 1), (3, 8))
-    store.set(key, rat(1))
-    store.set(key, rat(1))  # idempotent
-    with pytest.raises(InconsistentSystem):
-        store.set(key, rat(2))
+    code = store.code((3, 8))
+    store.set((1, 1), code, rat(1))
+    store.set((1, 1), code, rat(1))  # idempotent
+    with pytest.raises(
+        InconsistentSystem, match=r"conflict at \(\(1, 1\), \(3, 8\)\)"
+    ):
+        store.set((1, 1), code, rat(2))
 
 
 def test_linear_form_zero_detection():
@@ -1853,9 +1859,9 @@ def test_cache_load_writes_every_key_through_set(tmp_path, monkeypatch):
     written = []
     original = MemoStore.set
 
-    def counting_set(store, key, value):
-        written.append(key)
-        return original(store, key, value)
+    def counting_set(store, cls, code, value):
+        written.append((cls, store.decode(code)))
+        return original(store, cls, code, value)
 
     monkeypatch.setattr(MemoStore, "set", counting_set)
     eng = Engine()

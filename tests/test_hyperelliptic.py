@@ -91,7 +91,7 @@ def test_non_integral_counts_raise():
     for poison in (rat(1, 3), rat(-7, 2)):
         eng = Engine()
         key = ((1, 2), (4, 4, 4, 4, 4, 4, 4))
-        eng.memo.set(key, poison)
+        eng.memo.set(key[0], eng.memo.code(key[1]), poison)
         with pytest.raises((NonIntegralCount, NegativeCount)):
             invert_counts(eng, 2, 0)
 
@@ -101,6 +101,6 @@ def test_negative_counts_raise():
     for poison in (rat(-5), -5, rat(-10, 2)):
         eng = Engine()
         key = ((1, 2), (4, 4, 4, 4, 4, 4, 4))
-        eng.memo.set(key, poison)
+        eng.memo.set(key[0], eng.memo.code(key[1]), poison)
         with pytest.raises(NegativeCount):
             invert_counts(eng, 2, 0)

@@ -195,3 +195,14 @@ def test_rat_from_parts_normal_form():
     assert type(rat_from_parts("-6", "4")) is Rat
     with pytest.raises(ValueError):
         rat_from_parts("1", "0")
+    assert rat_from_parts("-0", "007") == 0
+    assert rat_from_parts("-12", "8") == rat(-3, 2)
+    # int() takes each of these; a cache holds only ASCII decimal strings
+    for num, den in (
+        ("\uff11", "1"), ("1", "\uff11"), (" 1", "1"), ("1 ", "1"),
+        ("1", " 1"), ("+1", "1"), ("1", "+1"), ("1_0", "1"), ("1", "1_0"),
+        ("-1", "-1"), ("1", "-1"), ("", "1"), ("-", "1"), ("1", ""),
+        ("--1", "1"), ("1.0", "1"), ("\u00b2", "1"),
+    ):
+        with pytest.raises(ValueError):
+            rat_from_parts(num, den)
