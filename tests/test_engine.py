@@ -1602,8 +1602,14 @@ def _unsolved_entries():
         (_entry((1, 1), (8, 3)), CacheFormatError),  # unsorted
         (_entry((1, 1), (3, 8), num="5"), InconsistentSystem),  # base case is 1
         (_entry((0, 2), (3,) * 7), InconsistentSystem),  # killed, not 0
+        (_entry((1, 1), (3, 9)), CacheFormatError),  # past the basis
+        (_entry((1, 1), (-1, 3)), CacheFormatError),  # negative index
+        (_entry((1, 1), (3,) * 256), CacheFormatError),  # over 255
+        (_entry((-1, 1), (3, 8)), CacheFormatError),  # not effective
+        (_entry((0, 0), (3, 8)), CacheFormatError),  # the zero class
     ],
-    ids=["unsorted", "base-case", "killed"],
+    ids=["unsorted", "base-case", "killed", "index-9", "index-minus-1",
+         "256-insertions", "class-minus-1-1", "class-0-0"],
 )
 def test_failed_cache_load_leaves_the_memo_untouched(tmp_path, bad, error):
     eng = Engine()
