@@ -377,8 +377,12 @@ def _cmd_cache(args) -> int:
 # ----------------------------------------------------------------------
 
 
-def _add_common(sub, cache_flag: bool = True) -> None:
-    sub.add_argument("--json", action="store_true", help="emit one JSON object")
+def _add_common(sub, cache_flag: bool = True, formats=None) -> None:
+    """``--json`` (in ``formats``, a mutually exclusive group, when given)
+    and, unless ``cache_flag`` is false, ``--cache``."""
+    (formats or sub).add_argument(
+        "--json", action="store_true", help="emit one JSON object"
+    )
     if cache_flag:
         sub.add_argument("--cache", help="preload a memo cache file")
 
@@ -407,8 +411,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--pairs", type=int, default=0, help="conjugate point pairs l, 0..min(2, degree)"
     )
-    p.add_argument("--csv", action="store_true", help="emit CSV with a header row")
-    _add_common(p)
+    formats = p.add_mutually_exclusive_group()
+    formats.add_argument("--csv", action="store_true", help="emit CSV with a header row")
+    _add_common(p, formats=formats)
     p.set_defaults(func=_cmd_hyperelliptic)
 
     p = subs.add_parser("tables", help="regenerate all headline tables and diff")

@@ -36,20 +36,22 @@ few corner keys take a frame that refers forward).  The rarest choices
 leave the extras with the fewest sub-multisets, so the split sum walks the
 fewest partitions and a query's closure reaches the fewest lower-stage keys
 (see ``_lead_spec``).
-The harvest walks the closure of the requested keys depth first and queues
-each key's equation after the equations of its other unknowns, so the stage
-is triangular in that order.  It walks packed codes, and reads each key's
-spec and unknowns from one table keyed by the insertion list (``_leads``,
-filled once per list by ``_lead_entry``): 137 lists serve the 581 keys of
-the d <= 6 tables, 361 the 2,700 of the d <= 10 tables.  The table is exact
-because the spec and the unknowns depend on the insertions alone; the class
-enters only through the order bound of the projection rule, which the walk
-reads once per visit.  The solver writes each key into the memo as
-it solves it and ``_build`` reads the earlier ones back as constants, so
-each equation reaches the solver with one key left, which one exact
-division solves.  The memo is the only store of solved values, and the
-harvest stops at memo keys. A cycle among the lead equations, an equation
-left with two unknowns, or a requested key left unsolved raises
+A visit to a stage is one object, an ExactLinearSolver.  The harvest walks
+the closure of the requested keys depth first and queues in the visit's
+``seen`` each key's equation after the equations of its other unknowns, so
+the stage is triangular in that order.  The walk runs on packed codes, and
+reads each key's spec and unknowns from one table keyed by the insertion
+list (``_leads``, filled once per list by ``_lead_entry``): 137 lists serve
+the 581 keys of the d <= 6 tables, 361 the 2,700 of the d <= 10 tables.
+The table is exact because the spec and the unknowns depend on the
+insertions alone; the class enters only through the order bound of the
+projection rule, which the walk reads once per visit.  ``_solve_for`` then
+builds the queued equations in order and hands each to the visit's ``add``,
+which writes its key into the memo; ``_build`` reads the earlier keys back
+as constants, so each equation reaches ``add`` with one key left, which
+one exact division solves.  The memo is the only store of solved values,
+and the harvest stops at memo keys. A cycle among the lead equations, an
+equation left with two unknowns, or a requested key left unsolved raises
 UnderdeterminedStage: reconstruction guarantees solvability, so that is a
 fatal invariant violation, as is any inconsistent equation.  A visit that
 fails partway keeps the exact keys it solved before the failure.
@@ -67,8 +69,8 @@ over any monomial, and the class plans read their pair multipliers from
 it.  A caller's key passes one gate, ``_check_key``, on every ``value_of``
 call; a key the engine forms itself (``_build``, the rows of ``_row``)
 skips it.  Past the gates (``_check_key``, ``normalize``, ``_check_extras``
-and the validation of ``load_cache``) a key is its class and packed code
-alone.  Every key goes to ``_resolve(cls, code)``: memo hit, base case,
+and ``load_cache``, which runs ``_check_class`` and ``MemoStore.code`` on
+each new class and list) a key is its class and packed code alone.  Every key goes to ``_resolve(cls, code)``: memo hit, base case,
 projection rule, then a visit to the key's stage, whose harvest, symbolic
 terms, solver and memo writes all take codes.  A code is decoded only at
 the outward edges: the ``_resolve`` miss that ``base_case`` and
@@ -303,18 +305,23 @@ class MemoStore:
 
 
 class ExactLinearSolver:
-    """Exact solver of one stage visit's equations, writing into the memo.
+    """One visit to a stage of class ``cls``: its queue and exact solver.
 
-    Each equation comes after those of its other unknowns, whose solved
-    values ``_build`` reads from the memo, so one key is left, and one exact
-    division solves it.  A visit's keys are all of its class ``cls``.
+    ``_harvest_closure`` appends to ``seen`` the visit's lead specs, each
+    after those of its other unknowns; ``_solve_for`` builds their equations
+    in that order and hands each to ``add``, which solves it into the memo.
+    Each visit makes a fresh object and drops it on return, so the memo is
+    the only store of solved values.  Each of the 415 visits of the d <= 6
+    count tables in the CLI's query order (455 in the benchmark's seed-7
+    order) solves exactly as many keys as it queued specs.
     """
 
-    __slots__ = ("memo", "cls")
+    __slots__ = ("memo", "cls", "seen")
 
     def __init__(self, memo: MemoStore, cls):
         self.memo = memo
         self.cls = cls
+        self.seen = []  # lead specs in solving order
 
     def add(self, terms: dict, const) -> None:
         """Solve sum(terms * x) + const = 0 for its one key into the memo.
@@ -335,24 +342,6 @@ class ExactLinearSolver:
             )
         elif const != 0:
             raise InconsistentSystem(f"0 = {const} from a harvested equation")
-
-
-class _StageState:
-    """Solving state of one visit to a stage.
-
-    Every visit builds a fresh state and drops it on return: the memo is the
-    only store of solved values.  ``seen`` lists the lead specs the harvest
-    queued, each after the specs of its other unknowns; the drain solves
-    every one of them into the memo, so a later visit to the same stage
-    starts from the memo alone.  Each of the 415 visits of the d <= 6
-    count tables in the CLI's query order (455 in the benchmark's seed-7
-    order) solves exactly as many keys as it queued specs.
-    """
-
-    __slots__ = ("seen",)
-
-    def __init__(self):
-        self.seen = []  # lead specs in solving order
 
 
 class Engine:
@@ -624,7 +613,6 @@ class Engine:
 
         The value is in normal form: an ``int`` when integral, else a Rat.
         """
-        cls = self._check_class(cls)
         form = self.normalize(cls, insertions)
         total = 0
         for key, coeff in sorted(form.terms.items()):
@@ -981,15 +969,17 @@ class Engine:
             self._solve_for(cls, n, codes)
 
     def _solve_for(self, cls, n, codes) -> None:
-        """Visit stage (cls, n) to solve the keys of the packed ``codes``."""
+        """Visit stage (cls, n) to solve the keys of the packed ``codes``:
+        harvest into one ExactLinearSolver, then build and solve its queue."""
         if n < 3:
             raise UnderdeterminedStage(
                 f"stage (cls={cls}, n={n}) reached the solver; base cases "
                 "and dimension vanishing must cover every key with n <= 2"
             )
-        st = _StageState()
-        self._harvest_closure(cls, st, codes, n)
-        self._drain(cls, st)
+        visit = ExactLinearSolver(self.memo, cls)
+        self._harvest_closure(cls, visit, codes, n)
+        for frame, extras in visit.seen:
+            visit.add(*self._build(cls, frame, extras))
         vals = self.memo.class_values(cls)
         missing = [self.memo.decode(c) for c in codes if c not in vals]
         if missing:
@@ -998,28 +988,16 @@ class Engine:
                 f"unsolved: {missing[:5]}{'...' if len(missing) > 5 else ''}"
             )
 
-    def _drain(self, cls, st) -> None:
-        """Build the queued lead equations in order and solve each one.
-
-        The harvest queued every spec after those of its other unknowns and
-        the solver writes each key into the memo, so every equation reaches
-        it with its own key the one key left.  If an equation fails, the
-        exact keys solved before it stay in the memo.
-        """
-        add = ExactLinearSolver(self.memo, cls).add
-        for frame, extras in st.seen:
-            add(*self._build(cls, frame, extras))
-
     # -- harvesting ------------------------------------------------------
 
     def _harvest_closure(self, cls, st, seeds, n) -> None:
         """Queue the lead specs of the seeds' closure in dependency order.
 
         ``seeds`` are the packed codes of keys of stage (cls, n), walked in
-        the order given, depth first; only a cycle's message decodes.  A
-        key's lead spec is queued (appended to ``st.seen``) after the specs
-        of its other unknowns, and the walk stops at memo keys and at keys
-        already queued.  Spec and unknowns come from the per-list table
+        the order given, depth first; only a cycle's message decodes.  ``st``
+        is the visit's ExactLinearSolver.  A key's lead spec is queued
+        (appended to ``st.seen``) after the specs of its other unknowns, and
+        the walk stops at memo keys and at keys already queued.  Spec and unknowns come from the per-list table
         ``_leads`` (``_lead_entry``): 137 lists serve the 581 keys of the
         d <= 6 tables, 361 the 2,700 of the d <= 10 tables.  It is exact
         because both depend on the insertions alone; the class enters only
@@ -1255,11 +1233,12 @@ class Engine:
         projection to the base plane kills must be 0, and two entries of one
         key must agree, or InconsistentSystem is raised.
 
-        The load is all or nothing. Each distinct class and insertion list
-        is validated once, and each list's weight, base-order sum and packed
-        code are computed once; the projection rule compares that sum with
-        ``TargetDatum.order_bound``, the bound ``vanishes`` reads.  The
-        values are staged per class by code and handed to
+        The load is all or nothing. Once its types are JSON integers, a
+        class outside ``_budgets`` passes ``_check_class`` and each distinct
+        list ``MemoStore.code`` and the sorted check, whose ValueError
+        becomes a CacheFormatError; the projection rule compares the list's
+        base-order sum with ``TargetDatum.order_bound``, as ``vanishes`` does.
+        The values are staged per class by code and handed to
         ``MemoStore.merge`` only after every entry has passed, which raises
         InconsistentSystem, loading nothing, if a value conflicts with one
         already in the memo, and otherwise writes each key by
@@ -1289,14 +1268,12 @@ class Engine:
         if not isinstance(entries, list):
             raise CacheFormatError("cache entries must be a list")
         datum = self.datum
-        size = datum.basis_size
-        codims = self._codims
         weights = self._weights
         orders = datum.base_orders
         base_case = datum.base_case
         order_bound = self._order_bound
-        code_of = self.memo.code
-        classes: dict = {}  # admissible cls -> (budget, staged {code: value})
+        budgets = self._budgets
+        staged: dict = {}  # admissible cls -> {code: value}
         sums_of: dict = {}  # canonical ins -> (weight, base-order sum, code)
         for entry in entries:
             try:
@@ -1314,35 +1291,30 @@ class Engine:
                 raise CacheFormatError(f"entry insertions {ins!r} are not a list")
             ins = tuple(ins)
             cls = (a, b)
-            # types before the lookups: 1.0 and True hash and compare as 1
-            known = None
-            if type(a) is int and type(b) is int:
-                known = classes.get(cls)
-                if known is None and (
-                    datum.effective(cls) and not datum.is_zero_class(cls)
-                ):
-                    known = classes[cls] = (self._budget(cls), {})
-            if known is None:
-                raise CacheFormatError(f"entry class {cls} is not admissible")
-            budget, vals = known
-            if not _ONLY_INTS.issuperset(map(type, ins)):
-                raise CacheFormatError(f"entry insertions {ins} not canonical")
-            sums = sums_of.get(ins)
-            if sums is None:
-                if len(ins) > MemoStore.MAX_INSERTIONS or not all(
-                    0 <= e < size and codims[e] >= 2 for e in ins
-                ) or tuple(sorted(ins)) != ins:
-                    raise CacheFormatError(f"entry insertions {ins} not canonical")
-                sums = sums_of[ins] = (
-                    sum(weights[e] for e in ins),
-                    sum(orders[e] for e in ins),
-                    code_of(ins),
-                )
-            weight, order, code = sums
-            if weight != budget:
+            try:
+                # types before the lookups: 1.0 and True hash and compare as 1
+                if not _ONLY_INTS.issuperset(map(type, cls + ins)):
+                    raise ValueError("its class and insertions must be ints")
+                budget = budgets.get(cls)
+                if budget is None:
+                    budget = self._budget(self._check_class(cls))
+                sums = sums_of.get(ins)
+                if sums is None:
+                    code = self.memo.code(ins)
+                    if list(ins) != sorted(ins):
+                        raise ValueError("insertions are not sorted")
+                    sums = sums_of[ins] = (
+                        sum(weights[e] for e in ins),
+                        sum(orders[e] for e in ins),
+                        code,
+                    )
+                weight, order, code = sums
+                if weight != budget:
+                    raise ValueError("it violates the dimension count")
+            except ValueError as exc:
                 raise CacheFormatError(
-                    f"entry ({cls}, {ins}) violates the dimension count"
-                )
+                    f"entry ({cls}, {ins}) is not a canonical key: {exc}"
+                ) from exc
             derivable = base_case(cls, ins)
             if derivable is not None and derivable != val:
                 raise InconsistentSystem(
@@ -1354,12 +1326,12 @@ class Engine:
                     f"cache entry ({cls}, {ins}) = {val} but the "
                     "projection to the base plane forces 0"
                 )
-            old = vals.setdefault(code, val)
+            old = staged.setdefault(cls, {}).setdefault(code, val)
             if old != val:
                 raise InconsistentSystem(
                     f"cache entries for ({cls}, {ins}) disagree: {old} vs {val}"
                 )
-        self.memo.merge({cls: vals for cls, (_b, vals) in classes.items()})
+        self.memo.merge(staged)
         return len(entries)
 
 

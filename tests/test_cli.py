@@ -154,6 +154,16 @@ def test_hyperelliptic_json(capsys):
     assert payload["degree"] == 3 and payload["pairs"] == 1
 
 
+def test_hyperelliptic_csv_and_json_are_exclusive(capsys):
+    """``--csv`` with ``--json`` is a usage error, not JSON with the CSV
+    request dropped."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["hyperelliptic", "--degree", "3", "--csv", "--json"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "not allowed with argument --csv" in err
+
+
 def test_hyperelliptic_range_errors(capsys):
     code, _, _ = run(capsys, "hyperelliptic", "--degree", "1")
     assert code == 2

@@ -1039,6 +1039,30 @@ def test_d10_tables_meet_their_closed_forms():
         assert counts[(d, l)][g] == want, (d, l, g)
 
 
+def test_classes_past_the_line_a_eq_2b_vanish_on_every_stage_key():
+    """Evidence, not a declaration: every admissible key of every stage of
+    each class (a, b) with a > 2b and b >= 2 that the d <= 10 tables reach
+    solves to 0 on a fresh engine.  ``TargetDatum.zero_class`` declares
+    only b = 1; the engine still solves these classes in full."""
+    tables = Engine()
+    for d in range(2, 11):
+        for l in (0, 1, 2):
+            invert_counts(tables, d, l)
+    classes = [(a, b) for a, b in tables.memo.classes() if a > 2 * b and b >= 2]
+    assert classes == [
+        (5, 2), (6, 2), (7, 2), (7, 3), (8, 2), (8, 3), (9, 2), (9, 3), (9, 4)
+    ]
+    eng = Engine()
+    keys = 0
+    for cls in classes:
+        for n in range(eng.datum.weight_budget(cls) + 1):
+            eng.solve_stage(cls, n)
+            for key in eng._stage_keys(cls, n):
+                assert eng.memo.get(key) == 0, key
+                keys += 1
+    assert keys == 3477
+
+
 def test_solver_substitutes_and_solves_one_unknown():
     """``_build`` substitutes every solved key, so the solver gets one key
     and writes its exact value straight into the memo."""
@@ -1142,7 +1166,7 @@ def test_lead_table_matches_the_cup_table():
 def test_harvest_queues_each_spec_after_its_other_unknowns():
     """Over the d <= 6 tables, every unknown of a queued lead spec other
     than its own key is in the memo or was queued earlier in the same
-    visit, each equation the drain hands the solver holds exactly one key,
+    visit, each equation the visit hands its ``add`` holds exactly one key,
     the spec's own, and the visit leaves every queued key in the memo.  The
     unknowns are the cup-table reference, not the engine's table.  The 581
     keys hold 137 insertion lists, and ``_lead_spec`` runs once per list,
@@ -1155,6 +1179,7 @@ def test_harvest_queues_each_spec_after_its_other_unknowns():
             self.lists = []  # the insertions of each _lead_spec call
             self.built = {}  # (cls, spec) -> keys of its equation
             self.visits = self.specs = self.equations = 0
+            self.open = []  # the visits harvested and not yet returned
 
         def _lead_spec(self, key):
             spec = super()._lead_spec(key)
@@ -1172,6 +1197,7 @@ def test_harvest_queues_each_spec_after_its_other_unknowns():
                 queued.add(key)
             self.visits += 1
             self.specs += len(queued)
+            self.open.append(st)
 
         def _build(self, cls, frame, extras):
             terms, const = super()._build(cls, frame, extras)
@@ -1180,8 +1206,11 @@ def test_harvest_queues_each_spec_after_its_other_unknowns():
             }
             return terms, const
 
-        def _drain(self, cls, st):
-            super()._drain(cls, st)
+        def _solve_for(self, cls, n, codes):
+            super()._solve_for(cls, n, codes)
+            # a nested visit harvests and returns inside this one's builds
+            st = self.open.pop()
+            assert st.cls == cls, (st.cls, cls)
             for spec in st.seen:
                 key = (cls, self.owner[spec])
                 assert self.built[(cls, spec)] == {key}, (cls, spec)
