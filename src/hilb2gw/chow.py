@@ -16,9 +16,11 @@ higher basis classes are polynomials in the divisors:
 and the basis is self-dual under the intersection pairing: the integral of
 Ti cup T(8-j) is 1 exactly when i = j. The full multiplication table is
 *derived* at construction time by reducing polynomial products in the
-quotient ring (never hand-typed), and construction fails hard if the derived
-table violates the duality property or if the divisor-decomposition data does
-not reproduce the basis exactly.
+quotient ring (never hand-typed). A datum derives its dimension and
+divisors from the codimensions and its duality permutation from the table,
+and construction fails hard unless the pairing is such a permutation and
+the divisor products span every codimension above 1, so that the divisors
+generate the ring.
 
 Curve classes are lattice points (a, b) = a*B1 + b*B2 in the effective cone,
 with B_i dual to T_j (T1.(a,b) = a, T2.(a,b) = b) and -K.(a,b) = 3b.
@@ -170,10 +172,15 @@ CurveClass = tuple  # lattice point in the effective cone
 class TargetDatum:
     """Everything the reconstruction engine needs about one target variety.
 
-    Immutable after construction, so engines may share one. The
-    constructor validates the multiplication table against the duality
-    property and checks that the divisor-decomposition data reproduces each
-    basis class exactly and spans every graded piece it claims to cover.
+    Immutable after construction, so engines may share one. The caller
+    gives the basis codimensions and the multiplication table; the datum
+    derives from them ``dim`` (the codimension of the top class),
+    ``divisors`` (the codimension-1 indices, ascending), ``rank`` (their
+    number, the rank of the curve lattice) and ``dual`` (for each e, the one
+    f with the integral of T_e . T_f equal to 1).  ``_validate`` refuses a
+    table whose pairing is not a permutation, an involution and
+    complementary in codimension, or whose divisor products fail to span a
+    level of codimension 2 or more.
 
     Besides the ring, a datum carries what it knows of the invariants
     without the engine: ``base_case`` (the two-point values the
@@ -187,35 +194,34 @@ class TargetDatum:
     def __init__(
         self,
         name: str,
-        dim: int,
         codims: tuple[int, ...],
-        divisors: tuple[int, ...],
         cup_table: tuple[tuple[CohVector, ...], ...],
-        dual: tuple[int, ...],
         anticanonical: tuple[int, ...],
-        decompositions: dict,
         base_case: object,  # (cls, ins) -> exact value, or None if not a base case
-        rank: int,
         base: int | None = None,
         zero_class: object = None,  # cls -> True if every invariant is 0
     ):
         self.name = name
-        self.dim = dim
         self.codims = tuple(codims)
         self.basis_size = len(self.codims)
-        self.divisors = tuple(divisors)
         self.cup_table = tuple(
             tuple(self.check_vector(v) for v in row) for row in cup_table
         )
-        self.dual = tuple(dual)
         self.anticanonical = tuple(anticanonical)
-        self.decompositions = {m: tuple(terms) for m, terms in decompositions.items()}
         self.base_case = base_case
-        self.rank = rank
         self.base = base
         self._zero_class = zero_class
 
         self.top = self.basis_size - 1
+        self.dim = self.codims[self.top]
+        self.divisors = tuple(e for e, c in enumerate(self.codims) if c == 1)
+        self.rank = len(self.divisors)
+        # dual[e]: the one f whose product with T_e integrates to 1
+        # (``_validate`` checks that it is one)
+        self.dual = tuple(
+            next((f for f, v in enumerate(row) if self.integrate(v) == 1), None)
+            for row in self.cup_table
+        )
         self.weights = tuple(c - 1 for c in self.codims)
         self.nondivisors = tuple(
             e for e in range(self.basis_size) if self.codims[e] >= 2
@@ -499,38 +505,30 @@ class TargetDatum:
     # -- construction-time validation ---------------------------------------
 
     def _validate(self) -> None:
-        for e in range(self.basis_size):
-            f = self.dual[e]
+        """ValueError unless the pairing is a permutation that is an
+        involution and complements codimension, and, on every level of
+        codimension c >= 2, the products T_d . T_rho of a divisor d and a
+        class rho of codimension c - 1 span the level: the cohomology is
+        generated by divisors, which reconstruction needs."""
+        size, codims, integrate = self.basis_size, self.codims, self.integrate
+        for e, f in enumerate(self.dual):
+            row = self.cup_table[e]
+            if f is None or any(integrate(row[g]) != int(g == f) for g in range(size)):
+                raise ValueError(f"pairing is not a permutation at row {e}")
             if self.dual[f] != e:
-                raise ValueError("duality map is not an involution")
-            if self.codims[e] + self.codims[f] != self.dim:
-                raise ValueError("duality map does not complement codimension")
-        for e in range(self.basis_size):
-            for f in range(self.basis_size):
-                expected = int(f == self.dual[e])
-                if self.integrate(self.cup_table[e][f]) != expected:
-                    raise ValueError(
-                        f"pairing is not the expected permutation at ({e},{f})"
-                    )
-        by_codim: dict = {}
-        for m, terms in self.decompositions.items():
-            total = [0] * self.basis_size
-            for d, rho, c in terms:
-                if self.codims[d] != 1:
-                    raise ValueError(f"decomposition of T{m} uses non-divisor T{d}")
-                if self.codims[rho] != self.codims[m] - 1:
-                    raise ValueError(f"decomposition of T{m} drops codim wrongly")
-                vec = self.cup_table[d][rho]
-                for i, x in enumerate(vec):
-                    total[i] += qnorm(c) * x
-                by_codim.setdefault(self.codims[m], []).append(vec)
-            if tuple(total) != self.basis_vector(m):
-                raise ValueError(f"decomposition of T{m} does not reproduce it")
-        for c, vecs in by_codim.items():
-            level = [e for e in range(self.basis_size) if self.codims[e] == c]
-            mat = [[v[e] for e in level] for v in vecs]
-            if len(_row_reduce(mat)) != len(level):
-                raise ValueError(f"decomposition products do not span codim {c}")
+                raise ValueError("pairing is not an involution")
+            if codims[e] + codims[f] != self.dim:
+                raise ValueError("pairing does not complement codimension")
+        for c in range(2, self.dim + 1):
+            level = [e for e in range(size) if codims[e] == c]
+            prods = [
+                [self.cup_table[d][rho][e] for e in level]
+                for d in self.divisors
+                for rho in range(size)
+                if codims[rho] == c - 1
+            ]
+            if len(_row_reduce(prods)) != len(level):
+                raise ValueError(f"divisor products do not span codim {c}")
 
 
 # --------------------------------------------------------------------------
@@ -583,22 +581,10 @@ def hilb_datum() -> TargetDatum:
     """Datum for the Hilbert scheme of two points in the plane."""
     return TargetDatum(
         name="hilb2p2",
-        dim=4,
         codims=(0, 1, 1, 2, 2, 2, 3, 3, 4),
-        divisors=(1, 2),
         cup_table=build_cup_table(),
-        dual=(8, 7, 6, 5, 4, 3, 2, 1, 0),
         anticanonical=(0, 3),
-        decompositions={
-            3: ((1, 1, 1),),
-            4: ((1, 2, 1), (1, 1, -2)),
-            5: ((1, 1, 1), (1, 2, -1), (2, 2, 1)),
-            6: ((1, 4, 1),),
-            7: ((1, 4, -2), (1, 5, 1)),
-            8: ((1, 7, 1),),
-        },
         base_case=_hilb_base_case,
-        rank=2,
         base=1,
         zero_class=_hilb_zero_class,
     )
@@ -620,13 +606,8 @@ def p2_datum() -> TargetDatum:
     )
     return TargetDatum(
         name="p2",
-        dim=2,
         codims=(0, 1, 2),
-        divisors=(1,),
         cup_table=table,
-        dual=(2, 1, 0),
         anticanonical=(3,),
-        decompositions={2: ((1, 1, 1),)},
         base_case=_p2_base_case,
-        rank=1,
     )

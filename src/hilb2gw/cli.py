@@ -14,7 +14,10 @@ Subcommands:
 
 Exit codes: 0 success; 2 usage or input-format error; 3 a count failed an
 integrality/positivity sanity check; 4 a verification found a value-level
-mismatch; 1 internal invariant violation.
+mismatch; 1 internal invariant violation; 141 (128 + SIGPIPE) standard
+output was closed before the output was written, which ends silently.
+
+Every integer argument is ASCII ``-?[0-9]+`` (``rationals.ascii_int``).
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 
@@ -41,7 +45,7 @@ from .hyperelliptic import (
 )
 from .oracles import engine_nd, kontsevich_nd
 from .quantum import verify_product_table, verify_relations
-from .rationals import rat_str
+from .rationals import ascii_int, rat_str
 
 SCHEMA = "hilb2gw/1"
 
@@ -57,10 +61,7 @@ def _parse_class(text: str):
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"class must be 'a,b', got {text!r}")
-    try:
-        a, b = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ValueError(f"class components must be integers, got {text!r}")
+    a, b = (ascii_int(x, "class component") for x in parts)
     if a < 0 or b < 0 or (a == 0 and b == 0):
         raise ValueError("class must be non-negative and non-zero")
     return (a, b)
@@ -79,23 +80,14 @@ def _parse_insertions(text: str, top: int):
     """
     parsed = []
     for token in text.split(","):
-        token = token.strip()
-        if not token:
-            raise ValueError("empty insertion token")
         body = token.replace("×", "x")
         if "x" in body:
             left, _, right = body.partition("x")
-            try:
-                idx, count = int(left), int(right)
-            except ValueError:
-                raise ValueError(f"bad insertion token {token!r}")
+            idx, count = ascii_int(left, "insertion index"), ascii_int(right, "repeat")
             if count < 0:
                 raise ValueError(f"negative repeat in {token!r}")
         else:
-            try:
-                idx, count = int(body), 1
-            except ValueError:
-                raise ValueError(f"bad insertion token {token!r}")
+            idx, count = ascii_int(body, "insertion index"), 1
         if not 0 <= idx <= top:
             raise ValueError(f"insertion index {idx} out of range 0..{top}")
         parsed.append((idx, count))
@@ -108,6 +100,14 @@ def _parse_insertions(text: str, top: int):
     for idx, count in parsed:
         out.extend([idx] * count)
     return out
+
+
+def _int_arg(text: str) -> int:
+    """The argparse type of every integer option: ``ascii_int``."""
+    try:
+        return ascii_int(text, "value")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _engine(args) -> Engine:
@@ -407,9 +407,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_invariant)
 
     p = subs.add_parser("hyperelliptic", help="(I, E) table over genus for one degree")
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--degree", type=_int_arg, required=True)
     p.add_argument(
-        "--pairs", type=int, default=0, help="conjugate point pairs l, 0..min(2, degree)"
+        "--pairs",
+        type=_int_arg,
+        default=0,
+        help="conjugate point pairs l, 0..min(2, degree)",
     )
     formats = p.add_mutually_exclusive_group()
     formats.add_argument("--csv", action="store_true", help="emit CSV with a header row")
@@ -417,18 +420,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_hyperelliptic)
 
     p = subs.add_parser("tables", help="regenerate all headline tables and diff")
-    p.add_argument("--max-degree", type=int, default=7, metavar="D")
+    p.add_argument("--max-degree", type=_int_arg, default=7, metavar="D")
     _add_common(p)
     p.set_defaults(func=_cmd_tables)
 
     p = subs.add_parser("qcoh", help="verify quantum products and relations")
-    p.add_argument("--n1", type=int, default=4)
-    p.add_argument("--n2", type=int, default=2)
+    p.add_argument("--n1", type=_int_arg, default=4)
+    p.add_argument("--n2", type=_int_arg, default=2)
     _add_common(p)
     p.set_defaults(func=_cmd_qcoh)
 
     p = subs.add_parser("oracle", help="closed-form rational plane-curve count")
-    p.add_argument("--nd", type=int, required=True, metavar="D")
+    p.add_argument("--nd", type=_int_arg, required=True, metavar="D")
     p.add_argument(
         "--check-engine",
         action="store_true",
@@ -442,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument(
         "--degree",
-        type=int,
+        type=_int_arg,
         default=3,
         help="warm the engine with tables up to this degree before export",
     )
@@ -457,7 +460,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed reader fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader of stdout is gone.  End as quietly as a process that
+        # SIGPIPE killed, and point stdout at /dev/null so the interpreter's
+        # final flush of what is still buffered has nothing to fail on.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

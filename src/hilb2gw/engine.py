@@ -26,13 +26,14 @@ insertions, so solving stages in order of (class, then n) is well-founded and
 every stage reduces to an exact linear system in its own keys.
 
 Each stage has one harvest. Every key contributes its lead equation: a frame
-built on an anchor insertion t, the decomposition row of t whose divisor
-product contains t, and two more insertions.  One rule fills all three
-slots: rarest first, the insertion with the fewest copies left (ties are
-settled by index).  Each other cup term of a lead row has a smaller index
-than t, so every other same-stage unknown of the equation has a strictly
-smaller index sum than the key, whichever insertion anchors the frame (a
-few corner keys take a frame that refers forward).  The rarest choices
+built on an anchor insertion t, the lead row of t (the first divisor
+product T_dv . T_rho in index order whose top term is t), and two more
+insertions.  One rule fills all three slots: rarest first, the insertion
+with the fewest copies left (ties are settled by index).  Every other cup
+term of a lead row has a smaller index than t by that choice, so every
+other same-stage unknown of the equation has a strictly smaller index sum
+than the key, whichever insertion anchors the frame (a few corner keys take
+a frame that refers forward).  The rarest choices
 leave the extras with the fewest sub-multisets, so the split sum walks the
 fewest partitions and a query's closure reaches the fewest lower-stage keys
 (see ``_lead_spec``).
@@ -396,8 +397,9 @@ class Engine:
             tuple((min(dp + dq, dq + dp), cp + cq, wp + wq) for dq, cq, wq in one)
             for dp, cp, wp in one
         )
-        # For each non-divisor t, the decomposition row whose divisor product
-        # contains t itself: the frame built on that row isolates the key
+        # For each non-divisor t, its lead row: the first (dv, rho) in index
+        # order, dv a divisor, whose product T_dv . T_rho contains t and no
+        # index above t.  The frame built on that row isolates the key
         # against keys with a strictly smaller index sum.  When the
         # row's second slot rho is itself a divisor, the frame's second family
         # of collapsed terms loses an insertion to the divisor axiom and lands
@@ -407,15 +409,22 @@ class Engine:
         # divisor vanishes, erasing the second family outright.
         self._lead_rows = {}
         for t in d.nondivisors:
-            for dv, rho, _c in d.decompositions[t]:
-                if any(m == t for m, _cm in d.cup_terms[dv][rho]):
-                    vkill = None if d.codims[rho] < 2 else frozenset(
-                        x for x in d.nondivisors if not d.cup_terms[dv][x]
-                    )
-                    self._lead_rows[t] = (dv, rho, vkill)
-                    break
-            else:  # pragma: no cover - decomposition sums exactly to t
-                raise EngineError(f"no self-supporting row for index {t}")
+            row = next(
+                (
+                    (dv, rho)
+                    for dv in d.divisors
+                    for rho in range(d.basis_size)
+                    if [m for m, _c in d.cup_terms[dv][rho]][-1:] == [t]
+                ),
+                None,
+            )
+            if row is None:
+                raise EngineError(f"no divisor product has T{t} as its top term")
+            dv, rho = row
+            vkill = None if d.codims[rho] < 2 else frozenset(
+                x for x in d.nondivisors if not d.cup_terms[dv][x]
+            )
+            self._lead_rows[t] = (dv, rho, vkill)
 
     # ------------------------------------------------------------------
     # canonicalization
@@ -1075,8 +1084,9 @@ class Engine:
     def _lead_spec(self, key):
         """The key's lead equation spec ``(frame, extras)``.
 
-        Triangular frame ``(dv, rho, u, v)``: an anchor insertion t, the row
-        of its decomposition whose product contains t, and two more
+        Triangular frame ``(dv, rho, u, v)``: an anchor insertion t, its
+        lead row (``_lead_rows``: the first divisor product T_dv . T_rho in
+        index order that contains t and no index above t), and two more
         insertions.  A frame is accepted only when its second family of
         same-stage unknowns is ruled out: the row's rho is a divisor (the
         family drops a stage) or the fourth slot erases it (v in vkill).
@@ -1091,13 +1101,13 @@ class Engine:
         fewest partitions A|B and reaches the fewest lower-stage keys.
 
         Any anchor is safe.  For every lead row, each cup term m of
-        T_dv . T_rho other than t has a smaller index than t: T4 -> T3;
-        T5 -> T3, T4; T7 -> T6; T3, T6 and T8 have no other term.  So each
-        first-family unknown, extras + u + v + m = the key minus t plus m,
-        has a strictly smaller index sum than the key, whichever insertion
-        anchors the frame; the second family is erased by v in vkill, or it
-        drops a stage.  The cycle check of ``_harvest_closure`` stays the
-        guard.
+        T_dv . T_rho other than t has a smaller index than t, because the
+        row is chosen so (on Hilb^2: T4 -> T3; T5 -> T3, T4; T7 -> T6; T3,
+        T6 and T8 have no other term).  So each first-family unknown,
+        extras + u + v + m = the key minus t plus m, has a strictly smaller
+        index sum than the key, whichever insertion anchors the frame; the
+        second family is erased by v in vkill, or it drops a stage.  The
+        cycle check of ``_harvest_closure`` stays the guard.
 
         Keys that no anchor fits fall back to the frame of the first t
         tried whose fourth slot is not rho.  Only this frame refers

@@ -97,22 +97,27 @@ def _int_str(n: int) -> str:
     return _int_str(hi) + _int_str(lo).zfill(k)
 
 
+def ascii_int(text: str, what: str) -> int:
+    """The int that ``text`` spells if it is ASCII ``-?[0-9]+``; anything
+    else raises ValueError naming ``what``.  ``int`` alone would also take
+    full-width and other Unicode digits, surrounding spaces, ``+`` and
+    ``_``.  Cache values and command-line integers are parsed with it."""
+    digits = text[1:] if text[:1] == "-" else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{what} {text!r} is not an ASCII decimal integer")
+    return int(text)
+
+
 def rat_from_parts(num: str, den: str):
     """Rebuild an exact scalar in normal form from decimal integer strings.
 
     ``num`` must be ASCII ``-?[0-9]+`` and ``den`` ASCII ``[0-9]+``, not
-    zero; anything else raises ValueError.  ``int`` alone would also take
-    full-width digits, surrounding spaces, ``+`` and ``_``, and a negative
-    denominator.
+    zero (``ascii_int``); anything else raises ValueError.
     """
-    digits = num[1:] if num[:1] == "-" else num
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"numerator {num!r} is not a decimal integer string")
-    if not (den.isascii() and den.isdigit()):
-        raise ValueError(f"denominator {den!r} is not a decimal digit string")
-    d = int(den)
-    if d == 0:
-        raise ValueError("zero denominator")
-    if d == 1:
-        return int(num)
-    return qnorm(Rat(int(num), d))
+    n = ascii_int(num, "numerator")
+    if den == "1":  # most cache values are integers
+        return n
+    d = ascii_int(den, "denominator")
+    if d <= 0:
+        raise ValueError(f"denominator {den!r} is not positive")
+    return qnorm(Rat(n, d))

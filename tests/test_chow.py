@@ -131,14 +131,75 @@ def test_presentation_relations_vanish():
     assert combo == zero
 
 
-def test_decompositions_reproduce_basis_classes():
-    datum = hilb_datum()
-    for m, terms in datum.decompositions.items():
-        total = [rat(0)] * 9
-        for d, rho, c in terms:
-            for i, x in enumerate(datum.cup_basis(d, rho)):
-                total[i] += rat(c) * x
-        assert tuple(total) == datum.basis_vector(m), m
+def test_ring_fields_are_derived_from_codims_and_cup_table():
+    """dim, divisors, rank and dual are read off the codimensions and the
+    cup table, and the engine finds each lead row there: the first
+    (dv, rho) in index order whose product has t as its top term."""
+    from hilb2gw.engine import Engine
+
+    hilb, p2 = hilb_datum(), p2_datum()
+    assert (hilb.dim, hilb.divisors, hilb.rank) == (4, (1, 2), 2)
+    assert hilb.dual == (8, 7, 6, 5, 4, 3, 2, 1, 0)
+    assert (p2.dim, p2.divisors, p2.rank, p2.dual) == (2, (1,), 1, (2, 1, 0))
+    kill = {3, 6, 8}
+    assert Engine()._lead_rows == {
+        3: (1, 1, None),
+        4: (1, 2, None),
+        5: (2, 2, None),
+        6: (1, 4, kill),
+        7: (1, 5, kill),
+        8: (1, 7, kill),
+    }
+    assert Engine(p2)._lead_rows == {2: (1, 1, None)}
+
+
+def _toy_datum(codims, products):
+    """A datum on a made-up ring: T0 is the unit, ``products`` maps an
+    index pair (e, f) to the coefficients {m: c} of T_e . T_f, and every
+    other product of two positive-codimension classes is 0."""
+    from hilb2gw.chow import TargetDatum
+
+    size = len(codims)
+    table = [[[0] * size for _ in range(size)] for _ in range(size)]
+    for e in range(size):
+        table[0][e][e] = table[e][0][e] = 1
+    for (e, f), terms in products.items():
+        for m, c in terms.items():
+            table[e][f][m] = table[f][e][m] = c
+    return TargetDatum(
+        name="toy",
+        codims=codims,
+        cup_table=table,
+        anticanonical=(1,) * codims.count(1),
+        base_case=lambda cls, ins: None,
+    )
+
+
+def test_divisor_products_must_span_every_level():
+    """T1 = H, T2 = A, T3 = B, T4 of codim 3, T5 the point: H^2 = A and
+    H.B = 0, so the divisor products miss B in codimension 2, though the
+    pairing (A^2 = B^2 = pt, A.B = 0, H.T4 = pt) is a permutation."""
+    products = {
+        (1, 1): {2: 1}, (1, 2): {4: 1}, (1, 4): {5: 1}, (2, 2): {5: 1}, (3, 3): {5: 1},
+    }
+    with pytest.raises(ValueError, match="span codim 2"):
+        _toy_datum((0, 1, 2, 2, 3, 4), products)
+
+
+def test_engine_refuses_a_level_without_a_lead_row():
+    """Two divisors whose products T4, T4 and T3 + T4 span codimension 2,
+    but none has T3 as its top term, so T3 has no lead row."""
+    from hilb2gw.engine import Engine, EngineError
+
+    products = {
+        (1, 1): {4: 1}, (1, 2): {4: 1}, (2, 2): {3: 1, 4: 1},
+        (1, 3): {5: 1}, (2, 4): {6: 1},
+        (1, 6): {7: 1}, (2, 5): {7: 1}, (3, 3): {7: 1}, (4, 4): {7: 1},
+    }
+    datum = _toy_datum((0, 1, 1, 2, 2, 3, 3, 4), products)
+    assert datum.dual == (7, 6, 5, 3, 4, 2, 1, 0)
+    with pytest.raises(EngineError, match="T3"):
+        Engine(datum)
 
 
 def test_duality_violation_is_fatal():
@@ -149,15 +210,36 @@ def test_duality_violation_is_fatal():
 
         TargetDatum(
             name="broken",
-            dim=4,
             codims=(0, 1, 1, 2, 2, 2, 3, 3, 4),
-            divisors=(1, 2),
             cup_table=[[tuple(v) for v in row] for row in table],
-            dual=(8, 7, 6, 5, 4, 3, 2, 1, 0),
             anticanonical=(0, 3),
-            decompositions=hilb_datum().decompositions,
             base_case=_hilb_base_case,
-            rank=2,
+        )
+
+
+@pytest.mark.parametrize(
+    "codims, swap, message",
+    [
+        ((0, 1, 1), False, "pairing does not complement codimension"),
+        ((0, 1, 2), True, "pairing is not an involution"),
+    ],
+)
+def test_pairing_must_be_an_involution_complementing_codimension(codims, swap, message):
+    """The plane's table read with codims (0, 1, 1) pairs T1 with itself
+    across a 1-fold; with row 2 moved to T2 . T1 = pt, T2 and T0 no
+    longer pair with each other."""
+    from hilb2gw.chow import TargetDatum
+
+    table = [list(row) for row in p2_datum().cup_table]
+    if swap:
+        table[2] = [(0, 0, 0), (0, 0, 1), (0, 0, 0)]
+    with pytest.raises(ValueError, match=message):
+        TargetDatum(
+            name="bad pairing",
+            codims=codims,
+            cup_table=table,
+            anticanonical=(3,) * codims.count(1),
+            base_case=lambda cls, ins: None,
         )
 
 
@@ -185,15 +267,10 @@ def test_base_divisor_must_cube_to_zero():
     with pytest.raises(ValueError, match="cube"):
         TargetDatum(
             name="wrong base",
-            dim=d.dim,
             codims=d.codims,
-            divisors=d.divisors,
             cup_table=d.cup_table,
-            dual=d.dual,
             anticanonical=d.anticanonical,
-            decompositions=d.decompositions,
             base_case=d.base_case,
-            rank=d.rank,
             base=2,
         )
 

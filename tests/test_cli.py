@@ -379,17 +379,80 @@ def test_oracle_rejects_nonpositive(capsys):
     assert code == 2
 
 
-def test_module_entry_point_runs_the_cli():
-    """``python -m hilb2gw`` runs the same CLI in a fresh interpreter."""
+def _module_env(**extra):
+    """The environment for ``python -m hilb2gw`` run from this checkout."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return dict(
+        os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""), **extra
+    )
+
+
+def test_module_entry_point_runs_the_cli():
+    """``python -m hilb2gw`` runs the same CLI in a fresh interpreter."""
     proc = subprocess.run(
         [sys.executable, "-m", "hilb2gw", "oracle", "--nd", "3"],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=_module_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "12\n"
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_ends_silently_with_141(unbuffered):
+    """A pipe whose read end is closed before the CLI writes ends the run
+    with 141 (128 + SIGPIPE), an empty stderr and no "Exception ignored"
+    at interpreter exit.  Buffered, the write fails at ``main``'s flush;
+    unbuffered, inside the command."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hilb2gw", "oracle", "--nd", "3", "--json"],
+            stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+            env=_module_env(PYTHONUNBUFFERED=unbuffered),
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+def test_unwritable_cache_path_stays_a_usage_error(capsys, tmp_path):
+    """Only a closed stdout exits 141; any other OSError is exit 2."""
+    path = str(tmp_path / "absent" / "out.json")
+    code, out, err = run(capsys, "cache", "export", path, "--degree", "2")
+    assert code == 2 and out == "" and err.startswith("error:") and "absent" in err
+
+
+_INTEGER_SLOTS = {
+    "class": lambda v: ["invariant", "--class", f"1,{v}", "--insertions", "3,8"],
+    "index": lambda v: ["invariant", "--class", "1,1", "--insertions", f"3,{v}"],
+    "repeat": lambda v: ["invariant", "--class", "1,1", "--insertions", f"8x{v}"],
+    "degree": lambda v: ["hyperelliptic", "--degree", v],
+    "pairs": lambda v: ["hyperelliptic", "--degree", "4", "--pairs", v],
+    "max-degree": lambda v: ["tables", "--max-degree", v],
+    "n1": lambda v: ["qcoh", "--n1", v],
+    "n2": lambda v: ["qcoh", "--n2", v],
+    "nd": lambda v: ["oracle", "--nd", v],
+    "cache-degree": lambda v: ["cache", "export", "unused.json", "--degree", v],
+}
+
+
+@pytest.mark.parametrize("slot", sorted(_INTEGER_SLOTS))
+@pytest.mark.parametrize(
+    "text",
+    ["\uff13", "\u0664", " 4", "+4", "4_0"],
+    ids=["fullwidth-3", "arabic-indic-4", "space-4", "plus-4", "4-underscore-0"],
+)
+def test_integers_are_ascii_digits_only(capsys, slot, text):
+    """``int`` takes each of these; every integer the CLI reads is ASCII
+    ``-?[0-9]+`` (``rationals.ascii_int``), so each is a usage error."""
+    try:
+        code = cli.main(_INTEGER_SLOTS[slot](text))
+    except SystemExit as exc:  # argparse rejects an option's value
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and "ASCII decimal integer" in err
 
 
 def test_import_loads_no_heavy_stdlib_modules():

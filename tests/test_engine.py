@@ -648,15 +648,10 @@ def _unpruned_hilb_datum():
     d = hilb_datum()
     return TargetDatum(
         name=d.name,
-        dim=d.dim,
         codims=d.codims,
-        divisors=d.divisors,
         cup_table=d.cup_table,
-        dual=d.dual,
         anticanonical=d.anticanonical,
-        decompositions=d.decompositions,
         base_case=d.base_case,
-        rank=d.rank,
     )
 
 

@@ -20,7 +20,7 @@ from hilb2gw import (
     small_product,
     star,
 )
-from hilb2gw.rationals import Rat, binom, qdiv, qnorm, rat, rat_from_parts
+from hilb2gw.rationals import Rat, ascii_int, binom, qdiv, qnorm, rat, rat_from_parts
 
 
 def is_normal(x) -> bool:
@@ -206,3 +206,10 @@ def test_rat_from_parts_normal_form():
     ):
         with pytest.raises(ValueError):
             rat_from_parts(num, den)
+
+
+def test_ascii_int_takes_only_ascii_decimal_integers():
+    assert [ascii_int(t, "x") for t in ("0", "-0", "007", "-12")] == [0, 0, 7, -12]
+    for text in ("\uff13", "\u0664", " 4", "4 ", "+4", "4_0", "", "-", "--4", "4.0"):
+        with pytest.raises(ValueError, match="the value"):
+            ascii_int(text, "the value")
