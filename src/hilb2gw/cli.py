@@ -190,51 +190,40 @@ def _cmd_hyperelliptic(args) -> int:
     return 0
 
 
+def _diff_tables(engine, dmax):
+    """``(results, mismatch)``: a PASS row per frozen table up to ``dmax``,
+    pairs l = 0, 1, 2, invariants before counts; at the first cell that
+    differs, a FAIL row counting the cells read so far and the mismatch,
+    and no later table is computed.  ``mismatch`` is None when all pass."""
+    results = []
+    for l in (0, 1, 2):
+        tables = {d: invert_counts(engine, d, l) for d in range(2, dmax + 1)}
+        for kind, field, frozen in (
+            ("invariant", "invariants", INVARIANT_TABLES[l]),
+            ("count", "counts", COUNT_TABLES[l]),
+        ):
+            row = {"table": kind, "pairs": l, "cells": 0, "status": "PASS"}
+            results.append(row)
+            for (d, g), want in sorted(frozen.items()):
+                if d <= dmax:
+                    row["cells"] += 1
+                    got = getattr(tables[d], field)[g]
+                    if got != want:
+                        row["status"] = "FAIL"
+                        return results, {
+                            "table": kind, "pairs": l, "d": d, "g": g,
+                            "computed": rat_str(got), "expected": rat_str(want),
+                        }
+    return results, None
+
+
 def _cmd_tables(args) -> int:
     dmax = args.max_degree
     if not 2 <= dmax <= 7:
         raise ValueError("--max-degree must lie in 2..7")
     engine = _engine(args)
     t0 = time.perf_counter()
-    results = []
-    mismatch = None
-    for l in (0, 1, 2):
-        tables = {}
-        for d in range(2, dmax + 1):
-            tables[d] = invert_counts(engine, d, l)
-        for kind, frozen in (("invariant", INVARIANT_TABLES[l]), ("count", COUNT_TABLES[l])):
-            cells = 0
-            for (d, g), want in sorted(frozen.items()):
-                if d > dmax:
-                    continue
-                cells += 1
-                got = (
-                    tables[d].invariants[g]
-                    if kind == "invariant"
-                    else tables[d].counts[g]
-                )
-                if got != want:
-                    mismatch = {
-                        "table": kind,
-                        "pairs": l,
-                        "d": d,
-                        "g": g,
-                        "computed": rat_str(got),
-                        "expected": rat_str(want),
-                    }
-                    break
-            results.append(
-                {
-                    "table": kind,
-                    "pairs": l,
-                    "cells": cells,
-                    "status": "FAIL" if mismatch else "PASS",
-                }
-            )
-            if mismatch:
-                break
-        if mismatch:
-            break
+    results, mismatch = _diff_tables(engine, dmax)
     elapsed = time.perf_counter() - t0
     if args.json:
         _emit_json(

@@ -66,18 +66,22 @@ its divisor multiplier slot, packed code, weight, base order and count.  A
 collapsed term adds the entries of its three new insertions to the sums
 cached for its extras and checks the dimension count and the projection's
 order bound on them (``_canon_code``); ``_canon`` folds the same table
-over any monomial, and the class plans read their pair multipliers from
-it.  A caller's key passes one gate, ``_check_key``, on every ``value_of``
-call; a key the engine forms itself (``_build``, the rows of ``_row``)
-skips it.  Past the gates (``_check_key``, ``normalize``, ``_check_extras``
-and ``load_cache``, which runs ``_check_class`` and ``MemoStore.code`` on
-each new class and list) a key is its class and packed code alone.  Every key goes to ``_resolve(cls, code)``: memo hit, base case,
-projection rule, then a visit to the key's stage, whose harvest, symbolic
-terms, solver and memo writes all take codes.  A code is decoded only at
-the outward edges: the ``_resolve`` miss that ``base_case`` and
-``vanishes`` read, ``_lead_entry``'s call to ``_lead_spec``, the
-LinearForms of ``normalize`` and ``build_equation``, ``MemoStore.items``,
-``save_cache`` and error messages.
+over each monomial of a query's multilinear expansion, and the class plans
+read their pair multipliers from it.  Each query passes its gates once:
+``_check_class``, the index and vector checks of ``_canon``,
+``_check_frame``, ``_check_extras``, ``_check_key`` on every ``value_of``
+call, and in ``load_cache`` ``_check_class`` and ``MemoStore.code`` on each
+new class and list.  Past them a key is its class and packed code alone,
+and a key the engine forms itself skips ``value_of``'s gate: the codes of
+``_canon`` that ``invariant`` resolves, those of ``_build``, the symbolic
+ones of ``wdvv_residual`` among them, and the rows of ``_row``.  Every key
+goes to ``_resolve(cls, code)``: memo hit, base case, projection rule,
+then a visit to the key's stage, whose harvest, symbolic terms, solver and
+memo writes all take codes.  A code is decoded only at the outward edges:
+the ``_resolve`` miss that ``base_case`` and ``vanishes`` read,
+``_lead_entry``'s call to ``_lead_spec``, the LinearForms of ``normalize``
+and ``build_equation``, ``MemoStore.items``, ``save_cache`` and error
+messages.
 
 The split sum does no work it can see is zero.  A frame and extras off the
 dimension count give the zero form before any term is walked.  On the
@@ -109,8 +113,8 @@ image (a >= 1); see ``TargetDatum.vanishes`` and its bound
 ``TargetDatum.order_bound`` (``math.inf`` without a base divisor).
 ``_resolve`` stores such a key as 0 without visiting a stage, as it stores
 a base case; ``_canon`` and ``_canon_code`` drop it like a dimension
-mismatch, and so does ``normalize``, which canonicalizes each monomial
-with ``_canon``; the harvest and ``solve_stage`` never queue it; a cache
+mismatch, and so do ``normalize`` and ``invariant``, which expand with
+``_canon``; the harvest and ``solve_stage`` never queue it; a cache
 entry that gives it a nonzero value is an InconsistentSystem, and
 ``save_cache`` leaves it out.  The split sum is unchanged: a killed factor
 becomes a stored 0 the first time it is looked up.
@@ -436,43 +440,57 @@ class Engine:
             b = self._budgets[cls] = self.datum.weight_budget(cls)
         return b
 
-    def _canon(self, cls, idxs):
-        """Canonicalize a basis-index monomial: returns (ins, mult) or None.
+    def _canon(self, cls, insertions) -> dict:
+        """Expand insertions multilinearly into ``{code: coefficient}``.
 
-        Folds the ``_units`` entry of each index: the divisors' intersection
-        numbers with ``cls`` multiply into ``mult``, and the non-divisors
-        add their packed code, weight, base order and count.  ``None`` means
-        the monomial contributes zero: a fundamental class or a divisor of
-        zero intersection, a weight off the budget, or a base-order sum past
-        ``TargetDatum.order_bound`` (infinite without a base divisor).  More
-        than 255 non-divisor insertions on the budget raise ValueError,
-        before the order bound is read.  ``ins`` is the sorted tuple,
-        decoded from the code.
+        Indices and cohomology vectors are checked as ``normalize`` states;
+        ``cls`` must be admissible.  Each monomial folds the ``_units`` entry
+        of each index: a divisor multiplies its coefficient by its
+        intersection number with ``cls``, a non-divisor adds its packed code,
+        weight, base order and count.  A monomial with a fundamental class or
+        a divisor of zero intersection, off the weight budget, or past
+        ``TargetDatum.order_bound`` adds nothing; more than 255 non-divisors
+        on the budget raise ValueError first.  Coefficients are in normal
+        form, zeros left out, and no code is decoded.
         """
+        datum = self.datum
+        indices = []
+        vectors = []
+        for ins in _as_tuple(insertions, "insertions"):
+            if isinstance(ins, (tuple, list)):
+                vec = datum.check_vector(ins)
+                vectors.append(tuple((e, c) for e, c in enumerate(vec) if c != 0))
+            else:
+                indices.append(datum.check_index(ins))
+        combos = [(indices, 1)]
+        for pairs in vectors:
+            combos = [(idx + [e], c * ce) for idx, c in combos for e, ce in pairs]
         units = self._units
         mults = cls + (1, 0)  # indexed by a unit's slot
-        mult = 1
-        code = w = t = n = 0
-        for e in idxs:
-            s, ce, we, te, ne = units[e]
-            mult *= mults[s]
-            code += ce
-            w += we
-            t += te
-            n += ne
-        if not mult or w != self._budget(cls):
-            return None
-        if n > MemoStore.MAX_INSERTIONS:
-            raise ValueError(
-                f"a memo key holds at most {MemoStore.MAX_INSERTIONS} "
-                f"insertions, got {n}"
-            )
-        if t > self._order_bound(cls, n):
-            return None
-        return self.memo.decode(code), mult
+        budget = self._budget(cls)
+        terms: dict = {}
+        for idxs, c in combos:
+            code = w = t = n = 0
+            for e in idxs:
+                s, ce, we, te, ne = units[e]
+                c *= mults[s]
+                code += ce
+                w += we
+                t += te
+                n += ne
+            if not c or w != budget:
+                continue
+            if n > MemoStore.MAX_INSERTIONS:
+                raise ValueError(
+                    f"a memo key holds at most {MemoStore.MAX_INSERTIONS} "
+                    f"insertions, got {n}"
+                )
+            if t <= self._order_bound(cls, n):
+                terms[code] = terms.get(code, 0) + c
+        return {code: qnorm(c) for code, c in terms.items() if c != 0}
 
     def _canon_code(self, cls, x, y, m, sums):
-        """``_canon`` on packed codes, for the collapsed terms of ``_build``
+        """``_canon`` of one monomial, for the collapsed terms of ``_build``
         and the three-point rows of ``_row``.
 
         Canonicalizes the monomial (x, y, m) plus extras whose sums
@@ -480,8 +498,8 @@ class Engine:
         ``_partition_groups`` returns them (``_NO_EXTRAS`` for none):
         each of x, y and m adds its ``_units`` entry.  Returns ``(code, n,
         mult)``, the packed code and insertion count of the key and the
-        divisor multiplier, or None where ``_canon`` gives None.  No tuple
-        is formed or sorted, and the three units are read unrolled.
+        divisor multiplier, or None where ``_canon`` leaves the monomial
+        out.  No index is checked, and the three units are read unrolled.
         """
         code, w, t, n = sums
         units = self._units
@@ -506,31 +524,12 @@ class Engine:
         insertion limit, even one that the projection to the base plane
         would drop. The class must be effective and nonzero; degree-0
         invariants exist only inside equation building, never as keys.
-        Coefficients are in normal form and the constant is 0.
+        Coefficients are in normal form and the constant is 0.  The codes
+        of ``_canon``'s expansion are decoded here, at the public edge.
         """
         cls = self._check_class(cls)
-        datum = self.datum
-        indices = []
-        vectors = []
-        for ins in _as_tuple(insertions, "insertions"):
-            if isinstance(ins, (tuple, list)):
-                vec = datum.check_vector(ins)
-                vectors.append(tuple((e, c) for e, c in enumerate(vec) if c != 0))
-            else:
-                indices.append(datum.check_index(ins))
-        combos = [(tuple(indices), 1)]
-        for pairs in vectors:
-            combos = [
-                (idx + (e,), c * ce) for idx, c in combos for e, ce in pairs
-            ]
-        terms: dict = {}
-        for idxs, c in combos:
-            canon = self._canon(cls, idxs)
-            if canon is not None:
-                ins, mult = canon
-                key = (cls, ins)
-                terms[key] = terms.get(key, 0) + c * mult
-        return LinearForm({k: qnorm(v) for k, v in terms.items() if v != 0})
+        terms = self._canon(cls, insertions)
+        return LinearForm({(cls, self.memo.decode(c)): v for c, v in terms.items()})
 
     def _check_class(self, cls) -> tuple:
         """The class as a tuple if effective and nonzero, else ValueError."""
@@ -548,11 +547,11 @@ class Engine:
     def value_of(self, key):
         """Exact value of a canonical admissible key, solving stages on demand.
 
-        The entry point for a caller's key.  Every call, hit or miss, passes
-        ``_check_key``, so a bad key raises ValueError and leaves the memo
-        unchanged, on a cold engine and a warm one alike; then the class and
-        the packed code the gate returns go to ``_resolve``, the path every
-        key the engine forms itself takes.
+        The entry point for a caller's key; the engine never calls it.
+        Every call, hit or miss, passes ``_check_key``, so a bad key raises
+        ValueError and leaves the memo unchanged, on a cold engine and a
+        warm one alike; then the class and the packed code the gate returns
+        go to ``_resolve``, the path every key the engine forms takes.
         """
         code = self._check_key(key)
         return self._resolve(key[0], code)
@@ -561,9 +560,9 @@ class Engine:
         """Exact value of the key of class ``cls`` and packed code ``code``:
         the one path of every key, a caller's or the engine's.
 
-        The key must be canonical and admissible, as every key ``_build``
-        and ``_row`` form is and as ``value_of`` checks.  A key the memo
-        holds (it may have been solved since the caller's lookup) is
+        The key must be canonical and admissible, as every key ``_canon``,
+        ``_build`` and ``_row`` form is and as ``value_of`` checks.  A key
+        the memo holds (it may have been solved since the caller's lookup) is
         returned undecoded.  A miss is decoded to the sorted tuple that
         ``base_case`` and ``vanishes`` read, the one decode on this path: a
         base case or a key the projection to the base plane kills is stored
@@ -589,7 +588,8 @@ class Engine:
         key, else ValueError: a pair of tuples ``(cls, ins)``, cls nonzero
         and effective, ins the sorted non-divisor basis indices (ints, at
         most 255 of them) whose weights fill the class's dimension budget.
-        It runs on every ``value_of`` call, so a class passes
+        It runs on every ``value_of`` call and on no key the engine forms
+        (``invariant``'s and ``wdvv_residual``'s too), so a class passes
         ``_check_class`` only while ``_budgets``, which holds admissible
         classes only, lacks it.  ``MemoStore.code`` packs the insertions and
         refuses a non-int, a non-divisor index or more than 255 of them;
@@ -618,14 +618,16 @@ class Engine:
         return code
 
     def invariant(self, cls, insertions):
-        """I_cls(insertions): canonicalize, then resolve every key.
+        """I_cls(insertions): each packed code ``_canon`` forms goes to
+        ``_resolve``, past ``value_of``'s gate.
 
-        The value is in normal form: an ``int`` when integral, else a Rat.
+        A bad class or insertion raises ``normalize``'s ValueError.  The
+        value is in normal form: an ``int`` when integral, else a Rat.
         """
-        form = self.normalize(cls, insertions)
+        cls = self._check_class(cls)
         total = 0
-        for key, coeff in sorted(form.terms.items()):
-            total += coeff * self.value_of(key)
+        for code, coeff in self._canon(cls, insertions).items():
+            total += coeff * self._resolve(cls, code)
         return qnorm(total)
 
     def three_point_row(self, cls, x, y):
@@ -711,11 +713,14 @@ class Engine:
 
     def wdvv_residual(self, cls, frame, extras):
         """Value of a fully resolved associativity relation, always zero: the
-        relation of ``build_equation`` with each symbolic key resolved."""
-        form = self.build_equation(cls, frame, extras)
-        total = form.constant
-        for key, coeff in form.terms.items():
-            total += coeff * self.value_of(key)
+        relation of ``build_equation``, past its gates, with each code that
+        ``_build`` leaves symbolic resolved by ``_resolve``."""
+        cls = self._check_class(cls)
+        frame = self._check_frame(frame)
+        extras = self._check_extras(extras)
+        terms, total = self._build(cls, frame, extras)
+        for code, coeff in terms.items():
+            total += coeff * self._resolve(cls, code)
         return qnorm(total)
 
     def _check_frame(self, frame):

@@ -33,7 +33,7 @@ from hilb2gw.engine import (
     MemoStore,
 )
 from hilb2gw.fixtures import COUNT_TABLES
-from hilb2gw.rationals import Rat, rat
+from hilb2gw.rationals import Rat, qnorm, rat
 
 from properties_util import (
     check_dimension_vanishing,
@@ -342,9 +342,10 @@ def test_canon_code_agrees_with_canon_on_random_monomials(datum):
     """``_canon`` and ``_canon_code``, which both read the per-index table
     ``Engine._units``, against a reference that does not: ``_plain_strip``,
     the datum's weight budget, ``TargetDatum.vanishes`` and ``sorted``.
-    ``_canon`` gives the reference's (sorted insertions, multiplier) and
-    ``_canon_code`` its code, insertion count and multiplier, each None
-    exactly where the reference is, on random monomials of both targets.
+    ``_canon`` gives ``{code: multiplier}`` of the reference's key, empty
+    where the reference is None, and ``_canon_code`` its code, insertion
+    count and multiplier, None exactly where the reference is, on random
+    monomials of both targets.
     They include the fundamental class T0 on and off the budget, divisors
     of zero intersection, monomials off the budget and, on Hilb^2, keys the
     projection to the base plane kills; the plane has no base divisor, so
@@ -363,14 +364,16 @@ def test_canon_code_agrees_with_canon_on_random_monomials(datum):
             want = None
         else:
             want = tuple(sorted(hit[0])), hit[2]
-        assert eng._canon(cls, mono) == want, (cls, mono)
         sums, _groups = eng._partition_groups(extras)
         got = eng._canon_code(cls, x, y, m, sums)
         if want is None:
+            assert eng._canon(cls, mono) == {}, (cls, mono)
             assert got is None, (cls, mono)
         else:
             ins, mult = want
-            assert got == (eng.memo.code(ins), len(ins), mult), (cls, mono)
+            code = eng.memo.code(ins)
+            assert eng._canon(cls, mono) == {code: mult}, (cls, mono)
+            assert got == (code, len(ins), mult), (cls, mono)
         bare = [e for e in mono if datum.codims[e] >= 2]
         on_budget = sum(datum.weights[e] for e in bare) == datum.weight_budget(cls)
         if 0 in mono:
@@ -390,6 +393,87 @@ def test_canon_code_agrees_with_canon_on_random_monomials(datum):
     else:  # no divisor of the plane meets a nonzero class in 0
         assert datum.order_bound((2,), 5) == math.inf
     assert all(seen[kind] >= 50 for kind in kinds), seen
+
+
+def _random_insertion_list(datum, rng, cls):
+    """Non-divisors drawn until they fill the weight budget of ``cls`` or
+    overshoot it, up to two divisors and now and then the fundamental
+    class, shuffled; up to two entries are replaced by a cohomology vector
+    (a list or a tuple) on the entry, another index of its weight and any
+    index, with random nonzero coefficients, so it expands to several
+    monomials and, on Hilb^2, to several keys."""
+    nond = datum.nondivisors
+    need = datum.weight_budget(cls)
+    ins = []
+    while need > 0:
+        e = rng.choice(nond)
+        ins.append(e)
+        need -= datum.weights[e]
+    ins += [rng.choice(datum.divisors) for _ in range(rng.randrange(3))]
+    if rng.random() < 0.05:
+        ins.append(0)
+    rng.shuffle(ins)
+    coeffs = (-3, -2, -1, 1, 2, 3, rat(1, 2), rat(-2, 3))
+    for pos in rng.sample(range(len(ins)), min(len(ins), rng.randrange(3))):
+        e = ins[pos]
+        twin = [
+            x for x in range(datum.basis_size) if datum.weights[x] == datum.weights[e]
+        ]
+        vec = [0] * datum.basis_size
+        for x in (e, rng.choice(twin), rng.randrange(datum.basis_size)):
+            vec[x] += rng.choice(coeffs)
+        ins[pos] = vec if rng.random() < 0.5 else tuple(vec)
+    return ins
+
+
+@pytest.mark.parametrize(
+    "datum, classes",
+    [
+        (hilb_datum(), [(1, 0), (0, 1), (1, 1), (2, 0), (2, 1), (3, 1), (1, 2)]),
+        (p2_datum(), [(1,), (2,), (3,), (4,)]),
+    ],
+    ids=["hilb2", "p2"],
+)
+def test_invariant_resolves_what_normalize_expands(datum, classes):
+    """``invariant``, which resolves ``_canon``'s packed codes directly,
+    equals the sum of ``normalize``'s keys valued by ``value_of`` on a
+    second fresh engine, on seeded random insertion lists whose vectors
+    expand to several monomials and, on Hilb^2, several keys."""
+    eng, ref = Engine(datum), Engine(datum)
+    rng = random.Random(31)
+    seen = Counter()
+    for _ in range(200):
+        cls = rng.choice(classes)
+        ins = _random_insertion_list(datum, rng, cls)
+        terms = ref.normalize(cls, ins).terms
+        want = qnorm(sum(c * ref.value_of(key) for key, c in terms.items()))
+        assert eng.invariant(cls, ins) == want, (cls, ins)
+        seen["vector"] += any(isinstance(x, (list, tuple)) for x in ins)
+        seen["several keys"] += len(terms) > 1
+        seen["nonzero"] += want != 0
+    assert seen["vector"] >= 50 and seen["nonzero"] >= 30, seen
+    if datum.base is not None:
+        assert seen["several keys"] >= 20, seen
+
+
+def test_tables_make_no_caller_gate_calls(monkeypatch):
+    """The d <= 6 tables resolve every key the engine forms past the
+    caller's gate: no ``Engine.value_of`` and no ``Engine._check_key``."""
+    calls = {"value_of": 0, "_check_key": 0}
+    for name in calls:
+        original = getattr(Engine, name)
+
+        def counted(self, *args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(Engine, name, counted)
+    eng = Engine()
+    for l in (0, 1, 2):
+        for d in range(2, 7):
+            invert_counts(eng, d, l)
+    assert len(eng.memo) > 500
+    assert calls == {"value_of": 0, "_check_key": 0}
 
 
 def test_reduction_chain_for_single_insertion_values(engine):
