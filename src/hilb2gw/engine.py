@@ -87,19 +87,32 @@ The split sum does no work it can see is zero.  A frame and extras off the
 dimension count give the zero form before any term is walked.  On the
 count every (split, e) pair balances its weights, so the work is planned
 in two layers.  A class plan, built once per class from one
-``TargetDatum.splits`` call, holds each split's live value dicts and one
-tuple of its (e, e^) pairs whose own divisor multipliers are nonzero;
-splits into a class the datum declares zero (``TargetDatum.zero_class``)
-are left out, so their keys are never looked up or stored.  A signature
-plan, one per class and divisors of the frame's two sides, keeps the
-splits whose frame-divisor multiplier is nonzero, next to the class plan's
-own pair tuple; the weights pick the partition group at lookup.  Along
-the plan, both factors of a term are looked up before either is solved: a
-stored zero ends the term, and a missing factor is solved only while its
-partner can still be nonzero.  The memo therefore never solves a key just
-to multiply it by a known zero; which keys it holds depends slightly on
-the query order, their values do not.  All arithmetic is exact and
-everything runs on the calling thread.
+``TargetDatum.splits`` call, holds each split's two value dicts, their
+denominator and one tuple of its (e, e^) pairs whose own divisor
+multipliers are nonzero; splits into a class the datum declares zero
+(``TargetDatum.zero_class``) are left out, so their keys are never looked
+up or stored.  A class is closed when its weight budget is at most 2:
+every key of it holds at most two insertions, so it is a base case or a
+key the projection kills, and none is ever solved.  On Hilb^2 the closed
+classes are the (a, 0), whose base cases +-3/a^2 are the only true
+fractions the tables meet; on the plane, (1,).  A closed side's value
+dict is a static table of ints, its values times their lcm denominator
+D, read from the datum once per class; any other side's is the class's
+live memo dict, with D = 1.  A signature plan, one per class and divisors
+of the frame's two sides, keeps the splits whose frame-divisor multiplier
+is nonzero, next to the class plan's own pair tuple, and the lcm lcd of
+their D1 * D2; each split carries lcd / (D1 * D2), one int per distinct
+denominator.  The weights pick the partition group at lookup.  So the
+split sum adds ints only, and divides by lcd once per ordering.  It never
+solves a key of a closed class, nor looks one up or stores one in the
+memo unless the projection kills it (no closed class of Hilb^2 or the
+plane has such a key), so the memo holds a closed key only when a query
+asks for it.  Along the plan, both factors of a term are looked up before
+either is solved: a stored zero ends the term, and a missing factor is
+solved only while its partner can still be nonzero.  The memo therefore
+never solves a key just to multiply it by a known zero; which keys it
+holds depends slightly on the query order, their values do not.  All
+arithmetic is exact and everything runs on the calling thread.
 
 About half of the keys the tables reach are zero by a theorem, and the
 engine never solves one of them.  The Hilbert scheme is a P^2-bundle over
@@ -123,6 +136,7 @@ becomes a stored 0 the first time it is looked up.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 
 from .chow import TargetDatum, hilb_datum
@@ -365,8 +379,9 @@ class Engine:
         # only on a class it does not find here.
         self._budgets: dict = {}
         self._partition_cache: dict = {}
-        self._class_plans: dict = {}  # live splits with their sub, by cls
-        self._signature_plans: dict = {}  # splits tuples by (cls, div1, div2)
+        self._class_plans: dict = {}  # splits with values, den, sub, by cls
+        self._signature_plans: dict = {}  # (lcd, splits) by (cls, div1, div2)
+        self._closed: dict = {}  # (scaled values, D) by closed class
         self._boxes: dict = {}  # nonempty rows of a box, by (x, y, n1, n2)
         self._leads: dict = {}  # (spec, unknowns) by insertion code
         d = self.datum
@@ -759,9 +774,15 @@ class Engine:
         split factor by adding codes along the plan.  A key is looked up in
         its class's live value dict: a miss below the stage goes to
         ``_resolve`` on its code, and a miss in the stage stays symbolic,
-        keyed by its code in the returned ``{code: coefficient}``.  Every
-        sum runs in one accumulator, int until a true fraction enters it,
-        and the constant is brought to normal form once, at return."""
+        keyed by its code in the returned ``{code: coefficient}``.  A closed
+        side of a split (``_side_values``) is read from its plan's static
+        table instead: an int dict of its values times their denominator,
+        never the memo.  So each split's sum ``acc`` and each ordering's
+        ``part``, lcd times its value, are ints whenever the memo's values
+        are, as every value of a class that is not closed has been on the
+        tables.  ``part`` is divided by the plan's lcd once per ordering
+        (``qdiv``), only when lcd > 1, and the constant is brought to normal
+        form once, at return."""
         i, j, k, l = frame
         if j == l:
             return {}, 0
@@ -811,9 +832,10 @@ class Engine:
             # the non-divisor entries of (p, q).
             div1, code1, w1 = sides[p][q]
             div2, code2, _w2 = sides[r][s]
-            splits = signature_plans.get((cls, div1, div2))
-            if splits is None:
-                splits = self._split_plan(cls, div1, div2)
+            plan = signature_plans.get((cls, div1, div2))
+            if plan is None:
+                plan = self._split_plan(cls, div1, div2)
+            lcd, splits = plan
             part = 0
             # Python-level calls stay out of this loop (_resolve runs only on
             # a memo miss): it runs at the deepest point of the stage
@@ -825,8 +847,10 @@ class Engine:
             # either is solved: a term with a stored zero is skipped, and a
             # missing factor is solved only while its partner can still be
             # nonzero (v1 first, then v2 if v1 came out nonzero), so no key
-            # is solved just to be multiplied by a known zero.
-            for vals1, vals2, b1, b2, m, sub in splits:
+            # is solved just to be multiplied by a known zero.  A closed
+            # side's dict holds its values times its denominator, so acc and
+            # part stay int; scale lifts each split to the plan's lcd.
+            for vals1, vals2, b1, b2, m, scale, sub in splits:
                 acc = 0
                 for pe, peh, f, need in sub:
                     grp = groups.get(need - w1)
@@ -852,58 +876,74 @@ class Engine:
                                 continue
                         acc += f * mult * v1 * v2
                 if acc:
-                    part += m * acc
+                    part += m * scale * acc
+            if lcd > 1:
+                part = qdiv(part, lcd)
             const += sign * part
 
         return {k: v for k, v in terms.items() if v != 0}, qnorm(const)
 
     def _split_plan(self, cls, div1, div2):
         """The splits of ``_class_plan(cls)`` that a frame with divisors div1
-        on its first side and div2 on its second can reach.
+        on its first side and div2 on its second can reach, with their
+        common denominator: ``(lcd, splits)``.
 
-        Each is ``(vals1, vals2, b1, b2, m, sub)`` with m the frame-divisor
-        multiplier, the product of b1[pos[x]] over x in div1 and b2[pos[x]]
-        over x in div2; splits with m = 0 are left out.  ``sub`` is the class
-        plan's own tuple, so every signature of a class shares its entries.
-        Built once per signature, on ``_build``'s first miss in
-        ``_signature_plans``, and stored there.
+        Each split is ``(vals1, vals2, b1, b2, m, scale, sub)`` with m the
+        frame-divisor multiplier, the product of b1[pos[x]] over x in div1
+        and b2[pos[x]] over x in div2; splits with m = 0 are left out.  lcd
+        is the lcm of the kept splits' denominators D1 * D2 (1 when no
+        closed side holds a true fraction), and ``scale = lcd // (D1 * D2)``
+        is one int object per distinct denominator, so a split term summed
+        over the scaled closed values and multiplied by scale is lcd times
+        its value.  ``sub`` is the class plan's own tuple, so every
+        signature of a class shares its entries.  Built once per signature,
+        on ``_build``'s first miss in ``_signature_plans``, and stored there.
         """
         pos = self.datum.divisor_pos
-        out = []
-        for vals1, vals2, b1, b2, sub in self._class_plan(cls):
+        kept = []
+        dens = set()
+        for vals1, vals2, b1, b2, den, sub in self._class_plan(cls):
             m = 1
             for x in div1:
                 m *= b1[pos[x]]
             for x in div2:
                 m *= b2[pos[x]]
             if m:
-                out.append((vals1, vals2, b1, b2, m, sub))
-        plan = self._signature_plans[(cls, div1, div2)] = tuple(out)
+                kept.append((vals1, vals2, b1, b2, m, den, sub))
+                dens.add(den)
+        lcd = math.lcm(*dens)
+        scales = {den: lcd // den for den in dens}
+        splits = tuple(
+            (vals1, vals2, b1, b2, m, scales[den], sub)
+            for vals1, vals2, b1, b2, m, den, sub in kept
+        )
+        plan = self._signature_plans[(cls, div1, div2)] = (lcd, splits)
         return plan
 
     def _class_plan(self, cls):
         """The splits b1 + b2 = cls of every frame, built once per class.
 
-        One ``(vals1, vals2, b1, b2, sub)`` per split from one
-        ``TargetDatum.splits`` call, with the two classes' live memo value
-        dicts.  ``sub`` lists ``(code(e), code(e^), f, need)`` for every basis
-        pair whose multiplier f is nonzero, and need = budget(b1) - w(e), so
-        the partition side A of the first factor has weight
-        ``need - w(kept1)``.  Code, weight and f come from ``_units``: f is
-        the slot multiplier of e in b1 times that of e^ in b2, which is
-        b1 . T_e for a divisor e, 1 for a non-divisor and 0 for the
-        fundamental class, so a pair with a fundamental-class end drops
-        out by itself.  A split with a side in a class that
-        ``TargetDatum.zero_class`` declares zero is left out, so the split
-        sum never looks up or stores keys of such a class; so is a split
-        with no surviving pair.  Cached in ``_class_plans``.
+        One ``(vals1, vals2, b1, b2, den, sub)`` per split from one
+        ``TargetDatum.splits`` call.  A side whose class is closed (weight
+        budget <= 2) gets the static dict of ``_side_values``, holding its
+        values times its denominator D; any other side gets its class's live
+        memo value dict and D = 1; den = D1 * D2.  ``sub`` lists
+        ``(code(e), code(e^), f, need)`` for every basis pair whose
+        multiplier f is nonzero, and need = budget(b1) - w(e), so the
+        partition side A of the first factor has weight ``need - w(kept1)``.
+        Code, weight and f come from ``_units``: f is the slot multiplier of
+        e in b1 times that of e^ in b2, which is b1 . T_e for a divisor e, 1
+        for a non-divisor and 0 for the fundamental class, so a pair with a
+        fundamental-class end drops out by itself.  A split with a side in a
+        class that ``TargetDatum.zero_class`` declares zero is left out, so
+        the split sum never looks up or stores keys of such a class; so is a
+        split with no surviving pair.  Cached in ``_class_plans``.
         """
         plan = self._class_plans.get(cls)
         if plan is not None:
             return plan
         datum = self.datum
         units = self._units
-        values = self.memo.class_values
         zero_class = datum.zero_class
         out = []
         for b1, b2 in datum.splits(cls):
@@ -920,9 +960,47 @@ class Engine:
                 if f:
                     sub.append((pe, peh, f, bud1 - we))
             if sub:
-                out.append((values(b1), values(b2), b1, b2, tuple(sub)))
+                vals1, den1 = self._side_values(b1)
+                vals2, den2 = self._side_values(b2)
+                out.append((vals1, vals2, b1, b2, den1 * den2, tuple(sub)))
         plan = self._class_plans[cls] = tuple(out)
         return plan
+
+    def _side_values(self, cls):
+        """``(values, D)`` for one side of a split: the class's live memo
+        value dict and D = 1, or for a closed class a static dict of its
+        values times D, the lcm of their denominators, so every entry is an
+        int.
+
+        A class is closed when its weight budget is at most 2.  Every
+        non-divisor has weight >= 1, so a key of it holds at most two
+        insertions and is a base case or a key the projection to the base
+        plane kills; ``_solve_for`` refuses any other.  The table holds the
+        base cases of the class's ``_stage_keys``, read from the datum once
+        per class and never through the memo.  A key it lacks, one the
+        projection kills or one no base case covers, goes to ``_resolve``
+        when the split sum reaches it, which stores the first as 0 and
+        refuses the second.  On Hilb^2 the closed classes are the (a, 0),
+        whose keys are the base cases T3, T4 and T5 with values +-3/a^2 and
+        0, the only true fractions the tables meet; on the plane, (1,).
+        """
+        budget = self._budget(cls)
+        if budget > 2:
+            return self.memo.class_values(cls), 1
+        table = self._closed.get(cls)
+        if table is None:
+            values = {}
+            for n in range(budget + 1):
+                for _cls, ins in self._stage_keys(cls, n):
+                    v = self.datum.base_case(cls, ins)
+                    if v is not None:
+                        values[self.memo.code(ins)] = qnorm(v)
+            den = math.lcm(*(v.denominator for v in values.values()))
+            table = self._closed[cls] = (
+                {c: v.numerator * (den // v.denominator) for c, v in values.items()},
+                den,
+            )
+        return table
 
     def _partition_groups(self, extras):
         """Partitions A|B of an insertion multiset, grouped by weight of A.

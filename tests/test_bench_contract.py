@@ -121,8 +121,8 @@ def test_traced_tables_do_the_pinned_work():
         "engine.stage.visits": 455,
         "engine.stage.count": 125,
         "engine.stage.max_depth": 15,
-        "engine.memo.entries": 727,
-        "engine.memo.set_calls": 727,
+        "engine.memo.entries": 713,
+        "engine.memo.set_calls": 713,
         "engine.memo.value_of_calls": 0,
         "engine.canon.calls": 60,
     }

@@ -481,7 +481,7 @@ def test_import_loads_no_heavy_stdlib_modules():
 @pytest.mark.parametrize("degree", [2, 6])
 def test_cache_export_import_roundtrip(capsys, tmp_path, degree):
     """Export, import and re-export give the same bytes; at d <= 6, the
-    size the benchmark's cache round trip loads, the file has 609 entries."""
+    size the benchmark's cache round trip loads, the file has 595 entries."""
     first = tmp_path / "first.json"
     second = tmp_path / "second.json"
     code, out, _ = run(
@@ -489,7 +489,7 @@ def test_cache_export_import_roundtrip(capsys, tmp_path, degree):
     )
     assert code == 0 and first.exists()
     entries = json.loads(first.read_text())["entries"]
-    assert len(entries) == {2: 43, 6: 609}[degree]
+    assert len(entries) == {2: 40, 6: 595}[degree]
     code, out, _ = run(capsys, "cache", "import", str(first), "--out", str(second))
     assert code == 0
     assert first.read_bytes() == second.read_bytes()

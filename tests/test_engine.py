@@ -268,23 +268,38 @@ def test_one_split_plan_serves_frames_of_every_weight():
 def test_signature_plans_share_their_class_plans_sub_tuples():
     """Every signature plan of the d <= 5 tables filters its class plan:
     each split keeps the class plan's own ``sub`` tuple, the same object,
-    and a nonzero frame-divisor multiplier."""
+    and a nonzero frame-divisor multiplier.  The plan's lcd is the lcm of
+    its splits' denominators, and each split's scale lcd / den is one int
+    object per distinct denominator of the plan."""
     eng = Engine()
     for d in range(2, 6):
         for l in (0, 1, 2):
             invert_counts(eng, d, l)
     pos = eng.datum.divisor_pos
     shared = 0
-    for (cls, div1, div2), splits in eng._signature_plans.items():
-        subs = {(b1, b2): sub for _v1, _v2, b1, b2, sub in eng._class_plans[cls]}
-        for _v1, _v2, b1, b2, m, sub in splits:
-            assert sub is subs[(b1, b2)], (cls, div1, div2, b1, b2)
+    fractional = 0
+    for (cls, div1, div2), (lcd, splits) in eng._signature_plans.items():
+        plan = {
+            (b1, b2): (den, sub)
+            for _v1, _v2, b1, b2, den, sub in eng._class_plans[cls]
+        }
+        scales = {}
+        dens = []
+        for _v1, _v2, b1, b2, m, scale, sub in splits:
+            den, class_sub = plan[(b1, b2)]
+            assert sub is class_sub, (cls, div1, div2, b1, b2)
             assert m == math.prod(b1[pos[x]] for x in div1) * math.prod(
                 b2[pos[x]] for x in div2
             ) != 0
+            assert scale * den == lcd
+            assert scales.setdefault(den, scale) is scale
+            dens.append(den)
             shared += 1
+        assert lcd == math.lcm(*dens)
+        fractional += lcd > 1
     assert len(eng._signature_plans) > len(eng._class_plans)
     assert shared > 500
+    assert fractional > 0
 
 
 def test_split_sum_skips_zero_classes_and_matches_the_plain_sum():
@@ -311,8 +326,110 @@ def test_split_sum_skips_zero_classes_and_matches_the_plain_sum():
     assert any(datum.zero_class(cls) for (cls, _ins), _v in plain.memo.items())
     assert not any(datum.zero_class(cls) for (cls, _ins), _v in built.memo.items())
     for plan in built._class_plans.values():
-        for _v1, _v2, b1, b2, _sub in plan:
+        for _v1, _v2, b1, b2, _den, _sub in plan:
             assert not datum.zero_class(b1) and not datum.zero_class(b2)
+
+
+def _rescaled_hilb_datum(value):
+    """The Hilb^2 datum with the base case I_(2,0)(T3) = 3/4 replaced by
+    ``value``, and everything else kept."""
+    d = hilb_datum()
+
+    def base_case(cls, ins):
+        if (cls, ins) == ((2, 0), (3,)):
+            return value
+        return d.base_case(cls, ins)
+
+    return TargetDatum(
+        name=d.name,
+        codims=d.codims,
+        cup_table=d.cup_table,
+        anticanonical=d.anticanonical,
+        base_case=base_case,
+        base=d.base,
+        zero_class=d.zero_class,
+    )
+
+
+def test_split_sum_rescales_closed_classes_like_the_plain_sum():
+    """The split sum reads each closed class (a, 0) from a table of its
+    values times a^2 and divides once per ordering.  At (2, 1), (3, 2) and
+    (4, 2), whose splits have sides (a, 0) with a >= 2, the lead equations
+    of the stages n = 3..6 build the plain split sum's form on a fresh
+    engine, and building stores no closed key.  On Hilb^2 the fractions of
+    each ordering cancel, so every constant is an int; with I_(2,0)(T3)
+    changed to 1/3 they do not, and the forms, true-fraction constants
+    among them, still match."""
+    probe = Engine()
+    specs = sorted({
+        (cls, probe._lead_spec(key))
+        for cls in ((2, 1), (3, 2), (4, 2))
+        for n in range(3, 7)
+        for key in probe._stage_keys(cls, n)
+    })
+    assert len(specs) >= 250
+    fractions = []
+    for datum in (hilb_datum(), _rescaled_hilb_datum(rat(1, 3))):
+        plain, built = Engine(datum), Engine(datum)
+        count = 0
+        for cls, (frame, extras) in specs:
+            want = _plain_equation(plain, cls, frame, extras)
+            form = built.build_equation(cls, frame, extras)
+            assert (form.terms, form.constant) == want, (cls, frame, extras)
+            count += type(form.constant) is Rat
+        assert not any(cls[1] == 0 for (cls, _ins), _v in built.memo.items())
+        fractions.append(count)
+    assert fractions[0] == 0 and fractions[1] > 0
+
+
+def test_plane_closed_class_is_integral_and_keeps_the_counts():
+    """On the plane the one closed class is (1,), whose one key
+    I(pt, pt) = 1 is an int: its table has D = 1, no signature plan
+    divides, and the engine still gives N_d for d <= 8."""
+    eng = Engine(p2_datum())
+    got = [engine_nd(d, eng) for d in range(1, 9)]
+    assert got == [kontsevich_nd(d) for d in range(1, 9)]
+    assert eng._closed == {(1,): ({eng.memo.code((2, 2)): 1}, 1)}
+    assert all(lcd == 1 for lcd, _splits in eng._signature_plans.values())
+
+
+def _overdetermined_residuals(engine, amax, bmax):
+    """``(count, nonzero)`` of ``wdvv_residual`` over every class (a, b)
+    with a <= amax and b <= bmax that is not declared zero, every n = 3..4,
+    every extras multiset of n - 3 non-divisors, and every frame of
+    positive-codimension indices on the dimension count with j != l."""
+    datum = engine.datum
+    weights = datum.weights
+    positive = [e for e, c in enumerate(datum.codims) if c > 0]
+    frames = [f for f in itertools.product(positive, repeat=4) if f[1] != f[3]]
+    count = nonzero = 0
+    for cls in itertools.product(range(amax + 1), range(bmax + 1)):
+        if datum.is_zero_class(cls) or datum.zero_class(cls):
+            continue
+        for n in (3, 4):
+            for extras in itertools.combinations_with_replacement(
+                datum.nondivisors, n - 3
+            ):
+                need = datum.weight_budget(cls) - 1 - sum(weights[e] for e in extras)
+                for frame in frames:
+                    if sum(weights[e] for e in frame) == need:
+                        count += 1
+                        nonzero += engine.wdvv_residual(cls, frame, extras) != 0
+    return count, nonzero
+
+
+def test_every_frame_of_the_small_stages_closes():
+    """Over-determination: each key is solved from its lead equation, so
+    every other frame is an independent check of the values, the scaled
+    closed-class tables included.  All 52,216 residuals at a <= 6, b <= 3
+    and n = 3..4 vanish on a fresh engine; with the (2, 0) base case
+    I(T3) = 3/4 changed to 3/2, thousands of the 27,268 at a <= 4, b <= 2
+    do not."""
+    assert _overdetermined_residuals(Engine(), 6, 3) == (52216, 0)
+    count, nonzero = _overdetermined_residuals(
+        Engine(_rescaled_hilb_datum(rat(3, 2))), 4, 2
+    )
+    assert count == 27268 and nonzero > 1000
 
 
 def _random_collapsed_monomials(datum, rng, count):
@@ -1093,7 +1210,8 @@ def test_d10_tables_meet_their_closed_forms():
     cells of _D8_TO_10_CELLS have no oracle yet; integrality and sign are
     all that invert_counts checks of them.  The same run, in the query
     order of ``hilb2gw cache export``, pins the harvest's walk: it builds
-    2,700 equations and leaves 3,077 memo entries."""
+    2,700 equations and leaves 3,051 memo entries, none of a closed class
+    (a, 0), whose keys the split sum reads from its own tables."""
 
     class Counting(Engine):
         builds = 0
@@ -1108,7 +1226,8 @@ def test_d10_tables_meet_their_closed_forms():
         for d in range(2, 11)
         for l in (0, 1, 2)
     }
-    assert (eng.builds, len(eng.memo)) == (2700, 3077)
+    assert (eng.builds, len(eng.memo)) == (2700, 3051)
+    assert not any(cls[1] == 0 for (cls, _ins), _v in eng.memo.items())
     for d in range(2, 11):
         assert counts[(d, 2)][0] == kontsevich_nd(d), d
         assert counts[(d, 0)][d - 2] == 27 * math.comb(d, 4), d
@@ -1416,10 +1535,13 @@ def test_pure_top_pair_keys_solve_via_forward_frame(engine):
 
 
 def test_memo_values_are_in_normal_form(engine):
-    """Every memo value is an int, or a Rat that is a true fraction."""
+    """Every memo value is an int, or a Rat that is a true fraction.  The
+    split sum stores no key of a closed class (a, 0), so a fraction is
+    asked for explicitly."""
     for d in range(2, 6):
         for l in (0, 1, 2):
             invert_counts(engine, d, l)
+    engine.invariant((2, 0), [3])
     values = [v for _, v in engine.memo.items()]
     assert values
     bad = [
@@ -1431,12 +1553,13 @@ def test_memo_values_are_in_normal_form(engine):
 
 
 def test_lead_equation_constants_are_in_normal_form():
-    """The split sum keeps one accumulator, int until a true fraction
-    enters it, and normalises the constant once.  Every lead equation the
-    d <= 6 tables build has a constant that is an int when integral and a
-    Rat only when it is a true fraction, and some of them meet a split term
-    with a true-fraction factor, a key of a class (a, 0) with a >= 2, and a
-    nonzero partner."""
+    """The split sum reads each closed class from a scaled integer table,
+    divides once per ordering and normalises the constant once.  Every lead
+    equation the d <= 6 tables build has a constant that is an int when
+    integral and a Rat only when it is a true fraction, and some of them
+    meet a split term with a true-fraction factor, a key of a class (a, 0)
+    with a >= 2 (asked of the base case: the split sum stores no key of a
+    closed class), and a nonzero partner."""
 
     class Recording(Engine):
         def __init__(self):
@@ -1461,7 +1584,10 @@ def test_lead_equation_constants_are_in_normal_form():
 
     def meets_a_fraction(cls, frame, extras):
         for _coeff, key1, key2 in _plain_split_terms(eng.datum, cls, frame, extras):
-            v1, v2 = eng.memo.get(key1), eng.memo.get(key2)
+            v1, v2 = (
+                eng.datum.base_case(*key) if key[0][1] == 0 else eng.memo.get(key)
+                for key in (key1, key2)
+            )
             for (b, _ins), v, partner in ((key1, v1, v2), (key2, v2, v1)):
                 if b[1] == 0 and b[0] >= 2 and type(v) is Rat and partner:
                     return True
@@ -1628,11 +1754,14 @@ def test_cache_file_carries_schema_tag(tmp_path):
 
 def test_cache_bytes_are_the_json_dumps_form(tmp_path):
     """``save_cache`` writes exactly what ``json.dumps`` writes for the kept
-    entries, on a memo with ints, negative ints and true fractions."""
+    entries, on a memo with ints, negative ints and true fractions.  The
+    split sum stores no key of a closed class (a, 0), so the fraction is
+    asked for explicitly."""
     eng = Engine()
     for d in range(2, 5):
         for l in (0, 1, 2):
             invert_counts(eng, d, l)
+    eng.invariant((2, 0), [3])
     kept = _exported(eng)
     values = list(kept.values())
     assert any(type(v) is int and v < 0 for v in values)
