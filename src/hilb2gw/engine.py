@@ -38,24 +38,23 @@ leave the extras with the fewest sub-multisets, so the split sum walks the
 fewest partitions and a query's closure reaches the fewest lower-stage keys
 (see ``_lead_spec``).
 A visit to a stage is one object, an ExactLinearSolver.  The harvest walks
-the closure of the requested keys depth first and queues in the visit's
-``seen`` each key's equation after the equations of its other unknowns, so
-the stage is triangular in that order.  The walk runs on packed codes, and
-reads each key's spec and unknowns from one table keyed by the insertion
-list (``_leads``, filled once per list by ``_lead_entry``): 137 lists serve
-the 581 keys of the d <= 6 tables, 361 the 2,700 of the d <= 10 tables.
-The table is exact because the spec and the unknowns depend on the
-insertions alone; the class enters only through the order bound of the
-projection rule, which the walk reads once per visit.  ``_solve_for`` then
-builds the queued equations in order and hands each to the visit's ``add``,
-which writes its key into the memo; ``_build`` reads the earlier keys back
-as constants, so each equation reaches ``add`` with one key left, which
-one exact division solves.  The memo is the only store of solved values,
-and the harvest stops at memo keys. A cycle among the lead equations, an
-equation left with two unknowns, or a requested key left unsolved raises
-UnderdeterminedStage: reconstruction guarantees solvability, so that is a
-fatal invariant violation, as is any inconsistent equation.  A visit that
-fails partway keeps the exact keys it solved before the failure.
+the closure of the requested keys depth first on packed codes.  It builds
+each key's lead equation once, by ``_build`` on the spec that ``_leads``
+holds for the key's insertion list (``_lead_spec``, run once per list: 137
+lists serve the 581 keys of the d <= 6 tables, 361 the 2,700 of the
+d <= 10 tables; the spec depends on the insertions alone).  The codes the
+equation keeps symbolic are its same-stage unknowns, so the walk reads them
+off the equation itself, walks each one not yet queued, and then queues the
+equation in the visit's ``seen``: the stage is triangular in that order.
+``_solve_for`` hands the queued equations in order to the visit's ``add``,
+which substitutes the memo's values of the keys solved since the build and
+solves the one key left by one exact division into the memo.  The memo is
+the only store of solved values, and the harvest stops at memo keys.  A
+cycle among the lead equations, an equation left with two unknowns, or a
+requested key left unsolved raises UnderdeterminedStage: reconstruction
+guarantees solvability, so that is a fatal invariant violation, as is any
+inconsistent equation.  A visit that fails partway keeps the exact keys it
+solved before the failure.
 
 The memo stores each canonical insertion multiset as a packed integer code,
 one 8-bit digit per non-divisor basis index (see MemoStore), and ``_build``
@@ -78,10 +77,10 @@ ones of ``wdvv_residual`` among them, and the rows of ``_row``.  Every key
 goes to ``_resolve(cls, code)``: memo hit, base case, projection rule,
 then a visit to the key's stage, whose harvest, symbolic terms, solver and
 memo writes all take codes.  A code is decoded only at the outward edges:
-the ``_resolve`` miss that ``base_case`` and ``vanishes`` read,
-``_lead_entry``'s call to ``_lead_spec``, the LinearForms of ``normalize``
-and ``build_equation``, ``MemoStore.items``, ``save_cache`` and error
-messages.
+the ``_resolve`` miss that ``base_case`` and ``vanishes`` read, the
+harvest's call to ``_lead_spec`` on a new list, the LinearForms of
+``normalize`` and ``build_equation``, ``MemoStore.items``, ``save_cache``
+and error messages.
 
 The split sum does no work it can see is zero.  A frame and extras off the
 dimension count give the zero form before any term is walked.  On the
@@ -326,13 +325,11 @@ class MemoStore:
 class ExactLinearSolver:
     """One visit to a stage of class ``cls``: its queue and exact solver.
 
-    ``_harvest_closure`` appends to ``seen`` the visit's lead specs, each
-    after those of its other unknowns; ``_solve_for`` builds their equations
-    in that order and hands each to ``add``, which solves it into the memo.
-    Each visit makes a fresh object and drops it on return, so the memo is
-    the only store of solved values.  Each of the 415 visits of the d <= 6
-    count tables in the CLI's query order (455 in the benchmark's seed-7
-    order) solves exactly as many keys as it queued specs.
+    ``_harvest_closure`` appends to ``seen`` the visit's lead equations, each
+    after those of its other unknowns; ``_solve_for`` hands each to ``add``
+    in that order, which solves it into the memo.  Each visit makes a fresh
+    object and drops it on return, so the memo is the only store of solved
+    values.  Each visit solves exactly as many keys as it queued equations.
     """
 
     __slots__ = ("memo", "cls", "seen")
@@ -340,24 +337,35 @@ class ExactLinearSolver:
     def __init__(self, memo: MemoStore, cls):
         self.memo = memo
         self.cls = cls
-        self.seen = []  # lead specs in solving order
+        self.seen = []  # (terms, const) of the lead equations, solving order
 
     def add(self, terms: dict, const) -> None:
-        """Solve sum(terms * x) + const = 0 for its one key into the memo.
+        """Solve sum(terms * x) + const = 0 for its one unsolved key into
+        the memo.
 
         ``terms`` maps packed codes of the class to nonzero coefficients, as
-        ``_build`` gives them.  Raises UnderdeterminedStage, leaving the memo
-        unchanged, when two or more keys are left, and InconsistentSystem
-        when none is and the constant is not 0.
+        ``_build`` gives them.  The keys the memo has solved since the build
+        are substituted; the one key left is solved by one exact division.
+        Raises UnderdeterminedStage, leaving the memo unchanged, when two or
+        more keys are left, and InconsistentSystem when none is and the
+        constant is not 0.
         """
-        if len(terms) == 1:
-            (code, coef), = terms.items()
+        vals = self.memo.class_values(self.cls)
+        left = []
+        for code, coef in terms.items():
+            v = vals.get(code)
+            if v is None:
+                left.append((code, coef))
+            else:
+                const += coef * v
+        if len(left) == 1:
+            (code, coef), = left
             self.memo.set(self.cls, code, -qdiv(const, coef))
-        elif terms:
+        elif left:
             raise UnderdeterminedStage(
                 f"an equation of class {self.cls} reached the solver with "
-                f"{len(terms)} unsolved keys: "
-                f"{sorted(map(self.memo.decode, terms))[:5]}"
+                f"{len(left)} unsolved keys: "
+                f"{sorted(self.memo.decode(c) for c, _coef in left)[:5]}"
             )
         elif const != 0:
             raise InconsistentSystem(f"0 = {const} from a harvested equation")
@@ -383,7 +391,7 @@ class Engine:
         self._signature_plans: dict = {}  # (lcd, splits) by (cls, div1, div2)
         self._closed: dict = {}  # (scaled values, D) by closed class
         self._boxes: dict = {}  # nonempty rows of a box, by (x, y, n1, n2)
-        self._leads: dict = {}  # (spec, unknowns) by insertion code
+        self._leads: dict = {}  # lead spec by insertion code
         d = self.datum
         self._vanishes = d.vanishes
         self._order_bound = d.order_bound
@@ -1047,7 +1055,8 @@ class Engine:
 
     def solve_stage(self, cls, n) -> None:
         """Solve every admissible key of stage (cls, n >= 0) into the memo;
-        the keys of a stage with n <= 2 are base cases, stored by value_of."""
+        the keys of a stage with n <= 2 go to ``_resolve``, which stores a
+        base case or a key the projection kills without a stage visit."""
         cls = self._check_class(cls)
         if check_int(n, "a stage size") < 0:
             raise ValueError(f"a stage size must be non-negative, got {n}")
@@ -1062,7 +1071,8 @@ class Engine:
 
     def _solve_for(self, cls, n, codes) -> None:
         """Visit stage (cls, n) to solve the keys of the packed ``codes``:
-        harvest into one ExactLinearSolver, then build and solve its queue."""
+        harvest their lead equations into one ExactLinearSolver, then solve
+        its queue in order."""
         if n < 3:
             raise UnderdeterminedStage(
                 f"stage (cls={cls}, n={n}) reached the solver; base cases "
@@ -1070,8 +1080,8 @@ class Engine:
             )
         visit = ExactLinearSolver(self.memo, cls)
         self._harvest_closure(cls, visit, codes, n)
-        for frame, extras in visit.seen:
-            visit.add(*self._build(cls, frame, extras))
+        for terms, const in visit.seen:
+            visit.add(terms, const)
         vals = self.memo.class_values(cls)
         missing = [self.memo.decode(c) for c in codes if c not in vals]
         if missing:
@@ -1083,37 +1093,41 @@ class Engine:
     # -- harvesting ------------------------------------------------------
 
     def _harvest_closure(self, cls, st, seeds, n) -> None:
-        """Queue the lead specs of the seeds' closure in dependency order.
+        """Build the lead equations of the seeds' closure and queue them in
+        dependency order.
 
         ``seeds`` are the packed codes of keys of stage (cls, n), walked in
-        the order given, depth first; only a cycle's message decodes.  ``st``
-        is the visit's ExactLinearSolver.  A key's lead spec is queued
-        (appended to ``st.seen``) after the specs of its other unknowns, and
-        the walk stops at memo keys and at keys already queued.  Spec and unknowns come from the per-list table
-        ``_leads`` (``_lead_entry``): 137 lists serve the 581 keys of the
-        d <= 6 tables, 361 the 2,700 of the d <= 10 tables.  It is exact
-        because both depend on the insertions alone; the class enters only
-        through ``TargetDatum.order_bound(cls, n)``, read once per visit
-        (infinite without a base divisor), past which an unknown is dropped
-        as ``vanishes`` drops it.  Reaching a key whose walk is still open
-        means the lead equations form a cycle, which substitution cannot
-        solve; that raises UnderdeterminedStage.  The walk recurses once per
-        key on its path, at most 3(d - 1) deep for the degree-d tables (18
-        at d = 7).
+        the order given, depth first.  ``st`` is the visit's
+        ExactLinearSolver.  A key's lead equation is built once, by
+        ``_build`` on the spec ``_leads`` holds for its insertion list
+        (``_lead_spec``, decoded once per list: 137 lists serve the 581
+        keys of the d <= 6 tables, 361 the 2,700 of the d <= 10 tables,
+        since the spec depends on the insertions alone).  The codes the
+        equation keeps symbolic are the same-stage keys outside the memo,
+        so the walk takes its unknowns from the equation itself: it walks
+        each one that is neither the key nor already queued, then appends
+        ``(terms, const)`` to ``st.seen``.  Reaching a key whose walk is
+        still open means the lead equations form a cycle, which
+        substitution cannot solve; that raises UnderdeterminedStage, and
+        decoding for its message is the walk's only other decode.  A build
+        runs inside the walk, so the lower-stage visits it makes stack on
+        top of the walk's open path: the d <= 10 tables peak at 111 Python
+        frames.
         """
-        bound = self._order_bound(cls, n)
-        vals = self.memo.class_values(cls)
         leads = self._leads
-        lead_entry = self._lead_entry
+        build = self._build
         queue = st.seen
         queued = set()
         walking = set()
 
         def walk(code):
             walking.add(code)
-            spec, unknowns = leads.get(code) or lead_entry(cls, code)
-            for nb, t in unknowns:
-                if t > bound or nb in queued or nb in vals:
+            spec = leads.get(code)
+            if spec is None:
+                spec = leads[code] = self._lead_spec((cls, self.memo.decode(code)))
+            terms, const = build(cls, *spec)
+            for nb in terms:
+                if nb == code or nb in queued:
                     continue
                 if nb in walking:
                     raise UnderdeterminedStage(
@@ -1123,46 +1137,11 @@ class Engine:
                 walk(nb)
             walking.discard(code)
             queued.add(code)
-            queue.append(spec)
+            queue.append((terms, const))
 
         for code in seeds:
             if code not in queued:
                 walk(code)
-
-    def _lead_entry(self, cls, code):
-        """The ``_leads`` entry ``(spec, unknowns)`` of the insertion list
-        of packed code ``code``, made and stored on its first walk.
-
-        ``spec`` is ``_lead_spec`` of the list.  ``unknowns`` holds ``(code,
-        t)``, t the base-order sum, for every other same-stage key that
-        ``_build`` keeps symbolic for the spec, in sorted-tuple order: with
-        the frame (dv, rho, u, v), the extras plus u, v and each cup term of
-        T_dv . T_rho, and, when rho is not a divisor, the extras plus rho, u
-        and each cup term of T_dv . T_v.  No class filter is applied here.
-        The extras' sums are ``_build``'s, from ``_partition_groups``.
-        """
-        decode = self.memo.decode
-        spec = self._lead_spec((cls, decode(code)))
-        (dv, rho, u, v), extras = spec
-        code_x, _w, t_x, _n = self._partition_groups(extras)[0]
-        pack = self.memo.pack
-        orders = self.datum.base_orders
-        found = {}
-        cup_terms = self._cup_terms
-        families = [(u, v, cup_terms[dv][rho])]
-        if self._codims[rho] >= 2:
-            families.append((rho, u, cup_terms[dv][v]))
-        for a, b, terms in families:
-            code_ab = code_x + pack[a] + pack[b]
-            t_ab = t_x + orders[a] + orders[b]
-            for m, _cm in terms:
-                found[code_ab + pack[m]] = t_ab + orders[m]
-        found.pop(code, None)
-        entry = self._leads[code] = (
-            spec,
-            tuple(sorted(found.items(), key=lambda item: decode(item[0]))),
-        )
-        return entry
 
     def _lead_spec(self, key):
         """The key's lead equation spec ``(frame, extras)``.

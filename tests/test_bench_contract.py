@@ -118,9 +118,9 @@ def test_traced_tables_do_the_pinned_work():
         "engine.build.calls": 581,
         "engine.solve.calls": 581,
         "engine.harvest.specs": 581,
-        "engine.stage.visits": 455,
+        "engine.stage.visits": 372,
         "engine.stage.count": 125,
-        "engine.stage.max_depth": 15,
+        "engine.stage.max_depth": 9,
         "engine.memo.entries": 713,
         "engine.memo.set_calls": 713,
         "engine.memo.value_of_calls": 0,

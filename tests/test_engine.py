@@ -8,8 +8,11 @@ import json
 import math
 import os
 import random
+import subprocess
+import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -1237,6 +1240,30 @@ def test_d10_tables_meet_their_closed_forms():
         assert counts[(d, l)][g] == want, (d, l, g)
 
 
+def test_d10_tables_fit_a_recursion_limit_of_200():
+    """The harvest builds each lead equation inside its walk, so a key's
+    walk, its build and the lower stages that build visits share one
+    Python stack.  The d <= 10 tables on a cold engine peak at 111 frames;
+    in a fresh interpreter under ``sys.setrecursionlimit(200)`` they must
+    still finish, with the 3,051 memo entries of a default-limit run."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (
+        f"import sys; sys.path.insert(0, {src!r})\n"
+        "from hilb2gw import Engine, invert_counts\n"
+        "sys.setrecursionlimit(200)\n"
+        "eng = Engine()\n"
+        "for d in range(2, 11):\n"
+        "    for l in (0, 1, 2):\n"
+        "        invert_counts(eng, d, l)\n"
+        "print(len(eng.memo))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["3051"]
+
+
 def test_classes_past_the_line_a_eq_2b_vanish_on_every_stage_key():
     """Evidence, not a declaration: every admissible key of every stage of
     each class (a, b) with a > 2b and b >= 2 that the d <= 10 tables reach
@@ -1262,22 +1289,32 @@ def test_classes_past_the_line_a_eq_2b_vanish_on_every_stage_key():
 
 
 def test_solver_substitutes_and_solves_one_unknown():
-    """``_build`` substitutes every solved key, so the solver gets one key
-    and writes its exact value straight into the memo."""
+    """The solver substitutes the memo's values of the keys solved since
+    the equation was built, solves the one key left by one exact division
+    and writes its value straight into the memo.  With two keys left it
+    raises and leaves the memo as it was."""
     a, b = ((1, 1), (3, 8)), ((1, 1), (4, 8))
+    c, d = ((1, 1), (5, 8)), ((1, 1), (6, 7))
     memo = MemoStore(hilb_datum().nondivisors)
-    ca, cb = memo.code(a[1]), memo.code(b[1])
+    ca, cb, cc, cd = (memo.code(k[1]) for k in (a, b, c, d))
     solver = ExactLinearSolver(memo, (1, 1))
     solver.add({ca: 3}, -1)  # 3a - 1 = 0
     assert memo.get(a) == rat(1, 3) and type(memo.get(a)) is Rat
     solver.add({cb: 2}, 2)  # 2b + 2 = 0
     assert memo.get(b) == -1 and type(memo.get(b)) is int
+    solver.add({ca: 3, cb: 1, cc: 2}, 4)  # 1 - 1 + 2c + 4 = 0: c left
+    assert memo.get(c) == -2 and type(memo.get(c)) is int
+    before = dict(memo.items())
+    with pytest.raises(UnderdeterminedStage, match="2 unsolved keys"):
+        solver.add({ca: 3, cd: 1, memo.code((7, 7)): 1}, 0)  # d, (7, 7) left
+    assert dict(memo.items()) == before and len(memo) == 3
     solver.add({}, 0)  # 0 = 0 holds
+    solver.add({ca: 3, cb: 1}, 0)  # 1 - 1 = 0 holds
     with pytest.raises(InconsistentSystem):
         solver.add({}, 1)  # 0 = 1
     with pytest.raises(InconsistentSystem):
-        solver.add({ca: 3}, 0)  # a = 0 contradicts the stored 1/3
-    assert dict(memo.items()) == {a: rat(1, 3), b: -1}
+        solver.add({ca: 3}, 0)  # 3 * 1/3 = 0 contradicts the stored a
+    assert dict(memo.items()) == {a: rat(1, 3), b: -1, c: -2}
 
 
 def test_solver_rejects_two_unknowns():
@@ -1317,8 +1354,10 @@ def test_lead_equation_cycle_raises():
     eng = Engine()
     k1, k2 = ((1, 2), (3, 4, 8)), ((1, 2), (4, 5, 7))
     c1, c2 = eng.memo.code(k1[1]), eng.memo.code(k2[1])
-    eng._leads[c1] = (eng._lead_spec(k1), ((c2, 0),))
-    eng._leads[c2] = (eng._lead_spec(k2), ((c1, 0),))
+    spec1, spec2 = eng._lead_spec(k1), eng._lead_spec(k2)
+    assert spec1 != spec2
+    held = {spec1: {c1: 1, c2: 1}, spec2: {c2: 1, c1: 1}}
+    eng._build = lambda cls, frame, extras: (held[(frame, extras)], 0)
     with pytest.raises(
         UnderdeterminedStage, match=r"cycle through \(\(1, 2\), \(3, 4, 8\)\)"
     ):
@@ -1326,58 +1365,67 @@ def test_lead_equation_cycle_raises():
     assert k1 not in eng.memo and k2 not in eng.memo
 
 
-def test_lead_table_matches_the_cup_table():
+def test_lead_table_holds_one_spec_per_list():
     """For every multiset of 3 to 10 insertions from T3..T8, at a class
     with a = 0 and one with a >= 1 on one engine, and for plane keys, the
-    ``_leads`` entry of the list holds its lead spec and base-order sums,
-    and its unknowns within the class's order bound are the reference
-    keys, in order: the table is the same at every class, which enters
-    only through ``TargetDatum.order_bound``."""
+    harvest stores one ``_leads`` entry per insertion list, its
+    ``_lead_spec``, builds the key's equation on it, and reads the same
+    entry at the other class: ``_lead_spec`` runs once per list.  The
+    build is stubbed to an equation with no other unknown."""
     checked = 0
     for datum, nondivisors, classes in (
         (hilb_datum(), range(3, 9), ((0, 3), (2, 3))),
         (p2_datum(), (2,), ((1,), (3,))),
     ):
         eng = Engine(datum)
-        orders = datum.base_orders
+        calls = Counter()
+        built = []
+        lead_spec = eng._lead_spec
+
+        def counted(key):
+            calls[key[1]] += 1
+            return lead_spec(key)
+
+        def stub(cls, frame, extras):
+            built.append((cls, (frame, extras)))
+            return {}, 0
+
+        eng._lead_spec = counted
+        eng._build = stub
+        lists = 0
         for n in range(3, 11):
             for ins in itertools.combinations_with_replacement(nondivisors, n):
                 code = eng.memo.code(ins)
+                lists += 1
                 for cls in classes:
-                    spec, unknowns = eng._leads.get(code) or eng._lead_entry(
-                        cls, code
-                    )
-                    assert spec == eng._lead_spec((cls, ins))
-                    bound = datum.order_bound(cls, n)
-                    got = []
-                    for nb, t in unknowns:
-                        nb_ins = eng.memo.decode(nb)
-                        assert t == sum(orders[e] for e in nb_ins), (ins, nb_ins)
-                        if t <= bound:
-                            got.append((cls, nb_ins))
-                    want = _reference_unknowns(datum, (cls, ins), spec)
-                    assert got == want, (cls, ins)
+                    st = ExactLinearSolver(eng.memo, cls)
+                    eng._harvest_closure(cls, st, (code,), n)
+                    spec = eng._leads[code]
+                    assert spec == lead_spec((cls, ins)), (cls, ins)
+                    assert built[-1] == (cls, spec) and st.seen == [({}, 0)]
                     checked += 1
+        assert len(eng._leads) == len(calls) == lists
+        assert set(calls.values()) == {1}
     assert checked == 2 * 7980 + 2 * 8
 
 
 def test_harvest_queues_each_spec_after_its_other_unknowns():
-    """Over the d <= 6 tables, every unknown of a queued lead spec other
-    than its own key is in the memo or was queued earlier in the same
-    visit, each equation the visit hands its ``add`` holds exactly one key,
-    the spec's own, and the visit leaves every queued key in the memo.  The
-    unknowns are the cup-table reference, not the engine's table.  The 581
-    keys hold 137 insertion lists, and ``_lead_spec`` runs once per list,
-    whose spec serves it at every class."""
+    """Over the d <= 6 tables, each lead equation a visit queues holds its
+    own key, and every other key it holds is in the memo or was queued
+    earlier in the same visit; its keys lie inside the own key and the
+    cup-table reference unknowns, not the engine's own reading of them.
+    The visit leaves every queued key in the memo.  The 581 keys hold 137
+    insertion lists, and ``_lead_spec`` runs once per list, whose spec
+    serves it at every class."""
 
     class Recording(Engine):
         def __init__(self):
             super().__init__()
             self.owner = {}  # spec -> insertions
             self.lists = []  # the insertions of each _lead_spec call
-            self.built = {}  # (cls, spec) -> keys of its equation
+            self.built = {}  # id(terms) -> (cls, spec) of its build
             self.visits = self.specs = self.equations = 0
-            self.open = []  # the visits harvested and not yet returned
+            self.open = []  # [visit, queued keys] harvested, not returned
 
         def _lead_spec(self, key):
             spec = super()._lead_spec(key)
@@ -1385,33 +1433,36 @@ def test_harvest_queues_each_spec_after_its_other_unknowns():
             self.lists.append(key[1])
             return spec
 
-        def _harvest_closure(self, cls, st, seeds, n):
-            super()._harvest_closure(cls, st, seeds, n)
-            queued = set()
-            for spec in st.seen:
-                key = (cls, self.owner[spec])
-                for nb in _reference_unknowns(self.datum, key, spec):
-                    assert nb in self.memo or nb in queued, (cls, spec, nb)
-                queued.add(key)
-            self.visits += 1
-            self.specs += len(queued)
-            self.open.append(st)
-
         def _build(self, cls, frame, extras):
             terms, const = super()._build(cls, frame, extras)
-            self.built[(cls, (frame, extras))] = {
-                (cls, self.memo.decode(code)) for code in terms
-            }
+            self.built[id(terms)] = (cls, (frame, extras))
             return terms, const
+
+        def _harvest_closure(self, cls, st, seeds, n):
+            super()._harvest_closure(cls, st, seeds, n)
+            decode = self.memo.decode
+            queued = []
+            for terms, _const in st.seen:
+                built_cls, spec = self.built[id(terms)]
+                key = (cls, self.owner[spec])
+                assert built_cls == cls and key not in queued, key
+                held = {(cls, decode(code)) for code in terms}
+                assert key in held, (key, held)
+                for nb in held - {key}:
+                    assert nb in queued or nb in self.memo, (key, nb)
+                reference = _reference_unknowns(self.datum, key, spec)
+                assert held <= {key, *reference}, (key, held)
+                queued.append(key)
+            self.visits += 1
+            self.specs += len(queued)
+            self.open.append((st, queued))
 
         def _solve_for(self, cls, n, codes):
             super()._solve_for(cls, n, codes)
             # a nested visit harvests and returns inside this one's builds
-            st = self.open.pop()
+            st, queued = self.open.pop()
             assert st.cls == cls, (st.cls, cls)
-            for spec in st.seen:
-                key = (cls, self.owner[spec])
-                assert self.built[(cls, spec)] == {key}, (cls, spec)
+            for key in queued:
                 assert key in self.memo, key
                 self.equations += 1
 
