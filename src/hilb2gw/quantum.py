@@ -23,21 +23,22 @@ gate, ``+``, ``-``, scaling by an exact scalar or a ``ScalarSeries``,
 ``==`` and ``first_mismatch`` are written once.  The gate checks the other
 operand's kind, truncation bounds and (for a QSeries) datum before any
 arithmetic and raises ValueError naming what differs; ``==`` is False
-instead.  Every coefficient passes
-its type's gate on construction (``rationals.qnorm`` for a scalar,
-``TargetDatum.check_vector`` for a vector), so it is in the package's normal
-form (a plain ``int`` when integral, a ``Rat`` only for a true fraction) and
-any value that is not an exact rational raises ValueError.  Operands are
-basis indices or cohomology vectors, checked by ``TargetDatum.check_index``
-and ``TargetDatum.check_vector``; truncation bounds are non-negative ints.
+instead.  A series is built on one of two paths.  The public
+constructors gate every key and coefficient (``rationals.qnorm`` for a
+scalar, ``TargetDatum.check_vector`` for a vector; any value that is not an
+exact rational raises ValueError).  The results of ``+``, ``-``,
+``scaled``, ``*`` and ``star`` are built once by ``_like``, which only
+normalizes and drops zeros: their operands were gated.  Either way every
+coefficient is in the package's normal form (a plain ``int`` when integral,
+a ``Rat`` only for a true fraction).  Operands are basis indices or
+cohomology vectors, checked by ``TargetDatum.check_index`` and
+``TargetDatum.check_vector``; truncation bounds are non-negative ints.
 """
 
 from __future__ import annotations
 
-import operator
-
 from .chow import CohVector, TargetDatum
-from .rationals import Rat, check_int, qnorm
+from .rationals import check_int, qnorm
 
 __all__ = [
     "ScalarSeries",
@@ -64,16 +65,27 @@ def _check_truncation(n1, n2) -> None:
             raise ValueError("truncation bounds must be non-negative")
 
 
+def _exponents(key) -> tuple:
+    """``key`` as a pair of non-negative ints (not bools), else ValueError."""
+    try:
+        a, b = key
+    except (TypeError, ValueError):  # not a pair: refused just below
+        a = b = None
+    if type(a) is not int or type(b) is not int or a < 0 or b < 0:
+        raise ValueError(f"series exponents must be non-negative ints, got {key!r}")
+    return a, b
+
+
 class _Series:
     """Series in q1, q2 truncated to degrees (n1, n2): ``coeffs`` maps (a, b)
-    to a nonzero coefficient in normal form.  The input must be a dict (or
-    None) keyed by pairs of non-negative ints (not bools), or ValueError is
-    raised; terms past the truncation box are dropped.
+    inside the box to a nonzero coefficient in normal form, on both paths.
+    The constructor gates its input: a dict (or None) keyed by pairs of
+    non-negative ints (not bools), each coefficient through ``_norm``, or
+    ValueError; terms past the box are dropped.  An arithmetic result is
+    built by ``_like``, which only normalizes and drops zeros.
 
-    A subclass names its coefficient type: ``_norm`` (the gate to normal
-    form), ``_nonzero``, ``_add`` (of two coefficients) and ``_scale`` (of a
-    coefficient by an exact scalar), and ``_like``, which builds a series of
-    the same kind and bounds from a coefficient dict.
+    A subclass names its coefficient type: ``_norm``, ``_nonzero``,
+    ``_axpy`` (add ``v * c`` into an accumulator dict at a key) and ``_like``.
     """
 
     __slots__ = ("n1", "n2", "coeffs")
@@ -91,14 +103,7 @@ class _Series:
             )
         norm, nonzero = self._norm, self._nonzero
         for key, c in coeffs.items():
-            try:
-                a, b = key
-            except (TypeError, ValueError):  # not a pair: refused just below
-                a = b = None
-            if type(a) is not int or type(b) is not int or a < 0 or b < 0:
-                raise ValueError(
-                    f"series exponents must be non-negative ints, got {key!r}"
-                )
+            a, b = _exponents(key)
             c = norm(c)
             if nonzero(c) and a <= n1 and b <= n2:
                 self.coeffs[(a, b)] = c
@@ -118,17 +123,20 @@ class _Series:
         if miss:
             raise ValueError(miss)
 
-    def __add__(self, other):
+    def _combine(self, other, sign: int):
+        """``self + sign * other`` in one pass."""
         self._check_operand(other)
-        add = self._add
-        coeffs = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            coeffs[k] = add(coeffs[k], c) if k in coeffs else c
+        axpy, coeffs = self._axpy, {}
+        for series, s in ((self, 1), (other, sign)):
+            for k, c in series.coeffs.items():
+                axpy(coeffs, k, c, s)
         return self._like(coeffs)
 
+    def __add__(self, other):
+        return self._combine(other, 1)
+
     def __sub__(self, other):
-        self._check_operand(other)
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __neg__(self):
         return self.scaled(-1)
@@ -136,19 +144,18 @@ class _Series:
     def scaled(self, s):
         """Multiply by an exact scalar or by a ScalarSeries (with truncation)."""
         if not isinstance(s, ScalarSeries):
-            s = ScalarSeries.constant(self.n1, self.n2, s)
+            terms = [((0, 0), qnorm(s))]  # one pass over this series
         elif (s.n1, s.n2) != (self.n1, self.n2):
             raise ValueError("mismatched truncation bounds")
-        scale, add = self._scale, self._add
-        n1, n2 = self.n1, self.n2
-        coeffs: dict = {}
+        else:
+            terms = sorted(s.coeffs.items())  # by a: break past the box
+        axpy, coeffs, n1, n2 = self._axpy, {}, self.n1, self.n2
         for (a1, b1), v in self.coeffs.items():
-            for (a2, b2), c in s.coeffs.items():
-                a, b = a1 + a2, b1 + b2
-                if a <= n1 and b <= n2:
-                    k = (a, b)
-                    sv = scale(v, c)
-                    coeffs[k] = add(coeffs[k], sv) if k in coeffs else sv
+            for (a2, b2), c in terms:
+                if a1 + a2 > n1:
+                    break
+                if b1 + b2 <= n2:
+                    axpy(coeffs, (a1 + a2, b1 + b2), v, c)
         return self._like(coeffs)
 
     def __eq__(self, other) -> bool:
@@ -160,8 +167,9 @@ class _Series:
     def first_mismatch(self, other):
         """Lowest (a, b) where the two series differ, or None."""
         self._check_operand(other)
-        for k in sorted(set(self.coeffs) | set(other.coeffs)):
-            if self.coefficient(*k) != other.coefficient(*k):
+        mine, theirs = self.coeffs, other.coeffs
+        for k in sorted(mine.keys() | theirs.keys()):
+            if mine.get(k) != theirs.get(k):
                 return k
         return None
 
@@ -172,11 +180,17 @@ class ScalarSeries(_Series):
     __slots__ = ()
     _norm = staticmethod(qnorm)
     _nonzero = bool
-    _add = operator.add
-    _scale = operator.mul
+
+    @staticmethod
+    def _axpy(out: dict, k, v, c) -> None:
+        out[k] = out.get(k, 0) + v * c
 
     def _like(self, coeffs: dict) -> "ScalarSeries":
-        return ScalarSeries(self.n1, self.n2, coeffs)
+        new = ScalarSeries(self.n1, self.n2)
+        new.coeffs = {
+            k: c if type(c) is int else qnorm(c) for k, c in coeffs.items() if c
+        }
+        return new
 
     @classmethod
     def constant(cls, n1: int, n2: int, value) -> "ScalarSeries":
@@ -187,7 +201,9 @@ class ScalarSeries(_Series):
         return cls(n1, n2, {(a, b): value})
 
     def coefficient(self, a: int, b: int):
-        return self.coeffs.get((a, b), 0)
+        """The coefficient of q1^a q2^b (0 past the box); exponents are gated
+        as in the constructor."""
+        return self.coeffs.get(_exponents((a, b)), 0)
 
     __mul__ = __rmul__ = _Series.scaled
 
@@ -211,21 +227,11 @@ def f_series(n1: int, n2: int = 0) -> ScalarSeries:
     return ScalarSeries(n1, n2, {(a, 0): 1 for a in range(1, n1 + 1)})
 
 
-def _vec_add(u: CohVector, v: CohVector) -> CohVector:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def _vec_scale(u: CohVector, c: Rat) -> CohVector:
-    return tuple(a * c for a in u)
-
-
 class QSeries(_Series):
     """Series in q1, q2 with cohomology-vector coefficients, truncated."""
 
     __slots__ = ("datum",)
     _nonzero = any
-    _add = staticmethod(_vec_add)
-    _scale = staticmethod(_vec_scale)
 
     def __init__(self, datum: TargetDatum, n1: int, n2: int, coeffs: dict | None = None):
         self.datum = datum
@@ -234,8 +240,23 @@ class QSeries(_Series):
     def _norm(self, v) -> CohVector:
         return self.datum.check_vector(v)
 
+    @staticmethod
+    def _axpy(out: dict, k, v: CohVector, c) -> None:
+        acc = out.get(k)
+        if acc is None:
+            acc = out[k] = [0] * len(v)
+        for i, x in enumerate(v):
+            if x:
+                acc[i] += x * c
+
     def _like(self, coeffs: dict) -> "QSeries":
-        return QSeries(self.datum, self.n1, self.n2, coeffs)
+        new = QSeries(self.datum, self.n1, self.n2)
+        new.coeffs = {
+            k: tuple([c if type(c) is int else qnorm(c) for c in v])
+            for k, v in coeffs.items()
+            if any(v)
+        }
+        return new
 
     def _mismatch(self, other) -> str | None:
         miss = super()._mismatch(other)
@@ -256,7 +277,9 @@ class QSeries(_Series):
         return cls.from_vector(datum, s.n1, s.n2, 0).scaled(s)
 
     def coefficient(self, a: int, b: int) -> CohVector:
-        return self.coeffs.get((a, b), (0,) * self.datum.basis_size)
+        """The coefficient of q1^a q2^b (zero past the box); exponents are
+        gated as in the constructor."""
+        return self.coeffs.get(_exponents((a, b)), (0,) * self.datum.basis_size)
 
     def __repr__(self) -> str:
         if not self.coeffs:
@@ -361,7 +384,7 @@ def star(engine, left, right, n1: int = 4, n2: int = 2) -> QSeries:
         for (a2, b2), v in right.coeffs.items():
             if a1 + a2 <= n1 and b1 + b2 <= n2:
                 _add_product(engine, coeffs, u, v, a1 + a2, b1 + b2, n1, n2)
-    return QSeries(datum, n1, n2, coeffs)
+    return gate._like(coeffs)
 
 
 # ----------------------------------------------------------------------
@@ -487,10 +510,11 @@ def verify_relations(engine, n1: int = 4, n2: int = 2) -> RelationReport:
     t122 = triple(1, 2, 2)
     t222 = triple(2, 2, 2)
 
+    nine_f2 = 9 * f * f
     r1 = (
         t111
-        - t122.scaled(9 * f * f)
-        + t222.scaled(9 * f * f - 2 * f)
+        - t122.scaled(nine_f2)
+        + t222.scaled(nine_f2 - 2 * f)
         - QSeries.from_scalar(datum, q1 * q2 * (q1 - one))
     )
     r2 = (

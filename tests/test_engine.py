@@ -333,13 +333,14 @@ def test_split_sum_skips_zero_classes_and_matches_the_plain_sum():
             assert not datum.zero_class(b1) and not datum.zero_class(b2)
 
 
-def _rescaled_hilb_datum(value):
-    """The Hilb^2 datum with the base case I_(2,0)(T3) = 3/4 replaced by
-    ``value``, and everything else kept."""
+def _rescaled_hilb_datum(value, key=((2, 0), (3,))):
+    """The Hilb^2 datum with the base case ``key`` = (class, insertions), by
+    default I_(2,0)(T3) = 3/4, replaced by ``value``, and everything else
+    kept."""
     d = hilb_datum()
 
     def base_case(cls, ins):
-        if (cls, ins) == ((2, 0), (3,)):
+        if (cls, ins) == key:
             return value
         return d.base_case(cls, ins)
 
@@ -397,15 +398,14 @@ def test_plane_closed_class_is_integral_and_keeps_the_counts():
 
 
 def _overdetermined_residuals(engine, amax, bmax):
-    """``(count, nonzero)`` of ``wdvv_residual`` over every class (a, b)
-    with a <= amax and b <= bmax that is not declared zero, every n = 3..4,
-    every extras multiset of n - 3 non-divisors, and every frame of
-    positive-codimension indices on the dimension count with j != l."""
+    """Each ``wdvv_residual`` over every class (a, b) with a <= amax and
+    b <= bmax that is not declared zero, every n = 3..4, every extras
+    multiset of n - 3 non-divisors, and every frame of positive-codimension
+    indices on the dimension count with j != l, lazily, class by class."""
     datum = engine.datum
     weights = datum.weights
     positive = [e for e, c in enumerate(datum.codims) if c > 0]
     frames = [f for f in itertools.product(positive, repeat=4) if f[1] != f[3]]
-    count = nonzero = 0
     for cls in itertools.product(range(amax + 1), range(bmax + 1)):
         if datum.is_zero_class(cls) or datum.zero_class(cls):
             continue
@@ -416,9 +416,13 @@ def _overdetermined_residuals(engine, amax, bmax):
                 need = datum.weight_budget(cls) - 1 - sum(weights[e] for e in extras)
                 for frame in frames:
                     if sum(weights[e] for e in frame) == need:
-                        count += 1
-                        nonzero += engine.wdvv_residual(cls, frame, extras) != 0
-    return count, nonzero
+                        yield engine.wdvv_residual(cls, frame, extras)
+
+
+def _residual_count(engine, amax, bmax):
+    """``(count, nonzero)`` of the residuals of ``_overdetermined_residuals``."""
+    residuals = list(_overdetermined_residuals(engine, amax, bmax))
+    return len(residuals), sum(r != 0 for r in residuals)
 
 
 def test_every_frame_of_the_small_stages_closes():
@@ -428,11 +432,41 @@ def test_every_frame_of_the_small_stages_closes():
     and n = 3..4 vanish on a fresh engine; with the (2, 0) base case
     I(T3) = 3/4 changed to 3/2, thousands of the 27,268 at a <= 4, b <= 2
     do not."""
-    assert _overdetermined_residuals(Engine(), 6, 3) == (52216, 0)
-    count, nonzero = _overdetermined_residuals(
-        Engine(_rescaled_hilb_datum(rat(3, 2))), 4, 2
-    )
+    assert _residual_count(Engine(), 6, 3) == (52216, 0)
+    count, nonzero = _residual_count(Engine(_rescaled_hilb_datum(rat(3, 2))), 4, 2)
     assert count == 27268 and nonzero > 1000
+
+
+_BASE_CASES = [((a, 1), ins) for a, row in _A1_TABLE.items() for ins in row] + [
+    ((1, 0), (3,)),
+    ((1, 0), (4,)),
+    ((2, 0), (3,)),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, ins",
+    [
+        pytest.param(
+            cls,
+            ins,
+            id=f"({cls[0]},{cls[1]})-" + ",".join(f"T{e}" for e in ins),
+            marks=[pytest.mark.slow] if cls[0] == 2 else [],
+        )
+        for cls, ins in _BASE_CASES
+    ],
+)
+def test_every_base_case_is_load_bearing(cls, ins):
+    """Each of the 18 two-point values of classes (a, 1), and the (1, 0)
+    values of T3 and T4 and the (2, 0) value of T3, changed by +1 on a
+    copied datum, leaves a nonzero residual in the a <= 4, b <= 2 sweep of
+    ``_overdetermined_residuals``, which stops at the first one.  The
+    d <= 5 tables miss the change of I_(0,1)(T6, T6); this sweep catches it
+    at class (0, 2).  A change at a = 2 is found only after about 12,000
+    zero residuals, so those seven cases are ``slow``."""
+    value = hilb_datum().base_case(cls, ins) + 1
+    eng = Engine(_rescaled_hilb_datum(value, (cls, ins)))
+    assert any(r != 0 for r in _overdetermined_residuals(eng, 4, 2))
 
 
 def _random_collapsed_monomials(datum, rng, count):

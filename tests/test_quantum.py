@@ -20,7 +20,7 @@ from hilb2gw import (
     verify_relations,
 )
 from hilb2gw.chow import p2_datum
-from hilb2gw.quantum import ProductCheck, ProductReport, RelationReport
+from hilb2gw.quantum import ProductCheck, ProductReport, RelationReport, _add_product
 from hilb2gw.rationals import Rat, rat
 
 
@@ -67,7 +67,8 @@ def test_scalar_series_rejects_mixed_bounds():
 )
 def test_series_exponents_are_non_negative_ints(exps):
     """A fractional, bool, negative or non-int exponent raises ValueError;
-    it is never stored, printed or dropped as if it were past the box."""
+    it is never stored, printed, dropped as if it were past the box, or read
+    back as a coefficient."""
     datum = hilb_datum()
     with pytest.raises(ValueError, match="non-negative ints"):
         ScalarSeries(2, 2, {exps: 1})
@@ -75,8 +76,14 @@ def test_series_exponents_are_non_negative_ints(exps):
         ScalarSeries.monomial(2, 2, *exps)
     with pytest.raises(ValueError, match="non-negative ints"):
         QSeries(datum, 2, 2, {exps: datum.basis_vector(3)})
+    with pytest.raises(ValueError, match="non-negative ints"):
+        f_series(3, 1).coefficient(*exps)
+    with pytest.raises(ValueError, match="non-negative ints"):
+        QSeries.from_vector(datum, 2, 2, 3).coefficient(*exps)
     # in range or past the box, int exponents are accepted
     assert ScalarSeries(2, 2, {(3, 0): 1, (1, 2): 1}).coeffs == {(1, 2): 1}
+    assert f_series(3, 1).coefficient(1, 0) == 1
+    assert f_series(3, 1).coefficient(4, 0) == 0
 
 
 @pytest.mark.parametrize(
@@ -556,3 +563,155 @@ def test_product_table_makes_no_invariant_calls(monkeypatch):
     assert verify_product_table(eng, 4, 2).passed
     assert verify_relations(eng, 4, 2).passed
     assert calls == {"invariant": 0, "normalize": 0}
+
+
+# ----------------------------------------------------------------------
+# the series arithmetic against a naive reference
+# ----------------------------------------------------------------------
+
+
+def _naive_like(series, coeffs):
+    """A series of the kind and bounds of ``series`` from ``coeffs``, through
+    the public constructor and its full gate."""
+    if isinstance(series, QSeries):
+        return QSeries(series.datum, series.n1, series.n2, coeffs)
+    return ScalarSeries(series.n1, series.n2, coeffs)
+
+
+def _naive_terms(series):
+    """Each coefficient of ``series`` as a function of the exact scalar it
+    is multiplied by, and the matching sum of two such products."""
+    if isinstance(series, QSeries):
+        return (lambda v, c: tuple(x * c for x in v)), (
+            lambda u, v: tuple(map(operator.add, u, v))
+        )
+    return operator.mul, operator.add
+
+
+def _naive_scaled(series, s):
+    """``series`` times an exact scalar or a ScalarSeries: every pair of
+    terms convolved, a scalar taken as a constant series."""
+    if not isinstance(s, ScalarSeries):
+        s = ScalarSeries.constant(series.n1, series.n2, s)
+    scale, add = _naive_terms(series)
+    out: dict = {}
+    for (a1, b1), v in series.coeffs.items():
+        for (a2, b2), c in s.coeffs.items():
+            k = (a1 + a2, b1 + b2)
+            if k[0] <= series.n1 and k[1] <= series.n2:
+                out[k] = add(out[k], scale(v, c)) if k in out else scale(v, c)
+    return _naive_like(series, out)
+
+
+def _naive_add(left, right):
+    _scale, add = _naive_terms(left)
+    out = dict(left.coeffs)
+    for k, c in right.coeffs.items():
+        out[k] = add(out[k], c) if k in out else c
+    return _naive_like(left, out)
+
+
+def _naive_star(engine, left, right):
+    """Each pair of coefficients contracted by ``_add_product`` at its
+    offset, the sum built through the public constructor."""
+    n1, n2 = left.n1, left.n2
+    out: dict = {}
+    for (a1, b1), u in left.coeffs.items():
+        for (a2, b2), v in right.coeffs.items():
+            if a1 + a2 <= n1 and b1 + b2 <= n2:
+                _add_product(engine, out, u, v, a1 + a2, b1 + b2, n1, n2)
+    return _naive_like(left, out)
+
+
+def _entries(c) -> tuple:
+    """A coefficient of either kind as a tuple of exact scalars."""
+    return c if isinstance(c, tuple) else (c,)
+
+
+def _assert_series_normal(series):
+    """Normal form: keys inside the box, no zero coefficient, no integral
+    Fraction."""
+    for (a, b), c in series.coeffs.items():
+        assert 0 <= a <= series.n1 and 0 <= b <= series.n2, (a, b)
+        assert any(_entries(c)) and all(map(_is_normal, _entries(c))), ((a, b), c)
+
+
+def test_series_arithmetic_matches_a_naive_reference():
+    """``+``, ``-``, unary ``-``, ``scaled`` by a scalar and by a
+    ScalarSeries, ``*`` and ``star`` give the series of the pairwise
+    convolution built through the gated constructor, in normal form.  The
+    operands at (6, 2) have rational coefficients; each also meets its
+    integral complement (a sum of fractions that are ints) and its own
+    negative (a sum that is zero)."""
+    eng = Engine()
+    datum = eng.datum
+    rng = random.Random(20261020)
+    n1, n2 = 6, 2
+    keys = [(a, b) for a in range(n1 + 1) for b in range(n2 + 1)]
+
+    def scalar():
+        return rat(rng.randint(-3, 3), rng.choice((1, 2, 3, 4)))
+
+    def vector():
+        vec = [0] * datum.basis_size
+        for e in rng.sample(range(datum.basis_size), 3):
+            vec[e] = scalar()
+        return tuple(vec)
+
+    def complement(c):
+        """An exact value that sums with ``c`` to an int."""
+        if isinstance(c, tuple):
+            return tuple(rng.randint(-2, 2) - x for x in c)
+        return rng.randint(-2, 2) - c
+
+    def operands(make, build, whole):
+        """A left operand with a true fraction, and right operands: a random
+        one, an integral complement (with int terms of its own), the left
+        operand's negative, and the left operand itself."""
+        left = build({k: make() for k in rng.sample(keys, 5)})
+        right = build({k: make() for k in rng.sample(keys, 4)})
+        comp = {k: complement(c) for k, c in left.coeffs.items()}
+        comp = build({k: whole() for k in rng.sample(keys, 2)} | comp)
+        assert any(type(x) is Rat for c in left.coeffs.values() for x in _entries(c))
+        total = [x for c in _naive_add(left, comp).coeffs.values() for x in _entries(c)]
+        assert total and all(type(x) is int for x in total)
+        int_sums.append(len(total))
+        return left, [right, comp, _naive_scaled(left, -1), left]
+
+    def cases():
+        for _ in range(6):
+            x, others = operands(
+                scalar,
+                lambda c: ScalarSeries(n1, n2, c),
+                lambda: rng.randint(1, 3),
+            )
+            for y in others:
+                yield x + y, _naive_add(x, y)
+                yield x - y, _naive_add(x, _naive_scaled(y, -1))
+                yield x * y, _naive_scaled(x, y)
+                yield y.scaled(x), _naive_scaled(y, x)
+            yield -x, _naive_scaled(x, -1)
+            for c in (0, 1, -2, rat(2, 3), rat(-3, 2)):
+                yield x.scaled(c), _naive_scaled(x, c)
+                yield c * x, _naive_scaled(x, c)
+            u, others = operands(
+                vector,
+                lambda c: QSeries(datum, n1, n2, c),
+                lambda: datum.basis_vector(rng.randrange(datum.basis_size)),
+            )
+            for v in others:
+                yield u + v, _naive_add(u, v)
+                yield u - v, _naive_add(u, _naive_scaled(v, -1))
+                yield u.scaled(x), _naive_scaled(u, x)
+                yield star(eng, u, v, n1, n2), _naive_star(eng, u, v)
+            yield -u, _naive_scaled(u, -1)
+            for c in (0, 1, rat(4, 3), rat(-1, 2)):
+                yield u.scaled(c), _naive_scaled(u, c)
+
+    int_sums, seen = [], Counter()
+    for got, want in cases():
+        assert got == want
+        _assert_series_normal(got)
+        seen["zero" if got.is_zero() else "nonzero"] += 1
+    assert seen["zero"] >= 24 and seen["nonzero"] >= 200, seen
+    assert sum(int_sums) >= 100, int_sums
