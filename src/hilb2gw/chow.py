@@ -185,10 +185,10 @@ class TargetDatum:
     Besides the ring, a datum carries what it knows of the invariants
     without the engine: ``base_case`` (the two-point values the
     reconstruction starts from), ``zero_class`` (classes whose invariants
-    all vanish, which the engine's split plans skip), and, with a base
-    divisor, ``vanishes``, ``order_bound`` and ``boundary_value`` (the
-    vanishing theorem of the projection to the base plane, its bound, and
-    its closed form on the boundary).
+    all vanish, which the engine's split plans and three-point rows
+    skip), and, with a base divisor, ``vanishes``, ``order_bound`` and
+    ``boundary_value`` (the vanishing theorem of the projection to the base
+    plane, its bound, and its closed form on the boundary).
     """
 
     def __init__(
@@ -301,7 +301,8 @@ class TargetDatum:
         Hilb^2 declares the classes (a, 1) with a > 2, which its base cases
         also answer with 0 (``_hilb_zero_class``); the plane declares none.
         The engine's split plans leave out every split with a side in such a
-        class, so the split sum never looks up or stores its keys.
+        class, and the quantum product's boxes skip such a class, so neither
+        the split sum nor a three-point row looks up or stores its keys.
         """
         return self._zero_class is not None and self._zero_class(cls)
 

@@ -73,14 +73,14 @@ call, and in ``load_cache`` ``_check_class`` and ``MemoStore.code`` on each
 new class and list.  Past them a key is its class and packed code alone,
 and a key the engine forms itself skips ``value_of``'s gate: the codes of
 ``_canon`` that ``invariant`` resolves, those of ``_build``, the symbolic
-ones of ``wdvv_residual`` among them, and the rows of ``_row``.  Every key
-goes to ``_resolve(cls, code)``: memo hit, base case, projection rule,
-then a visit to the key's stage, whose harvest, symbolic terms, solver and
-memo writes all take codes.  A code is decoded only at the outward edges:
-the ``_resolve`` miss that ``base_case`` and ``vanishes`` read, the
-harvest's call to ``_lead_spec`` on a new list, the LinearForms of
-``normalize`` and ``build_equation``, ``MemoStore.items``, ``save_cache``
-and error messages.
+ones of ``wdvv_residual`` among them, and the rows of ``_part_row``.
+Every key goes to ``_resolve(cls, code)``: memo hit, base case,
+projection rule, then a visit to the key's stage, whose harvest, symbolic
+terms, solver and memo writes all take codes.  A code is decoded only at
+the outward edges: the ``_resolve`` miss that ``base_case`` and
+``vanishes`` read, the harvest's call to ``_lead_spec`` on a new list, the
+LinearForms of ``normalize`` and ``build_equation``, ``MemoStore.items``,
+``save_cache`` and error messages.
 
 The split sum does no work it can see is zero.  A frame and extras off the
 dimension count give the zero form before any term is walked.  On the
@@ -90,11 +90,14 @@ in two layers.  A class plan, built once per class from one
 denominator and one tuple of its (e, e^) pairs whose own divisor
 multipliers are nonzero; splits into a class the datum declares zero
 (``TargetDatum.zero_class``) are left out, so their keys are never looked
-up or stored.  A class is closed when its weight budget is at most 2:
-every key of it holds at most two insertions, so it is a base case or a
-key the projection kills, and none is ever solved.  On Hilb^2 the closed
-classes are the (a, 0), whose base cases +-3/a^2 are the only true
-fractions the tables meet; on the plane, (1,).  A closed side's value
+up or stored.  The three-point rows of the quantum product, like the
+split plans, never look up or store a key of a declared-zero class: a box
+(``_box_rows``) skips every such class.  A class is closed when its
+weight budget is at most 2: every key of it holds at most two
+insertions, so it is a base case or a key the projection kills, and none
+is ever solved.  On Hilb^2 the closed classes are the (a, 0), whose base
+cases +-3/a^2 are the only true fractions the tables meet; on the plane,
+(1,).  A closed side's value
 dict is a static table of ints, its values times their lcm denominator
 D, read from the datum once per class; any other side's is the class's
 live memo dict, with D = 1.  A signature plan, one per class and divisors
@@ -391,6 +394,8 @@ class Engine:
         self._signature_plans: dict = {}  # (lcd, splits) by (cls, div1, div2)
         self._closed: dict = {}  # (scaled values, D) by closed class
         self._boxes: dict = {}  # nonempty rows of a box, by (x, y, n1, n2)
+        self._rows: dict = {}  # row of a non-divisor part, by (cls, code)
+        self._box_classes: dict = {}  # box classes by budget, by (n1, n2)
         self._leads: dict = {}  # lead spec by insertion code
         d = self.datum
         self._vanishes = d.vanishes
@@ -452,6 +457,14 @@ class Engine:
                 x for x in d.nondivisors if not d.cup_terms[dv][x]
             )
             self._lead_rows[t] = (dv, rho, vkill)
+        # _thirds[w]: the basis indices of weight w, the third insertions
+        # of a three-point row whose pair leaves weight w of the budget; the
+        # fundamental class, which kills every key, is left out
+        thirds: dict = {}
+        for e, c in enumerate(d.codims):
+            if c:
+                thirds[d.weights[e]] = thirds.get(d.weights[e], ()) + (e,)
+        self._thirds = thirds
 
     # ------------------------------------------------------------------
     # canonicalization
@@ -513,16 +526,15 @@ class Engine:
         return {code: qnorm(c) for code, c in terms.items() if c != 0}
 
     def _canon_code(self, cls, x, y, m, sums):
-        """``_canon`` of one monomial, for the collapsed terms of ``_build``
-        and the three-point rows of ``_row``.
+        """``_canon`` of one monomial, for the collapsed terms of ``_build``.
 
         Canonicalizes the monomial (x, y, m) plus extras whose sums
         ``(code, weight, base-order sum, count)`` are given, as
-        ``_partition_groups`` returns them (``_NO_EXTRAS`` for none):
-        each of x, y and m adds its ``_units`` entry.  Returns ``(code, n,
-        mult)``, the packed code and insertion count of the key and the
-        divisor multiplier, or None where ``_canon`` leaves the monomial
-        out.  No index is checked, and the three units are read unrolled.
+        ``_partition_groups`` returns them: each of x, y and m adds its
+        ``_units`` entry.  Returns ``(code, n, mult)``, the packed code and
+        insertion count of the key and the divisor multiplier, or None
+        where ``_canon`` leaves the monomial out.  No index is checked, and
+        the three units are read unrolled.
         """
         code, w, t, n = sums
         units = self._units
@@ -584,13 +596,13 @@ class Engine:
         the one path of every key, a caller's or the engine's.
 
         The key must be canonical and admissible, as every key ``_canon``,
-        ``_build`` and ``_row`` form is and as ``value_of`` checks.  A key
-        the memo holds (it may have been solved since the caller's lookup) is
-        returned undecoded.  A miss is decoded to the sorted tuple that
-        ``base_case`` and ``vanishes`` read, the one decode on this path: a
-        base case or a key the projection to the base plane kills is stored
-        by its code without visiting a stage; any other key is solved by a
-        visit to its stage, which takes the code.
+        ``_build`` and ``_part_row`` form is and as ``value_of`` checks.  A
+        key the memo holds (it may have been solved since the caller's
+        lookup) is returned undecoded.  A miss is decoded to the sorted
+        tuple that ``base_case`` and ``vanishes`` read, the one decode on
+        this path: a base case or a key the projection to the base plane
+        kills is stored by its code without visiting a stage; any other key
+        is solved by a visit to its stage, which takes the code.
         """
         vals = self.memo.class_values(cls)
         v = vals.get(code)
@@ -659,57 +671,103 @@ class Engine:
         Returns ``((top - i, I_cls(T_x, T_y, T_i)), ...)`` over the i whose
         invariant is nonzero, the empty tuple when there is none; ``cls`` is
         a nonzero effective class and x, y are basis indices in either
-        order, all checked on every call.  Only ``_box_rows`` keeps rows.
+        order, all checked on every call.  A class the datum declares zero
+        (``TargetDatum.zero_class``) has the empty row, and none of its
+        keys is looked up or stored.  Only ``_box_rows`` keeps rows.
         """
         cls = self._check_class(cls)
         self.datum.check_index(x)
         self.datum.check_index(y)
+        if self.datum.zero_class(cls):
+            return ()
         return self._row(cls, x, y)
 
     def _row(self, cls, x, y):
-        """``three_point_row`` without the checks, for ``_box_rows``: each
-        key is formed by ``_canon_code`` and valued on its packed code by
-        ``_resolve``, the internal path, not the caller's gate of
-        ``value_of``."""
-        d = self.datum
-        weights = self._weights
-        need = self._budget(cls) - weights[x] - weights[y]
-        canon_code = self._canon_code
+        """``three_point_row`` without the checks, for ``_box_rows``, at a
+        class not declared zero.  By the divisor axiom the row is x.cls
+        times y.cls (a divisor's intersection number, 1 for a non-divisor,
+        0 for the fundamental class) times the row of the pair's
+        non-divisor part, which ``_part_row`` resolves once per class and
+        part: T1 * T3 and T2 * T3 share the row of (T3,), and the three
+        divisor pairs the row of no insertion."""
+        units = self._units
+        mults = cls + (1, 0)  # indexed by a unit's slot
+        sx, cx, wx, tx, nx = units[x]
+        sy, cy, wy, ty, ny = units[y]
+        mult = mults[sx] * mults[sy]
+        if not mult:
+            return ()
+        row = self._rows.get((cls, cx + cy))
+        if row is None:
+            row = self._part_row(cls, cx + cy, wx + wy, tx + ty, nx + ny)
+        if mult == 1:
+            return row
+        return tuple([(j, qnorm(mult * v)) for j, v in row])
+
+    def _part_row(self, cls, code, w, t, n):
+        """The row at ``cls`` of a non-divisor part given by its packed
+        code, weight, base-order sum and count: ``((top - i, I_cls(part,
+        T_i)), ...)`` over the i of ``_thirds`` that fill the weight budget
+        whose key the projection keeps (``TargetDatum.order_bound``) and
+        whose value is nonzero, a divisor i taken by the divisor axiom.
+        Each key is formed on its packed code and valued by ``_resolve``,
+        the internal path, not the caller's gate of ``value_of``.  The row
+        is kept in ``_rows``; memo values are never overwritten, so it
+        cannot go stale."""
+        units = self._units
+        mults = cls + (1, 0)  # indexed by a unit's slot
+        order_bound = self._order_bound
         resolve = self._resolve
+        top = self.datum.top
         entries = []
-        for i in range(d.basis_size):
-            if weights[i] != need:
-                continue
-            canon = canon_code(cls, x, y, i, _NO_EXTRAS)
-            if canon is not None:
-                code, _n, mult = canon
-                val = qnorm(mult * resolve(cls, code))
+        for i in self._thirds.get(self._budget(cls) - w, ()):
+            s, ci, _wi, ti, ni = units[i]
+            m = mults[s]
+            if m and t + ti <= order_bound(cls, n + ni):
+                val = resolve(cls, code + ci)
                 if val:
-                    entries.append((d.top - i, val))
-        return tuple(entries)
+                    entries.append((top - i, val if m == 1 else qnorm(m * val)))
+        row = self._rows[(cls, code)] = tuple(entries)
+        return row
 
     def _box_rows(self, x, y, n1, n2):
         """``((a, b, row), ...)`` for each class (a, b) != (0, 0) with
         a <= n1 and b <= n2 whose ``_row((a, b), x, y)`` is nonempty, in
         increasing (a, b); built once per basis pair and truncation, for the
-        quantum product.  Memo values are never overwritten, so a kept box
-        cannot go stale.  The classes (a, b) are admissible only on a
-        two-parameter target; any other raises ValueError."""
+        quantum product.  A box visits only the classes that can hold a
+        row: it skips each class the datum declares zero, and each class
+        whose row weight (its budget less the weights of x and y) is the
+        weight of no index of ``_thirds``; the classes of a truncation are
+        listed once, by budget, in ``_box_classes``.  So no row looks up or
+        stores a key of a declared-zero class, and at (80, 2) the nine boxes
+        of ``qcoh`` resolve 329 rows of (class, non-divisor part), not one
+        per class and pair (2,178).  Memo values are never overwritten, so a
+        kept box cannot go stale.  The classes (a, b) are admissible only
+        on a two-parameter target, which the quantum product checks before
+        it asks for a box."""
         key = (x, y, n1, n2)
         box = self._boxes.get(key)
         if box is None:
-            if self.datum.rank != 2:
-                raise ValueError(
-                    "the quantum product is defined for the two-parameter "
-                    "target only"
-                )
+            groups = self._box_classes.get((n1, n2))
+            if groups is None:
+                groups = {}
+                zero_class = self.datum.zero_class
+                for a in range(n1 + 1):
+                    for b in range(n2 + 1):
+                        cls = (a, b)
+                        if (a or b) and not zero_class(cls):
+                            groups.setdefault(self._budget(cls), []).append(cls)
+                self._box_classes[(n1, n2)] = groups
+            thirds = self._thirds
+            wxy = self._weights[x] + self._weights[y]
             entries = []
-            for a in range(n1 + 1):
-                for b in range(n2 + 1):
-                    if a or b:
-                        row = self._row((a, b), x, y)
+            for budget, classes in groups.items():
+                if budget - wxy in thirds:
+                    for cls in classes:
+                        row = self._row(cls, x, y)
                         if row:
-                            entries.append((a, b, row))
+                            entries.append(cls + (row,))
+            entries.sort()
             box = self._boxes[key] = tuple(entries)
         return box
 
@@ -1408,9 +1466,6 @@ class Engine:
 
 
 _ONLY_INTS = frozenset((int,))
-# the extras' sums (code, weight, base-order sum, count) of no extras, for
-# the three-point monomials that _row hands to _canon_code
-_NO_EXTRAS = (0, 0, 0, 0)
 
 
 def _as_tuple(x, what):

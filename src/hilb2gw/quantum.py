@@ -11,10 +11,16 @@ divisor subring from engine invariants.
 Products are bilinear: the coefficient of q1^a q2^b in g1 * g2 is
 ``sum_{x,y} g1[x] g2[y] R_(a,b)(x, y)`` with the three-point basis row
 ``R_(a,b)(x, y) = sum_i I_(a,b)(T_x, T_y, T_i) T_{8-i}``.  Most rows are
-empty (249 of the 2,178 rows that ``qcoh`` at (80, 2) resolves are not),
-so the engine keeps, per basis pair and truncation, the tuple of the box's
-nonempty rows (``Engine._box_rows``), each row resolved once when its box
-is built.  A product contracts the sparse supports of its operands with
+empty, and the engine resolves only those that can be nonzero.  A box
+skips each class the datum declares zero and each class whose row weight
+is the weight of no basis index.  By the divisor axiom a pair's row is
+its divisor multipliers times the row of its non-divisor part, resolved
+once per class and part.  So the nine boxes of ``qcoh`` at (80, 2)
+resolve 329 rows, not the 2,178 of one per class and basis pair, and
+keep the 249 nonempty ones.  The engine keeps, per basis pair and
+truncation, the tuple of the box's nonempty rows (``Engine._box_rows``).
+A product finds the nonzero entries of each operand coefficient once,
+looks up each basis pair's box once per call, and contracts them with
 those rows alone, skipping the ones that would land past the truncation.
 
 ``ScalarSeries`` (exact coefficients) and ``QSeries`` (cohomology-vector
@@ -28,7 +34,9 @@ constructors gate every key and coefficient (``rationals.qnorm`` for a
 scalar, ``TargetDatum.check_vector`` for a vector; any value that is not an
 exact rational raises ValueError).  The results of ``+``, ``-``,
 ``scaled``, ``*`` and ``star`` are built once by ``_like``, which only
-normalizes and drops zeros: their operands were gated.  Either way every
+normalizes and drops zeros: their operands were gated.  One kernel per
+kind, ``_convolve``, runs ``+``, ``-`` and ``scaled``: each operand
+coefficient loops over the other operand's terms inline.  Either way every
 coefficient is in the package's normal form (a plain ``int`` when integral,
 a ``Rat`` only for a true fraction).  Operands are basis indices or
 cohomology vectors, checked by ``TargetDatum.check_index`` and
@@ -39,6 +47,8 @@ from __future__ import annotations
 
 from .chow import CohVector, TargetDatum
 from .rationals import check_int, qnorm
+
+_ONLY_INTS = frozenset((int,))
 
 __all__ = [
     "ScalarSeries",
@@ -85,7 +95,10 @@ class _Series:
     built by ``_like``, which only normalizes and drops zeros.
 
     A subclass names its coefficient type: ``_norm``, ``_nonzero``,
-    ``_axpy`` (add ``v * c`` into an accumulator dict at a key) and ``_like``.
+    ``_like``, ``_accumulator`` (a mutable copy of the coefficients, where
+    ``+`` and ``-`` start) and ``_convolve``, the one arithmetic kernel: it
+    adds the product of a coefficient dict with a list of scalar terms into
+    an accumulator, each coefficient looping over the terms inline.
     """
 
     __slots__ = ("n1", "n2", "coeffs")
@@ -126,10 +139,8 @@ class _Series:
     def _combine(self, other, sign: int):
         """``self + sign * other`` in one pass."""
         self._check_operand(other)
-        axpy, coeffs = self._axpy, {}
-        for series, s in ((self, 1), (other, sign)):
-            for k, c in series.coeffs.items():
-                axpy(coeffs, k, c, s)
+        coeffs = self._accumulator()
+        self._convolve(coeffs, other.coeffs, ((0, 0, sign),), self.n1, self.n2)
         return self._like(coeffs)
 
     def __add__(self, other):
@@ -144,18 +155,13 @@ class _Series:
     def scaled(self, s):
         """Multiply by an exact scalar or by a ScalarSeries (with truncation)."""
         if not isinstance(s, ScalarSeries):
-            terms = [((0, 0), qnorm(s))]  # one pass over this series
+            terms = ((0, 0, qnorm(s)),)  # one pass over this series
         elif (s.n1, s.n2) != (self.n1, self.n2):
             raise ValueError("mismatched truncation bounds")
-        else:
-            terms = sorted(s.coeffs.items())  # by a: break past the box
-        axpy, coeffs, n1, n2 = self._axpy, {}, self.n1, self.n2
-        for (a1, b1), v in self.coeffs.items():
-            for (a2, b2), c in terms:
-                if a1 + a2 > n1:
-                    break
-                if b1 + b2 <= n2:
-                    axpy(coeffs, (a1 + a2, b1 + b2), v, c)
+        else:  # by a: the kernel breaks past the box
+            terms = sorted([(a, b, c) for (a, b), c in s.coeffs.items()])
+        coeffs: dict = {}
+        self._convolve(coeffs, self.coeffs, terms, self.n1, self.n2)
         return self._like(coeffs)
 
     def __eq__(self, other) -> bool:
@@ -181,9 +187,23 @@ class ScalarSeries(_Series):
     _norm = staticmethod(qnorm)
     _nonzero = bool
 
+    def _accumulator(self) -> dict:
+        return dict(self.coeffs)
+
     @staticmethod
-    def _axpy(out: dict, k, v, c) -> None:
-        out[k] = out.get(k, 0) + v * c
+    def _convolve(out: dict, coeffs: dict, terms, n1: int, n2: int) -> None:
+        """Add ``coeffs`` times the terms ``(a, b, c)``, sorted by a, into
+        ``out``, truncated at (n1, n2)."""
+        get = out.get
+        for (a1, b1), v in coeffs.items():
+            for a2, b2, c in terms:
+                a = a1 + a2
+                if a > n1:
+                    break
+                b = b1 + b2
+                if b <= n2:
+                    k = (a, b)
+                    out[k] = get(k, 0) + v * c
 
     def _like(self, coeffs: dict) -> "ScalarSeries":
         new = ScalarSeries(self.n1, self.n2)
@@ -240,19 +260,37 @@ class QSeries(_Series):
     def _norm(self, v) -> CohVector:
         return self.datum.check_vector(v)
 
+    def _accumulator(self) -> dict:
+        return {k: list(v) for k, v in self.coeffs.items()}
+
     @staticmethod
-    def _axpy(out: dict, k, v: CohVector, c) -> None:
-        acc = out.get(k)
-        if acc is None:
-            acc = out[k] = [0] * len(v)
-        for i, x in enumerate(v):
-            if x:
-                acc[i] += x * c
+    def _convolve(out: dict, coeffs: dict, terms, n1: int, n2: int) -> None:
+        """Add ``coeffs`` times the terms ``(a, b, c)``, sorted by a, into
+        ``out`` (mutable lists), truncated at (n1, n2); each vector's
+        nonzero entries are found once."""
+        get = out.get
+        for (a1, b1), v in coeffs.items():
+            nonzero = [(i, x) for i, x in enumerate(v) if x]
+            for a2, b2, c in terms:
+                a = a1 + a2
+                if a > n1:
+                    break
+                b = b1 + b2
+                if b <= n2:
+                    k = (a, b)
+                    acc = get(k)
+                    if acc is None:
+                        acc = out[k] = [0] * len(v)
+                    for i, x in nonzero:
+                        acc[i] += x * c
 
     def _like(self, coeffs: dict) -> "QSeries":
         new = QSeries(self.datum, self.n1, self.n2)
+        ints = _ONLY_INTS.issuperset
         new.coeffs = {
-            k: tuple([c if type(c) is int else qnorm(c) for c in v])
+            k: tuple(v)
+            if ints(map(type, v))
+            else tuple([c if type(c) is int else qnorm(c) for c in v])
             for k, v in coeffs.items()
             if any(v)
         }
@@ -301,40 +339,62 @@ class QSeries(_Series):
 # ----------------------------------------------------------------------
 
 
-def _add_product(engine, out: dict, u, v, a0: int, b0: int, n1: int, n2: int) -> None:
+def _check_target(engine) -> None:
+    """ValueError unless the engine's target has two-parameter classes
+    (a, b), the only ones the quantum product's series are indexed by."""
+    if engine.datum.rank != 2:
+        raise ValueError(
+            "the quantum product is defined for the two-parameter target only"
+        )
+
+
+def _supports(series: QSeries) -> list:
+    """``(a, b, entries)`` for each coefficient of ``series``, with the
+    nonzero ``(index, value)`` entries of its vector."""
+    return [
+        (a, b, [(x, c) for x, c in enumerate(v) if c])
+        for (a, b), v in series.coeffs.items()
+    ]
+
+
+def _add_product(engine, pairs: dict, out: dict, su, sv, a0, b0, n1, n2) -> None:
     """Add q1^a0 q2^b0 (u * v), truncated at (n1, n2), into ``out``.
 
-    ``u`` and ``v`` are vectors in normal form and ``out`` maps (a, b) to a
-    mutable coefficient list.  The product is contracted bilinearly: the
-    operands' supports pair up (x <= y, the row being symmetric) and each
-    pair weight multiplies its cup-table entry at q1^a0 q2^b0 and each of
-    its nonempty three-point rows (``Engine._box_rows``) that lands inside
-    the truncation.  A cell of ``out`` is created only when a term lands on
-    it.
+    ``su`` and ``sv`` are the nonzero entries of two vectors in normal form
+    (``_supports``) and ``out`` maps (a, b) to a mutable coefficient list.
+    The product is contracted bilinearly: the entries pair up (x <= y, the
+    row being symmetric) and each pair weight multiplies its cup-table
+    entry at q1^a0 q2^b0 and each of its nonempty three-point rows
+    (``Engine._box_rows``) that lands inside the truncation.  ``pairs``
+    holds each basis pair's cup terms and box, looked up once per ``star``
+    call.  A cell of ``out`` is created only when a term lands on it.
     """
     weights: dict = {}
-    for x, cx in enumerate(u):
-        if cx:
-            for y, cy in enumerate(v):
-                if cy:
-                    k = (x, y) if x <= y else (y, x)
-                    weights[k] = weights.get(k, 0) + cx * cy
+    for x, cx in su:
+        for y, cy in sv:
+            k = (x, y) if x <= y else (y, x)
+            weights[k] = weights.get(k, 0) + cx * cy
     size = engine.datum.basis_size
-    cup_terms = engine.datum.cup_terms
-    box_rows = engine._box_rows
     amax, bmax = n1 - a0, n2 - b0
-    for (x, y), c in weights.items():
+    for k, c in weights.items():
         if not c:
             continue
+        pair = pairs.get(k)
+        if pair is None:
+            x, y = k
+            pair = pairs[k] = (
+                engine.datum.cup_terms[x][y],
+                engine._box_rows(x, y, n1, n2),
+            )
+        terms, rows = pair
         c = qnorm(c)
-        terms = cup_terms[x][y]
         if terms:
             vec = out.get((a0, b0))
             if vec is None:
                 vec = out[(a0, b0)] = [0] * size
             for m, cm in terms:
                 vec[m] += c * cm
-        for a, b, row in box_rows(x, y, n1, n2):
+        for a, b, row in rows:
             if a > amax:
                 break
             if b > bmax:
@@ -364,11 +424,14 @@ def star(engine, left, right, n1: int = 4, n2: int = 2) -> QSeries:
 
     Accepts basis indices, cohomology vectors, or QSeries on either side; a
     QSeries operand must have the bounds (n1, n2) and the engine's datum,
-    else ValueError.  Each pair of coefficients at (a1, b1) and (a2, b2)
-    with a1 + a2 <= n1 and b1 + b2 <= n2 adds its product at that offset,
-    from the operands' nonempty three-point rows that land inside the
-    truncation.
+    else ValueError, and a target without two-parameter classes raises
+    ValueError first.  Each pair of coefficients at (a1, b1) and (a2, b2)
+    with a1 + a2 <= n1 and b1 + b2 <= n2 adds its product at that offset
+    (``_add_product``), from the nonempty three-point rows that land inside
+    the truncation.  Each coefficient's nonzero entries are found once, and
+    each basis pair's box is looked up once per call.
     """
+    _check_target(engine)
     datum = engine.datum
     gate = QSeries(datum, n1, n2)
     if isinstance(left, QSeries):
@@ -379,11 +442,13 @@ def star(engine, left, right, n1: int = 4, n2: int = 2) -> QSeries:
         gate._check_operand(right)
     else:
         right = QSeries.from_vector(datum, n1, n2, right)
+    pairs: dict = {}
     coeffs: dict = {}
-    for (a1, b1), u in left.coeffs.items():
-        for (a2, b2), v in right.coeffs.items():
+    rights = _supports(right)
+    for a1, b1, su in _supports(left):
+        for a2, b2, sv in rights:
             if a1 + a2 <= n1 and b1 + b2 <= n2:
-                _add_product(engine, coeffs, u, v, a1 + a2, b1 + b2, n1, n2)
+                _add_product(engine, pairs, coeffs, su, sv, a1 + a2, b1 + b2, n1, n2)
     return gate._like(coeffs)
 
 
@@ -471,7 +536,9 @@ class RelationReport:
 
 
 def verify_product_table(engine, n1: int = 4, n2: int = 2) -> ProductReport:
-    """Recompute the nine products of divisors with low-degree classes."""
+    """Recompute the nine products of divisors with low-degree classes; a
+    target without two-parameter classes raises ValueError first."""
+    _check_target(engine)
     datum = engine.datum
     expected = _closed_product_forms(datum, n1, n2)
     report = ProductReport(n1, n2)

@@ -2,6 +2,7 @@
 the cubic relations, the ring axioms at small truncation, and the bilinear
 evaluation against the definition."""
 
+import functools
 import operator
 import random
 from collections import Counter
@@ -20,7 +21,7 @@ from hilb2gw import (
     verify_relations,
 )
 from hilb2gw.chow import p2_datum
-from hilb2gw.quantum import ProductCheck, ProductReport, RelationReport, _add_product
+from hilb2gw.quantum import ProductCheck, ProductReport, RelationReport
 from hilb2gw.rationals import Rat, rat
 
 
@@ -524,6 +525,70 @@ def test_qcoh_resolves_each_three_point_row_once(monkeypatch):
     assert max(calls.values()) == 1
 
 
+def _typed_box(box):
+    """A box with the type of each value next to it, for type-exact ==."""
+    return [(a, b, [(j, type(v), v) for j, v in row]) for a, b, row in box]
+
+
+def test_box_rows_match_rows_built_from_invariants():
+    """At (6, 3) every basis pair's box on a cold engine holds exactly the
+    nonempty rows that a second cold engine builds from ``invariant`` over
+    every class (a, b) != (0, 0) and every third index: the box skips no
+    class with a nonzero row, and each row shared by the pairs of one
+    non-divisor part is scaled by the right divisor multipliers."""
+    n1, n2 = 6, 3
+    eng, ref = Engine(), Engine()
+    datum = eng.datum
+    classes = [(a, b) for a in range(n1 + 1) for b in range(n2 + 1) if a or b]
+    nonempty = 0
+    for x in range(datum.basis_size):
+        for y in range(x, datum.basis_size):
+            want = []
+            for cls in classes:
+                row = []
+                for i in range(datum.basis_size):
+                    val = ref.invariant(cls, [x, y, i])
+                    if val:
+                        row.append((datum.top - i, val))
+                if row:
+                    want.append(cls + (tuple(row),))
+            assert _typed_box(eng._box_rows(x, y, n1, n2)) == _typed_box(want), (x, y)
+            nonempty += len(want)
+    assert nonempty == 100
+
+
+def test_qcoh_stores_no_key_of_a_declared_zero_class():
+    """The rows skip the classes the datum declares zero, (a, 1) with
+    a > 2 on Hilb^2, so after ``qcoh`` at (80, 2) the memo holds none of
+    their keys; ``three_point_row`` gives such a class the empty row
+    without storing one either."""
+    eng = Engine()
+    assert verify_product_table(eng, 80, 2).passed
+    assert verify_relations(eng, 80, 2).passed
+    assert eng.three_point_row((3, 1), 3, 8) == ()
+    zero_class = eng.datum.zero_class
+    assert zero_class((3, 1))
+    assert len(eng.memo) and not [
+        key for key, _v in eng.memo.items() if zero_class(key[0])
+    ]
+
+
+def test_quantum_calls_on_the_plane_name_the_target():
+    """The product table, the relations and a single product on the plane
+    all raise the documented ValueError, the table before it builds its
+    closed forms (whose basis indices the plane lacks)."""
+    eng = Engine(p2_datum())
+    calls = (verify_product_table, verify_relations, small_product)
+    for call in calls:
+        args = (1, 1, 2, 1) if call is small_product else (2, 1)
+        with pytest.raises(
+            ValueError,
+            match="^the quantum product is defined for the two-parameter "
+            "target only$",
+        ):
+            call(eng, *args)
+
+
 def test_star_on_the_plane_target_raises_and_caches_no_class():
     """The quantum product's classes (a, b) exist on the two-parameter
     target only: on the plane ``star`` raises ValueError instead of
@@ -612,14 +677,34 @@ def _naive_add(left, right):
 
 
 def _naive_star(engine, left, right):
-    """Each pair of coefficients contracted by ``_add_product`` at its
-    offset, the sum built through the public constructor."""
+    """Each pair of coefficients contracted entry by entry at its offset:
+    the cup table, and at each class (a, b) of the box left past the
+    offset the row ``Engine.three_point_row``; the sum built through the
+    public constructor."""
+    datum = engine.datum
     n1, n2 = left.n1, left.n2
+    row = functools.cache(engine.three_point_row)
     out: dict = {}
+
+    def add(k, j, c):
+        out.setdefault(k, [0] * datum.basis_size)[j] += c
+
     for (a1, b1), u in left.coeffs.items():
         for (a2, b2), v in right.coeffs.items():
-            if a1 + a2 <= n1 and b1 + b2 <= n2:
-                _add_product(engine, out, u, v, a1 + a2, b1 + b2, n1, n2)
+            a0, b0 = a1 + a2, b1 + b2
+            if a0 > n1 or b0 > n2:
+                continue
+            for x, cx in enumerate(u):
+                for y, cy in enumerate(v):
+                    if not (cx and cy):
+                        continue
+                    for m, cm in enumerate(datum.cup_basis(x, y)):
+                        add((a0, b0), m, cx * cy * cm)
+                    for a in range(n1 - a0 + 1):
+                        for b in range(n2 - b0 + 1):
+                            if a or b:
+                                for j, val in row((a, b), x, y):
+                                    add((a0 + a, b0 + b), j, cx * cy * val)
     return _naive_like(left, out)
 
 
