@@ -39,9 +39,8 @@ serves as an independent cross-check target.
 from __future__ import annotations
 
 import math
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
-from .kontsevich import kontsevich_nd
 from .rationals import qdiv, qnorm
 
 # --------------------------------------------------------------------------
@@ -186,9 +185,8 @@ class TargetDatum:
     without the engine: ``base_case`` (the two-point values the
     reconstruction starts from), ``zero_class`` (classes whose invariants
     all vanish, which the engine's split plans and three-point rows
-    skip), and, with a base divisor, ``vanishes``, ``order_bound`` and
-    ``boundary_value`` (the vanishing theorem of the projection to the base
-    plane, its bound, and its closed form on the boundary).
+    skip), and, with a base divisor, ``vanishes`` and ``order_bound`` (the
+    vanishing theorem of the projection to the base plane and its bound).
     """
 
     def __init__(
@@ -365,67 +363,6 @@ class TargetDatum:
         a = cls[self.divisor_pos[self.base]]
         return 2 if a == 0 else 3 * a - 1 + n
 
-    def boundary_value(self, cls: CurveClass, ins):
-        """I_cls(ins) in closed form on the boundary of ``vanishes``, else None.
-
-        ``ins`` are the non-divisor insertions of a canonical key; t(e),
-        a = H . cls and n = len(ins) are as in ``vanishes``, and N_d is
-        ``kontsevich_nd(d)``.  Always None without a base divisor, since
-        no sum of base orders meets the infinite bound.  The engine does
-        not use this rule; a tier-1 test checks it against the engine's
-        solved values.
-
-        a = 0, on the boundary sum t = 2.  The composite map to the base
-        plane is constant, so every curve lies in one fibre F, a plane, and
-        the moduli space is the family over the base plane of the stable
-        maps M_0,n(F, b), b = L . cls with L the other divisor.  The normal
-        bundle of F is trivial, so its H^1 on a rational curve is 0 and the
-        virtual class is the fundamental class.  Write T_e = H^t(e) . D_e.
-        All n points map to one fibre, so the product of the ev_i^* H^t(e_i)
-        is ev^* H^2, the class of one fibre, and I is the plane invariant
-        I_b(D_1|F, ..., D_n|F).  D_e|F = k(e) h^c(e) (``fibre_classes``),
-        and on the plane a fundamental-class insertion kills the invariant,
-        a line multiplies it by b (divisor axiom), and points must number
-        3b - 1 for the count N_b.  So I = 0 if some c(e) = 0, else
-        prod k(e) . b^#(c = 1) . N_b when #(c = 2) = 3b - 1, else 0.  On
-        Hilb^2, T3 restricts to the fibre, T4 and T6 to the line, and T5,
-        T7 and T8 to the point, each with k = 1.
-
-        a >= 1, on the boundary sum t = 3a - 1 + n (a sketch: the last step
-        is checked, not proved).  The pulled-back powers of the line class
-        come from M_0,n(P^2*, a), where sum t is the top degree, so their
-        product is the plane invariant of the powers l^t(e) of the line
-        class l, times the class of the lifts of one such map.  A t = 0
-        insertion (T5 on Hilb^2) is the fundamental class of P^2*, which
-        kills the plane invariant, so I = 0.  Otherwise each t = 1 insertion
-        is a line, a factor a by the divisor axiom, and the t = 2 ones are
-        the 3a - 1 points of N_a, so I = N_a . a^#(t = 1) times the integral
-        of the D_e over the lifts.  That fibre factor is 1 on every boundary
-        key checked so far (all of those in the stages the d <= 7 tables
-        reach); the sketch does not derive it.
-        """
-        bound = self.order_bound(cls, len(ins))
-        orders = self.base_orders
-        if sum(orders[e] for e in ins) != bound:
-            return None
-        a = cls[self.divisor_pos[self.base]]
-        if a >= 1:
-            if any(orders[e] == 0 for e in ins):
-                return 0
-            return kontsevich_nd(a) * a ** sum(orders[e] == 1 for e in ins)
-        b = cls[self.divisor_pos[self._fibre_line]]
-        value, lines, points = 1, 0, 0
-        for e in ins:
-            c, k = self.fibre_classes[e]
-            if c == 0 or k == 0:
-                return 0
-            value *= k
-            lines += c == 1
-            points += c == 2
-        if points != 3 * b - 1:
-            return 0
-        return value * b ** lines * kontsevich_nd(b)
-
     def _derive_base_orders(self) -> tuple:
         """t(e) for every basis index, from the cup table; zeros without a
         base divisor. Raises ValueError unless the base divisor cubes to 0,
@@ -463,45 +400,6 @@ class TargetDatum:
                     if unit in rows:
                         orders[e] = m
         return tuple(orders)
-
-    @property
-    def _fibre_line(self) -> int:
-        """The divisor other than the base one."""
-        (line,) = (x for x in self.divisors if x != self.base)
-        return line
-
-    @cached_property
-    def fibre_classes(self) -> tuple | None:
-        """(c(e), k(e)) for every basis index, or None without a base divisor;
-        derived from the cup table on first use.
-
-        A fibre F of the projection is a plane; the base divisor H restricts
-        to 0 on it, and the other divisor L is taken to restrict to the line
-        class h, as T2 does on Hilb^2 (the integral of T1^2 T2^2 is 1).  For T_e = H^t(e) . D_e the
-        restriction D_e|F is k(e) h^c(e) with c(e) = codim(e) - t(e), and
-        k(e) = integral of D_e . H^2 . L^(2 - c) = integral of T_e . H^(2 - t)
-        . L^(2 - c), the coordinate of H^(2 - t) . L^(2 - c) at the dual of
-        e; k(e) = 0 when c(e) > 2.
-        """
-        if self.base is None:
-            return None
-        h = self.basis_vector(self.base)
-        line = self.basis_vector(self._fibre_line)
-        hpow = [self.basis_vector(self.codims.index(0))]
-        for _ in range(2):
-            hpow.append(self.cup(hpow[-1], h))
-        out = []
-        for e in range(self.basis_size):
-            t = self.base_orders[e]
-            c = self.codims[e] - t
-            k = 0
-            if c <= 2:
-                prod = hpow[2 - t]
-                for _ in range(2 - c):
-                    prod = self.cup(prod, line)
-                k = prod[self.dual[e]]
-            out.append((c, k))
-        return tuple(out)
 
     # -- construction-time validation ---------------------------------------
 

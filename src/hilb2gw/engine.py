@@ -206,8 +206,8 @@ class MemoStore:
     equal to one included).
     The layout is ``{cls: {code: value}}``; a class dict, once created, is
     never replaced, so callers may hold on to it (``class_values``).
-    The writes ``set`` and ``merge`` take codes; ``get`` and ``in`` take a
-    ``(cls, sorted tuple)`` key and pack it, and ``items`` and a conflict's
+    The writes ``set`` and ``merge`` take codes; ``get`` takes a
+    ``(cls, sorted tuple)`` key and packs it, and ``items`` and a conflict's
     message decode.
 
     Values are stored in normal form (``int`` when integral, ``Rat``
@@ -320,9 +320,6 @@ class MemoStore:
 
     def __len__(self) -> int:
         return self._count
-
-    def __contains__(self, key) -> bool:
-        return self.get(key) is not None
 
 
 class ExactLinearSolver:

@@ -2,10 +2,13 @@
 polynomial-quotient oracle, plus the structural validations the datum
 promises."""
 
+from functools import partial
+
 import pytest
 import sympy
 
 from hilb2gw.chow import build_cup_table, hilb_datum, p2_datum
+from hilb2gw.oracles import boundary_value, fibre_classes, kontsevich_nd
 from hilb2gw.rationals import rat
 
 
@@ -260,8 +263,9 @@ def test_base_orders_are_derived_from_the_cup_table():
 
 
 def test_base_divisor_must_cube_to_zero():
-    """T2 cubes to 3 T1 T2^2 - 6 T1^2 T2, so it is no pullback from a plane."""
-    from hilb2gw.chow import TargetDatum
+    """T2 cubes to 3 T1 T2^2 - 6 T1^2 T2, so it is no pullback from a plane;
+    T3 is no divisor at all."""
+    from hilb2gw.chow import TargetDatum, _hilb_base_case
 
     d = hilb_datum()
     with pytest.raises(ValueError, match="cube"):
@@ -272,6 +276,11 @@ def test_base_divisor_must_cube_to_zero():
             anticanonical=d.anticanonical,
             base_case=d.base_case,
             base=2,
+        )
+    with pytest.raises(ValueError, match="base class T3 is not a divisor"):
+        TargetDatum(
+            "x", (0, 1, 1, 2, 2, 2, 3, 3, 4), build_cup_table(), (0, 3),
+            _hilb_base_case, base=3,
         )
 
 
@@ -330,17 +339,14 @@ def test_fibre_classes_are_derived_from_the_cup_table():
     """On a fibre of the projection, T3 restricts to the fundamental class,
     T4 and T6 to the line and T5, T7 and T8 to the point, each once."""
     hilb = hilb_datum()
-    assert hilb.fibre_classes[3:] == ((0, 1), (1, 1), (2, 1), (1, 1), (2, 1), (2, 1))
-    assert p2_datum().fibre_classes is None
+    assert fibre_classes(hilb)[3:] == ((0, 1), (1, 1), (2, 1), (1, 1), (2, 1), (2, 1))
+    assert fibre_classes(p2_datum()) is None
 
 
 def test_boundary_value_rules():
     """The closed form on the boundary of the vanishing theorem, and None
     off it (inside or past it) and without a base divisor."""
-    from hilb2gw.kontsevich import kontsevich_nd
-
-    hilb = hilb_datum()
-    bv = hilb.boundary_value
+    bv = partial(boundary_value, hilb_datum())
     # a = 0: sum t = 2; T3 kills, T4/T6 count b, T5/T7/T8 are the 3b - 1 points
     assert bv((0, 1), (5, 5, 4, 4)) == 1
     assert bv((0, 2), (5,) * 5 + (4, 4)) == 4 * kontsevich_nd(2)
@@ -354,4 +360,4 @@ def test_boundary_value_rules():
     assert bv((2, 2), (3,) * 6 + (5,)) == 0
     assert bv((2, 2), (4,) * 7) is None  # sum t = 7, 12 needed
     assert bv((2, 2), (3,) * 4 + (4, 4, 4)) is None  # 11 of 12
-    assert p2_datum().boundary_value((1,), (2, 2)) is None
+    assert boundary_value(p2_datum(), (1,), (2, 2)) is None

@@ -36,6 +36,7 @@ from hilb2gw.engine import (
     MemoStore,
 )
 from hilb2gw.fixtures import COUNT_TABLES
+from hilb2gw.oracles import boundary_value
 from hilb2gw.rationals import Rat, qnorm, rat
 
 from properties_util import (
@@ -997,7 +998,7 @@ def test_memo_holds_only_canonical_keys_after_the_d6_tables():
 
 
 def test_boundary_keys_solve_to_their_closed_form():
-    """The closed form of ``TargetDatum.boundary_value`` against the
+    """The closed form of ``oracles.boundary_value`` against the
     equations: the engine, which does not use it, solves every key on the
     boundary of the vanishing theorem (a = 0 and a >= 1) in every stage its
     d <= 5 tables reach to that value.  The keys come from the stages."""
@@ -1010,7 +1011,7 @@ def test_boundary_keys_solve_to_their_closed_form():
         (key, value)
         for cls, n in _reached_stages(eng)
         for key in eng._stage_keys(cls, n)
-        if (value := datum.boundary_value(*key)) is not None
+        if (value := boundary_value(datum, *key)) is not None
     ]
     assert len(boundary) >= 600
     for a_zero in (True, False):
@@ -1153,7 +1154,7 @@ def _assert_every_reached_stage_closes(eng):
     for cls, n in stages:
         eng.solve_stage(cls, n)
     for cls, n in stages:
-        missing = [k for k in eng._stage_keys(cls, n) if k not in eng.memo]
+        missing = [k for k in eng._stage_keys(cls, n) if eng.memo.get(k) is None]
         assert not missing, (eng.datum.name, cls, n, missing[:3])
 
 
@@ -1396,7 +1397,7 @@ def test_lead_equation_cycle_raises():
         UnderdeterminedStage, match=r"cycle through \(\(1, 2\), \(3, 4, 8\)\)"
     ):
         eng._solve_for((1, 2), 3, (c1,))
-    assert k1 not in eng.memo and k2 not in eng.memo
+    assert eng.memo.get(k1) is None and eng.memo.get(k2) is None
 
 
 def test_lead_table_holds_one_spec_per_list():
@@ -1483,7 +1484,7 @@ def test_harvest_queues_each_spec_after_its_other_unknowns():
                 held = {(cls, decode(code)) for code in terms}
                 assert key in held, (key, held)
                 for nb in held - {key}:
-                    assert nb in queued or nb in self.memo, (key, nb)
+                    assert nb in queued or self.memo.get(nb) is not None, (key, nb)
                 reference = _reference_unknowns(self.datum, key, spec)
                 assert held <= {key, *reference}, (key, held)
                 queued.append(key)
@@ -1497,7 +1498,7 @@ def test_harvest_queues_each_spec_after_its_other_unknowns():
             st, queued = self.open.pop()
             assert st.cls == cls, (st.cls, cls)
             for key in queued:
-                assert key in self.memo, key
+                assert self.memo.get(key) is not None, key
                 self.equations += 1
 
     eng = Recording()

@@ -38,6 +38,9 @@ def test_closed_recursion_rejects_nonpositive():
         kontsevich_nd(0)
     with pytest.raises(ValueError):
         kontsevich_nd(-3)
+    for d in (0, -2):
+        with pytest.raises(ValueError, match="defined for degrees >= 1"):
+            engine_nd(d)
 
 
 def _depth():

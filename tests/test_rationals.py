@@ -20,7 +20,16 @@ from hilb2gw import (
     small_product,
     star,
 )
-from hilb2gw.rationals import Rat, ascii_int, binom, qdiv, qnorm, rat, rat_from_parts
+from hilb2gw.rationals import (
+    Rat,
+    ascii_int,
+    binom,
+    qdiv,
+    qnorm,
+    rat,
+    rat_from_parts,
+    rat_str,
+)
 
 
 def is_normal(x) -> bool:
@@ -206,6 +215,15 @@ def test_rat_from_parts_normal_form():
     ):
         with pytest.raises(ValueError):
             rat_from_parts(num, den)
+
+
+def test_rat_str_prints_negative_values_past_2000_bits():
+    """A negative value past 2,000 bits is split as its absolute value, so
+    its halves keep their digits: floor division of the negative would
+    print the wrong ones."""
+    big = 10**700
+    assert rat_str(-big) == "-1" + "0" * 700
+    assert rat_str(rat(-big - 1, 3)) == "-1" + "0" * 699 + "1/3"
 
 
 def test_ascii_int_takes_only_ascii_decimal_integers():
