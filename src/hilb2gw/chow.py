@@ -446,6 +446,16 @@ _A1_TABLE = {
 }
 
 
+def check_datum(datum) -> TargetDatum:
+    """``datum`` if it is a TargetDatum; anything else raises ValueError
+    naming its type."""
+    if not isinstance(datum, TargetDatum):
+        raise ValueError(
+            f"a target datum must be a TargetDatum, got {type(datum).__name__}"
+        )
+    return datum
+
+
 def _hilb_zero_class(cls: CurveClass) -> bool:
     """The classes whose invariants all vanish: (a, 1) with a > 2."""
     return cls[1] == 1 and cls[0] > 2

@@ -37,21 +37,21 @@ a frame that refers forward).  The rarest choices
 leave the extras with the fewest sub-multisets, so the split sum walks the
 fewest partitions and a query's closure reaches the fewest lower-stage keys
 (see ``_lead_spec``).
-A visit to a stage is one object, an ExactLinearSolver.  The harvest walks
-the closure of the requested keys depth first on packed codes.  It builds
-each key's lead equation once, by ``_build`` on the spec that ``_leads``
-holds for the key's insertion list (``_lead_spec``, run once per list: 137
-lists serve the 581 keys of the d <= 6 tables, 361 the 2,700 of the
-d <= 10 tables; the spec depends on the insertions alone).  The codes the
-equation keeps symbolic are its same-stage unknowns, so the walk reads them
-off the equation itself, walks each one not yet queued, and then queues the
-equation in the visit's ``seen``: the stage is triangular in that order.
-``_solve_for`` hands the queued equations in order to the visit's ``add``,
-which substitutes the memo's values of the keys solved since the build and
-solves the one key left by one exact division into the memo.  The memo is
-the only store of solved values, and the harvest stops at memo keys.  A
-cycle among the lead equations, an equation left with two unknowns, or a
-requested key left unsolved raises UnderdeterminedStage: reconstruction
+A visit to a stage starts from one key, the one ``_resolve`` missed, and
+is one depth-first pass on packed codes with one ExactLinearSolver.  The
+walk builds each key's lead equation once, by ``_build`` on the spec that
+``_leads`` holds for the key's insertion list (``_lead_spec``, run once per
+list: 137 lists serve the 581 keys of the d <= 6 tables, 361 the 2,700 of
+the d <= 10 tables; the spec depends on the insertions alone).  The codes
+the equation keeps symbolic are its same-stage unknowns, so the walk reads
+them off the equation itself, walks each one the memo still lacks, and
+then hands the equation to the visit's ``add``: the stage is triangular in
+that order.  ``add`` substitutes the memo's values of the keys solved
+since the build and solves the one key left by one exact division into the
+memo.  The memo is the only store of solved values and the walk's only
+record of finished keys, and the walk stops at memo keys.  A cycle among
+the lead equations, an equation left with two unknowns, or a visit that
+leaves its key unsolved raises UnderdeterminedStage: reconstruction
 guarantees solvability, so that is a fatal invariant violation, as is any
 inconsistent equation.  A visit that fails partway keeps the exact keys it
 solved before the failure.
@@ -129,7 +129,7 @@ image (a >= 1); see ``TargetDatum.vanishes`` and its bound
 ``_resolve`` stores such a key as 0 without visiting a stage, as it stores
 a base case; ``_canon`` and ``_canon_code`` drop it like a dimension
 mismatch, and so do ``normalize`` and ``invariant``, which expand with
-``_canon``; the harvest and ``solve_stage`` never queue it; a cache
+``_canon``; the harvest never walks it and ``solve_stage`` skips it; a cache
 entry that gives it a nonzero value is an InconsistentSystem, and
 ``save_cache`` leaves it out.  The split sum is unchanged: a killed factor
 becomes a stored 0 the first time it is looked up.
@@ -141,7 +141,7 @@ import json
 import math
 from collections import Counter
 
-from .chow import TargetDatum, hilb_datum
+from .chow import TargetDatum, check_datum, hilb_datum
 from .rationals import binom, check_int, qdiv, qnorm, rat_from_parts
 
 
@@ -323,13 +323,14 @@ class MemoStore:
 
 
 class ExactLinearSolver:
-    """One visit to a stage of class ``cls``: its queue and exact solver.
+    """One visit to a stage of class ``cls``: its exact solver.
 
-    ``_harvest_closure`` appends to ``seen`` the visit's lead equations, each
-    after those of its other unknowns; ``_solve_for`` hands each to ``add``
-    in that order, which solves it into the memo.  Each visit makes a fresh
-    object and drops it on return, so the memo is the only store of solved
-    values.  Each visit solves exactly as many keys as it queued equations.
+    ``_harvest_closure`` hands ``add`` each lead equation of the visit as
+    its walk leaves the key, after the equations of its other unknowns;
+    ``add`` solves the key into the memo and appends its code to ``seen``,
+    so ``seen`` lists the keys the visit solved, in solving order.  Each
+    visit makes a fresh object and drops it on return, so the memo is the
+    only store of solved values.
     """
 
     __slots__ = ("memo", "cls", "seen")
@@ -337,11 +338,11 @@ class ExactLinearSolver:
     def __init__(self, memo: MemoStore, cls):
         self.memo = memo
         self.cls = cls
-        self.seen = []  # (terms, const) of the lead equations, solving order
+        self.seen = []  # codes of the keys solved, solving order
 
     def add(self, terms: dict, const) -> None:
         """Solve sum(terms * x) + const = 0 for its one unsolved key into
-        the memo.
+        the memo, and append the key's code to ``seen``.
 
         ``terms`` maps packed codes of the class to nonzero coefficients, as
         ``_build`` gives them.  The keys the memo has solved since the build
@@ -361,6 +362,7 @@ class ExactLinearSolver:
         if len(left) == 1:
             (code, coef), = left
             self.memo.set(self.cls, code, -qdiv(const, coef))
+            self.seen.append(code)
         elif left:
             raise UnderdeterminedStage(
                 f"an equation of class {self.cls} reached the solver with "
@@ -375,11 +377,12 @@ class Engine:
     """Reconstruction engine over one TargetDatum, with a persistent memo.
 
     Each kind of input passes one gate that raises ValueError on a bad value:
-    ``_check_class``, ``normalize``, ``_check_frame`` and ``_check_extras``.
+    the constructor's datum check, ``_check_class``, ``normalize``,
+    ``_check_frame`` and ``_check_extras``.
     """
 
     def __init__(self, datum: TargetDatum | None = None):
-        self.datum = datum if datum is not None else hilb_datum()
+        self.datum = hilb_datum() if datum is None else check_datum(datum)
         self.memo = MemoStore(self.datum.nondivisors)
         # weight budget by class.  Every class in it is admissible (nonzero
         # and effective): each caller of _budget has checked its class or
@@ -612,7 +615,7 @@ class Engine:
         if b is not None:
             self.memo.set(cls, code, b)
             return b
-        self._solve_for(cls, len(ins), (code,))
+        self._solve_for(cls, len(ins), code)
         return vals[code]
 
     def _check_key(self, key) -> int:
@@ -1109,70 +1112,61 @@ class Engine:
     # ------------------------------------------------------------------
 
     def solve_stage(self, cls, n) -> None:
-        """Solve every admissible key of stage (cls, n >= 0) into the memo;
-        the keys of a stage with n <= 2 go to ``_resolve``, which stores a
-        base case or a key the projection kills without a stage visit."""
+        """Solve every admissible key of stage (cls, n >= 0) into the memo.
+
+        Each key goes to ``_resolve``, the one path of every key: a memo key
+        is skipped, a base case or a key the projection kills is stored, and
+        any other key starts its own visit to the stage."""
         cls = self._check_class(cls)
         if check_int(n, "a stage size") < 0:
             raise ValueError(f"a stage size must be non-negative, got {n}")
-        vals = self.memo.class_values(cls)
-        codes = [self.memo.code(ins) for _cls, ins in self._stage_keys(cls, n)]
-        codes = [c for c in codes if c not in vals]
-        if n <= 2:
-            for c in codes:
-                self._resolve(cls, c)
-        elif codes:
-            self._solve_for(cls, n, codes)
+        code = self.memo.code
+        for _cls, ins in self._stage_keys(cls, n):
+            self._resolve(cls, code(ins))
 
-    def _solve_for(self, cls, n, codes) -> None:
-        """Visit stage (cls, n) to solve the keys of the packed ``codes``:
-        harvest their lead equations into one ExactLinearSolver, then solve
-        its queue in order."""
+    def _solve_for(self, cls, n, code) -> None:
+        """Visit stage (cls, n) to solve the key of packed ``code``: one
+        ExactLinearSolver and one harvest walk from the key, which solves
+        each lead equation as it leaves it.  ``_resolve`` is the only
+        caller; the key must be solved when the walk returns."""
         if n < 3:
             raise UnderdeterminedStage(
                 f"stage (cls={cls}, n={n}) reached the solver; base cases "
                 "and dimension vanishing must cover every key with n <= 2"
             )
-        visit = ExactLinearSolver(self.memo, cls)
-        self._harvest_closure(cls, visit, codes, n)
-        for terms, const in visit.seen:
-            visit.add(terms, const)
-        vals = self.memo.class_values(cls)
-        missing = [self.memo.decode(c) for c in codes if c not in vals]
-        if missing:
+        self._harvest_closure(cls, ExactLinearSolver(self.memo, cls), code, n)
+        if code not in self.memo.class_values(cls):
             raise UnderdeterminedStage(
                 f"stage (cls={cls}, n={n}) underdetermined; "
-                f"unsolved: {missing[:5]}{'...' if len(missing) > 5 else ''}"
+                f"unsolved: {self.memo.decode(code)}"
             )
 
     # -- harvesting ------------------------------------------------------
 
-    def _harvest_closure(self, cls, st, seeds, n) -> None:
-        """Build the lead equations of the seeds' closure and queue them in
-        dependency order.
+    def _harvest_closure(self, cls, st, code, n) -> None:
+        """Solve the key of packed ``code``, of stage (cls, n), and every
+        same-stage key its lead equation needs, depth first.
 
-        ``seeds`` are the packed codes of keys of stage (cls, n), walked in
-        the order given, depth first.  ``st`` is the visit's
-        ExactLinearSolver.  A key's lead equation is built once, by
-        ``_build`` on the spec ``_leads`` holds for its insertion list
-        (``_lead_spec``, decoded once per list: 137 lists serve the 581
-        keys of the d <= 6 tables, 361 the 2,700 of the d <= 10 tables,
-        since the spec depends on the insertions alone).  The codes the
-        equation keeps symbolic are the same-stage keys outside the memo,
-        so the walk takes its unknowns from the equation itself: it walks
-        each one that is neither the key nor already queued, then appends
-        ``(terms, const)`` to ``st.seen``.  Reaching a key whose walk is
-        still open means the lead equations form a cycle, which
-        substitution cannot solve; that raises UnderdeterminedStage, and
-        decoding for its message is the walk's only other decode.  A build
-        runs inside the walk, so the lower-stage visits it makes stack on
-        top of the walk's open path: the d <= 10 tables peak at 111 Python
-        frames.
+        ``st`` is the visit's ExactLinearSolver.  A key's lead equation is
+        built once, by ``_build`` on the spec ``_leads`` holds for its
+        insertion list (``_lead_spec``, decoded once per list: 137 lists
+        serve the 581 keys of the d <= 6 tables, 361 the 2,700 of the
+        d <= 10 tables, since the spec depends on the insertions alone).
+        The codes the equation keeps symbolic are the same-stage keys
+        outside the memo, so the walk takes its unknowns from the equation
+        itself: it walks each one the memo still lacks, then hands
+        ``(terms, const)`` to ``st.add``, which solves the key into the
+        memo.  The memo is the walk's record of finished keys.  Reaching a
+        key whose walk is still open means the lead equations form a cycle,
+        which substitution cannot solve; that raises UnderdeterminedStage,
+        and decoding for its message is the walk's only other decode.  The
+        keys solved before the raise stay in the memo.  A build runs inside
+        the walk, so the lower-stage visits it makes stack on top of the
+        walk's open path: the d <= 10 tables peak at 111 Python frames.
         """
         leads = self._leads
         build = self._build
-        queue = st.seen
-        queued = set()
+        vals = self.memo.class_values(cls)
         walking = set()
 
         def walk(code):
@@ -1182,7 +1176,7 @@ class Engine:
                 spec = leads[code] = self._lead_spec((cls, self.memo.decode(code)))
             terms, const = build(cls, *spec)
             for nb in terms:
-                if nb == code or nb in queued:
+                if nb == code or nb in vals:
                     continue
                 if nb in walking:
                     raise UnderdeterminedStage(
@@ -1191,12 +1185,9 @@ class Engine:
                     )
                 walk(nb)
             walking.discard(code)
-            queued.add(code)
-            queue.append((terms, const))
+            st.add(terms, const)
 
-        for code in seeds:
-            if code not in queued:
-                walk(code)
+        walk(code)
 
     def _lead_spec(self, key):
         """The key's lead equation spec ``(frame, extras)``.

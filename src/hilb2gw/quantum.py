@@ -40,12 +40,13 @@ coefficient loops over the other operand's terms inline.  Either way every
 coefficient is in the package's normal form (a plain ``int`` when integral,
 a ``Rat`` only for a true fraction).  Operands are basis indices or
 cohomology vectors, checked by ``TargetDatum.check_index`` and
-``TargetDatum.check_vector``; truncation bounds are non-negative ints.
+``TargetDatum.check_vector``; truncation bounds are non-negative ints, and
+a QSeries's datum is a TargetDatum (``chow.check_datum``).
 """
 
 from __future__ import annotations
 
-from .chow import CohVector, TargetDatum
+from .chow import CohVector, TargetDatum, check_datum
 from .rationals import check_int, qnorm
 
 _ONLY_INTS = frozenset((int,))
@@ -254,7 +255,7 @@ class QSeries(_Series):
     _nonzero = any
 
     def __init__(self, datum: TargetDatum, n1: int, n2: int, coeffs: dict | None = None):
-        self.datum = datum
+        self.datum = check_datum(datum)
         super().__init__(n1, n2, coeffs)
 
     def _norm(self, v) -> CohVector:

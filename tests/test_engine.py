@@ -167,12 +167,15 @@ def test_every_class_entry_point_passes_one_gate(entry):
         lambda eng: eng.solve_stage((1, 1), 3.0),
         lambda eng: eng.solve_stage((1, 1), True),
         lambda eng: eng.solve_stage((1, 1), -1),
+        lambda eng: Engine(p2_datum),
+        lambda eng: Engine("hilb2p2"),
+        lambda eng: Engine({}),
     ],
     ids=[
         "invariant-class", "invariant-insertions", "normalize-insertions",
         "row-class", "build-frame", "build-extras", "residual-extras",
         "stage-class", "stage-str", "stage-float", "stage-bool",
-        "stage-negative",
+        "stage-negative", "datum-uncalled", "datum-str", "datum-dict",
     ],
 )
 def test_non_sequence_and_bad_stage_inputs_raise_value_error(engine, call):
@@ -1396,8 +1399,51 @@ def test_lead_equation_cycle_raises():
     with pytest.raises(
         UnderdeterminedStage, match=r"cycle through \(\(1, 2\), \(3, 4, 8\)\)"
     ):
-        eng._solve_for((1, 2), 3, (c1,))
+        eng._solve_for((1, 2), 3, c1)
     assert eng.memo.get(k1) is None and eng.memo.get(k2) is None
+
+
+def test_visit_that_raises_partway_keeps_the_keys_it_solved():
+    """The walk solves each lead equation as it leaves the key, so a cycle
+    found after a key was solved leaves that key in the memo: k1's equation
+    holds the solvable k3 and then k2, whose equation holds k1 back."""
+    eng = Engine()
+    k1, k2, k3 = eng._stage_keys((1, 2), 3)[:3]
+    assert k1 == ((1, 2), (4, 8, 8))
+    c1, c2, c3 = (eng.memo.code(ins) for _cls, ins in (k1, k2, k3))
+    held = {
+        eng._lead_spec(k1): ({c1: 1, c3: 1, c2: 1}, 0),
+        eng._lead_spec(k2): ({c2: 1, c1: 1}, 0),
+        eng._lead_spec(k3): ({c3: 1}, -5),
+    }
+    assert len(held) == 3
+    eng._build = lambda cls, frame, extras: held[(frame, extras)]
+    with pytest.raises(
+        UnderdeterminedStage, match=r"cycle through \(\(1, 2\), \(4, 8, 8\)\)"
+    ):
+        eng.value_of(k1)
+    assert eng.memo.get(k3) == 5
+    assert eng.memo.get(k1) is None and eng.memo.get(k2) is None
+
+
+def test_stage_below_three_insertions_never_reaches_the_solver():
+    """A datum that leaves a two-point key without a base case makes its
+    visit raise before any harvest: n <= 2 must be covered by the datum."""
+    key = ((1, 1), (3, 8))
+    eng = Engine(_rescaled_hilb_datum(None, key=key))
+    with pytest.raises(UnderdeterminedStage, match="reached the solver"):
+        eng.value_of(key)
+    assert eng.memo.get(key) is None
+
+
+def test_visit_that_leaves_its_key_unsolved_raises():
+    """A lead equation that holds no unknown solves nothing; the visit
+    then finds its own key unsolved and raises."""
+    eng = Engine()
+    eng._build = lambda cls, frame, extras: ({}, 0)
+    with pytest.raises(UnderdeterminedStage, match="underdetermined; unsolved") as err:
+        eng.value_of(((1, 2), (5, 8, 8)))
+    assert "(5, 8, 8)" in str(err.value)
 
 
 def test_lead_table_holds_one_spec_per_list():
@@ -1406,7 +1452,8 @@ def test_lead_table_holds_one_spec_per_list():
     harvest stores one ``_leads`` entry per insertion list, its
     ``_lead_spec``, builds the key's equation on it, and reads the same
     entry at the other class: ``_lead_spec`` runs once per list.  The
-    build is stubbed to an equation with no other unknown."""
+    build is stubbed to an equation in the key alone, which the visit
+    solves."""
     checked = 0
     for datum, nondivisors, classes in (
         (hilb_datum(), range(3, 9), ((0, 3), (2, 3))),
@@ -1423,7 +1470,7 @@ def test_lead_table_holds_one_spec_per_list():
 
         def stub(cls, frame, extras):
             built.append((cls, (frame, extras)))
-            return {}, 0
+            return {code: 1}, 0
 
         eng._lead_spec = counted
         eng._build = stub
@@ -1434,33 +1481,32 @@ def test_lead_table_holds_one_spec_per_list():
                 lists += 1
                 for cls in classes:
                     st = ExactLinearSolver(eng.memo, cls)
-                    eng._harvest_closure(cls, st, (code,), n)
+                    eng._harvest_closure(cls, st, code, n)
                     spec = eng._leads[code]
                     assert spec == lead_spec((cls, ins)), (cls, ins)
-                    assert built[-1] == (cls, spec) and st.seen == [({}, 0)]
+                    assert built[-1] == (cls, spec) and st.seen == [code]
                     checked += 1
         assert len(eng._leads) == len(calls) == lists
         assert set(calls.values()) == {1}
     assert checked == 2 * 7980 + 2 * 8
 
 
-def test_harvest_queues_each_spec_after_its_other_unknowns():
-    """Over the d <= 6 tables, each lead equation a visit queues holds its
-    own key, and every other key it holds is in the memo or was queued
+def test_harvest_solves_each_key_after_its_other_unknowns():
+    """Over the d <= 6 tables, each key a visit solves is solved from its
+    own lead equation, and every other key that equation holds was solved
     earlier in the same visit; its keys lie inside the own key and the
     cup-table reference unknowns, not the engine's own reading of them.
-    The visit leaves every queued key in the memo.  The 581 keys hold 137
-    insertion lists, and ``_lead_spec`` runs once per list, whose spec
-    serves it at every class."""
+    The visit's own key is solved last.  The 581 keys hold 137 insertion
+    lists, and ``_lead_spec`` runs once per list, whose spec serves it at
+    every class."""
 
     class Recording(Engine):
         def __init__(self):
             super().__init__()
             self.owner = {}  # spec -> insertions
             self.lists = []  # the insertions of each _lead_spec call
-            self.built = {}  # id(terms) -> (cls, spec) of its build
-            self.visits = self.specs = self.equations = 0
-            self.open = []  # [visit, queued keys] harvested, not returned
+            self.built = {}  # (cls, spec) -> terms of its build
+            self.visits = self.specs = 0
 
         def _lead_spec(self, key):
             spec = super()._lead_spec(key)
@@ -1470,43 +1516,33 @@ def test_harvest_queues_each_spec_after_its_other_unknowns():
 
         def _build(self, cls, frame, extras):
             terms, const = super()._build(cls, frame, extras)
-            self.built[id(terms)] = (cls, (frame, extras))
+            self.built[(cls, (frame, extras))] = terms
             return terms, const
 
-        def _harvest_closure(self, cls, st, seeds, n):
-            super()._harvest_closure(cls, st, seeds, n)
+        def _harvest_closure(self, cls, st, code, n):
+            super()._harvest_closure(cls, st, code, n)
             decode = self.memo.decode
-            queued = []
-            for terms, _const in st.seen:
-                built_cls, spec = self.built[id(terms)]
-                key = (cls, self.owner[spec])
-                assert built_cls == cls and key not in queued, key
-                held = {(cls, decode(code)) for code in terms}
+            solved = []
+            for c in st.seen:
+                key = (cls, decode(c))
+                spec = self._leads[c]
+                assert self.owner[spec] == key[1] and key not in solved, key
+                held = {(cls, decode(x)) for x in self.built[(cls, spec)]}
                 assert key in held, (key, held)
-                for nb in held - {key}:
-                    assert nb in queued or self.memo.get(nb) is not None, (key, nb)
+                assert held - {key} <= set(solved), (key, held)
                 reference = _reference_unknowns(self.datum, key, spec)
                 assert held <= {key, *reference}, (key, held)
-                queued.append(key)
-            self.visits += 1
-            self.specs += len(queued)
-            self.open.append((st, queued))
-
-        def _solve_for(self, cls, n, codes):
-            super()._solve_for(cls, n, codes)
-            # a nested visit harvests and returns inside this one's builds
-            st, queued = self.open.pop()
-            assert st.cls == cls, (st.cls, cls)
-            for key in queued:
                 assert self.memo.get(key) is not None, key
-                self.equations += 1
+                solved.append(key)
+            assert solved[-1] == (cls, decode(code))
+            self.visits += 1
+            self.specs += len(solved)
 
     eng = Recording()
     for d in range(2, 7):
         for l in (0, 1, 2):
             invert_counts(eng, d, l)
-    assert eng.visits >= 100 and eng.specs >= 500
-    assert eng.equations == eng.specs == 581
+    assert eng.visits >= 100 and eng.specs == 581
     assert len(eng.lists) == len(set(eng.lists)) == len(eng._leads) == 137
 
 

@@ -104,6 +104,18 @@ def test_series_coefficients_must_be_a_dict_of_exponent_pairs(coeffs):
     assert ScalarSeries(2, 2, {}).is_zero() and ScalarSeries(2, 2).is_zero()
 
 
+@pytest.mark.parametrize("bad", ["x", p2_datum, {}])
+def test_datum_gates_name_the_type(bad):
+    """A QSeries or an Engine over anything but a TargetDatum raises
+    ValueError naming its type when it is built, not an AttributeError
+    when a later operation reads the datum."""
+    match = f"must be a TargetDatum, got {type(bad).__name__}$"
+    with pytest.raises(ValueError, match=match):
+        QSeries(bad, 2, 2)
+    with pytest.raises(ValueError, match=match):
+        Engine(bad)
+
+
 # ----------------------------------------------------------------------
 # cohomology-valued series
 # ----------------------------------------------------------------------
