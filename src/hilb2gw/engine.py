@@ -68,12 +68,14 @@ order bound on them (``_canon_code``); ``_canon`` folds the same table
 over each monomial of a query's multilinear expansion, and the class plans
 read their pair multipliers from it.  Each query passes its gates once:
 ``_check_class``, the index and vector checks of ``_canon``,
-``_check_frame``, ``_check_extras``, ``_check_key`` on every ``value_of``
-call, and in ``load_cache`` ``_check_class`` and ``MemoStore.code`` on each
-new class and list.  Past them a key is its class and packed code alone,
+``_check_frame``, ``_check_extras``, and one key gate, ``_key_sums``, on
+every ``value_of`` call (through ``_check_key``) and every ``load_cache``
+entry; it runs ``_check_class`` and ``MemoStore.code`` only on a class and
+list it has not seen.  Past them a key is its class and packed code alone,
 and a key the engine forms itself skips ``value_of``'s gate: the codes of
 ``_canon`` that ``invariant`` resolves, those of ``_build``, the symbolic
-ones of ``wdvv_residual`` among them, and the rows of ``_part_row``.
+ones of ``wdvv_residual`` among them, and those of the three-point rows of
+``_row``, which share memo keys, not cached row tuples.
 Every key goes to ``_resolve(cls, code)``: memo hit, base case,
 projection rule, then a visit to the key's stage, whose harvest, symbolic
 terms, solver and memo writes all take codes.  A code is decoded only at
@@ -142,7 +144,7 @@ import math
 from collections import Counter
 
 from .chow import TargetDatum, check_datum, hilb_datum
-from .rationals import binom, check_int, qdiv, qnorm, rat_from_parts
+from .rationals import _ONLY_INTS, binom, check_int, qdiv, qnorm, rat_from_parts
 
 
 CACHE_SCHEMA = "hilb2gw-cache/1"
@@ -386,15 +388,15 @@ class Engine:
         self.memo = MemoStore(self.datum.nondivisors)
         # weight budget by class.  Every class in it is admissible (nonzero
         # and effective): each caller of _budget has checked its class or
-        # took it from TargetDatum.splits.  So _check_key runs _check_class
+        # took it from TargetDatum.splits.  So _key_sums runs _check_class
         # only on a class it does not find here.
         self._budgets: dict = {}
+        self._list_sums: dict = {}  # (code, weight, order sum) by key list
         self._partition_cache: dict = {}
         self._class_plans: dict = {}  # splits with values, den, sub, by cls
         self._signature_plans: dict = {}  # (lcd, splits) by (cls, div1, div2)
         self._closed: dict = {}  # (scaled values, D) by closed class
         self._boxes: dict = {}  # nonempty rows of a box, by (x, y, n1, n2)
-        self._rows: dict = {}  # row of a non-divisor part, by (cls, code)
         self._box_classes: dict = {}  # box classes by budget, by (n1, n2)
         self._leads: dict = {}  # lead spec by insertion code
         d = self.datum
@@ -596,7 +598,7 @@ class Engine:
         the one path of every key, a caller's or the engine's.
 
         The key must be canonical and admissible, as every key ``_canon``,
-        ``_build`` and ``_part_row`` form is and as ``value_of`` checks.  A
+        ``_build`` and ``_row`` form is and as ``value_of`` checks.  A
         key the memo holds (it may have been solved since the caller's
         lookup) is returned undecoded.  A miss is decoded to the sorted
         tuple that ``base_case`` and ``vanishes`` read, the one decode on
@@ -619,38 +621,57 @@ class Engine:
         return vals[code]
 
     def _check_key(self, key) -> int:
-        """The packed memo code of ``key`` if it is a canonical admissible
-        key, else ValueError: a pair of tuples ``(cls, ins)``, cls nonzero
-        and effective, ins the sorted non-divisor basis indices (ints, at
-        most 255 of them) whose weights fill the class's dimension budget.
-        It runs on every ``value_of`` call and on no key the engine forms
-        (``invariant``'s and ``wdvv_residual``'s too), so a class passes
-        ``_check_class`` only while ``_budgets``, which holds admissible
-        classes only, lacks it.  ``MemoStore.code`` packs the insertions and
-        refuses a non-int, a non-divisor index or more than 255 of them;
-        this gate adds the order and the dimension count."""
+        """The packed memo code of ``key`` if it is a pair of tuples that
+        ``_key_sums`` accepts, else ValueError.  It runs on every
+        ``value_of`` call and on no key the engine forms (``invariant``'s
+        and ``wdvv_residual``'s too)."""
         if not (
             type(key) is tuple
             and len(key) == 2
             and type(key[0]) is tuple
             and type(key[1]) is tuple
-            and _ONLY_INTS.issuperset(map(type, key[0]))
         ):
             raise ValueError(
                 f"an invariant key is a (class, insertions) pair of tuples "
                 f"of ints, got {key!r}"
             )
-        cls, ins = key
+        return self._key_sums(*key)[0]
+
+    def _key_sums(self, cls, ins) -> tuple:
+        """``(code, w, t)`` for a canonical admissible key ``(cls, ins)`` of
+        two tuples: its packed memo code, its weight (the class's budget)
+        and its base-order sum, which the projection rule reads.  Anything
+        else raises ValueError: a class or insertion that is not an
+        ``int``, checked first, since 4.0 and True hash and compare like 4
+        and 1; a class that is zero or not effective; insertions that are
+        not sorted non-divisor basis indices (at most 255 of them) whose
+        weights fill the class's budget.
+
+        The one key gate of ``_check_key`` and ``load_cache``.  A class
+        passes ``_check_class`` only while ``_budgets``, which holds
+        admissible classes only, lacks it, and a list passes
+        ``MemoStore.code`` and the sorted check only while ``_list_sums``
+        lacks it; that table keeps each canonical list's code, weight and
+        base-order sum, and the weight is checked on every call."""
+        if not _ONLY_INTS.issuperset(map(type, cls + ins)):
+            raise ValueError(f"key {(cls, ins)!r} must hold ints only")
         budget = self._budgets.get(cls)
         if budget is None:
             budget = self._budget(self._check_class(cls))
-        code = self.memo.code(ins)
-        if list(ins) != sorted(ins):
-            raise ValueError(f"key insertions {ins!r} are not sorted")
-        weights = self._weights
-        if sum(weights[e] for e in ins) != budget:
-            raise ValueError(f"key {key!r} violates the dimension count")
-        return code
+        sums = self._list_sums.get(ins)
+        if sums is None:
+            code = self.memo.code(ins)
+            if list(ins) != sorted(ins):
+                raise ValueError(f"key insertions {ins!r} are not sorted")
+            orders = self.datum.base_orders
+            sums = self._list_sums[ins] = (
+                code,
+                sum(self._weights[e] for e in ins),
+                sum(orders[e] for e in ins),
+            )
+        if sums[1] != budget:
+            raise ValueError(f"key {(cls, ins)!r} violates the dimension count")
+        return sums
 
     def invariant(self, cls, insertions):
         """I_cls(insertions): each packed code ``_canon`` forms goes to
@@ -684,12 +705,18 @@ class Engine:
 
     def _row(self, cls, x, y):
         """``three_point_row`` without the checks, for ``_box_rows``, at a
-        class not declared zero.  By the divisor axiom the row is x.cls
-        times y.cls (a divisor's intersection number, 1 for a non-divisor,
-        0 for the fundamental class) times the row of the pair's
-        non-divisor part, which ``_part_row`` resolves once per class and
-        part: T1 * T3 and T2 * T3 share the row of (T3,), and the three
-        divisor pairs the row of no insertion."""
+        class not declared zero: the one builder of a three-point row.
+
+        By the divisor axiom the entry of i is x.cls times y.cls times
+        i.cls (a divisor's intersection number, 1 for a non-divisor, 0 for
+        the fundamental class) times the invariant of the non-divisor parts
+        alone.  So the row runs over the i of ``_thirds`` that fill the
+        weight budget and whose key the projection keeps
+        (``TargetDatum.order_bound``), forms each key on packed codes and
+        values it by ``_resolve``, the internal path, not the caller's gate
+        of ``value_of``; zeros are left out.  Pairs with one non-divisor
+        part (T1 * T3 and T2 * T3; the three divisor pairs) share memo
+        keys, not a cached row: only ``_box_rows`` keeps rows."""
         units = self._units
         mults = cls + (1, 0)  # indexed by a unit's slot
         sx, cx, wx, tx, nx = units[x]
@@ -697,38 +724,19 @@ class Engine:
         mult = mults[sx] * mults[sy]
         if not mult:
             return ()
-        row = self._rows.get((cls, cx + cy))
-        if row is None:
-            row = self._part_row(cls, cx + cy, wx + wy, tx + ty, nx + ny)
-        if mult == 1:
-            return row
-        return tuple([(j, qnorm(mult * v)) for j, v in row])
-
-    def _part_row(self, cls, code, w, t, n):
-        """The row at ``cls`` of a non-divisor part given by its packed
-        code, weight, base-order sum and count: ``((top - i, I_cls(part,
-        T_i)), ...)`` over the i of ``_thirds`` that fill the weight budget
-        whose key the projection keeps (``TargetDatum.order_bound``) and
-        whose value is nonzero, a divisor i taken by the divisor axiom.
-        Each key is formed on its packed code and valued by ``_resolve``,
-        the internal path, not the caller's gate of ``value_of``.  The row
-        is kept in ``_rows``; memo values are never overwritten, so it
-        cannot go stale."""
-        units = self._units
-        mults = cls + (1, 0)  # indexed by a unit's slot
+        code, t, n = cx + cy, tx + ty, nx + ny
         order_bound = self._order_bound
         resolve = self._resolve
         top = self.datum.top
         entries = []
-        for i in self._thirds.get(self._budget(cls) - w, ()):
+        for i in self._thirds.get(self._budget(cls) - wx - wy, ()):
             s, ci, _wi, ti, ni = units[i]
-            m = mults[s]
+            m = mult * mults[s]
             if m and t + ti <= order_bound(cls, n + ni):
                 val = resolve(cls, code + ci)
                 if val:
                     entries.append((top - i, val if m == 1 else qnorm(m * val)))
-        row = self._rows[(cls, code)] = tuple(entries)
-        return row
+        return tuple(entries)
 
     def _box_rows(self, x, y, n1, n2):
         """``((a, b, row), ...)`` for each class (a, b) != (0, 0) with
@@ -740,11 +748,12 @@ class Engine:
         weight of no index of ``_thirds``; the classes of a truncation are
         listed once, by budget, in ``_box_classes``.  So no row looks up or
         stores a key of a declared-zero class, and at (80, 2) the nine boxes
-        of ``qcoh`` resolve 329 rows of (class, non-divisor part), not one
-        per class and pair (2,178).  Memo values are never overwritten, so a
-        kept box cannot go stale.  The classes (a, b) are admissible only
-        on a two-parameter target, which the quantum product checks before
-        it asks for a box."""
+        of ``qcoh`` build 738 rows, not one per class and pair (2,178), and
+        keep the 249 nonempty ones.  The box is the only store of rows; the
+        pairs of one non-divisor part share memo keys.  Memo values are
+        never overwritten, so a kept box cannot go stale.  The classes
+        (a, b) are admissible only on a two-parameter target, which the
+        quantum product checks before it asks for a box."""
         key = (x, y, n1, n2)
         box = self._boxes.get(key)
         if box is None:
@@ -1351,11 +1360,10 @@ class Engine:
         projection to the base plane kills must be 0, and two entries of one
         key must agree, or InconsistentSystem is raised.
 
-        The load is all or nothing. Once its types are JSON integers, a
-        class outside ``_budgets`` passes ``_check_class`` and each distinct
-        list ``MemoStore.code`` and the sorted check, whose ValueError
-        becomes a CacheFormatError; the projection rule compares the list's
-        base-order sum with ``TargetDatum.order_bound``, as ``vanishes`` does.
+        The load is all or nothing. Each key passes ``_key_sums``, the gate
+        of ``value_of`` too, whose ValueError becomes a CacheFormatError; the
+        projection rule compares the base-order sum it returns with
+        ``TargetDatum.order_bound``, as ``vanishes`` does.
         The values are staged per class by code and handed to
         ``MemoStore.merge`` only after every entry has passed, which raises
         InconsistentSystem, loading nothing, if a value conflicts with one
@@ -1385,14 +1393,10 @@ class Engine:
         entries = payload.get("entries")
         if not isinstance(entries, list):
             raise CacheFormatError("cache entries must be a list")
-        datum = self.datum
-        weights = self._weights
-        orders = datum.base_orders
-        base_case = datum.base_case
+        base_case = self.datum.base_case
         order_bound = self._order_bound
-        budgets = self._budgets
+        key_sums = self._key_sums
         staged: dict = {}  # admissible cls -> {code: value}
-        sums_of: dict = {}  # canonical ins -> (weight, base-order sum, code)
         for entry in entries:
             try:
                 a = entry["a"]
@@ -1410,25 +1414,7 @@ class Engine:
             ins = tuple(ins)
             cls = (a, b)
             try:
-                # types before the lookups: 1.0 and True hash and compare as 1
-                if not _ONLY_INTS.issuperset(map(type, cls + ins)):
-                    raise ValueError("its class and insertions must be ints")
-                budget = budgets.get(cls)
-                if budget is None:
-                    budget = self._budget(self._check_class(cls))
-                sums = sums_of.get(ins)
-                if sums is None:
-                    code = self.memo.code(ins)
-                    if list(ins) != sorted(ins):
-                        raise ValueError("insertions are not sorted")
-                    sums = sums_of[ins] = (
-                        sum(weights[e] for e in ins),
-                        sum(orders[e] for e in ins),
-                        code,
-                    )
-                weight, order, code = sums
-                if weight != budget:
-                    raise ValueError("it violates the dimension count")
+                code, _weight, order = key_sums(cls, ins)
             except ValueError as exc:
                 raise CacheFormatError(
                     f"entry ({cls}, {ins}) is not a canonical key: {exc}"
@@ -1451,9 +1437,6 @@ class Engine:
                 )
         self.memo.merge(staged)
         return len(entries)
-
-
-_ONLY_INTS = frozenset((int,))
 
 
 def _as_tuple(x, what):

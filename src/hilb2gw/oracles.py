@@ -35,9 +35,7 @@ def kontsevich_nd(d: int) -> int:
     A degree that is not an ``int`` (a bool included) or is below 1 raises
     ValueError.
     """
-    if type(d) is not int:
-        raise ValueError(f"the degree must be an integer, got {d!r}")
-    if d < 1:
+    if check_int(d, "the degree") < 1:
         raise ValueError("the count is defined for degrees >= 1")
     nd = [0, 1]  # nd[e] = N_e
     for e in range(2, d + 1):

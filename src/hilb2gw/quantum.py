@@ -11,17 +11,18 @@ divisor subring from engine invariants.
 Products are bilinear: the coefficient of q1^a q2^b in g1 * g2 is
 ``sum_{x,y} g1[x] g2[y] R_(a,b)(x, y)`` with the three-point basis row
 ``R_(a,b)(x, y) = sum_i I_(a,b)(T_x, T_y, T_i) T_{8-i}``.  Most rows are
-empty, and the engine resolves only those that can be nonzero.  A box
+empty, and the engine builds only those that can be nonzero.  A box
 skips each class the datum declares zero and each class whose row weight
-is the weight of no basis index.  By the divisor axiom a pair's row is
-its divisor multipliers times the row of its non-divisor part, resolved
-once per class and part.  So the nine boxes of ``qcoh`` at (80, 2)
-resolve 329 rows, not the 2,178 of one per class and basis pair, and
-keep the 249 nonempty ones.  The engine keeps, per basis pair and
-truncation, the tuple of the box's nonempty rows (``Engine._box_rows``).
-A product finds the nonzero entries of each operand coefficient once,
-looks up each basis pair's box once per call, and contracts them with
-those rows alone, skipping the ones that would land past the truncation.
+is the weight of no basis index.  So the nine boxes of ``qcoh`` at
+(80, 2) build 738 rows, not the 2,178 of one per class and basis pair,
+and keep the 249 nonempty ones.  By the divisor axiom a pair's row is its
+divisor multipliers times invariants of its non-divisor part alone, so
+pairs with one non-divisor part share memo keys, not cached row tuples.
+The engine keeps, per basis pair and truncation, the tuple of the box's
+nonempty rows (``Engine._box_rows``), the only store of rows.  A product
+finds the nonzero entries of each operand coefficient once and contracts
+them with those rows alone, skipping the ones that would land past the
+truncation.
 
 ``ScalarSeries`` (exact coefficients) and ``QSeries`` (cohomology-vector
 coefficients) share one truncated-series class: construction, the operand
@@ -47,9 +48,7 @@ a QSeries's datum is a TargetDatum (``chow.check_datum``).
 from __future__ import annotations
 
 from .chow import CohVector, TargetDatum, check_datum
-from .rationals import check_int, qnorm
-
-_ONLY_INTS = frozenset((int,))
+from .rationals import _ONLY_INTS, check_int, qnorm
 
 __all__ = [
     "ScalarSeries",
@@ -358,7 +357,7 @@ def _supports(series: QSeries) -> list:
     ]
 
 
-def _add_product(engine, pairs: dict, out: dict, su, sv, a0, b0, n1, n2) -> None:
+def _add_product(engine, out: dict, su, sv, a0, b0, n1, n2) -> None:
     """Add q1^a0 q2^b0 (u * v), truncated at (n1, n2), into ``out``.
 
     ``su`` and ``sv`` are the nonzero entries of two vectors in normal form
@@ -366,9 +365,8 @@ def _add_product(engine, pairs: dict, out: dict, su, sv, a0, b0, n1, n2) -> None
     The product is contracted bilinearly: the entries pair up (x <= y, the
     row being symmetric) and each pair weight multiplies its cup-table
     entry at q1^a0 q2^b0 and each of its nonempty three-point rows
-    (``Engine._box_rows``) that lands inside the truncation.  ``pairs``
-    holds each basis pair's cup terms and box, looked up once per ``star``
-    call.  A cell of ``out`` is created only when a term lands on it.
+    (``Engine._box_rows``) that lands inside the truncation.  A cell of
+    ``out`` is created only when a term lands on it.
     """
     weights: dict = {}
     for x, cx in su:
@@ -376,18 +374,12 @@ def _add_product(engine, pairs: dict, out: dict, su, sv, a0, b0, n1, n2) -> None
             k = (x, y) if x <= y else (y, x)
             weights[k] = weights.get(k, 0) + cx * cy
     size = engine.datum.basis_size
+    cup_terms = engine.datum.cup_terms
     amax, bmax = n1 - a0, n2 - b0
-    for k, c in weights.items():
+    for (x, y), c in weights.items():
         if not c:
             continue
-        pair = pairs.get(k)
-        if pair is None:
-            x, y = k
-            pair = pairs[k] = (
-                engine.datum.cup_terms[x][y],
-                engine._box_rows(x, y, n1, n2),
-            )
-        terms, rows = pair
+        terms = cup_terms[x][y]
         c = qnorm(c)
         if terms:
             vec = out.get((a0, b0))
@@ -395,7 +387,7 @@ def _add_product(engine, pairs: dict, out: dict, su, sv, a0, b0, n1, n2) -> None
                 vec = out[(a0, b0)] = [0] * size
             for m, cm in terms:
                 vec[m] += c * cm
-        for a, b, row in rows:
+        for a, b, row in engine._box_rows(x, y, n1, n2):
             if a > amax:
                 break
             if b > bmax:
@@ -429,8 +421,7 @@ def star(engine, left, right, n1: int = 4, n2: int = 2) -> QSeries:
     ValueError first.  Each pair of coefficients at (a1, b1) and (a2, b2)
     with a1 + a2 <= n1 and b1 + b2 <= n2 adds its product at that offset
     (``_add_product``), from the nonempty three-point rows that land inside
-    the truncation.  Each coefficient's nonzero entries are found once, and
-    each basis pair's box is looked up once per call.
+    the truncation.  Each coefficient's nonzero entries are found once.
     """
     _check_target(engine)
     datum = engine.datum
@@ -443,13 +434,12 @@ def star(engine, left, right, n1: int = 4, n2: int = 2) -> QSeries:
         gate._check_operand(right)
     else:
         right = QSeries.from_vector(datum, n1, n2, right)
-    pairs: dict = {}
     coeffs: dict = {}
     rights = _supports(right)
     for a1, b1, su in _supports(left):
         for a2, b2, sv in rights:
             if a1 + a2 <= n1 and b1 + b2 <= n2:
-                _add_product(engine, pairs, coeffs, su, sv, a1 + a2, b1 + b2, n1, n2)
+                _add_product(engine, coeffs, su, sv, a1 + a2, b1 + b2, n1, n2)
     return gate._like(coeffs)
 
 

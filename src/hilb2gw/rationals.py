@@ -49,6 +49,12 @@ def qdiv(a, b):
     return qnorm(a / b)
 
 
+# the type set of a sequence of ints: ``_ONLY_INTS.issuperset(map(type, xs))``
+# is True only when every item is an ``int``, so a bool or a float equal to
+# one (which hashes and compares like it) is refused
+_ONLY_INTS = frozenset((int,))
+
+
 def check_int(value, what: str) -> int:
     """``value`` if it is an ``int`` (not a bool); anything else raises
     ValueError naming ``what``."""

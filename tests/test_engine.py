@@ -1983,6 +1983,42 @@ def test_failed_cache_load_leaves_the_memo_untouched(tmp_path, bad, error):
     assert dict(eng.memo.items()) == before
 
 
+@pytest.mark.parametrize("cache_first", [False, True], ids=["value-of", "cache"])
+def test_shared_key_table_refuses_floats_and_bools(tmp_path, cache_first):
+    """4.0 and True hash and compare like 4 and 1, so a float or bool copy
+    of a list in the engine's shared table of key lists would find it
+    there.  Whether ``value_of`` or a cache load put (4, 8, 8) in the
+    table, ``value_of`` with 4.0 raises ValueError, and a cache entry with
+    insertions [4.0, 8, 8] or [True, 8], or the class (True, 1), raises
+    CacheFormatError and loads nothing, not even the valid entries before
+    it."""
+    eng = Engine()
+    if cache_first:
+        good = tmp_path / "good.json"
+        _write(good, [_entry((1, 2), (4, 8, 8))])
+        assert eng.load_cache(good) == 1
+    else:
+        assert eng.value_of(((1, 2), (4, 8, 8))) == 1
+    before = dict(eng.memo.items())
+    valid = _unsolved_entries()[:3]
+    assert not any((e["a"], e["b"]) == (1, 2) and e["ins"] == [4, 8, 8] for e in valid)
+    bad_entries = [
+        _entry((1, 2), (4.0, 8, 8)),
+        _entry((1, 1), (True, 8)),
+        _entry((True, 1), (3, 8)),
+    ]
+    for bad in bad_entries:
+        path = tmp_path / "bad.json"
+        _write(path, [_entry((1, 2), (4, 8, 8))] + valid + [bad])
+        with pytest.raises(CacheFormatError, match="must hold ints only"):
+            eng.load_cache(path)
+        assert dict(eng.memo.items()) == before
+    with pytest.raises(ValueError, match="must hold ints only"):
+        eng.value_of(((1, 2), (4.0, 8, 8)))
+    assert dict(eng.memo.items()) == before
+    assert eng.value_of(((1, 2), (4, 8, 8))) == 1
+
+
 def test_cache_conflict_with_the_memo_loads_nothing(tmp_path):
     entries = _unsolved_entries()
     eng = Engine()

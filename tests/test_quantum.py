@@ -585,6 +585,17 @@ def test_qcoh_stores_no_key_of_a_declared_zero_class():
     ]
 
 
+@pytest.mark.parametrize("n1, n2, entries", [(80, 2, 247), (6, 4, 25)])
+def test_qcoh_leaves_the_pinned_memo(n1, n2, entries):
+    """On one cold engine the product table and then the relations leave
+    exactly this many memo entries: the rows resolve only keys that can be
+    nonzero, and the pairs of one non-divisor part share them."""
+    eng = Engine()
+    assert verify_product_table(eng, n1, n2).passed
+    assert verify_relations(eng, n1, n2).passed
+    assert len(eng.memo) == entries
+
+
 def test_quantum_calls_on_the_plane_name_the_target():
     """The product table, the relations and a single product on the plane
     all raise the documented ValueError, the table before it builds its
@@ -688,14 +699,20 @@ def _naive_add(left, right):
     return _naive_like(left, out)
 
 
-def _naive_star(engine, left, right):
+def _naive_star(ref, left, right):
     """Each pair of coefficients contracted entry by entry at its offset:
     the cup table, and at each class (a, b) of the box left past the
-    offset the row ``Engine.three_point_row``; the sum built through the
-    public constructor."""
-    datum = engine.datum
+    offset the row built from ``Engine.invariant`` on ``ref``, a second
+    engine, over every third basis index, not from the engine's own row
+    builder; the sum built through the public constructor."""
+    datum = ref.datum
     n1, n2 = left.n1, left.n2
-    row = functools.cache(engine.three_point_row)
+
+    @functools.cache
+    def row(cls, x, y):
+        vals = [ref.invariant(cls, [x, y, i]) for i in range(datum.basis_size)]
+        return [(datum.top - i, v) for i, v in enumerate(vals) if v]
+
     out: dict = {}
 
     def add(k, j, c):
@@ -739,8 +756,9 @@ def test_series_arithmetic_matches_a_naive_reference():
     convolution built through the gated constructor, in normal form.  The
     operands at (6, 2) have rational coefficients; each also meets its
     integral complement (a sum of fractions that are ints) and its own
-    negative (a sum that is zero)."""
-    eng = Engine()
+    negative (a sum that is zero).  ``star`` is checked against rows built
+    from ``invariant`` on a second cold engine."""
+    eng, ref = Engine(), Engine()
     datum = eng.datum
     rng = random.Random(20261020)
     n1, n2 = 6, 2
@@ -800,7 +818,7 @@ def test_series_arithmetic_matches_a_naive_reference():
                 yield u + v, _naive_add(u, v)
                 yield u - v, _naive_add(u, _naive_scaled(v, -1))
                 yield u.scaled(x), _naive_scaled(u, x)
-                yield star(eng, u, v, n1, n2), _naive_star(eng, u, v)
+                yield star(eng, u, v, n1, n2), _naive_star(ref, u, v)
             yield -u, _naive_scaled(u, -1)
             for c in (0, 1, rat(4, 3), rat(-1, 2)):
                 yield u.scaled(c), _naive_scaled(u, c)
