@@ -26,20 +26,20 @@ truncation.
 
 ``ScalarSeries`` (exact coefficients) and ``QSeries`` (cohomology-vector
 coefficients) share one truncated-series class: construction, the operand
-gate, ``+``, ``-``, scaling by an exact scalar or a ``ScalarSeries``,
-``==`` and ``first_mismatch`` are written once.  The gate checks the other
-operand's kind, truncation bounds and (for a QSeries) datum before any
-arithmetic and raises ValueError naming what differs; ``==`` is False
-instead.  A series is built on one of two paths.  The public
-constructors gate every key and coefficient (``rationals.qnorm`` for a
-scalar, ``TargetDatum.check_vector`` for a vector; any value that is not an
-exact rational raises ValueError).  The results of ``+``, ``-``,
-``scaled``, ``*`` and ``star`` are built once by ``_like``, which only
-normalizes and drops zeros: their operands were gated.  One kernel per
-kind, ``_convolve``, runs ``+``, ``-`` and ``scaled``: each operand
-coefficient loops over the other operand's terms inline.  Either way every
-coefficient is in the package's normal form (a plain ``int`` when integral,
-a ``Rat`` only for a true fraction).  Operands are basis indices or
+gate, arithmetic, ``==`` and ``first_mismatch`` are written once.  The gate
+checks the other operand's kind, truncation bounds and (for a QSeries)
+datum before any arithmetic and raises ValueError naming what differs;
+``==`` is False instead.  The public constructors gate every key and
+coefficient (``rationals.qnorm`` for a scalar, ``TargetDatum.check_vector``
+for a vector; any value that is not an exact rational raises ValueError).
+Arithmetic has one entry point, ``_Series._sum``: it adds each ``s * x``
+(``s`` an exact scalar or a ScalarSeries) into one accumulator through the
+kind's kernel ``_convolve``, and ``_like`` builds the result once (and that
+of ``star``), only normalizing and dropping zeros.  ``+``, ``-``,
+``scaled``, ``*`` and each verified series are sums: a closed-form product
+is one row ``{basis index: scalar}``, a relation residual four terms.  Every
+coefficient is in the package's normal form (an ``int`` when integral, a
+``Rat`` only for a true fraction).  Operands are basis indices or
 cohomology vectors, checked by ``TargetDatum.check_index`` and
 ``TargetDatum.check_vector``; truncation bounds are non-negative ints, and
 a QSeries's datum is a TargetDatum (``chow.check_datum``).
@@ -47,7 +47,7 @@ a QSeries's datum is a TargetDatum (``chow.check_datum``).
 
 from __future__ import annotations
 
-from .chow import CohVector, TargetDatum, check_datum
+from .chow import CohVector, TargetDatum, check_datum, hilb_datum
 from .rationals import _ONLY_INTS, check_int, qnorm
 
 __all__ = [
@@ -91,14 +91,14 @@ class _Series:
     inside the box to a nonzero coefficient in normal form, on both paths.
     The constructor gates its input: a dict (or None) keyed by pairs of
     non-negative ints (not bools), each coefficient through ``_norm``, or
-    ValueError; terms past the box are dropped.  An arithmetic result is
-    built by ``_like``, which only normalizes and drops zeros.
+    ValueError; terms past the box are dropped.  Arithmetic has one entry
+    point, ``_sum``, whose result ``_like`` builds, only normalizing and
+    dropping zeros; ``+``, ``-`` and ``scaled`` are sums of one or two terms.
 
     A subclass names its coefficient type: ``_norm``, ``_nonzero``,
-    ``_like``, ``_accumulator`` (a mutable copy of the coefficients, where
-    ``+`` and ``-`` start) and ``_convolve``, the one arithmetic kernel: it
-    adds the product of a coefficient dict with a list of scalar terms into
-    an accumulator, each coefficient looping over the terms inline.
+    ``_like`` and ``_convolve``, the one arithmetic kernel: it adds the
+    product of a coefficient dict with a list of scalar terms into an
+    accumulator, each coefficient looping over the terms inline.
     """
 
     __slots__ = ("n1", "n2", "coeffs")
@@ -136,33 +136,37 @@ class _Series:
         if miss:
             raise ValueError(miss)
 
-    def _combine(self, other, sign: int):
-        """``self + sign * other`` in one pass."""
-        self._check_operand(other)
-        coeffs = self._accumulator()
-        self._convolve(coeffs, other.coeffs, ((0, 0, sign),), self.n1, self.n2)
+    def _sum(self, parts):
+        """``sum(s * x for s, x in parts)`` in one pass: ``s`` is an exact
+        scalar or a ScalarSeries with these bounds, ``x`` a series that
+        passes ``_check_operand``; every product is added into one
+        accumulator by ``_convolve`` and the sum normalized once by
+        ``_like``."""
+        n1, n2 = self.n1, self.n2
+        coeffs: dict = {}
+        for s, x in parts:
+            self._check_operand(x)
+            if not isinstance(s, ScalarSeries):
+                terms = ((0, 0, qnorm(s)),)
+            elif (s.n1, s.n2) != (n1, n2):
+                raise ValueError("mismatched truncation bounds")
+            else:  # by a: the kernel breaks past the box
+                terms = sorted([(a, b, c) for (a, b), c in s.coeffs.items()])
+            self._convolve(coeffs, x.coeffs, terms, n1, n2)
         return self._like(coeffs)
 
     def __add__(self, other):
-        return self._combine(other, 1)
+        return self._sum(((1, self), (1, other)))
 
     def __sub__(self, other):
-        return self._combine(other, -1)
+        return self._sum(((1, self), (-1, other)))
 
     def __neg__(self):
         return self.scaled(-1)
 
     def scaled(self, s):
         """Multiply by an exact scalar or by a ScalarSeries (with truncation)."""
-        if not isinstance(s, ScalarSeries):
-            terms = ((0, 0, qnorm(s)),)  # one pass over this series
-        elif (s.n1, s.n2) != (self.n1, self.n2):
-            raise ValueError("mismatched truncation bounds")
-        else:  # by a: the kernel breaks past the box
-            terms = sorted([(a, b, c) for (a, b), c in s.coeffs.items()])
-        coeffs: dict = {}
-        self._convolve(coeffs, self.coeffs, terms, self.n1, self.n2)
-        return self._like(coeffs)
+        return self._sum(((s, self),))
 
     def __eq__(self, other) -> bool:
         return self._mismatch(other) is None and self.coeffs == other.coeffs
@@ -186,9 +190,6 @@ class ScalarSeries(_Series):
     __slots__ = ()
     _norm = staticmethod(qnorm)
     _nonzero = bool
-
-    def _accumulator(self) -> dict:
-        return dict(self.coeffs)
 
     @staticmethod
     def _convolve(out: dict, coeffs: dict, terms, n1: int, n2: int) -> None:
@@ -259,9 +260,6 @@ class QSeries(_Series):
 
     def _norm(self, v) -> CohVector:
         return self.datum.check_vector(v)
-
-    def _accumulator(self) -> dict:
-        return {k: list(v) for k, v in self.coeffs.items()}
 
     @staticmethod
     def _convolve(out: dict, coeffs: dict, terms, n1: int, n2: int) -> None:
@@ -449,28 +447,29 @@ def star(engine, left, right, n1: int = 4, n2: int = 2) -> QSeries:
 
 
 def _closed_product_forms(datum: TargetDatum, n1: int, n2: int) -> dict:
-    """The nine divisor-times-basis products in closed form, truncated."""
-    f = f_series(n1, n2)
-    one = ScalarSeries.constant(n1, n2, 1)
-
-    def basis(k) -> QSeries:
-        return QSeries.from_vector(datum, n1, n2, k)
-
-    def mono(a, b, c=1) -> QSeries:
-        return QSeries.from_scalar(
-            datum, ScalarSeries.monomial(n1, n2, a, b, c)
-        )
-
+    """The nine divisor-times-basis products in closed form, truncated: each
+    a row ``{basis index: scalar}`` summed in one pass, T0's entry a dict of
+    q-monomials."""
+    f3 = 3 * f_series(n1, n2)
+    g = ScalarSeries.constant(n1, n2, 1) - f3  # 1 - 3f
+    rows = {
+        (1, 1): {3: g, 5: f3},
+        (1, 2): {3: 2, 4: 1},
+        (2, 2): {3: 1, 4: 1, 5: 1},
+        (1, 3): {7: f3, 0: {(1, 1): 1, (2, 1): 2}},
+        (1, 4): {6: 1, 0: {(1, 1): 2}},
+        (1, 5): {6: 2, 7: g, 0: {(1, 1): 1}},
+        (2, 3): {6: 1, 0: {(1, 1): 1, (2, 1): 1}},
+        (2, 4): {6: 1, 7: 1, 0: {(1, 1): 2}},
+        (2, 5): {6: 1, 7: 2, 0: {(0, 1): 1, (1, 1): 1}},
+    }
+    unit = [QSeries.from_vector(datum, n1, n2, k) for k in range(datum.basis_size)]
     return {
-        (1, 1): basis(3).scaled(one - 3 * f) + basis(5).scaled(3 * f),
-        (1, 2): basis(3).scaled(2) + basis(4),
-        (2, 2): basis(3) + basis(4) + basis(5),
-        (1, 3): basis(7).scaled(3 * f) + mono(1, 1) + mono(2, 1, 2),
-        (1, 4): basis(6) + mono(1, 1, 2),
-        (1, 5): basis(6).scaled(2) + basis(7).scaled(one - 3 * f) + mono(1, 1),
-        (2, 3): basis(6) + mono(1, 1) + mono(2, 1),
-        (2, 4): basis(6) + basis(7) + mono(1, 1, 2),
-        (2, 5): basis(6) + basis(7).scaled(2) + mono(0, 1) + mono(1, 1),
+        pair: unit[0]._sum(
+            [(ScalarSeries(n1, n2, s) if type(s) is dict else s, unit[k])
+             for k, s in row.items()]
+        )
+        for pair, row in rows.items()
     }
 
 
@@ -526,11 +525,24 @@ class RelationReport:
         return all(r.is_zero() for r in self.residuals)
 
 
+def _check_ring(engine) -> TargetDatum:
+    """The datum after ``_check_target``; ValueError naming it unless its ring
+    is Hilb^2(P^2)'s, whose closed forms the verifiers check."""
+    _check_target(engine)
+    datum, hilb = engine.datum, hilb_datum()
+    ring = ("codims", "cup_table", "anticanonical")
+    if any(getattr(datum, k) != getattr(hilb, k) for k in ring):
+        raise ValueError(
+            f"the closed forms are those of {hilb.name}, not of {datum.name}"
+        )
+    return datum
+
+
 def verify_product_table(engine, n1: int = 4, n2: int = 2) -> ProductReport:
     """Recompute the nine products of divisors with low-degree classes; a
-    target without two-parameter classes raises ValueError first."""
-    _check_target(engine)
-    datum = engine.datum
+    target without two-parameter classes, then one without the ring of
+    Hilb^2(P^2), raises ValueError before any arithmetic."""
+    datum = _check_ring(engine)
     expected = _closed_product_forms(datum, n1, n2)
     report = ProductReport(n1, n2)
     for (i, j), want in sorted(expected.items()):
@@ -553,32 +565,20 @@ def verify_relations(engine, n1: int = 4, n2: int = 2) -> RelationReport:
     and the second:
 
         (1-18f) T2*T2*T2 - 3(1-6f) T1*T2*T2 + 6 T1*T1*T2 - q2(q1-1)^2 = 0.
-    """
-    datum = engine.datum
+
+    Each residual is one four-term ``_sum``, with T1*T1 computed once; the
+    targets ``verify_product_table`` refuses raise its ValueError first."""
+    datum = _check_ring(engine)
     f = f_series(n1, n2)
-    one = ScalarSeries.constant(n1, n2, 1)
-    q1 = ScalarSeries.monomial(n1, n2, 1, 0)
-    q2 = ScalarSeries.monomial(n1, n2, 0, 1)
-
-    def triple(a, b, c) -> QSeries:
-        return star(engine, star(engine, a, b, n1, n2), c, n1, n2)
-
-    t111 = triple(1, 1, 1)
-    t112 = triple(1, 1, 2)
-    t122 = triple(1, 2, 2)
-    t222 = triple(2, 2, 2)
-
-    nine_f2 = 9 * f * f
-    r1 = (
-        t111
-        - t122.scaled(nine_f2)
-        + t222.scaled(nine_f2 - 2 * f)
-        - QSeries.from_scalar(datum, q1 * q2 * (q1 - one))
-    )
-    r2 = (
-        t222.scaled(one - 18 * f)
-        - t122.scaled(3 * (one - 6 * f))
-        + t112.scaled(6)
-        - QSeries.from_scalar(datum, q2 * (q1 * q1 - 2 * q1 + one))
-    )
+    f2 = ScalarSeries(n1, n2, {(a, 0): a - 1 for a in range(2, n1 + 1)})  # f*f
+    c = ScalarSeries.constant(n1, n2, 1)
+    p1 = ScalarSeries(n1, n2, {(1, 1): 1, (2, 1): -1})  # -q1q2(q1 - 1)
+    p2 = ScalarSeries(n1, n2, {(0, 1): -1, (1, 1): 2, (2, 1): -1})  # -q2(q1-1)^2
+    t11 = star(engine, 1, 1, n1, n2)
+    t111, t112 = star(engine, t11, 1, n1, n2), star(engine, t11, 2, n1, n2)
+    t122 = star(engine, star(engine, 1, 2, n1, n2), 2, n1, n2)
+    t222 = star(engine, star(engine, 2, 2, n1, n2), 2, n1, n2)
+    one = QSeries.from_vector(datum, n1, n2, 0)
+    r1 = one._sum([(1, t111), (-9 * f2, t122), (9 * f2 - 2 * f, t222), (p1, one)])
+    r2 = one._sum([(c - 18 * f, t222), (18 * f - 3 * c, t122), (6, t112), (p2, one)])
     return RelationReport(n1, n2, [r1, r2])

@@ -1,10 +1,12 @@
-"""Randomized property checks shared by the topic tests and the acceptance run.
+"""Randomized property checks shared by the topic tests and the acceptance run,
+and a Hilb^2 datum with one base case replaced.
 
 Each function returns (failures, samples) where ``failures`` is a list of
 human-readable descriptions (empty = pass).  Randomness is always driven by
 a caller-supplied ``random.Random`` so every run is reproducible.
 """
 
+from hilb2gw.chow import TargetDatum, hilb_datum
 from hilb2gw.rationals import binom
 
 
@@ -139,3 +141,25 @@ def check_binomial_roundtrip(tables, max_degree=7):
                 if total != table.invariants[g]:
                     failures.append(f"d={d} l={l} g={g}")
     return failures, cells
+
+
+def rescaled_hilb_datum(value, key=((2, 0), (3,))):
+    """The Hilb^2 datum with the base case ``key`` = (class, insertions), by
+    default I_(2,0)(T3) = 3/4, replaced by ``value``, and everything else
+    kept."""
+    d = hilb_datum()
+
+    def base_case(cls, ins):
+        if (cls, ins) == key:
+            return value
+        return d.base_case(cls, ins)
+
+    return TargetDatum(
+        name=d.name,
+        codims=d.codims,
+        cup_table=d.cup_table,
+        anticanonical=d.anticanonical,
+        base_case=base_case,
+        base=d.base,
+        zero_class=d.zero_class,
+    )

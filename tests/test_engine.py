@@ -45,6 +45,7 @@ from properties_util import (
     check_effectivity_rejection,
     check_permutation_invariance,
     check_wdvv_residuals,
+    rescaled_hilb_datum,
 )
 
 
@@ -337,28 +338,6 @@ def test_split_sum_skips_zero_classes_and_matches_the_plain_sum():
             assert not datum.zero_class(b1) and not datum.zero_class(b2)
 
 
-def _rescaled_hilb_datum(value, key=((2, 0), (3,))):
-    """The Hilb^2 datum with the base case ``key`` = (class, insertions), by
-    default I_(2,0)(T3) = 3/4, replaced by ``value``, and everything else
-    kept."""
-    d = hilb_datum()
-
-    def base_case(cls, ins):
-        if (cls, ins) == key:
-            return value
-        return d.base_case(cls, ins)
-
-    return TargetDatum(
-        name=d.name,
-        codims=d.codims,
-        cup_table=d.cup_table,
-        anticanonical=d.anticanonical,
-        base_case=base_case,
-        base=d.base,
-        zero_class=d.zero_class,
-    )
-
-
 def test_split_sum_rescales_closed_classes_like_the_plain_sum():
     """The split sum reads each closed class (a, 0) from a table of its
     values times a^2 and divides once per ordering.  At (2, 1), (3, 2) and
@@ -377,7 +356,7 @@ def test_split_sum_rescales_closed_classes_like_the_plain_sum():
     })
     assert len(specs) >= 250
     fractions = []
-    for datum in (hilb_datum(), _rescaled_hilb_datum(rat(1, 3))):
+    for datum in (hilb_datum(), rescaled_hilb_datum(rat(1, 3))):
         plain, built = Engine(datum), Engine(datum)
         count = 0
         for cls, (frame, extras) in specs:
@@ -437,7 +416,7 @@ def test_every_frame_of_the_small_stages_closes():
     I(T3) = 3/4 changed to 3/2, thousands of the 27,268 at a <= 4, b <= 2
     do not."""
     assert _residual_count(Engine(), 6, 3) == (52216, 0)
-    count, nonzero = _residual_count(Engine(_rescaled_hilb_datum(rat(3, 2))), 4, 2)
+    count, nonzero = _residual_count(Engine(rescaled_hilb_datum(rat(3, 2))), 4, 2)
     assert count == 27268 and nonzero > 1000
 
 
@@ -469,7 +448,7 @@ def test_every_base_case_is_load_bearing(cls, ins):
     at class (0, 2).  A change at a = 2 is found only after about 12,000
     zero residuals, so those seven cases are ``slow``."""
     value = hilb_datum().base_case(cls, ins) + 1
-    eng = Engine(_rescaled_hilb_datum(value, (cls, ins)))
+    eng = Engine(rescaled_hilb_datum(value, (cls, ins)))
     assert any(r != 0 for r in _overdetermined_residuals(eng, 4, 2))
 
 
@@ -1430,7 +1409,7 @@ def test_stage_below_three_insertions_never_reaches_the_solver():
     """A datum that leaves a two-point key without a base case makes its
     visit raise before any harvest: n <= 2 must be covered by the datum."""
     key = ((1, 1), (3, 8))
-    eng = Engine(_rescaled_hilb_datum(None, key=key))
+    eng = Engine(rescaled_hilb_datum(None, key=key))
     with pytest.raises(UnderdeterminedStage, match="reached the solver"):
         eng.value_of(key)
     assert eng.memo.get(key) is None

@@ -20,9 +20,11 @@ from hilb2gw import (
     verify_product_table,
     verify_relations,
 )
-from hilb2gw.chow import p2_datum
+from hilb2gw.chow import TargetDatum, p2_datum
 from hilb2gw.quantum import ProductCheck, ProductReport, RelationReport
 from hilb2gw.rationals import Rat, rat
+
+from properties_util import rescaled_hilb_datum
 
 
 # ----------------------------------------------------------------------
@@ -830,3 +832,178 @@ def test_series_arithmetic_matches_a_naive_reference():
         seen["zero" if got.is_zero() else "nonzero"] += 1
     assert seen["zero"] >= 24 and seen["nonzero"] >= 200, seen
     assert sum(int_sums) >= 100, int_sums
+
+
+# ----------------------------------------------------------------------
+# the verified series against their series-algebra expressions
+# ----------------------------------------------------------------------
+
+
+def _reference_forms(datum, n1, n2):
+    """The nine closed forms written in the series algebra, every term its
+    own series: the reference for the one-pass rows."""
+    f = f_series(n1, n2)
+    one = ScalarSeries.constant(n1, n2, 1)
+
+    def basis(k):
+        return QSeries.from_vector(datum, n1, n2, k)
+
+    def mono(a, b, c=1):
+        return QSeries.from_scalar(datum, ScalarSeries.monomial(n1, n2, a, b, c))
+
+    return {
+        (1, 1): basis(3).scaled(one - 3 * f) + basis(5).scaled(3 * f),
+        (1, 2): basis(3).scaled(2) + basis(4),
+        (2, 2): basis(3) + basis(4) + basis(5),
+        (1, 3): basis(7).scaled(3 * f) + mono(1, 1) + mono(2, 1, 2),
+        (1, 4): basis(6) + mono(1, 1, 2),
+        (1, 5): basis(6).scaled(2) + basis(7).scaled(one - 3 * f) + mono(1, 1),
+        (2, 3): basis(6) + mono(1, 1) + mono(2, 1),
+        (2, 4): basis(6) + basis(7) + mono(1, 1, 2),
+        (2, 5): basis(6) + basis(7).scaled(2) + mono(0, 1) + mono(1, 1),
+    }
+
+
+def _reference_residuals(engine, n1, n2):
+    """The two relation residuals written in the series algebra, each
+    triple product expanded left to right on its own."""
+    datum = engine.datum
+    f = f_series(n1, n2)
+    one = ScalarSeries.constant(n1, n2, 1)
+    q1 = ScalarSeries.monomial(n1, n2, 1, 0)
+    q2 = ScalarSeries.monomial(n1, n2, 0, 1)
+
+    def triple(a, b, c):
+        return star(engine, star(engine, a, b, n1, n2), c, n1, n2)
+
+    t111 = triple(1, 1, 1)
+    t112 = triple(1, 1, 2)
+    t122 = triple(1, 2, 2)
+    t222 = triple(2, 2, 2)
+    nine_f2 = 9 * f * f
+    r1 = (
+        t111
+        - t122.scaled(nine_f2)
+        + t222.scaled(nine_f2 - 2 * f)
+        - QSeries.from_scalar(datum, q1 * q2 * (q1 - one))
+    )
+    r2 = (
+        t222.scaled(one - 18 * f)
+        - t122.scaled(3 * (one - 6 * f))
+        + t112.scaled(6)
+        - QSeries.from_scalar(datum, q2 * (q1 * q1 - 2 * q1 + one))
+    )
+    return [r1, r2]
+
+
+def _assert_checks_match_reference(eng, n1, n2):
+    products = verify_product_table(eng, n1, n2)
+    want = _reference_forms(eng.datum, n1, n2)
+    assert len(products.entries) == len(want) == 9
+    for entry in products.entries:
+        assert entry.expected == want[(entry.left, entry.right)], entry.name
+        _assert_normal_form(entry.expected)
+    relations = verify_relations(eng, n1, n2)
+    assert relations.residuals == _reference_residuals(eng, n1, n2)
+    return products, relations
+
+
+@pytest.mark.parametrize("n1, n2", [(4, 2), (6, 4), (80, 2)])
+def test_checked_series_equal_their_series_algebra(engine, n1, n2):
+    """Each closed form summed from its row, and each residual summed from
+    four terms, equals the series-algebra expression term by term."""
+    products, relations = _assert_checks_match_reference(engine, n1, n2)
+    assert products.passed and relations.passed
+
+
+def test_failing_checks_equal_their_series_algebra():
+    """With I_(1,0)(T3) = 4 instead of 3, T1*T1 and T1*T3 fail at q1^1 and
+    both residuals are nonzero; the expected series and the residuals (whose
+    repr ``qcoh`` prints) still equal their series-algebra expressions."""
+    eng = Engine(rescaled_hilb_datum(4, ((1, 0), (3,))))
+    products, relations = _assert_checks_match_reference(eng, 4, 2)
+    assert [(e.name, e.first_mismatch) for e in products.entries if not e.passed] == [
+        ("T1*T1", (1, 0)),
+        ("T1*T3", (1, 0)),
+    ]
+    assert [repr(r) for r in relations.residuals] == [
+        "QSeries(q1^1q2^0*(2*T6 + 2*T7) + q1^2q2^0*(-6*T7) + q1^2q2^1*(T0)"
+        " + q1^3q2^0*(-6*T7) + q1^4q2^0*(-6*T7))",
+        "QSeries(q1^1q2^0*(6*T6 + 12*T7) + q1^1q2^1*(6*T0) + q1^2q2^1*(6*T0))",
+    ]
+
+
+# ----------------------------------------------------------------------
+# a second two-parameter target: P^1 x P^1
+# ----------------------------------------------------------------------
+
+
+def _quadric_datum():
+    """P^1 x P^1: basis (1, H1, H2, pt) of codims (0, 1, 1, 2) with
+    H1^2 = H2^2 = 0 and H1 H2 = pt, classes (a, b) of bidegree, -K = (2, 2),
+    and one line of each ruling through a point as the base cases."""
+    one, h1, h2, pt = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    zero = (0,) * 4
+    table = (
+        (one, h1, h2, pt),
+        (h1, zero, pt, zero),
+        (h2, pt, zero, zero),
+        (pt, zero, zero, zero),
+    )
+
+    def base_case(cls, ins):
+        return 1 if cls in ((1, 0), (0, 1)) and ins == (3,) else None
+
+    return TargetDatum(
+        name="p1xp1",
+        codims=(0, 1, 1, 2),
+        cup_table=table,
+        anticanonical=(2, 2),
+        base_case=base_case,
+    )
+
+
+def test_quadric_counts_are_symmetric_with_the_known_rows():
+    """N_(a,b), the rational curves of bidegree (a, b) through 2a + 2b - 1
+    points, is symmetric in a and b, is 1 on the row a = 1 and vanishes at
+    (a, 0) for a >= 2: a generic engine run with neither a declared zero
+    class nor a base divisor."""
+    eng = Engine(_quadric_datum())
+
+    def count(a, b):
+        return eng.invariant((a, b), [3] * (2 * a + 2 * b - 1))
+
+    for a in range(5):
+        for b in range(5):
+            if a or b:
+                assert count(a, b) == count(b, a), (a, b)
+    assert [count(1, b) for b in range(5)] == [1] * 5
+    assert [count(a, 0) for a in range(2, 5)] == [0] * 3
+
+
+def test_quadric_small_quantum_ring():
+    """The small quantum ring of P^1 x P^1 is Q[H1, H2, q1, q2]/(H1^2 - q1,
+    H2^2 - q2): H1*H1 = q1, H2*H2 = q2, H1*H2 = pt and pt*pt = q1q2."""
+    datum = _quadric_datum()
+    eng = Engine(datum)
+    one, pt = datum.basis_vector(0), datum.basis_vector(3)
+    for x, y, want in (
+        (1, 1, {(1, 0): one}),
+        (2, 2, {(0, 1): one}),
+        (1, 2, {(0, 0): pt}),
+        (3, 3, {(1, 1): one}),
+    ):
+        assert small_product(eng, x, y, 3, 3) == QSeries(datum, 3, 3, want), (x, y)
+
+
+@pytest.mark.parametrize("verify", [verify_product_table, verify_relations])
+def test_verifiers_refuse_another_two_parameter_target(verify):
+    """The closed forms are those of Hilb^2(P^2): on P^1 x P^1 both
+    verifiers raise ValueError naming the target before any arithmetic,
+    so the engine resolves nothing."""
+    eng = Engine(_quadric_datum())
+    with pytest.raises(
+        ValueError, match="^the closed forms are those of hilb2p2, not of p1xp1$"
+    ):
+        verify(eng, 3, 3)
+    assert not len(eng.memo) and not eng._budgets
