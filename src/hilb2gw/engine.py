@@ -714,9 +714,13 @@ class Engine:
         weight budget and whose key the projection keeps
         (``TargetDatum.order_bound``), forms each key on packed codes and
         values it by ``_resolve``, the internal path, not the caller's gate
-        of ``value_of``; zeros are left out.  Pairs with one non-divisor
-        part (T1 * T3 and T2 * T3; the three divisor pairs) share memo
-        keys, not a cached row: only ``_box_rows`` keeps rows."""
+        of ``value_of``; zeros are left out.  A multiplier m scales an int
+        value as ``m * val`` and a Rat as ``qdiv(m * numerator,
+        denominator)``: the value and type of ``qnorm(m * val)`` without
+        Fraction arithmetic (the (a, 0) base cases +-3/a^2 times a^2 are
+        ints).  Pairs with one non-divisor part (T1 * T3 and T2 * T3; the
+        three divisor pairs) share memo keys, not a cached row: only
+        ``_box_rows`` keeps rows."""
         units = self._units
         mults = cls + (1, 0)  # indexed by a unit's slot
         sx, cx, wx, tx, nx = units[x]
@@ -735,23 +739,36 @@ class Engine:
             if m and t + ti <= order_bound(cls, n + ni):
                 val = resolve(cls, code + ci)
                 if val:
-                    entries.append((top - i, val if m == 1 else qnorm(m * val)))
+                    if m != 1:
+                        val = (
+                            m * val
+                            if type(val) is int
+                            else qdiv(m * val.numerator, val.denominator)
+                        )
+                    entries.append((top - i, val))
         return tuple(entries)
 
     def _box_rows(self, x, y, n1, n2):
-        """``((a, b, row), ...)`` for each class (a, b) != (0, 0) with
-        a <= n1 and b <= n2 whose ``_row((a, b), x, y)`` is nonempty, in
-        increasing (a, b); built once per basis pair and truncation, for the
-        quantum product.  A box visits only the classes that can hold a
-        row: it skips each class the datum declares zero, and each class
-        whose row weight (its budget less the weights of x and y) is the
-        weight of no index of ``_thirds``; the classes of a truncation are
-        listed once, by budget, in ``_box_classes``.  So no row looks up or
-        stores a key of a declared-zero class, and at (80, 2) the nine boxes
-        of ``qcoh`` build 738 rows, not one per class and pair (2,178), and
-        keep the 249 nonempty ones.  The box is the only store of rows; the
-        pairs of one non-divisor part share memo keys.  Memo values are
-        never overwritten, so a kept box cannot go stale.  The classes
+        """The three-point rows of the pair (x, y) over the classes (a, b)
+        with a <= n1 and b <= n2, as q1-slices, for the quantum product:
+        one ``(b, j, ((a, val), ...))`` for each q2 degree b and output
+        index j with a nonzero entry, the ``(a, val)`` sorted by a and the
+        slices by (b, j).  The degree-0 row is the cup product (the cup
+        table's entries at a = b = 0); every other class gives its
+        ``_row((a, b), x, y)``.  So ``quantum.star`` adds a whole slice into
+        one dense list per output (b, j), the cup term included, and stops
+        at the first a past the truncation.  Built once per basis pair and
+        truncation; the box is the only store of rows, and the pairs of one
+        non-divisor part share memo keys.  Memo values are never
+        overwritten, so a kept box cannot go stale.
+
+        A box visits only the classes that can hold a row: those
+        ``_list_box_classes`` lists for the truncation (once, by budget, in
+        ``_box_classes``) whose row weight, the budget less the weights of
+        x and y, is the weight of an index of ``_thirds``.  So no row looks
+        up or stores a key of a declared-zero class, and at (80, 2) the nine
+        boxes of ``qcoh`` build 738 rows, not one per class and pair
+        (2,178), and keep the 249 nonempty ones as 22 slices.  The classes
         (a, b) are admissible only on a two-parameter target, which the
         quantum product checks before it asks for a box."""
         key = (x, y, n1, n2)
@@ -759,26 +776,54 @@ class Engine:
         if box is None:
             groups = self._box_classes.get((n1, n2))
             if groups is None:
-                groups = {}
-                zero_class = self.datum.zero_class
-                for a in range(n1 + 1):
-                    for b in range(n2 + 1):
-                        cls = (a, b)
-                        if (a or b) and not zero_class(cls):
-                            groups.setdefault(self._budget(cls), []).append(cls)
-                self._box_classes[(n1, n2)] = groups
+                groups = self._box_classes[(n1, n2)] = self._list_box_classes(n1, n2)
             thirds = self._thirds
             wxy = self._weights[x] + self._weights[y]
-            entries = []
+            rows = []
             for budget, classes in groups.items():
                 if budget - wxy in thirds:
                     for cls in classes:
                         row = self._row(cls, x, y)
                         if row:
-                            entries.append(cls + (row,))
-            entries.sort()
-            box = self._boxes[key] = tuple(entries)
+                            rows.append((cls, row))
+            # the degree-0 row is the cup product
+            slices: dict = {(0, m): [(0, cm)] for m, cm in self._cup_terms[x][y]}
+            for (a, b), row in sorted(rows):
+                for j, val in row:
+                    slices.setdefault((b, j), []).append((a, val))
+            box = self._boxes[key] = tuple(
+                (b, j, tuple(s)) for (b, j), s in sorted(slices.items())
+            )
         return box
+
+    def _list_box_classes(self, n1, n2) -> dict:
+        """The classes of a truncation that can hold a three-point row,
+        grouped by budget: each (a, b) != (0, 0) with a <= n1 and b <= n2
+        that the datum does not declare zero and whose budget is at most
+        the largest weight of a pair plus the largest of ``_thirds`` (a
+        row's three weights fill the budget).  The budget is
+        ``k1 * a + k2 * b`` plus that of (0, 0), (k1, k2) the anticanonical
+        class, so each loop stops once the budget can only grow past the
+        bound: on Hilb^2, -K = (0, 3) keeps b <= 2 and a truncation at
+        q2^(10^6) lists 12 classes at n1 = 4.  A negative entry bounds
+        nothing, and its loop runs to the truncation."""
+        d = self.datum
+        zero_class = d.zero_class
+        k1, k2 = d.anticanonical
+        room = 2 * max(self._weights) + max(self._thirds) - d.weight_budget((0, 0))
+        groups: dict = {}
+        for a in range(n1 + 1):
+            if min(k1, k2) >= 0 and k1 * a > room:
+                break
+            for b in range(n2 + 1):
+                if k1 * a + k2 * b > room:
+                    if k2 >= 0:
+                        break
+                    continue
+                cls = (a, b)
+                if (a or b) and not zero_class(cls):
+                    groups.setdefault(self._budget(cls), []).append(cls)
+        return groups
 
     # ------------------------------------------------------------------
     # equation building

@@ -10,19 +10,22 @@ divisor subring from engine invariants.
 
 Products are bilinear: the coefficient of q1^a q2^b in g1 * g2 is
 ``sum_{x,y} g1[x] g2[y] R_(a,b)(x, y)`` with the three-point basis row
-``R_(a,b)(x, y) = sum_i I_(a,b)(T_x, T_y, T_i) T_{8-i}``.  Most rows are
-empty, and the engine builds only those that can be nonzero.  A box
-skips each class the datum declares zero and each class whose row weight
-is the weight of no basis index.  So the nine boxes of ``qcoh`` at
-(80, 2) build 738 rows, not the 2,178 of one per class and basis pair,
-and keep the 249 nonempty ones.  By the divisor axiom a pair's row is its
-divisor multipliers times invariants of its non-divisor part alone, so
-pairs with one non-divisor part share memo keys, not cached row tuples.
-The engine keeps, per basis pair and truncation, the tuple of the box's
-nonempty rows (``Engine._box_rows``), the only store of rows.  A product
-finds the nonzero entries of each operand coefficient once and contracts
-them with those rows alone, skipping the ones that would land past the
-truncation.
+``R_(a,b)(x, y) = sum_i I_(a,b)(T_x, T_y, T_i) T_{8-i}``, the degree-0 row
+being the cup product.  Most rows are empty, and the engine builds only
+those that can be nonzero.  A box skips each class the datum declares
+zero, each class whose row weight is the weight of no basis index, and
+each class whose budget no row can fill, so a truncation far past the
+rows costs nothing.  The nine boxes of ``qcoh`` at (80, 2) build 738 rows,
+not the 2,178 of one per class and basis pair, and keep the 249 nonempty
+ones.  By the divisor axiom a pair's row is its divisor multipliers times
+invariants of its non-divisor part alone, so pairs with one non-divisor
+part share memo keys, not cached row tuples.  The engine keeps, per basis
+pair and truncation, the box's rows as q1-slices ``(b, j, ((a, val),
+...))``, sorted by a (``Engine._box_rows``), the only store of rows.  A
+product is a convolution over those slices: ``star`` sums each pair's
+weight series once, adds each slice times each weight into one dense list
+per output (b, j), stopping at the truncation, and builds the coefficient
+dict once at the end.
 
 ``ScalarSeries`` (exact coefficients) and ``QSeries`` (cohomology-vector
 coefficients) share one truncated-series class: construction, the operand
@@ -46,6 +49,8 @@ a QSeries's datum is a TargetDatum (``chow.check_datum``).
 """
 
 from __future__ import annotations
+
+from itertools import compress, count
 
 from .chow import CohVector, TargetDatum, check_datum, hilb_datum
 from .rationals import _ONLY_INTS, check_int, qnorm
@@ -346,56 +351,26 @@ def _check_target(engine) -> None:
         )
 
 
-def _supports(series: QSeries) -> list:
-    """``(a, b, entries)`` for each coefficient of ``series``, with the
-    nonzero ``(index, value)`` entries of its vector."""
-    return [
-        (a, b, [(x, c) for x, c in enumerate(v) if c])
-        for (a, b), v in series.coeffs.items()
-    ]
-
-
-def _add_product(engine, out: dict, su, sv, a0, b0, n1, n2) -> None:
-    """Add q1^a0 q2^b0 (u * v), truncated at (n1, n2), into ``out``.
-
-    ``su`` and ``sv`` are the nonzero entries of two vectors in normal form
-    (``_supports``) and ``out`` maps (a, b) to a mutable coefficient list.
-    The product is contracted bilinearly: the entries pair up (x <= y, the
-    row being symmetric) and each pair weight multiplies its cup-table
-    entry at q1^a0 q2^b0 and each of its nonempty three-point rows
-    (``Engine._box_rows``) that lands inside the truncation.  A cell of
-    ``out`` is created only when a term lands on it.
-    """
-    weights: dict = {}
-    for x, cx in su:
-        for y, cy in sv:
-            k = (x, y) if x <= y else (y, x)
-            weights[k] = weights.get(k, 0) + cx * cy
-    size = engine.datum.basis_size
-    cup_terms = engine.datum.cup_terms
-    amax, bmax = n1 - a0, n2 - b0
-    for (x, y), c in weights.items():
-        if not c:
-            continue
-        terms = cup_terms[x][y]
-        c = qnorm(c)
-        if terms:
-            vec = out.get((a0, b0))
-            if vec is None:
-                vec = out[(a0, b0)] = [0] * size
-            for m, cm in terms:
-                vec[m] += c * cm
-        for a, b, row in engine._box_rows(x, y, n1, n2):
-            if a > amax:
-                break
-            if b > bmax:
-                continue
-            k = (a0 + a, b0 + b)
-            vec = out.get(k)
-            if vec is None:
-                vec = out[k] = [0] * size
-            for j, val in row:
-                vec[j] += c * val
+def _supports(gate: QSeries, g) -> list:
+    """``(a, b, entries)`` for each coefficient of the operand ``g``, with
+    the nonzero ``(index, value)`` entries of its vector.  A QSeries must
+    pass ``gate._check_operand``; a basis index or a cohomology vector is
+    a constant, gated as ``QSeries.from_vector`` gates it, with no series
+    built."""
+    datum = gate.datum
+    if isinstance(g, QSeries):
+        gate._check_operand(g)
+        items = g.coeffs.items()
+    elif isinstance(g, (tuple, list)):
+        items = (((0, 0), datum.check_vector(g)),)
+    else:
+        return [(0, 0, [(datum.check_index(g), 1)])]
+    out = []
+    for (a, b), v in items:
+        entries = [(x, c) for x, c in enumerate(v) if c]
+        if entries:
+            out.append((a, b, entries))
+    return out
 
 
 def small_product(engine, g1, g2, n1: int = 4, n2: int = 2) -> QSeries:
@@ -416,28 +391,68 @@ def star(engine, left, right, n1: int = 4, n2: int = 2) -> QSeries:
     Accepts basis indices, cohomology vectors, or QSeries on either side; a
     QSeries operand must have the bounds (n1, n2) and the engine's datum,
     else ValueError, and a target without two-parameter classes raises
-    ValueError first.  Each pair of coefficients at (a1, b1) and (a2, b2)
-    with a1 + a2 <= n1 and b1 + b2 <= n2 adds its product at that offset
-    (``_add_product``), from the nonempty three-point rows that land inside
-    the truncation.  Each coefficient's nonzero entries are found once.
+    ValueError first.
+
+    The product is a convolution over q1-slices.  Each basis pair (x <= y,
+    the rows being symmetric) gets its weight series once: the sum of
+    ``left[x] right[y]`` (and ``left[y] right[x]``) over the pairs of
+    coefficients that land at (a0, b0) inside the truncation, grouped by
+    b0.  Each slice ``(b, j, ((a, val), ...))`` of the pair's box
+    (``Engine._box_rows``, whose slices at a = b = 0 are the cup product)
+    finds the dense list of its output (b0 + b, j), indexed by a, once per
+    b0 and adds itself times each weight ``c`` at (a0, b0) into it, the
+    walk stopping at the first a past ``n1 - a0``.  The coefficient dict is
+    built once, from the nonzero cells of the dense lists.  A basis index or
+    vector operand is read as its one constant coefficient (``_supports``),
+    with no series built.
     """
     _check_target(engine)
     datum = engine.datum
     gate = QSeries(datum, n1, n2)
-    if isinstance(left, QSeries):
-        gate._check_operand(left)
-    else:
-        left = QSeries.from_vector(datum, n1, n2, left)
-    if isinstance(right, QSeries):
-        gate._check_operand(right)
-    else:
-        right = QSeries.from_vector(datum, n1, n2, right)
-    coeffs: dict = {}
-    rights = _supports(right)
-    for a1, b1, su in _supports(left):
+    lefts = _supports(gate, left)
+    rights = _supports(gate, right)
+    weights: dict = {}  # (x, y) -> {b0: {a0: weight}}
+    for a1, b1, su in lefts:
         for a2, b2, sv in rights:
-            if a1 + a2 <= n1 and b1 + b2 <= n2:
-                _add_product(engine, coeffs, su, sv, a1 + a2, b1 + b2, n1, n2)
+            a0, b0 = a1 + a2, b1 + b2
+            if a0 <= n1 and b0 <= n2:
+                for x, cx in su:
+                    for y, cy in sv:
+                        pair = (x, y) if x <= y else (y, x)
+                        w = weights.get(pair)
+                        if w is None:
+                            w = weights[pair] = {}
+                        wb = w.get(b0)
+                        if wb is None:
+                            wb = w[b0] = {}
+                        wb[a0] = wb.get(a0, 0) + cx * cy
+    dense: dict = {}  # (b, j) -> the coefficients of T_j q2^b, by a
+    for (x, y), w in weights.items():
+        series = [
+            (b0, [(a0, qnorm(c)) for a0, c in wb.items() if c])
+            for b0, wb in w.items()
+        ]
+        for b, j, entries in engine._box_rows(x, y, n1, n2):
+            for b0, terms in series:
+                if b0 + b > n2:
+                    continue
+                acc = dense.get((b0 + b, j))
+                if acc is None:
+                    acc = dense[(b0 + b, j)] = [0] * (n1 + 1)
+                for a0, c in terms:
+                    amax = n1 - a0
+                    for a, val in entries:
+                        if a > amax:
+                            break
+                        acc[a0 + a] += c * val
+    size = datum.basis_size
+    coeffs: dict = {}
+    for (b, j), acc in dense.items():
+        for a in compress(count(), acc):
+            vec = coeffs.get((a, b))
+            if vec is None:
+                vec = coeffs[(a, b)] = [0] * size
+            vec[j] = acc[a]
     return gate._like(coeffs)
 
 

@@ -3,8 +3,10 @@ the cubic relations, the ring axioms at small truncation, and the bilinear
 evaluation against the definition."""
 
 import functools
+import math
 import operator
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -520,6 +522,35 @@ def test_star_truncates_at_the_box_edge():
         assert star(eng, series, right, n1, n2) == QSeries(datum, n1, n2, want)
 
 
+@pytest.mark.parametrize("g", [1, 3])
+def test_long_dense_series_times_a_basis_class_matches_definition(g):
+    """A T1*T1-like series at (20, 2), with a term at every a = 0..20 and
+    one true fraction, times a basis class matches the definition: each
+    weight meets each q1-slice of the box, and the walk stops exactly at
+    the last a inside the truncation."""
+    eng = Engine()
+    datum = eng.datum
+    n1, n2 = 20, 2
+    coeffs = {}
+    for a in range(n1 + 1):
+        vec = [0] * datum.basis_size
+        vec[3], vec[5] = (-1) ** a * (a + 1), 3
+        coeffs[(a, 0)] = tuple(vec)
+    coeffs[(7, 0)] = coeffs[(7, 0)][:3] + (rat(1, 3),) + coeffs[(7, 0)][4:]
+    coeffs[(1, 1)] = datum.basis_vector(0)
+    coeffs[(2, 1)] = tuple(2 * c for c in datum.basis_vector(0))
+    coeffs[(5, 2)] = datum.basis_vector(4)
+    series = QSeries(datum, n1, n2, coeffs)
+    assert isinstance(series.coefficient(7, 0)[3], Rat)
+    want: dict = {}
+    for (a, b), u in series.coeffs.items():
+        _defined_product(eng, u, datum.basis_vector(g), n1, n2, (a, b), want)
+    got = star(eng, series, g, n1, n2)
+    assert got == QSeries(datum, n1, n2, want)
+    assert got.coefficient(n1, 0) != (0,) * datum.basis_size
+    _assert_normal_form(got)
+
+
 def test_qcoh_resolves_each_three_point_row_once(monkeypatch):
     """The product table and the relations ask for each (cls, x, y) row at
     most once on one engine: each basis pair's nonempty rows are collected
@@ -541,15 +572,18 @@ def test_qcoh_resolves_each_three_point_row_once(monkeypatch):
 
 def _typed_box(box):
     """A box with the type of each value next to it, for type-exact ==."""
-    return [(a, b, [(j, type(v), v) for j, v in row]) for a, b, row in box]
+    return [(b, j, [(a, type(v), v) for a, v in s]) for b, j, s in box]
 
 
 def test_box_rows_match_rows_built_from_invariants():
     """At (6, 3) every basis pair's box on a cold engine holds exactly the
+    cup product ``TargetDatum.cup_basis`` as its degree-0 row and the
     nonempty rows that a second cold engine builds from ``invariant`` over
-    every class (a, b) != (0, 0) and every third index: the box skips no
-    class with a nonzero row, and each row shared by the pairs of one
-    non-divisor part is scaled by the right divisor multipliers."""
+    every class (a, b) != (0, 0) and every third index, laid out as
+    q1-slices (b, j, ((a, value), ...)) sorted by a, the slices by (b, j):
+    the box skips no class with a nonzero row, and each row shared by the
+    pairs of one non-divisor part is scaled by the right divisor
+    multipliers."""
     n1, n2 = 6, 3
     eng, ref = Engine(), Engine()
     datum = eng.datum
@@ -557,17 +591,18 @@ def test_box_rows_match_rows_built_from_invariants():
     nonempty = 0
     for x in range(datum.basis_size):
         for y in range(x, datum.basis_size):
-            want = []
-            for cls in classes:
-                row = []
+            cup = datum.cup_basis(x, y)
+            slices = {(0, j): [(0, c)] for j, c in enumerate(cup) if c}
+            rows = set()
+            for a, b in classes:
                 for i in range(datum.basis_size):
-                    val = ref.invariant(cls, [x, y, i])
+                    val = ref.invariant((a, b), [x, y, i])
                     if val:
-                        row.append((datum.top - i, val))
-                if row:
-                    want.append(cls + (tuple(row),))
+                        slices.setdefault((b, datum.top - i), []).append((a, val))
+                        rows.add((a, b))
+            want = [(b, j, tuple(s)) for (b, j), s in sorted(slices.items())]
             assert _typed_box(eng._box_rows(x, y, n1, n2)) == _typed_box(want), (x, y)
-            nonempty += len(want)
+            nonempty += len(rows)
     assert nonempty == 100
 
 
@@ -585,6 +620,29 @@ def test_qcoh_stores_no_key_of_a_declared_zero_class():
     assert len(eng.memo) and not [
         key for key, _v in eng.memo.items() if zero_class(key[0])
     ]
+
+
+def test_a_far_truncation_lists_only_the_classes_a_row_can_use():
+    """A box lists only the classes whose budget can leave a row weight:
+    on Hilb^2 (-K = (0, 3)) b <= 2, on P^1 x P^1 (-K = (2, 2)) a + b <= 2.
+    So a product truncated at q2^(10^5) lists 12 classes on Hilb^2, not
+    500,000, stays under 5 MB of traced allocations, and equals the
+    product truncated at q2^2."""
+    eng = Engine()
+    tracemalloc.start()
+    try:
+        far = small_product(eng, 1, 1, 4, 10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+    assert sum(map(len, eng._box_classes[(4, 10**5)].values())) == 12
+    assert far.coeffs == small_product(Engine(), 1, 1, 4, 2).coeffs
+    quadric = Engine(_quadric_datum())
+    pt = small_product(quadric, 3, 3, 4, 10**5)
+    assert pt.coeffs == {(1, 1): quadric.datum.basis_vector(0)}
+    listed = sorted(c for cs in quadric._box_classes[(4, 10**5)].values() for c in cs)
+    assert listed == [(0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
 
 
 @pytest.mark.parametrize("n1, n2, entries", [(80, 2, 247), (6, 4, 25)])
@@ -979,6 +1037,63 @@ def test_quadric_counts_are_symmetric_with_the_known_rows():
                 assert count(a, b) == count(b, a), (a, b)
     assert [count(1, b) for b in range(5)] == [1] * 5
     assert [count(a, 0) for a in range(2, 5)] == [0] * 3
+
+
+def _quadric_counts(top: int) -> dict:
+    """N_(a,b) of P^1 x P^1 for a, b <= top by the Kontsevich-Manin
+    recursion (Comm. Math. Phys. 164, 1994), written from the potential,
+    not from a table.
+
+    With Phi = sum_beta N_beta e^(a t1 + b t2) t3^n / n!, n = 2a + 2b - 1,
+    t1, t2 the rulings H1, H2 (H1 H2 = pt) and t3 the point class, the
+    associativity equation of (H1, H1; H2, H2) reads
+    Phi_111 Phi_222 + Phi_112 Phi_122 = 2 Phi_123 + 2 Phi_112 Phi_122, the
+    2 Phi_123 from the classical terms t0^2 t3 / 2 + t0 t1 t2.  Its
+    coefficient of e^(beta.t) t3^(n-1) / (n-1)! gives, for a, b >= 1,
+
+        2ab N_(a,b) = sum N_(a1,b1) N_(a2,b2) C(n - 1, n1) a1^2 b2^2 (a1 b2 - a2 b1)
+
+    over the splits (a1, b1) + (a2, b2) = (a, b) into nonzero classes, with
+    n1 = 2a1 + 2b1 - 1.  On the boundary, N_(1,0) = N_(0,1) = 1 (the ruling
+    through one point) and N_(a,0) = N_(0,a) = 0 for a >= 2 (a multiple
+    cover of a ruling meets no 2a - 1 >= 3 general points).  The classes
+    are visited by a + b, so every split's two sides are known.
+    """
+    counts: dict = {}
+    for a, b in sorted(
+        ((a, b) for a in range(top + 1) for b in range(top + 1) if a or b),
+        key=sum,
+    ):
+        if a == 0 or b == 0:
+            counts[(a, b)] = int(a + b == 1)
+            continue
+        n = 2 * a + 2 * b - 1
+        total = 0
+        for (a1, b1), n_1 in counts.items():
+            a2, b2 = a - a1, b - b1
+            if a2 >= 0 and b2 >= 0 and (a2 or b2):
+                total += (
+                    n_1
+                    * counts[(a2, b2)]
+                    * math.comb(n - 1, 2 * a1 + 2 * b1 - 1)
+                    * a1**2
+                    * b2**2
+                    * (a1 * b2 - a2 * b1)
+                )
+        counts[(a, b)], rest = divmod(total, 2 * a * b)
+        assert not rest, (a, b)
+    return counts
+
+
+def test_quadric_counts_follow_the_kontsevich_manin_recursion():
+    """Every N_(a,b) with a, b <= 5, (a, b) != (0, 0), from the generic
+    engine on P^1 x P^1 equals the recursion of ``_quadric_counts``."""
+    eng = Engine(_quadric_datum())
+    want = _quadric_counts(5)
+    assert len(want) == 35 and want[(2, 2)] > 1  # not trivially 0 or 1
+    for (a, b), count in want.items():
+        got = eng.invariant((a, b), [3] * (2 * a + 2 * b - 1))
+        assert got == count, (a, b)
 
 
 def test_quadric_small_quantum_ring():
