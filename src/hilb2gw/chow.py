@@ -258,9 +258,6 @@ class TargetDatum:
     def basis_vector(self, e: int) -> CohVector:
         return tuple(int(k == e) for k in range(self.basis_size))
 
-    def cup_basis(self, e: int, f: int) -> CohVector:
-        return self.cup_table[e][f]
-
     def cup(self, u: CohVector, v: CohVector) -> CohVector:
         """Bilinear extension of the basis table to ``check_vector`` classes."""
         out = [0] * self.basis_size
@@ -304,13 +301,6 @@ class TargetDatum:
         """
         return self._zero_class is not None and self._zero_class(cls)
 
-    def inter(self, e: int, cls: CurveClass) -> int:
-        """Intersection number of the divisor T_e with a curve class."""
-        return cls[self.divisor_pos[e]]
-
-    def minus_k_dot(self, cls: CurveClass) -> int:
-        return sum(k * x for k, x in zip(self.anticanonical, cls))
-
     def weight_budget(self, cls: CurveClass) -> int:
         """Value of sum(codim - 1) over insertions forced by the dimension count.
 
@@ -318,7 +308,7 @@ class TargetDatum:
         count n can be nonzero only if C = -K.beta + (dim - 3) + n, i.e. iff
         sum(codim_i - 1) equals this budget; the budget does not depend on n.
         """
-        return self.minus_k_dot(cls) + self.dim - 3
+        return sum(k * x for k, x in zip(self.anticanonical, cls)) + self.dim - 3
 
     def splits(self, cls: CurveClass) -> tuple:
         """All ordered pairs (c1, c2) of nonzero effective classes summing to cls."""

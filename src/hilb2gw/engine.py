@@ -61,17 +61,19 @@ one 8-bit digit per non-divisor basis index (see MemoStore), and ``_build``
 forms every key it needs on such codes, never as a sorted tuple.  The split
 sum adds two codes to get the key of a merged multiset.  One per-index
 table, ``Engine._units``, holds what each basis index adds to a monomial:
-its divisor multiplier slot, packed code, weight, base order and count.  A
-collapsed term adds the entries of its three new insertions to the sums
-cached for its extras and checks the dimension count and the projection's
-order bound on them (``_canon_code``); ``_canon`` folds the same table
-over each monomial of a query's multilinear expansion, and the class plans
-read their pair multipliers from it.  Each query passes its gates once:
+its divisor multiplier slot, packed code, weight, base order and count.
+Each sorted insertion list has one record of those four sums,
+``_list_sums``, which the key gate and the split sum's extras share.  A
+collapsed term adds the entries of its three new insertions to its
+extras' record and checks the dimension count and the projection's order
+bound on them (``_canon_code``); ``_canon`` folds the same table over each
+monomial of a query's multilinear expansion, and the class plans read
+their pair multipliers from it.  Each query passes its gates once:
 ``_check_class``, the index and vector checks of ``_canon``,
 ``_check_frame``, ``_check_extras``, and one key gate, ``_key_sums``, on
-every ``value_of`` call (through ``_check_key``) and every ``load_cache``
-entry; it runs ``_check_class`` and ``MemoStore.code`` only on a class and
-list it has not seen.  Past them a key is its class and packed code alone,
+every ``value_of`` call and every ``load_cache`` entry; it runs
+``_check_class`` and ``MemoStore.code`` only on a class and list it has
+not seen.  Past them a key is its class and packed code alone,
 and a key the engine forms itself skips ``value_of``'s gate: the codes of
 ``_canon`` that ``invariant`` resolves, those of ``_build``, the symbolic
 ones of ``wdvv_residual`` among them, and those of the three-point rows of
@@ -388,10 +390,10 @@ class Engine:
         self.memo = MemoStore(self.datum.nondivisors)
         # weight budget by class.  Every class in it is admissible (nonzero
         # and effective): each caller of _budget has checked its class or
-        # took it from TargetDatum.splits.  So _key_sums runs _check_class
-        # only on a class it does not find here.
+        # took it from TargetDatum.splits or _list_box_classes.  So _key_sums
+        # runs _check_class only on a class it does not find here.
         self._budgets: dict = {}
-        self._list_sums: dict = {}  # (code, weight, order sum) by key list
+        self._list_sums: dict = {}  # (code, weight, order sum, count) by list
         self._partition_cache: dict = {}
         self._class_plans: dict = {}  # splits with values, den, sub, by cls
         self._signature_plans: dict = {}  # (lcd, splits) by (cls, div1, div2)
@@ -402,7 +404,6 @@ class Engine:
         d = self.datum
         self._vanishes = d.vanishes
         self._order_bound = d.order_bound
-        self._codims = d.codims
         self._weights = d.weights
         self._cup_terms = d.cup_terms
         pack = self.memo.pack
@@ -585,13 +586,22 @@ class Engine:
         """Exact value of a canonical admissible key, solving stages on demand.
 
         The entry point for a caller's key; the engine never calls it.
-        Every call, hit or miss, passes ``_check_key``, so a bad key raises
-        ValueError and leaves the memo unchanged, on a cold engine and a
-        warm one alike; then the class and the packed code the gate returns
-        go to ``_resolve``, the path every key the engine forms takes.
+        Every call, hit or miss, checks that the key is a pair of tuples
+        and passes ``_key_sums``, so a bad key raises ValueError and leaves
+        the memo unchanged, on a cold engine and a warm one alike; then the
+        class and the packed code the gate returns go to ``_resolve``.
         """
-        code = self._check_key(key)
-        return self._resolve(key[0], code)
+        if not (
+            type(key) is tuple
+            and len(key) == 2
+            and type(key[0]) is tuple
+            and type(key[1]) is tuple
+        ):
+            raise ValueError(
+                f"an invariant key is a (class, insertions) pair of tuples "
+                f"of ints, got {key!r}"
+            )
+        return self._resolve(key[0], self._key_sums(*key)[0])
 
     def _resolve(self, cls, code):
         """Exact value of the key of class ``cls`` and packed code ``code``:
@@ -620,57 +630,47 @@ class Engine:
         self._solve_for(cls, len(ins), code)
         return vals[code]
 
-    def _check_key(self, key) -> int:
-        """The packed memo code of ``key`` if it is a pair of tuples that
-        ``_key_sums`` accepts, else ValueError.  It runs on every
-        ``value_of`` call and on no key the engine forms (``invariant``'s
-        and ``wdvv_residual``'s too)."""
-        if not (
-            type(key) is tuple
-            and len(key) == 2
-            and type(key[0]) is tuple
-            and type(key[1]) is tuple
-        ):
-            raise ValueError(
-                f"an invariant key is a (class, insertions) pair of tuples "
-                f"of ints, got {key!r}"
-            )
-        return self._key_sums(*key)[0]
-
     def _key_sums(self, cls, ins) -> tuple:
-        """``(code, w, t)`` for a canonical admissible key ``(cls, ins)`` of
-        two tuples: its packed memo code, its weight (the class's budget)
-        and its base-order sum, which the projection rule reads.  Anything
-        else raises ValueError: a class or insertion that is not an
+        """The record ``(code, w, t, n)`` of a canonical admissible key
+        ``(cls, ins)`` of two tuples: the packed memo code, weight (the
+        class's budget), base-order sum (which the projection rule reads)
+        and insertion count of ``ins``, as ``_list_record`` keeps it.
+        Anything else raises ValueError: a class or insertion that is not an
         ``int``, checked first, since 4.0 and True hash and compare like 4
         and 1; a class that is zero or not effective; insertions that are
         not sorted non-divisor basis indices (at most 255 of them) whose
         weights fill the class's budget.
 
-        The one key gate of ``_check_key`` and ``load_cache``.  A class
+        The one key gate of ``value_of`` and ``load_cache``.  A class
         passes ``_check_class`` only while ``_budgets``, which holds
         admissible classes only, lacks it, and a list passes
         ``MemoStore.code`` and the sorted check only while ``_list_sums``
-        lacks it; that table keeps each canonical list's code, weight and
-        base-order sum, and the weight is checked on every call."""
+        lacks it; the weight is checked on every call."""
         if not _ONLY_INTS.issuperset(map(type, cls + ins)):
             raise ValueError(f"key {(cls, ins)!r} must hold ints only")
         budget = self._budgets.get(cls)
         if budget is None:
             budget = self._budget(self._check_class(cls))
-        sums = self._list_sums.get(ins)
-        if sums is None:
-            code = self.memo.code(ins)
-            if list(ins) != sorted(ins):
-                raise ValueError(f"key insertions {ins!r} are not sorted")
-            orders = self.datum.base_orders
-            sums = self._list_sums[ins] = (
-                code,
-                sum(self._weights[e] for e in ins),
-                sum(orders[e] for e in ins),
-            )
+        sums = self._list_sums.get(ins) or self._list_record(ins)
         if sums[1] != budget:
             raise ValueError(f"key {(cls, ins)!r} violates the dimension count")
+        return sums
+
+    def _list_record(self, ins) -> tuple:
+        """Build, keep in ``_list_sums`` and return the one record ``(code,
+        w, t, n)`` of a sorted list of non-divisor indices, which
+        ``_key_sums`` and ``_partition_groups`` read; ValueError for a list
+        ``MemoStore.code`` refuses or one out of order."""
+        code = self.memo.code(ins)
+        if list(ins) != sorted(ins):
+            raise ValueError(f"key insertions {ins!r} are not sorted")
+        weights, orders = self._weights, self.datum.base_orders
+        sums = self._list_sums[ins] = (
+            code,
+            sum(weights[e] for e in ins),
+            sum(orders[e] for e in ins),
+            len(ins),
+        )
         return sums
 
     def invariant(self, cls, insertions):
@@ -803,26 +803,29 @@ class Engine:
         the largest weight of a pair plus the largest of ``_thirds`` (a
         row's three weights fill the budget).  The budget is
         ``k1 * a + k2 * b`` plus that of (0, 0), (k1, k2) the anticanonical
-        class, so each loop stops once the budget can only grow past the
-        bound: on Hilb^2, -K = (0, 3) keeps b <= 2 and a truncation at
-        q2^(10^6) lists 12 classes at n1 = 4.  A negative entry bounds
-        nothing, and its loop runs to the truncation."""
+        class, so a class is grouped by the sum its loop forms (with no
+        ``_budgets`` entry), and each loop stops once the budget can only
+        grow past the bound: on Hilb^2, -K = (0, 3) keeps b <= 2 and a
+        truncation at q2^(10^6) lists 12 classes at n1 = 4.  A negative
+        entry bounds nothing, and its loop runs to the truncation."""
         d = self.datum
         zero_class = d.zero_class
         k1, k2 = d.anticanonical
-        room = 2 * max(self._weights) + max(self._thirds) - d.weight_budget((0, 0))
+        base = d.weight_budget((0, 0))
+        room = 2 * max(self._weights) + max(self._thirds) - base
         groups: dict = {}
         for a in range(n1 + 1):
             if min(k1, k2) >= 0 and k1 * a > room:
                 break
             for b in range(n2 + 1):
-                if k1 * a + k2 * b > room:
+                k = k1 * a + k2 * b
+                if k > room:
                     if k2 >= 0:
                         break
                     continue
                 cls = (a, b)
                 if (a or b) and not zero_class(cls):
-                    groups.setdefault(self._budget(cls), []).append(cls)
+                    groups.setdefault(base + k, []).append(cls)
         return groups
 
     # ------------------------------------------------------------------
@@ -863,7 +866,7 @@ class Engine:
         if len(frame) != 4:
             raise ValueError("a frame has exactly four basis indices")
         for e in frame:
-            if self._codims[self.datum.check_index(e)] == 0:
+            if self.datum.codims[self.datum.check_index(e)] == 0:
                 raise ValueError(f"frame entry {e} is not a positive-codimension index")
         return frame
 
@@ -1125,9 +1128,9 @@ class Engine:
     def _partition_groups(self, extras):
         """Partitions A|B of an insertion multiset, grouped by weight of A.
 
-        Returns ``(sums, groups)``: sums is ``(code(extras), w(extras),
-        t(extras), len(extras))`` with t the sum of base orders, as
-        ``_canon_code`` reads it, and groups is ``{w(A): ((code(A), mult),
+        Returns ``(sums, groups)``: sums is the record ``(code(extras),
+        w(extras), t(extras), len(extras))`` of ``_list_sums``, with t the
+        sum of base orders, as ``_canon_code`` reads it, and groups is ``{w(A): ((code(A), mult),
         ...)}`` with the memo's packed codes, where mult counts the ways to
         pick A among the labeled copies of equal classes. B is the
         complement: code(B) = code(extras) - code(A) and w(B) = w(extras) -
@@ -1138,7 +1141,7 @@ class Engine:
         cached = self._partition_cache.get(extras)
         if cached is not None:
             return cached
-        code_x = self.memo.code(extras)
+        sums = self._list_sums.get(extras) or self._list_record(extras)
         weights = self._weights
         pack = self.memo.pack
         combos = [(0, 0, 1)]
@@ -1152,11 +1155,8 @@ class Engine:
         groups: dict = {}
         for ca, wa, mu in combos:
             groups.setdefault(wa, []).append((ca, mu))
-        orders = self.datum.base_orders
-        w_x = sum(weights[e] for e in extras)
-        t_x = sum(orders[e] for e in extras)
         cached = self._partition_cache[extras] = (
-            (code_x, w_x, t_x, len(extras)),
+            sums,
             {wa: tuple(grp) for wa, grp in groups.items()},
         )
         return cached
@@ -1227,7 +1227,7 @@ class Engine:
             walking.add(code)
             spec = leads.get(code)
             if spec is None:
-                spec = leads[code] = self._lead_spec((cls, self.memo.decode(code)))
+                spec = leads[code] = self._lead_spec(self.memo.decode(code))
             terms, const = build(cls, *spec)
             for nb in terms:
                 if nb == code or nb in vals:
@@ -1243,8 +1243,8 @@ class Engine:
 
         walk(code)
 
-    def _lead_spec(self, key):
-        """The key's lead equation spec ``(frame, extras)``.
+    def _lead_spec(self, ins):
+        """The lead equation spec ``(frame, extras)`` of sorted insertions.
 
         Triangular frame ``(dv, rho, u, v)``: an anchor insertion t, its
         lead row (``_lead_rows``: the first divisor product T_dv . T_rho in
@@ -1284,7 +1284,6 @@ class Engine:
         hold r itself, which is not rho(r), so a frame on r is accepted or
         the fallback takes it.
         """
-        _, ins = key
         lead_rows = self._lead_rows
         fallback = None
         for t in sorted(set(ins), key=lambda e: (ins.count(e), -e)):
@@ -1310,7 +1309,7 @@ class Engine:
             j = rem.index(u)
             return (dv, rho, u, v), rem[:j] + rem[j + 1 :]
         if fallback is None:  # pragma: no cover - impossible for n >= 3
-            raise UnderdeterminedStage(f"no lead frame fits key {key}")
+            raise UnderdeterminedStage(f"no lead frame fits insertions {ins}")
         return fallback
 
     def _stage_keys(self, cls, n):
@@ -1459,7 +1458,7 @@ class Engine:
             ins = tuple(ins)
             cls = (a, b)
             try:
-                code, _weight, order = key_sums(cls, ins)
+                code, _weight, order, _n = key_sums(cls, ins)
             except ValueError as exc:
                 raise CacheFormatError(
                     f"entry ({cls}, {ins}) is not a canonical key: {exc}"

@@ -401,7 +401,9 @@ def star(engine, left, right, n1: int = 4, n2: int = 2) -> QSeries:
     (``Engine._box_rows``, whose slices at a = b = 0 are the cup product)
     finds the dense list of its output (b0 + b, j), indexed by a, once per
     b0 and adds itself times each weight ``c`` at (a0, b0) into it, the
-    walk stopping at the first a past ``n1 - a0``.  The coefficient dict is
+    walk stopping at the first a past ``n1 - a0``.  A dense list holds the
+    cells up to the largest a its slices and weights reach (at most n1),
+    growing when a later slice reaches further.  The coefficient dict is
     built once, from the nonzero cells of the dense lists.  A basis index or
     vector operand is read as its one constant coefficient (``_supports``),
     with no series built.
@@ -429,16 +431,20 @@ def star(engine, left, right, n1: int = 4, n2: int = 2) -> QSeries:
     dense: dict = {}  # (b, j) -> the coefficients of T_j q2^b, by a
     for (x, y), w in weights.items():
         series = [
-            (b0, [(a0, qnorm(c)) for a0, c in wb.items() if c])
+            (b0, max(wb), [(a0, qnorm(c)) for a0, c in wb.items() if c])
             for b0, wb in w.items()
         ]
         for b, j, entries in engine._box_rows(x, y, n1, n2):
-            for b0, terms in series:
+            top = entries[-1][0]  # the slice's largest a
+            for b0, a0max, terms in series:
                 if b0 + b > n2:
                     continue
+                size = min(n1, a0max + top) + 1
                 acc = dense.get((b0 + b, j))
                 if acc is None:
-                    acc = dense[(b0 + b, j)] = [0] * (n1 + 1)
+                    acc = dense[(b0 + b, j)] = [0] * size
+                elif len(acc) < size:
+                    acc += [0] * (size - len(acc))
                 for a0, c in terms:
                     amax = n1 - a0
                     for a, val in entries:
@@ -491,23 +497,25 @@ def _closed_product_forms(datum: TargetDatum, n1: int, n2: int) -> dict:
 class ProductCheck:
     """Outcome of one table entry: computed vs closed form."""
 
-    __slots__ = ("left", "right", "passed", "first_mismatch", "computed", "expected")
+    __slots__ = ("left", "right", "first_mismatch", "computed", "expected")
 
     def __init__(
         self,
         left: int,
         right: int,
-        passed: bool,
         first_mismatch: tuple | None,
         computed: QSeries,
         expected: QSeries,
     ):
         self.left = left
         self.right = right
-        self.passed = passed
         self.first_mismatch = first_mismatch
         self.computed = computed
         self.expected = expected
+
+    @property
+    def passed(self) -> bool:
+        return self.first_mismatch is None
 
     @property
     def name(self) -> str:
@@ -562,10 +570,7 @@ def verify_product_table(engine, n1: int = 4, n2: int = 2) -> ProductReport:
     report = ProductReport(n1, n2)
     for (i, j), want in sorted(expected.items()):
         got = small_product(engine, i, j, n1, n2)
-        miss = got.first_mismatch(want)
-        report.entries.append(
-            ProductCheck(i, j, miss is None, miss, got, want)
-        )
+        report.entries.append(ProductCheck(i, j, got.first_mismatch(want), got, want))
     return report
 
 

@@ -2,7 +2,8 @@
 
 All arithmetic in this package is arbitrary-precision rational; no floating
 point is used anywhere. The rational type ``Rat`` is the standard library's
-``fractions.Fraction``.
+``fractions.Fraction``, under that one name: a true fraction is built as
+``Rat(num, den)``, and no second constructor restates it.
 
 Normal form: every exact scalar the package stores or returns (memo values,
 solved values, base cases, cup-table entries, invariants, series
@@ -18,11 +19,6 @@ from __future__ import annotations
 from fractions import Fraction as Rat
 from math import comb
 from numbers import Rational
-
-
-def rat(num: int, den: int = 1):
-    """Exact rational num/den."""
-    return Rat(num, den)
 
 
 def qnorm(x):

@@ -89,7 +89,7 @@ def check_divisor_axiom(engine, rng, samples=100):
         d = rng.choice(datum.divisors)
         with_div = engine.invariant(cls, [d] + ins)
         bare = engine.invariant(cls, ins)
-        if with_div != datum.inter(d, cls) * bare:
+        if with_div != cls[datum.divisor_pos[d]] * bare:
             failures.append(f"{cls} D=T{d} {ins}")
     return failures, samples
 

@@ -9,7 +9,7 @@ import sympy
 
 from hilb2gw.chow import build_cup_table, hilb_datum, p2_datum
 from hilb2gw.oracles import boundary_value, fibre_classes, kontsevich_nd
-from hilb2gw.rationals import rat
+from hilb2gw.rationals import Rat
 
 
 # ----------------------------------------------------------------------
@@ -55,7 +55,7 @@ def _oracle_cup_table():
             rhs = sympy.Matrix([prod.coeff_monomial(m) for m in monomials])
             coords = mat.solve(rhs)
             table[(e, f)] = tuple(
-                rat(c.p, c.q) for c in (sympy.Rational(x) for x in coords)
+                Rat(c.p, c.q) for c in (sympy.Rational(x) for x in coords)
             )
     return table
 
@@ -95,34 +95,34 @@ def test_pairing_is_the_duality_permutation():
     for e in range(9):
         for f in range(9):
             expected = 1 if f == datum.dual[e] else 0
-            assert datum.integrate(datum.cup_basis(e, f)) == expected
+            assert datum.integrate(datum.cup_table[e][f]) == expected
 
 
 def test_specific_classical_products():
     datum = hilb_datum()
 
     def vec(coeffs: dict):
-        out = [rat(0)] * 9
+        out = [Rat(0)] * 9
         for k, v in coeffs.items():
-            out[k] = rat(v)
+            out[k] = Rat(v)
         return tuple(out)
 
-    assert datum.cup_basis(1, 1) == vec({3: 1})
-    assert datum.cup_basis(1, 2) == vec({3: 2, 4: 1})
-    assert datum.cup_basis(2, 2) == vec({3: 1, 4: 1, 5: 1})
-    assert datum.cup_basis(1, 3) == vec({})
-    assert datum.cup_basis(1, 4) == vec({6: 1})
-    assert datum.cup_basis(1, 5) == vec({6: 2, 7: 1})
-    assert datum.cup_basis(1, 7) == vec({8: 1})
-    assert datum.cup_basis(2, 6) == vec({8: 1})
-    assert datum.cup_basis(1, 8) == vec({})
+    assert datum.cup_table[1][1] == vec({3: 1})
+    assert datum.cup_table[1][2] == vec({3: 2, 4: 1})
+    assert datum.cup_table[2][2] == vec({3: 1, 4: 1, 5: 1})
+    assert datum.cup_table[1][3] == vec({})
+    assert datum.cup_table[1][4] == vec({6: 1})
+    assert datum.cup_table[1][5] == vec({6: 2, 7: 1})
+    assert datum.cup_table[1][7] == vec({8: 1})
+    assert datum.cup_table[2][6] == vec({8: 1})
+    assert datum.cup_table[1][8] == vec({})
 
 
 def test_presentation_relations_vanish():
     datum = hilb_datum()
     t1 = datum.basis_vector(1)
     t2 = datum.basis_vector(2)
-    zero = (rat(0),) * 9
+    zero = (Rat(0),) * 9
     cup = datum.cup
     t1_sq = cup(t1, t1)
     t2_sq = cup(t2, t2)
@@ -207,7 +207,7 @@ def test_engine_refuses_a_level_without_a_lead_row():
 
 def test_duality_violation_is_fatal():
     table = [list(map(list, row)) for row in build_cup_table()]
-    table[1][7][8] = rat(2)  # corrupt the integral of T1 cup T7
+    table[1][7][8] = Rat(2)  # corrupt the integral of T1 cup T7
     with pytest.raises(ValueError, match="pairing"):
         from hilb2gw.chow import TargetDatum, _hilb_base_case
 
@@ -312,7 +312,7 @@ def test_p2_datum_ring():
     h = p2.basis_vector(1)
     pt = p2.basis_vector(2)
     assert p2.cup(h, h) == pt
-    assert p2.cup(h, pt) == (rat(0),) * 3
+    assert p2.cup(h, pt) == (Rat(0),) * 3
     assert p2.integrate(pt) == 1
 
 

@@ -308,8 +308,8 @@ def _failing_qcoh(monkeypatch):
         2,
         1,
         [
-            ProductCheck(1, 1, False, (2, 0), bad, good),
-            ProductCheck(1, 2, True, None, good, good),
+            ProductCheck(1, 1, (2, 0), bad, good),
+            ProductCheck(1, 2, None, good, good),
         ],
     )
     residual = QSeries(datum, 2, 1, {(1, 1): (0,) * 8 + (-2,)})

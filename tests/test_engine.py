@@ -37,7 +37,7 @@ from hilb2gw.engine import (
 )
 from hilb2gw.fixtures import COUNT_TABLES
 from hilb2gw.oracles import boundary_value
-from hilb2gw.rationals import Rat, qnorm, rat
+from hilb2gw.rationals import Rat, qnorm
 
 from properties_util import (
     check_dimension_vanishing,
@@ -56,7 +56,7 @@ from properties_util import (
 
 def test_base_case_values(engine):
     assert engine.invariant((2, 1), [6, 6]) == 4
-    assert engine.invariant((3, 0), [3]) == rat(1, 3)
+    assert engine.invariant((3, 0), [3]) == Rat(1, 3)
     assert engine.invariant((5, 1), [4, 4, 4, 8]) == 0
     assert engine.invariant((1, 0), [5]) == -3
 
@@ -75,9 +75,9 @@ def test_vanishing_class_above_two(engine):
 
 def test_single_insertion_line(engine):
     for a in range(1, 8):
-        assert engine.invariant((a, 0), [3]) == rat(3, a * a)
+        assert engine.invariant((a, 0), [3]) == Rat(3, a * a)
         assert engine.invariant((a, 0), [4]) == 0
-        assert engine.invariant((a, 0), [5]) == rat(-3, a * a)
+        assert engine.invariant((a, 0), [5]) == Rat(-3, a * a)
 
 
 def test_normalize_is_linear_in_index_insertions(engine):
@@ -322,8 +322,8 @@ def test_split_sum_skips_zero_classes_and_matches_the_plain_sum():
     for cls in ((3, 2), (4, 2)):
         assert any(datum.zero_class(b1) for b1, _b2 in datum.splits(cls))
         for n in range(3, 7):
-            for key in probe._stage_keys(cls, n):
-                specs.add((cls, probe._lead_spec(key)))
+            for _cls, ins in probe._stage_keys(cls, n):
+                specs.add((cls, probe._lead_spec(ins)))
     assert len(specs) >= 100
     plain, built = Engine(), Engine()
     for cls, (frame, extras) in sorted(specs):
@@ -349,14 +349,14 @@ def test_split_sum_rescales_closed_classes_like_the_plain_sum():
     among them, still match."""
     probe = Engine()
     specs = sorted({
-        (cls, probe._lead_spec(key))
+        (cls, probe._lead_spec(ins))
         for cls in ((2, 1), (3, 2), (4, 2))
         for n in range(3, 7)
-        for key in probe._stage_keys(cls, n)
+        for _cls, ins in probe._stage_keys(cls, n)
     })
     assert len(specs) >= 250
     fractions = []
-    for datum in (hilb_datum(), rescaled_hilb_datum(rat(1, 3))):
+    for datum in (hilb_datum(), rescaled_hilb_datum(Rat(1, 3))):
         plain, built = Engine(datum), Engine(datum)
         count = 0
         for cls, (frame, extras) in specs:
@@ -416,7 +416,7 @@ def test_every_frame_of_the_small_stages_closes():
     I(T3) = 3/4 changed to 3/2, thousands of the 27,268 at a <= 4, b <= 2
     do not."""
     assert _residual_count(Engine(), 6, 3) == (52216, 0)
-    count, nonzero = _residual_count(Engine(rescaled_hilb_datum(rat(3, 2))), 4, 2)
+    count, nonzero = _residual_count(Engine(rescaled_hilb_datum(Rat(3, 2))), 4, 2)
     assert count == 27268 and nonzero > 1000
 
 
@@ -515,7 +515,9 @@ def test_canon_code_agrees_with_canon_on_random_monomials(datum):
         on_budget = sum(datum.weights[e] for e in bare) == datum.weight_budget(cls)
         if 0 in mono:
             seen["fundamental on budget" if on_budget else "fundamental"] += 1
-        elif any(datum.codims[e] == 1 and not datum.inter(e, cls) for e in mono):
+        elif any(
+            datum.codims[e] == 1 and not cls[datum.divisor_pos[e]] for e in mono
+        ):
             seen["zero intersection"] += 1
         elif not on_budget:
             seen["off budget"] += 1
@@ -550,7 +552,7 @@ def _random_insertion_list(datum, rng, cls):
     if rng.random() < 0.05:
         ins.append(0)
     rng.shuffle(ins)
-    coeffs = (-3, -2, -1, 1, 2, 3, rat(1, 2), rat(-2, 3))
+    coeffs = (-3, -2, -1, 1, 2, 3, Rat(1, 2), Rat(-2, 3))
     for pos in rng.sample(range(len(ins)), min(len(ins), rng.randrange(3))):
         e = ins[pos]
         twin = [
@@ -595,8 +597,9 @@ def test_invariant_resolves_what_normalize_expands(datum, classes):
 
 def test_tables_make_no_caller_gate_calls(monkeypatch):
     """The d <= 6 tables resolve every key the engine forms past the
-    caller's gate: no ``Engine.value_of`` and no ``Engine._check_key``."""
-    calls = {"value_of": 0, "_check_key": 0}
+    caller's gate: no ``Engine.value_of`` and no ``Engine._key_sums``, the
+    key gate that ``value_of`` and ``load_cache`` share."""
+    calls = {"value_of": 0, "_key_sums": 0}
     for name in calls:
         original = getattr(Engine, name)
 
@@ -610,7 +613,28 @@ def test_tables_make_no_caller_gate_calls(monkeypatch):
         for d in range(2, 7):
             invert_counts(eng, d, l)
     assert len(eng.memo) > 500
-    assert calls == {"value_of": 0, "_check_key": 0}
+    assert calls == {"value_of": 0, "_key_sums": 0}
+
+
+def test_partition_groups_share_the_list_record():
+    """An insertion list's sums are kept once: after the d <= 6 tables,
+    the sums ``_partition_groups`` cached for every extras list are the
+    very record ``(code, weight, base-order sum, count)`` that
+    ``_list_sums`` holds for it, and that record is the list's own."""
+    eng = Engine()
+    for l in (0, 1, 2):
+        for d in range(2, 7):
+            invert_counts(eng, d, l)
+    assert len(eng._partition_cache) >= 10
+    datum = eng.datum
+    for extras, (sums, _groups) in eng._partition_cache.items():
+        assert sums is eng._list_sums[extras], extras
+        assert sums == (
+            eng.memo.code(extras),
+            sum(datum.weights[e] for e in extras),
+            sum(datum.base_orders[e] for e in extras),
+            len(extras),
+        ), extras
 
 
 def test_reduction_chain_for_single_insertion_values(engine):
@@ -633,7 +657,7 @@ def _plain_strip(datum, cls, idxs):
         if datum.codims[e] == 0:
             return None
         if datum.codims[e] == 1:
-            mult *= datum.inter(e, cls)
+            mult *= cls[datum.divisor_pos[e]]
         else:
             bare.append(e)
     if mult == 0:
@@ -694,7 +718,7 @@ def _plain_equation(engine, cls, frame, extras):
     for (p, q, r, s), sign in (((i, j, k, l), 1), ((i, l, j, k), -1)):
         # the two degree-0 collapses: I(x, y, u cup v, extras)
         for x, y, u, v in ((p, q, r, s), (r, s, p, q)):
-            for m, cm in enumerate(datum.cup_basis(u, v)):
+            for m, cm in enumerate(datum.cup_table[u][v]):
                 hit = cm and _plain_strip(datum, cls, [x, y, m, *extras])
                 if not hit or hit[1] != budget(cls):
                     continue
@@ -766,7 +790,7 @@ def test_build_equation_matches_plain_split_sum(datum, solve, min_specs):
     solved = Engine(datum)
     solve(solved)
     specs = sorted({
-        (key[0], solved._lead_spec(key)) for key in _memo_stage_keys(solved)
+        (cls, solved._lead_spec(ins)) for cls, ins in _memo_stage_keys(solved)
     })
     assert len(specs) >= min_specs
     fresh = Engine(datum)
@@ -792,7 +816,7 @@ def test_split_sum_solves_no_factor_whose_partner_is_a_stored_zero():
             invert_counts(solved, d, l)
     values = dict(solved.memo.items())
     specs = sorted({
-        (key[0], solved._lead_spec(key)) for key in _memo_stage_keys(solved)
+        (cls, solved._lead_spec(ins)) for cls, ins in _memo_stage_keys(solved)
     })
     checked = 0
     for cls, (frame, extras) in specs:
@@ -948,7 +972,7 @@ def test_value_of_rejects_a_key_that_is_not_canonical(key):
 
 
 def test_memo_holds_only_canonical_keys_after_the_d6_tables():
-    """The keys the engine forms itself skip ``_check_key``; after the
+    """The keys the engine forms itself skip ``value_of``'s gate; after the
     d <= 6 tables every key the memo holds passes it, so the internal path
     stores canonical admissible keys only, and every class with a cached
     budget is admissible.  A caller's bad key still raises ValueError on
@@ -958,10 +982,10 @@ def test_memo_holds_only_canonical_keys_after_the_d6_tables():
     for d in range(2, 7):
         for l in (0, 1, 2):
             invert_counts(eng, d, l)
-    keys = [key for key, _v in eng.memo.items()]
-    assert len(keys) >= 600
-    for key in keys:
-        eng._check_key(key)
+    items = list(eng.memo.items())
+    assert len(items) >= 600
+    for key, value in items:
+        assert eng.value_of(key) == value
     for cls in eng._budgets:
         assert eng._check_class(cls) == cls
     assert eng.value_of(((1, 2), (6, 7, 8))) == 1
@@ -1120,12 +1144,12 @@ def test_invariant_returns_normal_form(engine):
     assert type(engine.invariant((1, 1), [6, 6])) is int
     assert type(engine.invariant((2, 2), [1, 2])) is int  # no key survives
     third = engine.invariant((3, 0), [3])
-    assert type(third) is Rat and third == rat(1, 3)
-    half6 = [rat(1, 2) if e == 6 else 0 for e in range(9)]
+    assert type(third) is Rat and third == Rat(1, 3)
+    half6 = [Rat(1, 2) if e == 6 else 0 for e in range(9)]
     two7 = [2 if e == 7 else 0 for e in range(9)]
     mixed = engine.invariant((1, 1), [half6, two7])
     assert type(mixed) is int and mixed == engine.invariant((1, 1), [6, 7])
-    assert engine.invariant((1, 1), [half6, half6]) == rat(1, 4)
+    assert engine.invariant((1, 1), [half6, half6]) == Rat(1, 4)
 
 
 def _assert_every_reached_stage_closes(eng):
@@ -1316,7 +1340,7 @@ def test_solver_substitutes_and_solves_one_unknown():
     ca, cb, cc, cd = (memo.code(k[1]) for k in (a, b, c, d))
     solver = ExactLinearSolver(memo, (1, 1))
     solver.add({ca: 3}, -1)  # 3a - 1 = 0
-    assert memo.get(a) == rat(1, 3) and type(memo.get(a)) is Rat
+    assert memo.get(a) == Rat(1, 3) and type(memo.get(a)) is Rat
     solver.add({cb: 2}, 2)  # 2b + 2 = 0
     assert memo.get(b) == -1 and type(memo.get(b)) is int
     solver.add({ca: 3, cb: 1, cc: 2}, 4)  # 1 - 1 + 2c + 4 = 0: c left
@@ -1331,7 +1355,7 @@ def test_solver_substitutes_and_solves_one_unknown():
         solver.add({}, 1)  # 0 = 1
     with pytest.raises(InconsistentSystem):
         solver.add({ca: 3}, 0)  # 3 * 1/3 = 0 contradicts the stored a
-    assert dict(memo.items()) == {a: rat(1, 3), b: -1, c: -2}
+    assert dict(memo.items()) == {a: Rat(1, 3), b: -1, c: -2}
 
 
 def test_solver_rejects_two_unknowns():
@@ -1371,7 +1395,7 @@ def test_lead_equation_cycle_raises():
     eng = Engine()
     k1, k2 = ((1, 2), (3, 4, 8)), ((1, 2), (4, 5, 7))
     c1, c2 = eng.memo.code(k1[1]), eng.memo.code(k2[1])
-    spec1, spec2 = eng._lead_spec(k1), eng._lead_spec(k2)
+    spec1, spec2 = eng._lead_spec(k1[1]), eng._lead_spec(k2[1])
     assert spec1 != spec2
     held = {spec1: {c1: 1, c2: 1}, spec2: {c2: 1, c1: 1}}
     eng._build = lambda cls, frame, extras: (held[(frame, extras)], 0)
@@ -1391,9 +1415,9 @@ def test_visit_that_raises_partway_keeps_the_keys_it_solved():
     assert k1 == ((1, 2), (4, 8, 8))
     c1, c2, c3 = (eng.memo.code(ins) for _cls, ins in (k1, k2, k3))
     held = {
-        eng._lead_spec(k1): ({c1: 1, c3: 1, c2: 1}, 0),
-        eng._lead_spec(k2): ({c2: 1, c1: 1}, 0),
-        eng._lead_spec(k3): ({c3: 1}, -5),
+        eng._lead_spec(k1[1]): ({c1: 1, c3: 1, c2: 1}, 0),
+        eng._lead_spec(k2[1]): ({c2: 1, c1: 1}, 0),
+        eng._lead_spec(k3[1]): ({c3: 1}, -5),
     }
     assert len(held) == 3
     eng._build = lambda cls, frame, extras: held[(frame, extras)]
@@ -1443,9 +1467,9 @@ def test_lead_table_holds_one_spec_per_list():
         built = []
         lead_spec = eng._lead_spec
 
-        def counted(key):
-            calls[key[1]] += 1
-            return lead_spec(key)
+        def counted(ins):
+            calls[ins] += 1
+            return lead_spec(ins)
 
         def stub(cls, frame, extras):
             built.append((cls, (frame, extras)))
@@ -1462,7 +1486,7 @@ def test_lead_table_holds_one_spec_per_list():
                     st = ExactLinearSolver(eng.memo, cls)
                     eng._harvest_closure(cls, st, code, n)
                     spec = eng._leads[code]
-                    assert spec == lead_spec((cls, ins)), (cls, ins)
+                    assert spec == lead_spec(ins), (cls, ins)
                     assert built[-1] == (cls, spec) and st.seen == [code]
                     checked += 1
         assert len(eng._leads) == len(calls) == lists
@@ -1487,10 +1511,10 @@ def test_harvest_solves_each_key_after_its_other_unknowns():
             self.built = {}  # (cls, spec) -> terms of its build
             self.visits = self.specs = 0
 
-        def _lead_spec(self, key):
-            spec = super()._lead_spec(key)
-            assert self.owner.setdefault(spec, key[1]) == key[1], spec
-            self.lists.append(key[1])
+        def _lead_spec(self, ins):
+            spec = super()._lead_spec(ins)
+            assert self.owner.setdefault(spec, ins) == ins, spec
+            self.lists.append(ins)
             return spec
 
         def _build(self, cls, frame, extras):
@@ -1561,7 +1585,7 @@ def test_lead_spec_fits_every_key():
         count = 0
         for n in range(3, 16):
             for ins in itertools.combinations_with_replacement(nondivisors, n):
-                (dv, rho, u, v), extras = eng._lead_spec(((1,) * datum.rank, ins))
+                (dv, rho, u, v), extras = eng._lead_spec(ins)
                 assert len(extras) == n - 3
                 assert any(
                     tuple(sorted(extras + (u, v, m))) == ins
@@ -1597,7 +1621,7 @@ def test_lead_spec_fills_its_free_slots_with_the_rarest_insertions():
     checked = 0
     for n in range(3, 11):
         for ins in itertools.combinations_with_replacement(range(3, 9), n):
-            (dv, rho, u, v), extras = eng._lead_spec(((1, 1), ins))
+            (dv, rho, u, v), extras = eng._lead_spec(ins)
             t, vkill = tops[(dv, rho)]
             if vkill is not None and v not in vkill:
                 continue  # the fallback frame
@@ -1626,7 +1650,7 @@ def test_pure_top_pair_keys_solve_via_forward_frame(engine):
     family of same-stage unknowns; the forward-referencing frame must still
     let the stage solve, and the solved values must satisfy full relations."""
     key = ((2, 3), (7, 7, 7, 7, 7))
-    frame, extras = engine._lead_spec(key)
+    frame, extras = engine._lead_spec(key[1])
     assert frame == (1, 5, 7, 7) and extras == (7, 7)
     assert engine.value_of(key) == 0
     assert engine.value_of(((1, 5), (7,) * 8)) == 1
@@ -1699,37 +1723,37 @@ def test_lead_equation_constants_are_in_normal_form():
 
 def test_memo_set_normalises_integral_rationals():
     store = MemoStore(hilb_datum().nondivisors)
-    store.set((1, 1), store.code((3, 8)), rat(4, 2))
+    store.set((1, 1), store.code((3, 8)), Rat(4, 2))
     assert type(store.get(((1, 1), (3, 8)))) is int
 
 
 def test_memo_rejects_contradiction():
     store = MemoStore(hilb_datum().nondivisors)
     code = store.code((3, 8))
-    store.set((1, 1), code, rat(1))
-    store.set((1, 1), code, rat(1))  # idempotent
+    store.set((1, 1), code, Rat(1))
+    store.set((1, 1), code, Rat(1))  # idempotent
     with pytest.raises(
         InconsistentSystem, match=r"conflict at \(\(1, 1\), \(3, 8\)\)"
     ):
-        store.set((1, 1), code, rat(2))
+        store.set((1, 1), code, Rat(2))
 
 
 def test_linear_form_zero_detection():
-    assert LinearForm({}, rat(0)).is_zero()
-    assert not LinearForm({}, rat(1)).is_zero()
-    assert not LinearForm({((1, 1), (3, 8)): rat(1)}, rat(0)).is_zero()
+    assert LinearForm({}, Rat(0)).is_zero()
+    assert not LinearForm({}, Rat(1)).is_zero()
+    assert not LinearForm({((1, 1), (3, 8)): Rat(1)}, Rat(0)).is_zero()
 
 
 def test_linear_form_defaults_are_fresh_and_equality_compares_fields():
     key = ((1, 1), (3, 8))
     a, b = LinearForm(), LinearForm()
-    a.terms[key] = rat(1)
+    a.terms[key] = Rat(1)
     assert b.terms == {} and b.constant == 0
-    form = LinearForm({key: rat(1)}, rat(2))
-    assert form == LinearForm(terms={key: rat(1)}, constant=rat(2))
-    assert form != LinearForm({key: rat(1)}, rat(3))
-    assert form != LinearForm({key: rat(2)}, rat(2))
-    assert form != ({key: rat(1)}, rat(2))
+    form = LinearForm({key: Rat(1)}, Rat(2))
+    assert form == LinearForm(terms={key: Rat(1)}, constant=Rat(2))
+    assert form != LinearForm({key: Rat(1)}, Rat(3))
+    assert form != LinearForm({key: Rat(2)}, Rat(2))
+    assert form != ({key: Rat(1)}, Rat(2))
 
 
 # ----------------------------------------------------------------------

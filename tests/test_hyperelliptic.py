@@ -13,7 +13,7 @@ from hilb2gw import (
     invert_counts,
 )
 from hilb2gw.fixtures import COUNT_TABLES, INVARIANT_TABLES
-from hilb2gw.rationals import rat
+from hilb2gw.rationals import Rat
 
 
 def test_genus_to_class():
@@ -78,17 +78,17 @@ def test_invert_counts_rejects_low_degree(engine):
 
 def test_count_table_construction():
     a, b = CountTable(3, 1), CountTable(3, 1)
-    a.invariants[0] = rat(1)
+    a.invariants[0] = Rat(1)
     a.counts[0] = 1
     assert b.invariants == {} and b.counts == {}
-    table = CountTable(2, 0, {0: rat(1), 1: rat(2)}, {0: 1, 1: 2})
+    table = CountTable(2, 0, {0: Rat(1), 1: Rat(2)}, {0: 1, 1: 2})
     assert (table.d, table.l) == (2, 0)
-    assert table.rows() == [(0, rat(1), 1), (1, rat(2), 2)]
+    assert table.rows() == [(0, Rat(1), 1), (1, Rat(2), 2)]
 
 
 def test_non_integral_counts_raise():
     """A poisoned memo value must surface as a sanity error, not a wrong table."""
-    for poison in (rat(1, 3), rat(-7, 2)):
+    for poison in (Rat(1, 3), Rat(-7, 2)):
         eng = Engine()
         key = ((1, 2), (4, 4, 4, 4, 4, 4, 4))
         eng.memo.set(key[0], eng.memo.code(key[1]), poison)
@@ -98,7 +98,7 @@ def test_non_integral_counts_raise():
 
 def test_negative_counts_raise():
     # the memo keeps integral values as int, whichever type they arrive as
-    for poison in (rat(-5), -5, rat(-10, 2)):
+    for poison in (Rat(-5), -5, Rat(-10, 2)):
         eng = Engine()
         key = ((1, 2), (4, 4, 4, 4, 4, 4, 4))
         eng.memo.set(key[0], eng.memo.code(key[1]), poison)

@@ -24,7 +24,7 @@ from hilb2gw import (
 )
 from hilb2gw.chow import TargetDatum, p2_datum
 from hilb2gw.quantum import ProductCheck, ProductReport, RelationReport
-from hilb2gw.rationals import Rat, rat
+from hilb2gw.rationals import Rat
 
 from properties_util import rescaled_hilb_datum
 
@@ -127,14 +127,14 @@ def test_datum_gates_name_the_type(bad):
 
 def test_qseries_drops_zero_and_out_of_range_coefficients():
     datum = hilb_datum()
-    zero = (rat(0),) * 9
+    zero = (Rat(0),) * 9
     qs = QSeries(datum, 1, 1, {(0, 0): zero, (5, 0): datum.basis_vector(3)})
     assert qs.is_zero()
 
 
 def test_qseries_scalar_embedding():
     datum = hilb_datum()
-    s = ScalarSeries(2, 1, {(1, 1): rat(2)})
+    s = ScalarSeries(2, 1, {(1, 1): Rat(2)})
     qs = QSeries.from_scalar(datum, s)
     assert qs.coefficient(1, 1)[0] == 2
     assert all(c == 0 for c in qs.coefficient(1, 1)[1:])
@@ -145,7 +145,7 @@ def test_series_reprs():
     relation residual through this repr."""
     datum = hilb_datum()
     assert repr(ScalarSeries(2, 1)) == "0"
-    s = ScalarSeries(2, 1, {(0, 0): 1, (1, 0): -2, (2, 1): rat(1, 2), (0, 1): 3})
+    s = ScalarSeries(2, 1, {(0, 0): 1, (1, 0): -2, (2, 1): Rat(1, 2), (0, 1): 3})
     assert repr(s) == "1 + 3*q2 + -2*q1 + 1/2*q1^2q2"
     assert repr(QSeries(datum, 2, 1)) == "QSeries(0)"
     qs = QSeries(
@@ -155,7 +155,7 @@ def test_series_reprs():
         {
             (0, 0): (0, 0, 0, 1, 0, 2, 0, 0, 0),
             (1, 1): datum.basis_vector(0),
-            (2, 0): (0,) * 8 + (rat(-1, 3),),
+            (2, 0): (0,) * 8 + (Rat(-1, 3),),
         },
     )
     assert repr(qs) == (
@@ -239,7 +239,7 @@ def test_constant_term_is_cup(engine):
     for e in range(9):
         for f in range(e, 9):
             prod = small_product(engine, e, f, 1, 1)
-            assert prod.coefficient(0, 0) == datum.cup_basis(e, f), (e, f)
+            assert prod.coefficient(0, 0) == datum.cup_table[e][f], (e, f)
 
 
 def test_quoted_product_examples(engine):
@@ -254,15 +254,15 @@ def test_quoted_product_examples(engine):
     assert prod.coefficient(2, 1) == tuple(
         2 * c for c in datum.basis_vector(0)
     )
-    assert prod.coefficient(3, 1) == (rat(0),) * 9
+    assert prod.coefficient(3, 1) == (Rat(0),) * 9
     # T2 * T5 = T6 + 2 T7 + q2 + q1 q2
     prod = small_product(engine, 2, 5, 4, 2)
-    want00 = [rat(0)] * 9
-    want00[6], want00[7] = rat(1), rat(2)
+    want00 = [Rat(0)] * 9
+    want00[6], want00[7] = Rat(1), Rat(2)
     assert prod.coefficient(0, 0) == tuple(want00)
     assert prod.coefficient(0, 1) == datum.basis_vector(0)
     assert prod.coefficient(1, 1) == datum.basis_vector(0)
-    assert prod.coefficient(2, 1) == (rat(0),) * 9
+    assert prod.coefficient(2, 1) == (Rat(0),) * 9
 
 
 def test_product_table_at_default_truncation(engine):
@@ -297,7 +297,7 @@ def test_report_construction():
         other = type(report)(2, 1)
         getattr(report, box).append(None)
         assert getattr(other, box) == []
-    check = ProductCheck(1, 2, False, (0, 1), one, zero)
+    check = ProductCheck(1, 2, (0, 1), one, zero)
     assert (check.name, check.passed, check.first_mismatch) == ("T1*T2", False, (0, 1))
     assert (check.computed, check.expected) == (one, zero)
     products = ProductReport(2, 1, [check])
@@ -430,21 +430,21 @@ def _defined_product(engine, u, v, n1, n2, shift=(0, 0), out=None):
             if (a, b) == (0, 0):
                 vec = list(datum.cup(u, v))
             else:
-                vec = [rat(0)] * datum.basis_size
+                vec = [Rat(0)] * datum.basis_size
                 for i in range(datum.basis_size):
                     vec[datum.top - i] += engine.invariant((a, b), [u, v, i])
             k = (a + shift[0], b + shift[1])
-            old = out.get(k, [rat(0)] * datum.basis_size)
+            old = out.get(k, [Rat(0)] * datum.basis_size)
             out[k] = [x + y for x, y in zip(old, vec)]
     return out
 
 
 def _random_vector(rng, size):
     """A sparse rational vector with at least one true fraction."""
-    vec = [rat(0)] * size
+    vec = [Rat(0)] * size
     for e in rng.sample(range(size), 3):
-        vec[e] = rat(rng.randint(-4, 4) or 1, rng.choice((1, 1, 2, 3)))
-    vec[rng.randrange(size)] = rat(rng.choice((1, -1)), rng.choice((2, 3, 5)))
+        vec[e] = Rat(rng.randint(-4, 4) or 1, rng.choice((1, 1, 2, 3)))
+    vec[rng.randrange(size)] = Rat(rng.choice((1, -1)), rng.choice((2, 3, 5)))
     return tuple(vec)
 
 
@@ -536,7 +536,7 @@ def test_long_dense_series_times_a_basis_class_matches_definition(g):
         vec = [0] * datum.basis_size
         vec[3], vec[5] = (-1) ** a * (a + 1), 3
         coeffs[(a, 0)] = tuple(vec)
-    coeffs[(7, 0)] = coeffs[(7, 0)][:3] + (rat(1, 3),) + coeffs[(7, 0)][4:]
+    coeffs[(7, 0)] = coeffs[(7, 0)][:3] + (Rat(1, 3),) + coeffs[(7, 0)][4:]
     coeffs[(1, 1)] = datum.basis_vector(0)
     coeffs[(2, 1)] = tuple(2 * c for c in datum.basis_vector(0))
     coeffs[(5, 2)] = datum.basis_vector(4)
@@ -577,7 +577,7 @@ def _typed_box(box):
 
 def test_box_rows_match_rows_built_from_invariants():
     """At (6, 3) every basis pair's box on a cold engine holds exactly the
-    cup product ``TargetDatum.cup_basis`` as its degree-0 row and the
+    cup product ``TargetDatum.cup_table`` as its degree-0 row and the
     nonempty rows that a second cold engine builds from ``invariant`` over
     every class (a, b) != (0, 0) and every third index, laid out as
     q1-slices (b, j, ((a, value), ...)) sorted by a, the slices by (b, j):
@@ -591,7 +591,7 @@ def test_box_rows_match_rows_built_from_invariants():
     nonempty = 0
     for x in range(datum.basis_size):
         for y in range(x, datum.basis_size):
-            cup = datum.cup_basis(x, y)
+            cup = datum.cup_table[x][y]
             slices = {(0, j): [(0, c)] for j, c in enumerate(cup) if c}
             rows = set()
             for a, b in classes:
@@ -645,6 +645,39 @@ def test_a_far_truncation_lists_only_the_classes_a_row_can_use():
     assert listed == [(0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
 
 
+def test_a_sparse_product_under_a_long_q1_truncation_stays_small():
+    """``star`` sizes each output's dense list by the largest a its slices
+    and weights reach, not by n1: on P^1 x P^1, pt * pt = q1q2 truncated at
+    q1^(10^6) allocates no list of 10^6 cells, so it stays under 1 MB of
+    traced allocations, and equals the product truncated at q1^3."""
+    quadric = Engine(_quadric_datum())
+    tracemalloc.start()
+    try:
+        far = small_product(quadric, 3, 3, 10**6, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert far.coeffs == {(1, 1): quadric.datum.basis_vector(0)}
+    assert far.coeffs == small_product(Engine(_quadric_datum()), 3, 3, 3, 2).coeffs
+    assert peak < 2**20
+
+
+def test_box_classes_are_grouped_by_budget_without_caching_budgets():
+    """``_list_box_classes`` groups each class by the budget its own loop
+    forms, k1 * a + k2 * b plus the budget of (0, 0): on Hilb^2 and on
+    P^1 x P^1 every group key is ``TargetDatum.weight_budget`` of each of
+    its classes, and listing the (80, 2) truncation on a cold engine adds
+    no entry to the engine's ``_budgets``."""
+    for datum in (hilb_datum(), _quadric_datum()):
+        eng = Engine(datum)
+        groups = eng._list_box_classes(80, 2)
+        assert not eng._budgets
+        assert sum(map(len, groups.values())) >= 5
+        for budget, classes in groups.items():
+            for cls in classes:
+                assert budget == datum.weight_budget(cls), cls
+
+
 @pytest.mark.parametrize("n1, n2, entries", [(80, 2, 247), (6, 4, 25)])
 def test_qcoh_leaves_the_pinned_memo(n1, n2, entries):
     """On one cold engine the product table and then the relations leave
@@ -690,7 +723,7 @@ def test_series_coefficients_are_in_normal_form(engine):
     for entry in report.entries:
         _assert_normal_form(entry.computed)
         _assert_normal_form(entry.expected)
-    half = QSeries.from_vector(engine.datum, 1, 1, (rat(1, 2),) * 9)
+    half = QSeries.from_vector(engine.datum, 1, 1, (Rat(1, 2),) * 9)
     _assert_normal_form(half.scaled(2))
     _assert_normal_form(half.scaled(f_series(1, 1)))
     assert all(type(c) is int for c in f_series(3, 1).coeffs.values())
@@ -787,7 +820,7 @@ def _naive_star(ref, left, right):
                 for y, cy in enumerate(v):
                     if not (cx and cy):
                         continue
-                    for m, cm in enumerate(datum.cup_basis(x, y)):
+                    for m, cm in enumerate(datum.cup_table[x][y]):
                         add((a0, b0), m, cx * cy * cm)
                     for a in range(n1 - a0 + 1):
                         for b in range(n2 - b0 + 1):
@@ -825,7 +858,7 @@ def test_series_arithmetic_matches_a_naive_reference():
     keys = [(a, b) for a in range(n1 + 1) for b in range(n2 + 1)]
 
     def scalar():
-        return rat(rng.randint(-3, 3), rng.choice((1, 2, 3, 4)))
+        return Rat(rng.randint(-3, 3), rng.choice((1, 2, 3, 4)))
 
     def vector():
         vec = [0] * datum.basis_size
@@ -866,7 +899,7 @@ def test_series_arithmetic_matches_a_naive_reference():
                 yield x * y, _naive_scaled(x, y)
                 yield y.scaled(x), _naive_scaled(y, x)
             yield -x, _naive_scaled(x, -1)
-            for c in (0, 1, -2, rat(2, 3), rat(-3, 2)):
+            for c in (0, 1, -2, Rat(2, 3), Rat(-3, 2)):
                 yield x.scaled(c), _naive_scaled(x, c)
                 yield c * x, _naive_scaled(x, c)
             u, others = operands(
@@ -880,7 +913,7 @@ def test_series_arithmetic_matches_a_naive_reference():
                 yield u.scaled(x), _naive_scaled(u, x)
                 yield star(eng, u, v, n1, n2), _naive_star(ref, u, v)
             yield -u, _naive_scaled(u, -1)
-            for c in (0, 1, rat(4, 3), rat(-1, 2)):
+            for c in (0, 1, Rat(4, 3), Rat(-1, 2)):
                 yield u.scaled(c), _naive_scaled(u, c)
 
     int_sums, seen = [], Counter()

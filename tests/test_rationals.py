@@ -26,7 +26,6 @@ from hilb2gw.rationals import (
     binom,
     qdiv,
     qnorm,
-    rat,
     rat_from_parts,
     rat_str,
 )
@@ -43,8 +42,8 @@ class _Half(fractions.Fraction):
 def test_qnorm():
     assert Rat is fractions.Fraction
     assert qnorm(7) == 7 and type(qnorm(7)) is int
-    assert qnorm(rat(-12, 4)) == -3 and type(qnorm(rat(-12, 4))) is int
-    assert qnorm(rat(3, 4)) == rat(3, 4) and type(qnorm(rat(3, 4))) is Rat
+    assert qnorm(Rat(-12, 4)) == -3 and type(qnorm(Rat(-12, 4))) is int
+    assert qnorm(Rat(3, 4)) == Rat(3, 4) and type(qnorm(Rat(3, 4))) is Rat
     assert qnorm(_Half(4, 2)) == 2 and type(qnorm(_Half(4, 2))) is int
     assert type(qnorm(_Half(1, 2))) is Rat
 
@@ -89,9 +88,9 @@ def test_public_values_are_in_normal_form(engine):
     hold integral ``Rat`` entries or fractions whose products are integral
     (2/3 * 3/2)."""
     datum = engine.datum
-    u = tuple({8: rat(2), 6: rat(2, 3)}.get(e, 0) for e in range(9))
-    v = tuple({4: rat(2), 7: rat(3, 2), 3: rat(3, 4)}.get(e, 0) for e in range(9))
-    w = tuple({3: rat(2, 3), 5: rat(3, 2)}.get(e, 0) for e in range(9))
+    u = tuple({8: Rat(2), 6: Rat(2, 3)}.get(e, 0) for e in range(9))
+    v = tuple({4: Rat(2), 7: Rat(3, 2), 3: Rat(3, 4)}.get(e, 0) for e in range(9))
+    w = tuple({3: Rat(2, 3), 5: Rat(3, 2)}.get(e, 0) for e in range(9))
     values = []
     for cls, ins in (((1, 1), [3, 8]), ((1, 1), [u, v]), ((2, 0), [v])):
         form = engine.normalize(cls, ins)
@@ -153,14 +152,14 @@ def test_integer_arguments_reject_non_integers(engine, call):
         (12, -4, -3),
         (-12, -4, 3),
         (0, -5, 0),
-        (7, 2, rat(7, 2)),
-        (-7, 2, rat(-7, 2)),
-        (7, -2, rat(-7, 2)),
-        (-3, -9, rat(1, 3)),
-        (rat(3, 2), rat(1, 2), 3),
-        (rat(3, 2), 3, rat(1, 2)),
-        (6, rat(3, 4), 8),
-        (rat(-9, 4), rat(3, 8), -6),
+        (7, 2, Rat(7, 2)),
+        (-7, 2, Rat(-7, 2)),
+        (7, -2, Rat(-7, 2)),
+        (-3, -9, Rat(1, 3)),
+        (Rat(3, 2), Rat(1, 2), 3),
+        (Rat(3, 2), 3, Rat(1, 2)),
+        (6, Rat(3, 4), 8),
+        (Rat(-9, 4), Rat(3, 8), -6),
     ],
 )
 def test_qdiv_is_exact_and_normal(a, b, want):
@@ -192,7 +191,7 @@ def test_qdiv_by_zero_raises():
     with pytest.raises(ZeroDivisionError):
         qdiv(3, 0)
     with pytest.raises(ZeroDivisionError):
-        qdiv(rat(1, 3), 0)
+        qdiv(Rat(1, 3), 0)
 
 
 def test_rat_from_parts_normal_form():
@@ -200,12 +199,12 @@ def test_rat_from_parts_normal_form():
     assert six == 6 and type(six) is int
     two = rat_from_parts("6", "3")
     assert two == 2 and type(two) is int
-    assert rat_from_parts("-6", "4") == rat(-3, 2)
+    assert rat_from_parts("-6", "4") == Rat(-3, 2)
     assert type(rat_from_parts("-6", "4")) is Rat
     with pytest.raises(ValueError):
         rat_from_parts("1", "0")
     assert rat_from_parts("-0", "007") == 0
-    assert rat_from_parts("-12", "8") == rat(-3, 2)
+    assert rat_from_parts("-12", "8") == Rat(-3, 2)
     # int() takes each of these; a cache holds only ASCII decimal strings
     for num, den in (
         ("\uff11", "1"), ("1", "\uff11"), (" 1", "1"), ("1 ", "1"),
@@ -223,7 +222,7 @@ def test_rat_str_prints_negative_values_past_2000_bits():
     print the wrong ones."""
     big = 10**700
     assert rat_str(-big) == "-1" + "0" * 700
-    assert rat_str(rat(-big - 1, 3)) == "-1" + "0" * 699 + "1/3"
+    assert rat_str(Rat(-big - 1, 3)) == "-1" + "0" * 699 + "1/3"
 
 
 def test_ascii_int_takes_only_ascii_decimal_integers():
