@@ -214,10 +214,11 @@ class TargetDatum:
         self.dim = self.codims[self.top]
         self.divisors = tuple(e for e, c in enumerate(self.codims) if c == 1)
         self.rank = len(self.divisors)
-        # dual[e]: the one f whose product with T_e integrates to 1
-        # (``_validate`` checks that it is one)
+        # dual[e]: the one f whose product with T_e integrates to 1, the
+        # integral being the point-class coordinate (``_validate`` checks
+        # that it is one)
         self.dual = tuple(
-            next((f for f, v in enumerate(row) if self.integrate(v) == 1), None)
+            next((f for f, v in enumerate(row) if v[self.top] == 1), None)
             for row in self.cup_table
         )
         self.weights = tuple(c - 1 for c in self.codims)
@@ -273,10 +274,6 @@ class TargetDatum:
                     out[m] += c * cm
         return tuple(map(qnorm, out))
 
-    def integrate(self, v: CohVector):
-        """Integral over the target: the point-class coordinate."""
-        return v[self.top]
-
     # -- curve classes -----------------------------------------------------
 
     def effective(self, cls: CurveClass) -> bool:
@@ -284,11 +281,6 @@ class TargetDatum:
         return len(cls) == self.rank and all(
             type(x) is int and x >= 0 for x in cls
         )
-
-    def is_zero_class(self, cls: CurveClass) -> bool:
-        """True for the zero curve class; see ``zero_class`` for the
-        classes whose invariants all vanish."""
-        return all(x == 0 for x in cls)
 
     def zero_class(self, cls: CurveClass) -> bool:
         """True when the datum declares every invariant of ``cls`` zero.
@@ -318,7 +310,7 @@ class TargetDatum:
         return tuple(
             (c1, tuple(x - y for x, y in zip(cls, c1)))
             for c1 in parts
-            if not self.is_zero_class(c1) and c1 != cls
+            if any(c1) and c1 != cls
         )
 
     # -- the projection to the base plane -----------------------------------
@@ -399,10 +391,10 @@ class TargetDatum:
         codimension c >= 2, the products T_d . T_rho of a divisor d and a
         class rho of codimension c - 1 span the level: the cohomology is
         generated by divisors, which reconstruction needs."""
-        size, codims, integrate = self.basis_size, self.codims, self.integrate
+        size, codims, top = self.basis_size, self.codims, self.top
         for e, f in enumerate(self.dual):
             row = self.cup_table[e]
-            if f is None or any(integrate(row[g]) != int(g == f) for g in range(size)):
+            if f is None or any(row[g][top] != int(g == f) for g in range(size)):
                 raise ValueError(f"pairing is not a permutation at row {e}")
             if self.dual[f] != e:
                 raise ValueError("pairing is not an involution")

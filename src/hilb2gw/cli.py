@@ -37,12 +37,7 @@ from .engine import (
     InconsistentSystem,
 )
 from .fixtures import COUNT_TABLES, INVARIANT_TABLES
-from .hyperelliptic import (
-    CountTable,
-    NegativeCount,
-    NonIntegralCount,
-    invert_counts,
-)
+from .hyperelliptic import NegativeCount, NonIntegralCount, invert_counts
 from .oracles import engine_nd, kontsevich_nd
 from .quantum import verify_product_table, verify_relations
 from .rationals import ascii_int, rat_str
@@ -151,11 +146,6 @@ def _cmd_invariant(args) -> int:
     return 0
 
 
-def _table_rows(table: CountTable):
-    for g, inv, count in table.rows():
-        yield {"g": g, "invariant": rat_str(inv), "count": str(count)}
-
-
 def _cmd_hyperelliptic(args) -> int:
     if args.degree < 2:
         raise ValueError("--degree must be at least 2")
@@ -166,7 +156,10 @@ def _cmd_hyperelliptic(args) -> int:
     t0 = time.perf_counter()
     table = invert_counts(engine, args.degree, args.pairs)
     elapsed = time.perf_counter() - t0
-    rows = list(_table_rows(table))
+    rows = [
+        {"g": g, "invariant": rat_str(inv), "count": str(count)}
+        for g, inv, count in table.rows()
+    ]
     if args.json:
         _emit_json(
             {

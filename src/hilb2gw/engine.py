@@ -41,8 +41,8 @@ A visit to a stage starts from one key, the one ``_resolve`` missed, and
 is one depth-first pass on packed codes with one ExactLinearSolver.  The
 walk builds each key's lead equation once, by ``_build`` on the spec that
 ``_leads`` holds for the key's insertion list (``_lead_spec``, run once per
-list: 137 lists serve the 581 keys of the d <= 6 tables, 361 the 2,700 of
-the d <= 10 tables; the spec depends on the insertions alone).  The codes
+list, since the spec depends on the insertions alone; ``_harvest_closure``
+counts the lists the tables meet).  The codes
 the equation keeps symbolic are its same-stage unknowns, so the walk reads
 them off the equation itself, walks each one the memo still lacks, and
 then hands the equation to the visit's ``add``: the stage is triangular in
@@ -210,15 +210,15 @@ class MemoStore:
     equal to one included).
     The layout is ``{cls: {code: value}}``; a class dict, once created, is
     never replaced, so callers may hold on to it (``class_values``).
-    The writes ``set`` and ``merge`` take codes; ``get`` takes a
-    ``(cls, sorted tuple)`` key and packs it, and ``items`` and a conflict's
-    message decode.
+    The one write, ``set``, takes a code; ``get`` takes a ``(cls, sorted
+    tuple)`` key and packs it, and ``items`` and a conflict's message
+    decode.
 
     Values are stored in normal form (``int`` when integral, ``Rat``
     otherwise). An entry is never overwritten with a different value; a
     conflicting write raises InconsistentSystem. ``set`` writes one key and
-    is the only write; ``merge`` checks a whole validated cache file against
-    the store before it sets any of its keys, so it loads all or nothing.
+    is the only write, for the engine's solves and ``Engine.load_cache``
+    alike.
     """
 
     MAX_INSERTIONS = 255
@@ -284,29 +284,6 @@ class MemoStore:
             return
         vals[code] = value
         self._count += 1
-
-    def merge(self, staged) -> None:
-        """Write ``{cls: {code: value}}`` into the store, all or nothing.
-
-        The codes must be of canonical keys and the values in normal form.
-        Every value is checked against the store before any is written, so
-        a conflict raises InconsistentSystem and leaves the store unchanged;
-        then each key is written by ``set``, the one write path.
-        """
-        classes = self._classes
-        for cls, vals in staged.items():
-            live = classes.get(cls)
-            if live:
-                for code, value in vals.items():
-                    old = live.get(code)
-                    if old is not None and old != value:
-                        raise InconsistentSystem(
-                            f"memo conflict at {(cls, self.decode(code))}: "
-                            f"{old} vs {value}"
-                        )
-        for cls, vals in staged.items():
-            for code, value in vals.items():
-                self.set(cls, code, value)
 
     def items(self):
         """Every ``((cls, ins), value)`` in sorted key order, decoded lazily
@@ -402,10 +379,6 @@ class Engine:
         self._box_classes: dict = {}  # box classes by budget, by (n1, n2)
         self._leads: dict = {}  # lead spec by insertion code
         d = self.datum
-        self._vanishes = d.vanishes
-        self._order_bound = d.order_bound
-        self._weights = d.weights
-        self._cup_terms = d.cup_terms
         pack = self.memo.pack
         # _units[e]: what index e adds to a monomial, (slot, packed code,
         # weight, base order, count); read by _canon, _canon_code and
@@ -507,6 +480,7 @@ class Engine:
         units = self._units
         mults = cls + (1, 0)  # indexed by a unit's slot
         budget = self._budget(cls)
+        order_bound = datum.order_bound
         terms: dict = {}
         for idxs, c in combos:
             code = w = t = n = 0
@@ -519,12 +493,9 @@ class Engine:
                 n += ne
             if not c or w != budget:
                 continue
-            if n > MemoStore.MAX_INSERTIONS:
-                raise ValueError(
-                    f"a memo key holds at most {MemoStore.MAX_INSERTIONS} "
-                    f"insertions, got {n}"
-                )
-            if t <= self._order_bound(cls, n):
+            if n > MemoStore.MAX_INSERTIONS:  # the packer refuses the list
+                self.memo.code([e for e in idxs if units[e][4]])
+            if t <= order_bound(cls, n):
                 terms[code] = terms.get(code, 0) + c
         return {code: qnorm(c) for code, c in terms.items() if c != 0}
 
@@ -549,7 +520,7 @@ class Engine:
         if not mult or w + wx + wy + wm != self._budget(cls):
             return None
         n += nx + ny + nm
-        if t + tx + ty + tm > self._order_bound(cls, n):
+        if t + tx + ty + tm > self.datum.order_bound(cls, n):
             return None
         return code + cx + cy + cm, n, mult
 
@@ -574,7 +545,7 @@ class Engine:
         cls = _as_tuple(cls, "a class")
         if not self.datum.effective(cls):
             raise ValueError(f"class {cls} is not effective")
-        if self.datum.is_zero_class(cls):
+        if not any(cls):
             raise ValueError("the zero class carries no invariant keys")
         return cls
 
@@ -622,7 +593,7 @@ class Engine:
             return v
         ins = self.memo.decode(code)
         b = self.datum.base_case(cls, ins)
-        if b is None and self._vanishes(cls, ins):
+        if b is None and self.datum.vanishes(cls, ins):
             b = 0
         if b is not None:
             self.memo.set(cls, code, b)
@@ -664,7 +635,7 @@ class Engine:
         code = self.memo.code(ins)
         if list(ins) != sorted(ins):
             raise ValueError(f"key insertions {ins!r} are not sorted")
-        weights, orders = self._weights, self.datum.base_orders
+        weights, orders = self.datum.weights, self.datum.base_orders
         sums = self._list_sums[ins] = (
             code,
             sum(weights[e] for e in ins),
@@ -729,7 +700,7 @@ class Engine:
         if not mult:
             return ()
         code, t, n = cx + cy, tx + ty, nx + ny
-        order_bound = self._order_bound
+        order_bound = self.datum.order_bound
         resolve = self._resolve
         top = self.datum.top
         entries = []
@@ -777,8 +748,9 @@ class Engine:
             groups = self._box_classes.get((n1, n2))
             if groups is None:
                 groups = self._box_classes[(n1, n2)] = self._list_box_classes(n1, n2)
+            datum = self.datum
             thirds = self._thirds
-            wxy = self._weights[x] + self._weights[y]
+            wxy = datum.weights[x] + datum.weights[y]
             rows = []
             for budget, classes in groups.items():
                 if budget - wxy in thirds:
@@ -787,7 +759,7 @@ class Engine:
                         if row:
                             rows.append((cls, row))
             # the degree-0 row is the cup product
-            slices: dict = {(0, m): [(0, cm)] for m, cm in self._cup_terms[x][y]}
+            slices: dict = {(0, m): [(0, cm)] for m, cm in datum.cup_terms[x][y]}
             for (a, b), row in sorted(rows):
                 for j, val in row:
                     slices.setdefault((b, j), []).append((a, val))
@@ -812,7 +784,7 @@ class Engine:
         zero_class = d.zero_class
         k1, k2 = d.anticanonical
         base = d.weight_budget((0, 0))
-        room = 2 * max(self._weights) + max(self._thirds) - base
+        room = 2 * max(d.weights) + max(self._thirds) - base
         groups: dict = {}
         for a in range(n1 + 1):
             if min(k1, k2) >= 0 and k1 * a > room:
@@ -912,13 +884,14 @@ class Engine:
         sums, groups = self._partition_groups(extras)
         code_x, w_x = sums[0], sums[1]
         stage_n = sums[3] + 3
-        weights = self._weights
+        datum = self.datum
+        weights = datum.weights
         if (
             weights[i] + weights[j] + weights[k] + weights[l] + w_x
             != self._budget(cls) - 1
         ):
             return {}, 0
-        cup_terms = self._cup_terms
+        cup_terms = datum.cup_terms
         canon_code = self._canon_code
         vals = self.memo.class_values(cls)
         resolve = self._resolve
@@ -1142,7 +1115,7 @@ class Engine:
         if cached is not None:
             return cached
         sums = self._list_sums.get(extras) or self._list_record(extras)
-        weights = self._weights
+        weights = self.datum.weights
         pack = self.memo.pack
         combos = [(0, 0, 1)]
         for e, m in sorted(Counter(extras).items()):
@@ -1316,9 +1289,10 @@ class Engine:
         """All admissible keys of stage (cls, n) that the base plane does not
         kill, sorted."""
         budget = self._budget(cls)
-        nond = self.datum.nondivisors
-        weights = self._weights
-        vanishes = self._vanishes
+        datum = self.datum
+        nond = datum.nondivisors
+        weights = datum.weights
+        vanishes = datum.vanishes
         out = []
 
         def rec(pos, left, wleft, acc):
@@ -1360,7 +1334,7 @@ class Engine:
             )
         memo = self.memo
         decode = memo.decode
-        vanishes = self._vanishes
+        vanishes = self.datum.vanishes
         rendered: dict = {}  # code -> (sorted insertions, their JSON list)
         entries = []
         for cls in memo.classes():
@@ -1404,15 +1378,15 @@ class Engine:
         projection to the base plane kills must be 0, and two entries of one
         key must agree, or InconsistentSystem is raised.
 
-        The load is all or nothing. Each key passes ``_key_sums``, the gate
-        of ``value_of`` too, whose ValueError becomes a CacheFormatError; the
-        projection rule compares the base-order sum it returns with
-        ``TargetDatum.order_bound``, as ``vanishes`` does.
-        The values are staged per class by code and handed to
-        ``MemoStore.merge`` only after every entry has passed, which raises
-        InconsistentSystem, loading nothing, if a value conflicts with one
-        already in the memo, and otherwise writes each key by
-        ``MemoStore.set``. Text the JSON parser rejects, bytes that are not
+        The load is all or nothing, and one pass checks it. Each key passes
+        ``_key_sums``, the gate of ``value_of`` too, whose ValueError becomes
+        a CacheFormatError; the projection rule compares the base-order sum
+        it returns with ``TargetDatum.order_bound``, as ``vanishes`` does. A
+        value that conflicts with one already in the memo raises
+        InconsistentSystem, as ``MemoStore.set`` would; the values are
+        staged per class by code, and only after every entry has passed does
+        ``MemoStore.set``, the memo's one write, store them, so a refused
+        file loads nothing. Text the JSON parser rejects, bytes that are not
         UTF-8 included, raises CacheFormatError; an ``int`` or ``bool`` path
         raises ValueError before anything is opened.
         """
@@ -1438,8 +1412,9 @@ class Engine:
         if not isinstance(entries, list):
             raise CacheFormatError("cache entries must be a list")
         base_case = self.datum.base_case
-        order_bound = self._order_bound
+        order_bound = self.datum.order_bound
         key_sums = self._key_sums
+        memo = self.memo
         staged: dict = {}  # admissible cls -> {code: value}
         for entry in entries:
             try:
@@ -1474,12 +1449,19 @@ class Engine:
                     f"cache entry ({cls}, {ins}) = {val} but the "
                     "projection to the base plane forces 0"
                 )
+            old = memo.class_values(cls).get(code)
+            if old is not None and old != val:
+                raise InconsistentSystem(
+                    f"memo conflict at {(cls, ins)}: {old} vs {val}"
+                )
             old = staged.setdefault(cls, {}).setdefault(code, val)
             if old != val:
                 raise InconsistentSystem(
                     f"cache entries for ({cls}, {ins}) disagree: {old} vs {val}"
                 )
-        self.memo.merge(staged)
+        for cls, vals in staged.items():
+            for code, val in vals.items():
+                memo.set(cls, code, val)
         return len(entries)
 
 

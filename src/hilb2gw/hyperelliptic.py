@@ -53,13 +53,9 @@ class CountTable:
         self.invariants = {} if invariants is None else invariants
         self.counts = {} if counts is None else counts
 
-    @property
-    def genera(self):
-        return range(self.d)
-
     def rows(self):
         """(g, I, E) triples, genus ascending."""
-        return [(g, self.invariants[g], self.counts[g]) for g in self.genera]
+        return [(g, self.invariants[g], self.counts[g]) for g in range(self.d)]
 
 
 def genus_to_class(d: int, g: int):

@@ -15,9 +15,8 @@ being the cup product.  Most rows are empty, and the engine builds only
 those that can be nonzero.  A box skips each class the datum declares
 zero, each class whose row weight is the weight of no basis index, and
 each class whose budget no row can fill, so a truncation far past the
-rows costs nothing.  The nine boxes of ``qcoh`` at (80, 2) build 738 rows,
-not the 2,178 of one per class and basis pair, and keep the 249 nonempty
-ones.  By the divisor axiom a pair's row is its divisor multipliers times
+rows costs nothing (``Engine._box_rows`` counts the rows at (80, 2)).  By
+the divisor axiom a pair's row is its divisor multipliers times
 invariants of its non-divisor part alone, so pairs with one non-divisor
 part share memo keys, not cached row tuples.  The engine keeps, per basis
 pair and truncation, the box's rows as q1-slices ``(b, j, ((a, val),
@@ -39,13 +38,14 @@ Arithmetic has one entry point, ``_Series._sum``: it adds each ``s * x``
 (``s`` an exact scalar or a ScalarSeries) into one accumulator through the
 kind's kernel ``_convolve``, and ``_like`` builds the result once (and that
 of ``star``), only normalizing and dropping zeros.  ``+``, ``-``,
-``scaled``, ``*`` and each verified series are sums: a closed-form product
-is one row ``{basis index: scalar}``, a relation residual four terms.  Every
-coefficient is in the package's normal form (an ``int`` when integral, a
-``Rat`` only for a true fraction).  Operands are basis indices or
-cohomology vectors, checked by ``TargetDatum.check_index`` and
-``TargetDatum.check_vector``; truncation bounds are non-negative ints, and
-a QSeries's datum is a TargetDatum (``chow.check_datum``).
+``scaled``, ``*`` and each relation residual (four terms) are sums; a
+closed-form product is a row of integers that ``_like`` lays straight into
+its series (``_closed_product_forms``).  Every coefficient is in the
+package's normal form (an ``int`` when integral, a ``Rat`` only for a true
+fraction).  Operands are basis indices or cohomology vectors, checked by
+``TargetDatum.check_index`` and ``TargetDatum.check_vector``; truncation
+bounds are non-negative ints, and a QSeries's datum is a TargetDatum
+(``chow.check_datum``).
 """
 
 from __future__ import annotations
@@ -468,30 +468,41 @@ def star(engine, left, right, n1: int = 4, n2: int = 2) -> QSeries:
 
 
 def _closed_product_forms(datum: TargetDatum, n1: int, n2: int) -> dict:
-    """The nine divisor-times-basis products in closed form, truncated: each
-    a row ``{basis index: scalar}`` summed in one pass, T0's entry a dict of
-    q-monomials."""
-    f3 = 3 * f_series(n1, n2)
-    g = ScalarSeries.constant(n1, n2, 1) - f3  # 1 - 3f
+    """The nine divisor-times-basis products in closed form, truncated.
+
+    Each is a row of integers: ``k: (c0, c)`` is c0 + c f on T_k, with
+    f = q1/(1 - q1) = q1 + q1^2 + ..., and T0's entry is a dict of
+    q-monomials.  The coefficients are laid straight into each expected
+    series, which ``_like`` builds."""
     rows = {
-        (1, 1): {3: g, 5: f3},
-        (1, 2): {3: 2, 4: 1},
-        (2, 2): {3: 1, 4: 1, 5: 1},
-        (1, 3): {7: f3, 0: {(1, 1): 1, (2, 1): 2}},
-        (1, 4): {6: 1, 0: {(1, 1): 2}},
-        (1, 5): {6: 2, 7: g, 0: {(1, 1): 1}},
-        (2, 3): {6: 1, 0: {(1, 1): 1, (2, 1): 1}},
-        (2, 4): {6: 1, 7: 1, 0: {(1, 1): 2}},
-        (2, 5): {6: 1, 7: 2, 0: {(0, 1): 1, (1, 1): 1}},
+        (1, 1): {3: (1, -3), 5: (0, 3)},
+        (1, 2): {3: (2, 0), 4: (1, 0)},
+        (2, 2): {3: (1, 0), 4: (1, 0), 5: (1, 0)},
+        (1, 3): {7: (0, 3), 0: {(1, 1): 1, (2, 1): 2}},
+        (1, 4): {6: (1, 0), 0: {(1, 1): 2}},
+        (1, 5): {6: (2, 0), 7: (1, -3), 0: {(1, 1): 1}},
+        (2, 3): {6: (1, 0), 0: {(1, 1): 1, (2, 1): 1}},
+        (2, 4): {6: (1, 0), 7: (1, 0), 0: {(1, 1): 2}},
+        (2, 5): {6: (1, 0), 7: (2, 0), 0: {(0, 1): 1, (1, 1): 1}},
     }
-    unit = [QSeries.from_vector(datum, n1, n2, k) for k in range(datum.basis_size)]
-    return {
-        pair: unit[0]._sum(
-            [(ScalarSeries(n1, n2, s) if type(s) is dict else s, unit[k])
-             for k, s in row.items()]
-        )
-        for pair, row in rows.items()
-    }
+    gate = QSeries(datum, n1, n2)
+    size = datum.basis_size
+    forms = {}
+    for pair, row in rows.items():
+        coeffs: dict = {}
+        for k, entry in row.items():
+            if k:  # c0 + c f as monomials
+                c0, c = entry
+                entry = {(a, 0): c for a in range(1, n1 + 1)} if c else {}
+                entry[(0, 0)] = c0
+            for (a, b), c in entry.items():
+                if a <= n1 and b <= n2:
+                    vec = coeffs.get((a, b))
+                    if vec is None:
+                        vec = coeffs[(a, b)] = [0] * size
+                    vec[k] += c
+        forms[pair] = gate._like(coeffs)
+    return forms
 
 
 class ProductCheck:

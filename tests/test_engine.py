@@ -390,7 +390,7 @@ def _overdetermined_residuals(engine, amax, bmax):
     positive = [e for e, c in enumerate(datum.codims) if c > 0]
     frames = [f for f in itertools.product(positive, repeat=4) if f[1] != f[3]]
     for cls in itertools.product(range(amax + 1), range(bmax + 1)):
-        if datum.is_zero_class(cls) or datum.zero_class(cls):
+        if not any(cls) or datum.zero_class(cls):
             continue
         for n in (3, 4):
             for extras in itertools.combinations_with_replacement(
@@ -460,7 +460,7 @@ def _random_collapsed_monomials(datum, rng, count):
     nond = datum.nondivisors
     for _ in range(count):
         cls = (0,) * datum.rank
-        while datum.is_zero_class(cls):
+        while not any(cls):
             cls = tuple(rng.randint(0, 3) for _ in range(datum.rank))
         x, y, m = (rng.randrange(datum.basis_size) for _ in range(3))
         need = datum.weight_budget(cls) - sum(
@@ -2023,18 +2023,24 @@ def test_shared_key_table_refuses_floats_and_bools(tmp_path, cache_first):
 
 
 def test_cache_conflict_with_the_memo_loads_nothing(tmp_path):
+    """A value that conflicts with the memo raises InconsistentSystem and
+    loads nothing, whether it comes last, after every other entry was
+    staged, or first, before a valid entry of a class the memo lacks."""
     entries = _unsolved_entries()
     eng = Engine()
     first = entries[0]
     cls, ins = (first["a"], first["b"]), tuple(first["ins"])
     eng.invariant(cls, ins)
-    before = dict(eng.memo.items())
+    before = (len(eng.memo), eng.memo.classes(), dict(eng.memo.items()))
     lie = dict(first, num=str(int(first["num"]) + 1))
-    path = tmp_path / "conflict.json"
-    _write(path, entries[1:] + [lie])
-    with pytest.raises(InconsistentSystem):
-        eng.load_cache(path)
-    assert dict(eng.memo.items()) == before
+    held = set(before[1])
+    new = next(e for e in entries if (e["a"], e["b"]) not in held)
+    for name, rows in (("last", entries[1:] + [lie]), ("first", [lie, new])):
+        path = tmp_path / f"conflict-{name}.json"
+        _write(path, rows)
+        with pytest.raises(InconsistentSystem, match="^memo conflict at "):
+            eng.load_cache(path)
+        assert (len(eng.memo), eng.memo.classes(), dict(eng.memo.items())) == before
 
 
 @pytest.mark.parametrize(

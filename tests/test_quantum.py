@@ -3,6 +3,7 @@ the cubic relations, the ring axioms at small truncation, and the bilinear
 evaluation against the definition."""
 
 import functools
+import itertools
 import math
 import operator
 import random
@@ -664,18 +665,40 @@ def test_a_sparse_product_under_a_long_q1_truncation_stays_small():
 
 def test_box_classes_are_grouped_by_budget_without_caching_budgets():
     """``_list_box_classes`` groups each class by the budget its own loop
-    forms, k1 * a + k2 * b plus the budget of (0, 0): on Hilb^2 and on
-    P^1 x P^1 every group key is ``TargetDatum.weight_budget`` of each of
-    its classes, and listing the (80, 2) truncation on a cold engine adds
-    no entry to the engine's ``_budgets``."""
-    for datum in (hilb_datum(), _quadric_datum()):
-        eng = Engine(datum)
-        groups = eng._list_box_classes(80, 2)
-        assert not eng._budgets
-        assert sum(map(len, groups.values())) >= 5
-        for budget, classes in groups.items():
-            for cls in classes:
-                assert budget == datum.weight_budget(cls), cls
+    forms, k1 * a + k2 * b plus the budget of (0, 0): on Hilb^2, on
+    P^1 x P^1 and on the P^1 x P^1 ring under the anticanonical classes
+    (2, -1) and (-1, 2), whose negative entry bounds no loop, the groups
+    equal a brute-force filter of every (a, b) != (0, 0) with a <= n1 and
+    b <= n2, not declared zero, whose budget a row's three weights can
+    fill, grouped by ``TargetDatum.weight_budget``.  Listing a truncation
+    on a cold engine adds no entry to the engine's ``_budgets``."""
+    quadric = _quadric_datum()
+    data = [hilb_datum(), quadric] + [
+        TargetDatum(
+            name="p1xp1",
+            codims=quadric.codims,
+            cup_table=quadric.cup_table,
+            anticanonical=k,
+            base_case=quadric.base_case,
+        )
+        for k in ((2, -1), (-1, 2))
+    ]
+    for datum in data:
+        # a row's weights: two of any index, the third of positive codim
+        top = 2 * max(datum.weights) + max(
+            w for w, c in zip(datum.weights, datum.codims) if c
+        )
+        for n1, n2 in ((80, 2), (7, 12)):
+            eng = Engine(datum)
+            groups = eng._list_box_classes(n1, n2)
+            assert not eng._budgets
+            want: dict = {}
+            for cls in itertools.product(range(n1 + 1), range(n2 + 1)):
+                budget = datum.weight_budget(cls)
+                if any(cls) and not datum.zero_class(cls) and budget <= top:
+                    want.setdefault(budget, []).append(cls)
+            assert sum(map(len, want.values())) >= 5
+            assert groups == want, (datum.anticanonical, n1, n2)
 
 
 @pytest.mark.parametrize("n1, n2, entries", [(80, 2, 247), (6, 4, 25)])
