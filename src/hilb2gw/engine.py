@@ -91,34 +91,36 @@ dimension count give the zero form before any term is walked.  On the
 count every (split, e) pair balances its weights, so the work is planned
 in two layers.  A class plan, built once per class from one
 ``TargetDatum.splits`` call, holds each split's two value dicts, their
-denominator and one tuple of its (e, e^) pairs whose own divisor
-multipliers are nonzero; splits into a class the datum declares zero
-(``TargetDatum.zero_class``) are left out, so their keys are never looked
-up or stored.  The three-point rows of the quantum product, like the
-split plans, never look up or store a key of a declared-zero class: a box
-(``_box_rows``) skips every such class.  A class is closed when its
-weight budget is at most 2: every key of it holds at most two
-insertions, so it is a base case or a key the projection kills, and none
-is ever solved.  On Hilb^2 the closed classes are the (a, 0), whose base
-cases +-3/a^2 are the only true fractions the tables meet; on the plane,
-(1,).  A closed side's value
-dict is a static table of ints, its values times their lcm denominator
-D, read from the datum once per class; any other side's is the class's
-live memo dict, with D = 1.  A signature plan, one per class and divisors
-of the frame's two sides, keeps the splits whose frame-divisor multiplier
-is nonzero, next to the class plan's own pair tuple, and the lcm lcd of
+denominator and its (e, e^) pairs whose own divisor multipliers are
+nonzero, grouped by the weight of e (on Hilb^2, 7 pairs in 3 weights);
+splits into a class the datum declares zero (``TargetDatum.zero_class``)
+are left out, so their keys are never looked up or stored.  The
+three-point rows of the quantum product, like the split plans, never look
+up or store a key of a declared-zero class: a box (``_box_rows``) skips
+every such class.  A class is closed when its weight budget is at most 2:
+every key of it holds at most two insertions, so it is a base case or a
+key the projection kills, and none is ever solved.  On Hilb^2 the closed
+classes are the (a, 0), whose base cases +-3/a^2 are the only true
+fractions the tables meet; on the plane, (1,).  A closed side's value dict
+is a static table of ints, its values times their lcm denominator D, read
+from the datum once per class; any other side's is the class's live memo
+dict, with D = 1.  A signature plan, one per class and divisors of the
+frame's two sides, keeps the splits whose frame-divisor multiplier is
+nonzero, next to the class plan's own pair groups, and the lcm lcd of
 their D1 * D2; each split carries lcd / (D1 * D2), one int per distinct
-denominator.  The weights pick the partition group at lookup.  So the
-split sum adds ints only, and divides by lcd once per ordering.  It never
-solves a key of a closed class, nor looks one up or stores one in the
-memo unless the projection kills it (no closed class of Hilb^2 or the
-plane has such a key), so the memo holds a closed key only when a query
-asks for it.  Along the plan, both factors of a term are looked up before
-either is solved: a stored zero ends the term, and a missing factor is
-solved only while its partner can still be nonzero.  The memo therefore
-never solves a key just to multiply it by a known zero; which keys it
-holds depends slightly on the query order, their values do not.  All
-arithmetic is exact and everything runs on the calling thread.
+denominator.  Each (split, weight) looks up one partition group, and each
+partition A in it adds its code to the two factors' frame codes once
+before the weight's pairs are walked.  So the split sum adds ints only,
+and divides by lcd once per ordering.  It never solves a key of a closed
+class, nor looks one up or stores one in the memo unless the projection
+kills it (no closed class of Hilb^2 or the plane has such a key), so the
+memo holds a closed key only when a query asks for it.  Along the plan,
+both factors of a term are looked up before either is solved: a stored
+zero ends the term, and a missing factor is solved only while its partner
+can still be nonzero.  The memo therefore never solves a key just to
+multiply it by a known zero; which keys it holds depends slightly on the
+query order, their values do not.  All arithmetic is exact and everything
+runs on the calling thread.
 
 About half of the keys the tables reach are zero by a theorem, and the
 engine never solves one of them.  The Hilbert scheme is a P^2-bundle over
@@ -862,7 +864,10 @@ class Engine:
         each side.  The divisors pick the signature plan
         ``_signature_plans[(cls, div1, div2)]``, built by ``_split_plan`` on
         a miss; the codes enter every factor's key, and w(kept1) picks the
-        partition group.
+        partition group of each (split, weight of e) entry of the plan.  The
+        walk is partition-first: per partition A of the group, the two
+        factors' codes without e and e^ are summed once, and the entry's
+        pairs add code(e) and code(e^) to them.
 
         Every key is formed on packed codes and none is decoded: a
         collapsed term by ``_canon_code`` from the extras' cached sums, a
@@ -920,12 +925,13 @@ class Engine:
             # split terms over beta1 + beta2 = cls, both nonzero effective,
             # walked along the signature plan of the two frame sides (see
             # _split_plan): only the (split, e) pairs whose divisor
-            # multipliers are nonzero.  A split's sum is multiplied once by
-            # its frame-divisor multiplier m, each term by the multiplier f
-            # of e and e^, and the sign is applied once to the ordering's
-            # sum.  On the dimension count every pair balances, and
-            # w(A) = need - w(kept1) picks its partition group, kept1 being
-            # the non-divisor entries of (p, q).
+            # multipliers are nonzero, grouped by w(e).  A split's sum is
+            # multiplied once by its frame-divisor multiplier m, each term by
+            # the multiplier f of e and e^, and the sign is applied once to
+            # the ordering's sum.  On the dimension count every pair
+            # balances, and w(A) = need - w(kept1) picks one partition group
+            # per (split, weight), kept1 being the non-divisor entries of
+            # (p, q).
             div1, code1, w1 = sides[p][q]
             div2, code2, _w2 = sides[r][s]
             plan = signature_plans.get((cls, div1, div2))
@@ -948,29 +954,30 @@ class Engine:
             # part stay int; scale lifts each split to the plan's lcd.
             for vals1, vals2, b1, b2, m, scale, sub in splits:
                 acc = 0
-                for pe, peh, f, need in sub:
+                for need, pairs in sub:
                     grp = groups.get(need - w1)
                     if grp is None:
                         continue
-                    add1 = code1 + pe
-                    add2 = code2 + peh + code_x
                     for code_a, mult in grp:
-                        v1 = vals1.get(code_a + add1)
-                        if v1 == 0:
-                            continue
-                        # code(B) + add2 - code(extras) = add2 - code(A)
-                        v2 = vals2.get(add2 - code_a)
-                        if v2 == 0:
-                            continue
-                        if v1 is None:
-                            v1 = resolve(b1, code_a + add1)
+                        # code(B) + code(r, s) = code(extras) - code(A) + code2
+                        key1 = code1 + code_a
+                        key2 = code2 + code_x - code_a
+                        for pe, peh, f in pairs:
+                            v1 = vals1.get(key1 + pe)
                             if v1 == 0:
                                 continue
-                        if v2 is None:
-                            v2 = resolve(b2, add2 - code_a)
+                            v2 = vals2.get(key2 + peh)
                             if v2 == 0:
                                 continue
-                        acc += f * mult * v1 * v2
+                            if v1 is None:
+                                v1 = resolve(b1, key1 + pe)
+                                if v1 == 0:
+                                    continue
+                            if v2 is None:
+                                v2 = resolve(b2, key2 + peh)
+                                if v2 == 0:
+                                    continue
+                            acc += f * mult * v1 * v2
                 if acc:
                     part += m * scale * acc
             if lcd > 1:
@@ -991,9 +998,10 @@ class Engine:
         closed side holds a true fraction), and ``scale = lcd // (D1 * D2)``
         is one int object per distinct denominator, so a split term summed
         over the scaled closed values and multiplied by scale is lcd times
-        its value.  ``sub`` is the class plan's own tuple, so every
-        signature of a class shares its entries.  Built once per signature,
-        on ``_build``'s first miss in ``_signature_plans``, and stored there.
+        its value.  ``sub`` is the class plan's own tuple of pairs grouped
+        by weight, so every signature of a class shares its entries.  Built
+        once per signature, on ``_build``'s first miss in
+        ``_signature_plans``, and stored there.
         """
         pos = self.datum.divisor_pos
         kept = []
@@ -1023,17 +1031,20 @@ class Engine:
         ``TargetDatum.splits`` call.  A side whose class is closed (weight
         budget <= 2) gets the static dict of ``_side_values``, holding its
         values times its denominator D; any other side gets its class's live
-        memo value dict and D = 1; den = D1 * D2.  ``sub`` lists
-        ``(code(e), code(e^), f, need)`` for every basis pair whose
-        multiplier f is nonzero, and need = budget(b1) - w(e), so the
-        partition side A of the first factor has weight ``need - w(kept1)``.
-        Code, weight and f come from ``_units``: f is the slot multiplier of
-        e in b1 times that of e^ in b2, which is b1 . T_e for a divisor e, 1
-        for a non-divisor and 0 for the fundamental class, so a pair with a
-        fundamental-class end drops out by itself.  A split with a side in a
-        class that ``TargetDatum.zero_class`` declares zero is left out, so
-        the split sum never looks up or stores keys of such a class; so is a
-        split with no surviving pair.  Cached in ``_class_plans``.
+        memo value dict and D = 1; den = D1 * D2.  ``sub`` groups the basis
+        pairs whose multiplier f is nonzero by weight: ``((need, ((code(e),
+        code(e^), f), ...)), ...)``, one entry per w(e) in increasing order
+        with need = budget(b1) - w(e), so the partition side A of the first
+        factor has weight ``need - w(kept1)`` for every pair of an entry
+        and ``_build`` looks its group up once per entry.  Within an entry
+        the pairs keep the index order of e.  Code, weight and f come from
+        ``_units``: f is the slot multiplier of e in b1 times that of e^ in
+        b2, which is b1 . T_e for a divisor e, 1 for a non-divisor and 0 for
+        the fundamental class, so a pair with a fundamental-class end drops
+        out by itself.  A split with a side in a class that
+        ``TargetDatum.zero_class`` declares zero is left out, so the split
+        sum never looks up or stores keys of such a class; so is a split
+        with no surviving pair.  Cached in ``_class_plans``.
         """
         plan = self._class_plans.get(cls)
         if plan is not None:
@@ -1048,17 +1059,21 @@ class Engine:
             bud1 = self._budget(b1)
             mults1 = b1 + (1, 0)  # indexed by a unit's slot
             mults2 = b2 + (1, 0)
-            sub = []
+            by_weight: dict = {}
             for e, eh in enumerate(datum.dual):
                 s1, pe, we, _t, _n = units[e]
                 s2, peh, _w, _t, _n = units[eh]
                 f = mults1[s1] * mults2[s2]
                 if f:
-                    sub.append((pe, peh, f, bud1 - we))
-            if sub:
+                    by_weight.setdefault(we, []).append((pe, peh, f))
+            if by_weight:
                 vals1, den1 = self._side_values(b1)
                 vals2, den2 = self._side_values(b2)
-                out.append((vals1, vals2, b1, b2, den1 * den2, tuple(sub)))
+                sub = tuple(
+                    (bud1 - we, tuple(pairs))
+                    for we, pairs in sorted(by_weight.items())
+                )
+                out.append((vals1, vals2, b1, b2, den1 * den2, sub))
         plan = self._class_plans[cls] = tuple(out)
         return plan
 

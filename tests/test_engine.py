@@ -47,6 +47,7 @@ from properties_util import (
     check_wdvv_residuals,
     rescaled_hilb_datum,
 )
+from test_quantum import _quadric_datum
 
 
 # ----------------------------------------------------------------------
@@ -308,6 +309,53 @@ def test_signature_plans_share_their_class_plans_sub_tuples():
     assert len(eng._signature_plans) > len(eng._class_plans)
     assert shared > 500
     assert fractional > 0
+
+
+@pytest.mark.parametrize(
+    "datum, classes",
+    [
+        (hilb_datum(), [(a, b) for a in range(5) for b in range(4) if a or b]),
+        (p2_datum(), [(d,) for d in range(1, 7)]),
+        (_quadric_datum(), [(a, b) for a in range(4) for b in range(4) if a or b]),
+    ],
+    ids=["hilb2", "p2", "p1xp1"],
+)
+def test_class_plans_group_basis_pairs_by_weight(datum, classes):
+    """Each split of a class plan lists its (e, e^) pairs as ``(need,
+    pairs)`` entries, one per weight w(e) in increasing order, with need =
+    budget(b1) - w(e).  Flattened, the pairs are every
+    ``(code(e), code(e^), f)`` over ``datum.dual`` whose multiplier f, the
+    product of the two ends' divisor multipliers, is nonzero."""
+    eng = Engine(datum)
+    weights = datum.weights
+
+    def code(e):
+        return eng.memo.code((e,)) if datum.codims[e] >= 2 else 0
+
+    def mult(b, e):
+        if datum.codims[e] == 0:
+            return 0
+        return b[datum.divisor_pos[e]] if datum.codims[e] == 1 else 1
+
+    splits = 0
+    for cls in classes:
+        for _v1, _v2, b1, b2, _den, sub in eng._class_plan(cls):
+            brute = sorted(
+                (
+                    (weights[e], (code(e), code(eh), mult(b1, e) * mult(b2, eh)))
+                    for e, eh in enumerate(datum.dual)
+                    if mult(b1, e) * mult(b2, eh)
+                ),
+                key=lambda item: item[0],
+            )
+            needs = [need for need, _pairs in sub]
+            assert needs == sorted(set(needs), reverse=True), (cls, b1, b2)
+            assert all(pairs for _need, pairs in sub), (cls, b1, b2)
+            flat = [(need, pair) for need, pairs in sub for pair in pairs]
+            budget = datum.weight_budget(b1)
+            assert flat == [(budget - w, pair) for w, pair in brute], (cls, b1, b2)
+            splits += 1
+    assert splits > len(classes)
 
 
 def test_split_sum_skips_zero_classes_and_matches_the_plain_sum():
@@ -774,25 +822,38 @@ def _plane_counts_to_d8(eng):
 
 
 @pytest.mark.parametrize(
-    "datum, solve, min_specs",
+    "datum, solve, min_specs, shared_weights",
     [
-        (hilb_datum(), _hilb_tables_to_d5_then_their_stages, 2000),
-        (p2_datum(), _plane_counts_to_d8, 7),
+        (hilb_datum(), _hilb_tables_to_d5_then_their_stages, 2000, True),
+        (p2_datum(), _plane_counts_to_d8, 7, False),
     ],
     ids=["hilb2", "p2"],
 )
-def test_build_equation_matches_plain_split_sum(datum, solve, min_specs):
+def test_build_equation_matches_plain_split_sum(
+    datum, solve, min_specs, shared_weights
+):
     """The lead spec of every memo key solved by running the d <= 5 tables
     of Hilb^2 and closing the stages they reach up to n = 8 (the d <= 8
     counts of P^2, one spec per stage) builds the same affine
     form as the plain sum, on a fresh engine where part of each stage is
-    still unknown."""
+    still unknown.
+
+    The split sum walks each weight's partitions outside its basis pairs,
+    which reorders the terms only in a partition group of two or more
+    members, such as {4} and {5} of the extras (4, 5).  The Hilb^2 specs
+    include such extras (the d <= 6 tables alone meet none); the plane,
+    with one non-divisor, has none."""
     solved = Engine(datum)
     solve(solved)
     specs = sorted({
         (cls, solved._lead_spec(ins)) for cls, ins in _memo_stage_keys(solved)
     })
     assert len(specs) >= min_specs
+    assert shared_weights == any(
+        len(grp) >= 2
+        for _cls, (_frame, extras) in specs
+        for grp in solved._partition_groups(extras)[1].values()
+    )
     fresh = Engine(datum)
     symbolic = 0
     for cls, (frame, extras) in specs:
